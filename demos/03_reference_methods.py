@@ -33,5 +33,5 @@ print(f"sparsity-aware:         {eval_improved(cl, box).eigen}")
 
 print()
 mid = 0.5 * (enc.lo + enc.hi)
-print(f"eigenvalue range of the midpoint matrix (own Jacobi solver): "
+print(f"eigenvalue range of the midpoint matrix (LAPACK eigvalsh): "
       f"{sym_eigen_range(mid)}")

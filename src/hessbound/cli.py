@@ -21,25 +21,15 @@ from .harness import (
     DEFAULT_EPS,
     alpha_bb_eval,
     emit_report,
+    parse_box,
     read_corpus,
     run_compare,
 )
-from .interval import Box, Interval
+from .interval import Interval
 from .expressions import compile_expression
 from .reference import gershgorin_bounds, hertz_rohn_bounds, interval_hessian
 
 __all__ = ["main"]
-
-
-def _parse_box(text: str, n: int) -> Box:
-    parts = [p for p in text.split(";") if p.strip()]
-    if len(parts) != n:
-        raise ValueError(f"box has {len(parts)} components, expected {n}")
-    bounds = []
-    for p in parts:
-        lo_s, hi_s = p.split(",")
-        bounds.append((float(lo_s), float(hi_s)))
-    return Box.from_bounds(bounds)
 
 
 def _parse_point(text: str, n: int) -> List[float]:
@@ -73,7 +63,7 @@ def _iv(iv: Interval) -> List[float]:
 
 def _cmd_eval(args) -> int:
     cl = compile_expression(_load_source(args), args.vars)
-    box = _parse_box(args.box, args.vars)
+    box = parse_box(args.box, args.vars)
     if args.method in ("original", "improved"):
         res = (eval_original if args.method == "original" else eval_improved)(cl, box)
         value, gradient, eigen, ops = res.value, res.gradient, res.eigen, res.op_count
@@ -116,7 +106,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_underestimate(args) -> int:
     cl = compile_expression(_load_source(args), args.vars)
-    box = _parse_box(args.box, args.vars)
+    box = parse_box(args.box, args.vars)
     x = _parse_point(args.at, args.vars)
     lam_lo = eval_improved(cl, box).eigen.lo
     value = alpha_bb_eval(cl, box, x, lam_lo)
@@ -130,7 +120,7 @@ def _cmd_underestimate(args) -> int:
 
 def _cmd_convexity(args) -> int:
     cl = compile_expression(_load_source(args), args.vars)
-    box = _parse_box(args.box, args.vars)
+    box = parse_box(args.box, args.vars)
     lam = eval_improved(cl, box).eigen
     convex = lam.lo >= 0.0
     print("convex" if convex else "not certified convex")

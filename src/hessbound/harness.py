@@ -44,6 +44,7 @@ __all__ = [
     "alpha_bb_eval",
     "codelist_value",
     "random_boxes",
+    "parse_box",
     "CorpusEntry",
     "read_corpus",
     "write_corpus",
@@ -188,10 +189,11 @@ class CorpusEntry:
         return compile_expression(self.source, self.n)
 
 
-def _parse_domain(text: str, n: int) -> Box:
+def parse_box(text: str, n: int) -> Box:
+    """Parse ``'l1,u1;l2,u2;...;ln,un'`` into an n-dimensional box."""
     parts = [p for p in text.split(";") if p.strip()]
     if len(parts) != n:
-        raise ValueError(f"domain has {len(parts)} components, expected {n}")
+        raise ValueError(f"box has {len(parts)} components, expected {n}")
     bounds = []
     for p in parts:
         lo_s, hi_s = p.split(",")
@@ -230,7 +232,7 @@ def read_corpus(directory: str) -> List[CorpusEntry]:
         entries.append(CorpusEntry(
             name=fname[:-4],
             n=n,
-            domain=_parse_domain(domain_text, n),
+            domain=parse_box(domain_text, n),
             source=" ".join(expr_lines),
         ))
     return entries

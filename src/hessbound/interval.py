@@ -90,7 +90,10 @@ class Interval:
             return ONE
         if m == 1:
             return self
-        lo_m, hi_m = self.lo**m, self.hi**m
+        try:
+            lo_m, hi_m = self.lo**m, self.hi**m
+        except OverflowError:
+            raise InvalidInterval(f"pow overflow on {self}^{m}") from None
         if self.lo > 0 or m % 2 == 1:
             return Interval(lo_m, hi_m)
         if self.hi < 0:  # m even
@@ -148,32 +151,6 @@ ONE = Interval(1.0, 1.0)
 
 def point(x: float) -> Interval:
     return Interval(x, x)
-
-
-def iv_binary(kind: str, a: Interval, b: Interval) -> Interval:
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    raise ValueError(f"unknown binary operation {kind!r}")
-
-
-def iv_unary(kind: str, a: Interval, c: float | None = None, m: int | None = None) -> Interval:
-    if kind == "recip":
-        return a.recip()
-    if kind == "pow":
-        return a.pow(m)
-    if kind == "sqrt":
-        return a.sqrt()
-    if kind == "exp":
-        return a.exp()
-    if kind == "ln":
-        return a.ln()
-    if kind == "addConst":
-        return a.add_const(c)
-    if kind == "scale":
-        return a.scale(c)
-    raise ValueError(f"unknown unary operation {kind!r}")
 
 
 class Box:
@@ -261,8 +238,11 @@ def lambda_star(a: Interval, b: Interval, c: Interval) -> Interval:
     """Tight eigenvalue bounds for 2x2 symmetric matrices with diagonal
     entries in [a], [b] and off-diagonal entry in [c]."""
     d = 4.0 * max(c.lo * c.lo, c.hi * c.hi)
-    lo = 0.5 * (a.lo + b.lo - math.sqrt((a.lo - b.lo) ** 2 + d))
-    hi = 0.5 * (a.hi + b.hi + math.sqrt((a.hi - b.hi) ** 2 + d))
+    try:
+        lo = 0.5 * (a.lo + b.lo - math.sqrt((a.lo - b.lo) ** 2 + d))
+        hi = 0.5 * (a.hi + b.hi + math.sqrt((a.hi - b.hi) ** 2 + d))
+    except OverflowError:
+        raise InvalidInterval(f"lambda_star overflow on {a}, {b}, {c}") from None
     return Interval(lo, hi)
 
 

@@ -7,9 +7,9 @@ compared against:
   yielding an elementwise enclosure of the Hessian over a box;
 * :func:`gershgorin_bounds` -- disc bounds from such an enclosure;
 * :func:`hertz_rohn_bounds` -- exact extremal eigenvalues of a symmetric
-  interval matrix via signed vertex enumeration;
-* :func:`sym_eigen_range` -- eigenvalue range of one symmetric matrix,
-  computed with a self-contained cyclic Jacobi iteration;
+  interval matrix via signed vertex enumeration, with the vertex matrices
+  solved in stacked batches by LAPACK (``numpy.linalg.eigvalsh``);
+* :func:`sym_eigen_range` -- eigenvalue range of one symmetric matrix;
 * :func:`point_hessian` / :func:`point_hessians` -- exact real Hessians at
   single points (scalar and vectorized forms), used as sampling oracles.
 """
@@ -23,7 +23,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .codelist import Codelist
-from .errors import DimensionTooLarge, DomainViolation, NotSymmetric
+from .errors import DimensionTooLarge, DomainViolation, InvalidInterval, NotSymmetric
 from .interval import Box, Interval, ONE, ZERO, point
 
 __all__ = [
@@ -37,7 +37,13 @@ __all__ = [
     "VERTEX_DIMENSION_LIMIT",
 ]
 
+# hertz_rohn_bounds solves 2^n eigenproblems of size n.  On one core of a
+# 2-vCPU x86_64 Xeon VM (numpy 2.4 with OpenBLAS, one BLAS thread) one call
+# took 0.044 s at n = 12, 1.0 s at n = 16 and 27 s at n = 20 (the process
+# peaked at 57 MB resident).
 VERTEX_DIMENSION_LIMIT = 20
+# vertices per batched eigvalsh call: 4096 x n x n doubles, 13 MB at n = 20
+_VERTEX_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -74,20 +80,40 @@ class SymIntervalMatrix:
 
 
 # -- interval Hessian propagation ----------------------------------------
+#
+# Gradients and Hessians are carried as (lo, hi) pairs of float arrays of
+# shape (n,) and (n, n); line values stay scalar Intervals so that the domain
+# checks are the ones of the interval type.  Each array expression keeps the
+# association order of the elementwise Interval formulas, so every entry is
+# the same float the per-entry Interval computation gives.
 
-def _outer_sym(g1: List[Interval], g2: List[Interval]) -> List[List[Interval]]:
-    """Interval enclosure of g1 g2^T + g2 g1^T."""
-    n = len(g1)
-    return [[g1[a] * g2[b] + g2[a] * g1[b] for b in range(n)] for a in range(n)]
+_Pair = Tuple[np.ndarray, np.ndarray]
 
 
-def _chain(first: Interval, second: Interval,
-           g: List[Interval], h: List[List[Interval]]) -> Tuple[List[Interval], List[List[Interval]]]:
-    """Gradient and Hessian of r(y): r' * grad y and r'' g g^T + r' H."""
-    n = len(g)
-    ng = [first * gi for gi in g]
-    nh = [[second * (g[a] * g[b]) + first * h[a][b] for b in range(n)] for a in range(n)]
-    return ng, nh
+def _iv(x: Interval) -> Tuple[float, float]:
+    return x.lo, x.hi
+
+
+def _add(a: _Pair, b: _Pair) -> _Pair:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _mul(a, b) -> _Pair:
+    """Elementwise interval product of (lo, hi) pairs, with broadcasting."""
+    p1, p2, p3, p4 = a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]
+    return (np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
+            np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
+
+
+def _outer(a: _Pair, b: _Pair) -> _Pair:
+    """Interval enclosure of the outer product a b^T."""
+    return _mul((a[0][:, None], a[1][:, None]), (b[0][None, :], b[1][None, :]))
+
+
+def _check_finite(*pairs: _Pair) -> None:
+    for lo, hi in pairs:
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise InvalidInterval("non-finite gradient or Hessian enclosure")
 
 
 def _derivative_intervals(op: str, yi: Interval, yk: Interval,
@@ -111,75 +137,71 @@ def _derivative_intervals(op: str, yi: Interval, yk: Interval,
 
 
 def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
-    """Elementwise enclosure of the Hessian of the codelist over the box."""
+    """Elementwise enclosure of the Hessian of the codelist over the box.
+
+    Raises :class:`InvalidInterval` when an enclosure entry overflows.
+    """
     cl.validate()
     n = cl.n
     if len(box) != n:
         raise ValueError(f"box dimension {len(box)} != variable count {n}")
     ys: List[Interval] = []
-    gs: List[List[Interval]] = []
-    hs: List[List[List[Interval]]] = []
-    zero_grad = [ZERO] * n
-    zero_hess = [[ZERO] * n for _ in range(n)]
-    for k, line in enumerate(cl.lines, start=1):
-        try:
-            if line.op == "var":
-                ys.append(box[k - 1])
-                g = list(zero_grad)
-                g[k - 1] = ONE
+    gs: List[_Pair] = []
+    hs: List[_Pair] = []
+    zero_hess = np.zeros((n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, line in enumerate(cl.lines, start=1):
+            try:
+                if line.op == "var":
+                    ys.append(box[k - 1])
+                    g = np.zeros(n)
+                    g[k - 1] = 1.0
+                    gs.append((g, g))
+                    hs.append((zero_hess, zero_hess))
+                    continue
+                if line.op == "add":
+                    ys.append(ys[line.i - 1] + ys[line.j - 1])
+                    g = _add(gs[line.i - 1], gs[line.j - 1])
+                    h = _add(hs[line.i - 1], hs[line.j - 1])
+                elif line.op == "mul":
+                    yi, yj = ys[line.i - 1], ys[line.j - 1]
+                    gi, gj = gs[line.i - 1], gs[line.j - 1]
+                    ys.append(yi * yj)
+                    g = _add(_mul(_iv(yj), gi), _mul(_iv(yi), gj))
+                    h = _add(_add(_mul(_iv(yj), hs[line.i - 1]), _mul(_iv(yi), hs[line.j - 1])),
+                             _add(_outer(gi, gj), _outer(gj, gi)))
+                else:
+                    yi = ys[line.i - 1]
+                    if line.op == "powNat":
+                        yk = yi.pow(line.m)
+                    elif line.op == "oneOver":
+                        yk = yi.recip()
+                    elif line.op == "sqrt":
+                        if yi.lo <= 0.0:
+                            raise DomainViolation("sqrt", yi)
+                        yk = yi.sqrt()
+                    elif line.op == "exp":
+                        yk = yi.exp()
+                    elif line.op == "ln":
+                        yk = yi.ln()
+                    elif line.op == "addC":
+                        yk = yi.add_const(line.c)
+                    else:  # mulByC
+                        yk = yi.scale(line.c)
+                    first, second = _derivative_intervals(line.op, yi, yk, line.c, line.m)
+                    gi = gs[line.i - 1]
+                    ys.append(yk)
+                    g = _mul(_iv(first), gi)
+                    h = _add(_mul(_iv(second), _outer(gi, gi)), _mul(_iv(first), hs[line.i - 1]))
+                _check_finite(g, h)
                 gs.append(g)
-                hs.append([row[:] for row in zero_hess])
-                continue
-            if line.op == "add":
-                yi, yj = ys[line.i - 1], ys[line.j - 1]
-                gi, gj = gs[line.i - 1], gs[line.j - 1]
-                hi, hj = hs[line.i - 1], hs[line.j - 1]
-                ys.append(yi + yj)
-                gs.append([a + b for a, b in zip(gi, gj)])
-                hs.append([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(hi, hj)])
-                continue
-            if line.op == "mul":
-                yi, yj = ys[line.i - 1], ys[line.j - 1]
-                gi, gj = gs[line.i - 1], gs[line.j - 1]
-                hi, hj = hs[line.i - 1], hs[line.j - 1]
-                ys.append(yi * yj)
-                gs.append([yj * a + yi * b for a, b in zip(gi, gj)])
-                cross = _outer_sym(gi, gj)
-                hs.append([
-                    [yj * hi[a][b] + yi * hj[a][b] + cross[a][b] for b in range(n)]
-                    for a in range(n)
-                ])
-                continue
-            yi = ys[line.i - 1]
-            if line.op == "powNat":
-                yk = yi.pow(line.m)
-            elif line.op == "oneOver":
-                yk = yi.recip()
-            elif line.op == "sqrt":
-                if yi.lo <= 0.0:
-                    raise DomainViolation("sqrt", yi)
-                yk = yi.sqrt()
-            elif line.op == "exp":
-                yk = yi.exp()
-            elif line.op == "ln":
-                yk = yi.ln()
-            elif line.op == "addC":
-                yk = yi.add_const(line.c)
-            else:  # mulByC
-                yk = yi.scale(line.c)
-            first, second = _derivative_intervals(line.op, yi, yk, line.c, line.m)
-            g, h = _chain(first, second, gs[line.i - 1], hs[line.i - 1])
-            ys.append(yk)
-            gs.append(g)
-            hs.append(h)
-        except DomainViolation as err:
-            if err.line is None:
-                raise DomainViolation(err.kind, err.interval, line=k) from None
-            raise
-    last = hs[-1]
-    lo = np.array([[last[a][b].lo for b in range(n)] for a in range(n)])
-    hi = np.array([[last[a][b].hi for b in range(n)] for a in range(n)])
-    # symmetrize away last-bit rounding asymmetry from the a/b loop order
+                hs.append(h)
+            except DomainViolation as err:
+                if err.line is None:
+                    raise DomainViolation(err.kind, err.interval, line=k) from None
+                raise
+    lo, hi = hs[-1]
+    # symmetrize away last-bit rounding asymmetry between mirrored entries
     lo = np.minimum(lo, lo.T)
     hi = np.maximum(hi, hi.T)
     return SymIntervalMatrix(lo, hi)
@@ -290,64 +312,41 @@ def hertz_rohn_bounds(mat: SymIntervalMatrix) -> Interval:
     Enumerates the 2^(n-1) sign patterns (first entry fixed positive) of
     the vertex matrices mid -+ diag(z) rad diag(z); the minimum smallest and
     maximum largest eigenvalue over these vertices are attained exactly.
+    The vertices are stacked _VERTEX_CHUNK at a time and solved with one
+    batched LAPACK call per chunk and side.
     """
     n = mat.n
     if n > VERTEX_DIMENSION_LIMIT:
         raise DimensionTooLarge(f"vertex enumeration limited to n <= {VERTEX_DIMENSION_LIMIT}, got {n}")
     mid, rad = mat.mid_rad()
+    # the enclosure need only be allclose-symmetric; make each vertex exactly so
+    mid = 0.5 * (mid + mid.T)
+    rad = 0.5 * (rad + rad.T)
+    shifts = np.arange(n - 1)
+    count = 1 << (n - 1)
     lo = math.inf
     hi = -math.inf
-    for bits in range(1 << (n - 1)):
-        z = np.ones(n)
-        for b in range(n - 1):
-            if bits >> b & 1:
-                z[b + 1] = -1.0
-        signed = rad * np.outer(z, z)
-        lo = min(lo, sym_eigen_range(mid - signed).lo)
-        hi = max(hi, sym_eigen_range(mid + signed).hi)
+    for start in range(0, count, _VERTEX_CHUNK):
+        bits = np.arange(start, min(start + _VERTEX_CHUNK, count))
+        z = np.ones((bits.size, n))
+        z[:, 1:] -= 2.0 * ((bits[:, None] >> shifts) & 1)
+        signed = z[:, :, None] * z[:, None, :]
+        signed *= rad
+        lo = min(lo, float(np.linalg.eigvalsh(mid - signed)[:, 0].min()))
+        hi = max(hi, float(np.linalg.eigvalsh(mid + signed)[:, -1].max()))
     return Interval(lo, hi)
 
 
 def sym_eigen_range(m: np.ndarray) -> Interval:
-    """Smallest and largest eigenvalue of one symmetric matrix.
-
-    Uses a deterministic cyclic Jacobi rotation sweep; iteration stops once
-    the off-diagonal Frobenius norm is below 1e-12 times the matrix norm.
-    """
+    """Smallest and largest eigenvalue of one symmetric matrix (LAPACK)."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     scale = np.linalg.norm(a)
     if not np.allclose(a, a.T, atol=max(scale, 1.0) * 1e-12):
         raise NotSymmetric("matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    if n == 1:
+    if a.shape[0] == 1:
         v = float(a[0, 0])
         return Interval(v, v)
-    tol = 1e-12 * max(scale, 1.0)
-    for _ in range(100):
-        off = math.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2)))
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp = a[:, p].copy()
-                rq = a[:, q].copy()
-                a[:, p] = c * rp - s * rq
-                a[:, q] = s * rp + c * rq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    d = np.diag(a)
-    return Interval(float(np.min(d)), float(np.max(d)))
+    w = np.linalg.eigvalsh(0.5 * (a + a.T))
+    return Interval(float(w[0]), float(w[-1]))

@@ -107,6 +107,13 @@ def test_underestimate_point_outside(capsys):
     assert code == 2 and "error" in err
 
 
+def test_eval_overflow_is_clean_error(capsys):
+    code, out, err = run(capsys, "eval", "--inline", "x1^2", "--vars", "1",
+                         "--box", "1e200,1e201")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # -- convexity ------------------------------------------------------------
 
 def test_convexity_positive(capsys):

@@ -225,3 +225,12 @@ def test_run_compare_skips_domain_violations():
     assert res.skips, "expected at least one skipped box"
     for s in res.skips:
         assert "DomainViolation" in s.reason
+
+
+def test_run_compare_skips_overflow():
+    entries = [CorpusEntry("huge", 2, Box.from_bounds([(1e200, 1e201), (1.0, 2.0)]),
+                           "x1^2 + x1*x2")]
+    res = run_compare(entries, boxes_per_function=5, seed=0)
+    assert not res.records and len(res.skips) == 5
+    for s in res.skips:
+        assert s.reason.startswith("InvalidInterval")

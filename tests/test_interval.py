@@ -81,6 +81,13 @@ def test_pow_branches():
     assert iv(-2, 3).pow(1) == iv(-2, 3)
 
 
+def test_pow_overflow_is_invalid_interval():
+    with pytest.raises(InvalidInterval):
+        iv(1e200, 1e201).pow(2)
+    with pytest.raises(InvalidInterval):
+        iv(-1e201, 1.0).pow(3)
+
+
 def test_sqrt_golden_and_domain():
     assert iv(4, 9).sqrt() == iv(2, 3)
     assert iv(0, 4).sqrt() == iv(0, 2)
@@ -243,6 +250,11 @@ def test_lambda_star_tight_against_vertex_matrices():
         assert enc.lo <= lo + 1e-9 and hi - 1e-9 <= enc.hi
         # ... and tight: the endpoints are attained at vertex matrices
         assert abs(enc.lo - lo) < 1e-9 and abs(enc.hi - hi) < 1e-9
+
+
+def test_lambda_star_overflow_is_invalid_interval():
+    with pytest.raises(InvalidInterval):
+        lambda_star(iv(1e160, 1e160), ZERO, ZERO)
 
 
 def test_zero_widen():

@@ -1,11 +1,23 @@
 """Interval-Hessian enclosures and the matrix eigenvalue references."""
 
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hessbound import Box, DimensionTooLarge, DomainViolation, NotSymmetric, compile_expression
+from hessbound import (
+    Box,
+    DimensionTooLarge,
+    DomainViolation,
+    Interval,
+    InvalidInterval,
+    NotSymmetric,
+    compile_expression,
+)
+from hessbound import reference
 from hessbound.harness import random_boxes, random_function
 from hessbound.reference import (
     SymIntervalMatrix,
@@ -82,6 +94,34 @@ def test_hessian_encloses_finite_difference_truth():
                 assert enc.contains_matrix(H, slack=scale), (entry.source, x)
 
 
+def test_hessian_matches_recorded_per_entry_interval_results():
+    # 200 (function, box) pairs, with the upper triangles of lo and hi recorded
+    # as float.hex by the earlier implementation that built one Interval per
+    # Hessian entry.  Half are random_function entries; the other half multiply
+    # two entries with their variables folded onto x1..xm, so the three terms
+    # of the product rule overlap and their summation order shows.
+    cases = json.loads((Path(__file__).parent / "data" / "interval_hessian_seed.json").read_text())
+    assert len(cases) == 200
+    for case in cases:
+        n = case["n"]
+        box = Box(Interval(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"])
+        enc = interval_hessian(compile_expression(case["source"], n), box)
+        rows, cols = np.triu_indices(n)
+        for got, recorded in ((enc.lo, case["lo"]), (enc.hi, case["hi"])):
+            assert np.array_equal(got, got.T)
+            assert got[rows, cols].tolist() == [float.fromhex(v) for v in recorded.split()], \
+                case["source"]
+
+
+def test_hessian_overflow_is_invalid_interval():
+    # the values stay in [1, 4]; the Hessian 2e400 does not fit a double
+    cl = compile_expression("(1e200*x1)^2", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInterval):
+            interval_hessian(cl, Box.from_bounds([(1e-200, 2e-200)]))
+
+
 # -- point Hessians -------------------------------------------------------
 
 def test_point_hessian_matches_analytic():
@@ -142,6 +182,14 @@ def _random_sym_interval(rng, n):
     a = a + a.T
     b = b + b.T
     return SymIntervalMatrix(np.minimum(a, b), np.maximum(a, b))
+
+
+def test_hertz_rohn_chunking_does_not_change_the_result(monkeypatch):
+    rng = np.random.default_rng(41)
+    mats = [_random_sym_interval(rng, n) for n in range(2, 7) for _ in range(4)]
+    whole = [hertz_rohn_bounds(m) for m in mats]
+    monkeypatch.setattr(reference, "_VERTEX_CHUNK", 3)
+    assert [hertz_rohn_bounds(m) for m in mats] == whole
 
 
 def test_hertz_rohn_bounds_random_members_and_sits_inside_gershgorin():
