@@ -89,6 +89,7 @@ class _Evaluator:
         self.cl = cl
         self.box = box
         self.n = cl.n
+        self.full = frozenset(range(1, cl.n + 1))
         self.ys: List[Interval] = []
         self.grads: List[SparseGrad] = []
         self.lams: List[Interval] = []
@@ -113,16 +114,20 @@ class _Evaluator:
     def _full(self, g: SparseGrad) -> Box:
         return Box(g.get(j, ZERO) for j in range(1, self.n + 1))
 
-    def _slice(self, g: SparseGrad, index_set) -> Box:
-        return Box(g.get(j, ZERO) for j in sorted(index_set))
+    # The λ operators get only the components in the gradient supports, in
+    # ascending index order, plus the dimension of the block they act on;
+    # the operation count charges the whole block, as the paper counts.
 
-    def _lambda_s(self, sliced: Box) -> Interval:
-        self.ops += max(len(sliced), 1)
-        return lambda_s(sliced)
+    def _lambda_s(self, g: SparseGrad, block: frozenset) -> Interval:
+        dim = len(block)
+        self.ops += max(dim, 1)
+        return lambda_s([g[j] for j in sorted(g.keys() & block)], dim)
 
-    def _lambda_t(self, a: Box, b: Box) -> Interval:
-        self.ops += 2 * len(a) + 2
-        return lambda_t(a, b)
+    def _lambda_t(self, gi: SparseGrad, gj: SparseGrad, block: frozenset) -> Interval:
+        dim = len(block)
+        self.ops += 2 * dim + 2
+        comps = sorted((gi.keys() | gj.keys()) & block)
+        return lambda_t([gi.get(j, ZERO) for j in comps], [gj.get(j, ZERO) for j in comps], dim)
 
     # -- value and gradient propagation ----------------------------------
 
@@ -218,10 +223,10 @@ def _lam_original(ev: _Evaluator, k: int, line) -> Interval:
     if op == "mul":
         yj = ev.ys[line.j - 1]
         lam_j = ev.lams[line.j - 1]
-        lt = ev._lambda_t(ev._full(ev.grads[line.i - 1]), ev._full(ev.grads[line.j - 1]))
+        lt = ev._lambda_t(ev.grads[line.i - 1], ev.grads[line.j - 1], ev.full)
         ev.ops += 3
         return yj * lam_i + yi * lam_j + lt
-    ls = ev._lambda_s(ev._full(ev.grads[line.i - 1]))
+    ls = ev._lambda_s(ev.grads[line.i - 1], ev.full)
     if op == "powNat":
         m = line.m
         ev.ops += 5
@@ -255,7 +260,7 @@ def _lam_improved(ev: _Evaluator, k: int, line) -> Interval:
         return ZERO
     cl = ev.cl
     n = ev.n
-    full = frozenset(range(1, n + 1))
+    full = ev.full
     Lk = cl.linear[k - 1]
     lam_i = ev.lams[line.i - 1]
     yi = ev.ys[line.i - 1]
@@ -291,16 +296,14 @@ def _lam_improved(ev: _Evaluator, k: int, line) -> Interval:
         cstar = (Ii | Ij) == full and len(Ii) == n - 1 and len(Ij) == n - 1
 
         def lt() -> Interval:
-            comp = full - Lk
-            return ev._lambda_t(ev._slice(ev.grads[line.i - 1], comp),
-                                ev._slice(ev.grads[line.j - 1], comp))
+            return ev._lambda_t(ev.grads[line.i - 1], ev.grads[line.j - 1], full - Lk)
 
         def cross() -> Interval:
             # both complements are singletons whenever the 2x2 rule fires
-            a = ev._slice(ev.grads[line.i - 1], full - Ii)
-            b = ev._slice(ev.grads[line.j - 1], full - Ij)
+            (a,) = full - Ii
+            (b,) = full - Ij
             ev.ops += 1
-            return a[0] * b[0]
+            return ev.grads[line.i - 1].get(a, ZERO) * ev.grads[line.j - 1].get(b, ZERO)
 
         ev.ops += 2
         if Li == full and Lj == full:
@@ -351,7 +354,7 @@ def _lam_improved(ev: _Evaluator, k: int, line) -> Interval:
         return ZERO if Li == full else lam_i.scale(line.c)
 
     # nonaffine unary compositions
-    ls = ev._lambda_s(ev._slice(ev.grads[line.i - 1], full - Lk))
+    ls = ev._lambda_s(ev.grads[line.i - 1], full - Lk)
     if Li == full:
         lam_arg = None  # the argument block vanishes entirely
     elif Lk == Li:

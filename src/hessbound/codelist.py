@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import MalformedCodelist
 
@@ -24,6 +24,19 @@ __all__ = ["Line", "Codelist"]
 UNARY_OPS = {"powNat", "oneOver", "sqrt", "exp", "ln", "addC", "mulByC"}
 BINARY_OPS = {"add", "mul"}
 AFFINE_OPS = {"addC", "mulByC"}
+
+# real-point rule per operation, called as fn(vals, i, b) (see point_steps)
+_POINT_OPS = {
+    "add": lambda v, i, j: v[i] + v[j],
+    "mul": lambda v, i, j: v[i] * v[j],
+    "powNat": lambda v, i, m: v[i] ** m,
+    "oneOver": lambda v, i, _: 1.0 / v[i],
+    "sqrt": lambda v, i, _: math.sqrt(v[i]),
+    "exp": lambda v, i, _: math.exp(v[i]),
+    "ln": lambda v, i, _: math.log(v[i]),
+    "addC": lambda v, i, c: v[i] + c,
+    "mulByC": lambda v, i, c: v[i] * c,
+}
 
 
 @dataclass(frozen=True)
@@ -56,6 +69,10 @@ class Codelist:
     lines: Tuple[Line, ...]
     indep: Optional[Tuple[frozenset, ...]] = field(default=None, repr=False)
     linear: Optional[Tuple[frozenset, ...]] = field(default=None, repr=False)
+    # (n, lines, indep, linear) as last validated, and (n, lines, steps) as
+    # last compiled by point_steps(); a reassigned field invalidates either
+    _validated: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _steps: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -73,7 +90,15 @@ class Codelist:
         return self.lines[k - 1]
 
     def validate(self) -> None:
-        """Check structural invariants; raises MalformedCodelist."""
+        """Check structural invariants; raises MalformedCodelist.
+
+        A passed check is remembered until ``n``, ``lines``, ``indep`` or
+        ``linear`` is reassigned (the tuples themselves are immutable).
+        """
+        seen = self._validated
+        if (seen is not None and seen[0] == self.n and seen[1] is self.lines
+                and seen[2] is self.indep and seen[3] is self.linear):
+            return
         n = self.n
         if n < 1:
             raise MalformedCodelist(0, "variable count must be at least 1")
@@ -106,6 +131,29 @@ class Codelist:
                     raise MalformedCodelist(k, "independence set exceeds linear set")
                 if ik == full:
                     raise MalformedCodelist(k, "a line cannot be independent of every variable")
+        self._validated = (n, self.lines, self.indep, self.linear)
+
+    def point_steps(self) -> Tuple[Tuple[Callable, int, object], ...]:
+        """The operation lines as ``(fn, i, b)`` steps for real-point evaluation.
+
+        Step k computes ``fn(vals, i, b)`` from the list ``vals`` of earlier
+        line values: ``i`` is the 0-based operand, ``b`` the second operand
+        or the constant.  Built once, and again only after ``n`` or ``lines``
+        is reassigned.
+        """
+        cached = self._steps
+        if cached is not None and cached[0] == self.n and cached[1] is self.lines:
+            return cached[2]
+        self.validate()
+        steps = []
+        for line in self.lines[self.n:]:
+            if line.op in BINARY_OPS:
+                steps.append((_POINT_OPS[line.op], line.i - 1, line.j - 1))
+            else:
+                steps.append((_POINT_OPS[line.op], line.i - 1,
+                              line.m if line.op == "powNat" else line.c))
+        self._steps = (self.n, self.lines, tuple(steps))
+        return self._steps[2]
 
     def analyze(self) -> "Codelist":
         """Populate the per-line index sets (idempotent)."""

@@ -18,7 +18,6 @@ seeded random-function generator used to build corpora.
 from __future__ import annotations
 
 import json
-import math
 import os
 import random
 import zlib
@@ -31,6 +30,7 @@ from .errors import (
     DomainViolation,
     HessboundError,
     InconsistentInputs,
+    InvalidInterval,
     PointOutsideBox,
 )
 from .expressions import compile_expression
@@ -106,29 +106,23 @@ def classify(tested: Interval, gersh: Interval, vertex: Interval,
 # -- point evaluation and the convex underestimator ----------------------
 
 def codelist_value(cl: Codelist, x: Sequence[float]) -> float:
-    """Evaluate the codelist at a real point."""
-    vals: List[float] = []
-    for k, line in enumerate(cl.lines, start=1):
-        if line.op == "var":
-            vals.append(float(x[k - 1]))
-        elif line.op == "add":
-            vals.append(vals[line.i - 1] + vals[line.j - 1])
-        elif line.op == "mul":
-            vals.append(vals[line.i - 1] * vals[line.j - 1])
-        elif line.op == "powNat":
-            vals.append(vals[line.i - 1] ** line.m)
-        elif line.op == "oneOver":
-            vals.append(1.0 / vals[line.i - 1])
-        elif line.op == "sqrt":
-            vals.append(math.sqrt(vals[line.i - 1]))
-        elif line.op == "exp":
-            vals.append(math.exp(vals[line.i - 1]))
-        elif line.op == "ln":
-            vals.append(math.log(vals[line.i - 1]))
-        elif line.op == "addC":
-            vals.append(vals[line.i - 1] + line.c)
-        else:  # mulByC
-            vals.append(vals[line.i - 1] * line.c)
+    """Evaluate the codelist at a real point.
+
+    Raises :class:`InvalidInterval` when a line overflows and
+    :class:`DomainViolation` (with the line number) when a line leaves its
+    domain, e.g. ``ln`` of a negative value.
+    """
+    vals: List[float] = [float(x[k]) for k in range(cl.n)]
+    try:
+        for fn, i, b in cl.point_steps():
+            vals.append(fn(vals, i, b))
+    except (OverflowError, ValueError, ZeroDivisionError) as err:
+        k = len(vals) + 1  # the line that failed
+        line = cl.lines[k - 1]
+        arg = vals[line.i - 1]
+        if isinstance(err, OverflowError):
+            raise InvalidInterval(f"{line.op} overflow on {arg!r} at codelist line {k}") from None
+        raise DomainViolation("recip" if line.op == "oneOver" else line.op, arg, line=k) from None
     return vals[-1]
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     DomainViolation,
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Closed real interval [lo, hi] with finite endpoints, lo <= hi."""
 
@@ -49,14 +49,17 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        lo = float(self.lo)
-        hi = float(self.hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidInterval(f"non-finite endpoints [{lo}, {hi}]")
-        if lo > hi:
+        lo, hi = self.lo, self.hi
+        if type(lo) is not float:
+            lo = float(lo)
+            object.__setattr__(self, "lo", lo)
+        if type(hi) is not float:
+            hi = float(hi)
+            object.__setattr__(self, "hi", hi)
+        if not -math.inf < lo <= hi < math.inf:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise InvalidInterval(f"non-finite endpoints [{lo}, {hi}]")
             raise InvalidInterval(f"lo > hi in [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
 
     # -- elementary arithmetic -------------------------------------------
 
@@ -185,7 +188,8 @@ class Box:
     def contains_point(self, x: Sequence[float], slack: float = 0.0) -> bool:
         if len(x) != len(self.dims):
             raise LengthMismatch(f"point of length {len(x)} vs box of length {len(self)}")
-        return all(d.contains(v, slack) for d, v in zip(self.dims, x))
+        # Interval.contains, inlined: this runs once per point evaluation
+        return all(d.lo - slack <= v <= d.hi + slack for d, v in zip(self.dims, x))
 
     def midpoint(self) -> Tuple[float, ...]:
         return tuple(0.5 * (d.lo + d.hi) for d in self.dims)
@@ -198,32 +202,55 @@ class Box:
         return corners
 
 
-def _sum_sq_mag(a: Box) -> float:
+def _sum_sq_mag(a: Sequence[Interval]) -> float:
     return sum(max(d.lo * d.lo, d.hi * d.hi) for d in a)
 
 
-def lambda_s(a: Box) -> Interval:
+def lambda_s(a: Sequence[Interval], n: Optional[int] = None) -> Interval:
     """Spectral enclosure for rank-1 matrices v v^T with v in the box ``a``.
 
-    For a single component this is the exact square; otherwise the spectrum
-    is {0 (multiple), |v|^2}, bounded by [0, sum of squared magnitudes].
+    ``a`` may list only the components of v that can be nonzero, in
+    ascending index order; ``n`` is the dimension of the space v lives in
+    (default ``len(a)``), and the missing components are zero.  In one
+    dimension this is the exact square; otherwise the spectrum is
+    {0 (multiple), |v|^2}, bounded by [0, sum of squared magnitudes].
     """
-    if len(a) == 1:
-        return a[0].pow(2)
+    if n is None:
+        n = len(a)
+    elif n < len(a):
+        raise LengthMismatch(f"{len(a)} components in dimension {n}")
+    if n == 1:
+        return a[0].pow(2) if a else ZERO
     return Interval(0.0, _sum_sq_mag(a))
 
 
-def lambda_t(a: Box, b: Box) -> Interval:
-    """Spectral enclosure for symmetric terms u v^T + v u^T, u in a, v in b."""
+def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = None) -> Interval:
+    """Spectral enclosure for symmetric terms u v^T + v u^T, u in a, v in b.
+
+    ``a`` and ``b`` may list only the components where u or v can be
+    nonzero (the same indices for both, ascending, ``ZERO`` where one of
+    them vanishes); ``n`` is the dimension (default ``len(a)``), and the
+    components left out are zero in both.  The result is the same, bit for
+    bit, as with the zero components listed.
+    """
     if len(a) != len(b):
         raise LengthMismatch(f"boxes of length {len(a)} and {len(b)}")
-    if len(a) == 1:
-        return (a[0] * b[0]).scale(2.0)
+    if n is None:
+        n = len(a)
+    elif n < len(a):
+        raise LengthMismatch(f"{len(a)} components in dimension {n}")
+    if n == 1:
+        return (a[0] * b[0]).scale(2.0) if a else ZERO
     beta = math.sqrt(_sum_sq_mag(a) * _sum_sq_mag(b))
-    acc = Interval(-beta, beta)
+    lo, hi = -beta, beta
     for ai, bi in zip(a, b):
-        acc = acc + ai * bi
-    return acc
+        p = ai * bi
+        lo += p.lo
+        hi += p.hi
+    if len(a) < n:
+        # a left-out pair adds +0.0, which turns a -0.0 lower end into +0.0
+        lo += 0.0
+    return Interval(lo, hi)
 
 
 def lambda_r(a: Interval, b: Interval) -> Interval:

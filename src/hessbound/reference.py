@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -145,9 +145,15 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     n = cl.n
     if len(box) != n:
         raise ValueError(f"box dimension {len(box)} != variable count {n}")
+    # each line's gradient and Hessian are dropped after their last reader
+    last_read = [0] * len(cl.lines)
+    for k, line in enumerate(cl.lines, start=1):
+        for ref in (line.i, line.j):
+            if ref is not None:
+                last_read[ref - 1] = k
     ys: List[Interval] = []
-    gs: List[_Pair] = []
-    hs: List[_Pair] = []
+    gs: List[Optional[_Pair]] = []
+    hs: List[Optional[_Pair]] = []
     zero_hess = np.zeros((n, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, line in enumerate(cl.lines, start=1):
@@ -196,6 +202,9 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
                 _check_finite(g, h)
                 gs.append(g)
                 hs.append(h)
+                for ref in (line.i, line.j):
+                    if ref is not None and last_read[ref - 1] == k:
+                        gs[ref - 1] = hs[ref - 1] = None
             except DomainViolation as err:
                 if err.line is None:
                     raise DomainViolation(err.kind, err.interval, line=k) from None

@@ -26,6 +26,23 @@ def test_validate_rejects_structural_errors():
         Codelist(n=1, lines=(Line("var"), Line("frobnicate", i=1))).validate()
 
 
+def test_validate_checks_a_reassigned_field_again():
+    cl = compile_expression("x1*x2", 2).analyze()
+    cl.validate()
+    cl.lines = cl.lines[:-1] + (Line("frobnicate", i=1),)
+    with pytest.raises(MalformedCodelist):
+        cl.validate()
+    cl = compile_expression("x1*x2", 2).analyze()
+    cl.indep = cl.indep[:-1] + (frozenset({1, 2}),)
+    with pytest.raises(MalformedCodelist, match="independence set exceeds linear set"):
+        cl.validate()
+    cl = compile_expression("x1*x2", 2)
+    cl.validate()
+    cl.n = 3
+    with pytest.raises(MalformedCodelist, match="first n lines must be var lines"):
+        cl.validate()
+
+
 def test_analysis_golden_sum_of_squares():
     cl = compile_expression("x1^2 + x2^2", 2)
     full = frozenset({1, 2})

@@ -7,7 +7,15 @@ import random
 import numpy as np
 import pytest
 
-from hessbound import Box, Interval, PointOutsideBox, compile_expression, eval_improved
+from hessbound import (
+    Box,
+    DomainViolation,
+    Interval,
+    InvalidInterval,
+    PointOutsideBox,
+    compile_expression,
+    eval_improved,
+)
 from hessbound.errors import InconsistentInputs
 from hessbound.harness import (
     CorpusEntry,
@@ -115,6 +123,45 @@ def test_alpha_bb_rejects_outside_point():
     box = Box.from_bounds([(0, 1), (0, 1)])
     with pytest.raises(PointOutsideBox):
         alpha_bb_eval(cl, box, (2.0, 0.5))
+
+
+@pytest.mark.parametrize("source,bounds,x", [
+    ("exp(x1)", (0, 1000), 1000.0),
+    ("x1^3", (0, 1e150), 1e150),
+])
+def test_alpha_bb_point_overflow_is_invalid_interval(source, bounds, x):
+    # with lam_lo given the box is never evaluated, so the point walk is the
+    # first place the overflow shows
+    cl = compile_expression(source, 1)
+    with pytest.raises(InvalidInterval, match="overflow .* at codelist line 2"):
+        alpha_bb_eval(cl, Box.from_bounds([bounds]), [x], lam_lo=-1.0)
+
+
+@pytest.mark.parametrize("source,x,kind", [
+    ("ln(x1)", -0.5, "ln"),
+    ("sqrt(x1)", -0.5, "sqrt"),
+    ("1/x1", 0.0, "recip"),
+])
+def test_alpha_bb_point_outside_domain_is_domain_violation(source, x, kind):
+    cl = compile_expression(source, 1)
+    with pytest.raises(DomainViolation) as info:
+        alpha_bb_eval(cl, Box.from_bounds([(-1, 1)]), [x], lam_lo=-1.0)
+    assert (info.value.kind, info.value.interval, info.value.line) == (kind, x, 2)
+
+
+def test_codelist_value_domain_violation_names_the_failing_line():
+    cl = compile_expression("x1 + ln(x2 - 1)", 2)
+    with pytest.raises(DomainViolation) as info:
+        codelist_value(cl, (0.0, 0.5))
+    assert cl.lines[info.value.line - 1].op == "ln"
+    assert info.value.interval == -0.5
+
+
+def test_codelist_value_follows_a_reassigned_line_tuple():
+    cl = compile_expression("x1 + x2", 2)
+    assert codelist_value(cl, (2.0, 3.0)) == 5.0
+    cl.lines = compile_expression("x1 * x2", 2).lines
+    assert codelist_value(cl, (2.0, 3.0)) == 6.0
 
 
 # -- box sampling ---------------------------------------------------------

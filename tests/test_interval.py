@@ -1,5 +1,6 @@
 """Interval arithmetic and the spectral operators."""
 
+import dataclasses
 import itertools
 import math
 
@@ -40,6 +41,36 @@ def test_rejects_inverted_endpoints():
 def test_rejects_non_finite(bad):
     with pytest.raises(InvalidInterval):
         Interval(0.0, bad)
+
+
+@pytest.mark.parametrize("lo,hi,message", [
+    (math.nan, 1.0, "non-finite endpoints [nan, 1.0]"),
+    (0.0, math.inf, "non-finite endpoints [0.0, inf]"),
+    (-math.inf, 0.0, "non-finite endpoints [-inf, 0.0]"),
+    (math.nan, math.nan, "non-finite endpoints [nan, nan]"),
+    (2.0, 1.0, "lo > hi in [2.0, 1.0]"),
+    (2, 1, "lo > hi in [2.0, 1.0]"),
+])
+def test_rejection_messages(lo, hi, message):
+    with pytest.raises(InvalidInterval) as info:
+        Interval(lo, hi)
+    assert str(info.value) == message
+
+
+def test_endpoints_are_coerced_to_float():
+    for lo, hi in ((1, 2), (np.float64(1.0), np.float64(2.0)), (True, 2), (np.int64(1), 2.0)):
+        x = Interval(lo, hi)
+        assert type(x.lo) is float and type(x.hi) is float
+        assert x == Interval(1.0, 2.0)
+
+
+def test_interval_is_frozen_slotted_and_hashable():
+    x = Interval(1.0, 2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.lo = 0.0
+    assert not hasattr(x, "__dict__")
+    assert hash(x) == hash(Interval(1, 2))
+    assert len({x, Interval(1, 2), Interval(0, 2)}) == 2
 
 
 # -- elementary operations: golden values --------------------------------
@@ -215,6 +246,55 @@ def test_lambda_t_symmetric_in_arguments():
     a = Box([iv(-1, 2), iv(0, 1)])
     b = Box([iv(1, 3), iv(-2, 0)])
     assert lambda_t(a, b) == lambda_t(b, a)
+
+
+@st.composite
+def sparse_operands(draw):
+    """(n, indices, a, b): components of a and b at the ascending 0-based
+    ``indices`` of an n-vector, ZERO where only the other one is nonzero."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    idx = sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1))))
+    comp = st.one_of(intervals(lo=-1e3, hi=1e3), st.just(ZERO))
+    a = [draw(comp) for _ in idx]
+    b = [draw(comp) for _ in idx]
+    return n, idx, a, b
+
+
+def padded(n, idx, comps):
+    full = [ZERO] * n
+    for j, c in zip(idx, comps):
+        full[j] = c
+    return Box(full)
+
+
+def hexes(x):
+    return x.lo.hex(), x.hi.hex()
+
+
+@given(sparse_operands())
+def test_lambda_s_t_on_components_equal_the_zero_padded_form(case):
+    n, idx, a, b = case
+    assert hexes(lambda_s(a, n)) == hexes(lambda_s(padded(n, idx, a)))
+    assert hexes(lambda_t(a, b, n)) == hexes(lambda_t(padded(n, idx, a), padded(n, idx, b)))
+
+
+def test_lambda_s_t_dimension_decides_the_exact_square():
+    x = iv(-2, 3)
+    # one dimension: exact square, also when the component is left out
+    assert lambda_s([x], 1) == iv(0, 9)
+    assert lambda_s([], 1) == ZERO
+    assert lambda_t([x], [x], 1) == iv(-12, 18)
+    assert lambda_t([], [], 1) == ZERO
+    # one component of a longer vector: the rank-1 bound, not the square
+    assert lambda_s([x], 3) == iv(0, 9) == lambda_s(Box([x, ZERO, ZERO]))
+    assert lambda_s([iv(2, 3)], 2) == iv(0, 9) != lambda_s([iv(2, 3)], 1)
+    assert lambda_t([iv(2, 3)], [iv(2, 3)], 2) == lambda_t(Box([iv(2, 3), ZERO]),
+                                                           Box([iv(2, 3), ZERO]))
+    assert lambda_t([iv(2, 3)], [iv(2, 3)], 2) != lambda_t([iv(2, 3)], [iv(2, 3)], 1)
+    with pytest.raises(LengthMismatch):
+        lambda_s([x, x], 1)
+    with pytest.raises(LengthMismatch):
+        lambda_t([x, x], [x, x], 1)
 
 
 def test_hull():
