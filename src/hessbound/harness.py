@@ -18,6 +18,7 @@ seeded random-function generator used to build corpora.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import zlib
@@ -108,9 +109,9 @@ def classify(tested: Interval, gersh: Interval, vertex: Interval,
 def codelist_value(cl: Codelist, x: Sequence[float]) -> float:
     """Evaluate the codelist at a real point.
 
-    Raises :class:`InvalidInterval` when a line overflows and
-    :class:`DomainViolation` (with the line number) when a line leaves its
-    domain, e.g. ``ln`` of a negative value.
+    Raises :class:`InvalidInterval` when a line overflows or the value is
+    not finite, and :class:`DomainViolation` (with the line number) when a
+    line leaves its domain, e.g. ``ln`` of a negative value.
     """
     vals: List[float] = [float(x[k]) for k in range(cl.n)]
     try:
@@ -123,6 +124,12 @@ def codelist_value(cl: Codelist, x: Sequence[float]) -> float:
         if isinstance(err, OverflowError):
             raise InvalidInterval(f"{line.op} overflow on {arg!r} at codelist line {k}") from None
         raise DomainViolation("recip" if line.op == "oneOver" else line.op, arg, line=k) from None
+    if not math.isfinite(vals[-1]):
+        # a float product or sum overflows to inf, or inf - inf gives nan,
+        # without raising; name the first line that left the finite range
+        k = next(k for k, v in enumerate(vals, start=1) if not math.isfinite(v))
+        raise InvalidInterval(
+            f"non-finite value {vals[k - 1]!r} from {cl.lines[k - 1].op} at codelist line {k}")
     return vals[-1]
 
 

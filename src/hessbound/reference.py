@@ -4,7 +4,10 @@ These provide the baseline eigenvalue bounds the codelist methods are
 compared against:
 
 * :func:`interval_hessian` -- forward second-order interval propagation,
-  yielding an elementwise enclosure of the Hessian over a box;
+  yielding an elementwise enclosure of the Hessian over a box; each
+  codelist line carries its gradient and Hessian as one stacked float array
+  of shape (2, n + 1, n) (lower / upper endpoints x gradient row and Hessian
+  rows), so one numpy operation serves both derivatives;
 * :func:`gershgorin_bounds` -- disc bounds from such an enclosure;
 * :func:`hertz_rohn_bounds` -- exact extremal eigenvalues of a symmetric
   interval matrix via signed vertex enumeration, with the vertex matrices
@@ -24,7 +27,7 @@ import numpy as np
 
 from .codelist import Codelist
 from .errors import DimensionTooLarge, DomainViolation, InvalidInterval, NotSymmetric
-from .interval import Box, Interval, ONE, ZERO, point
+from .interval import Box, Interval, ONE, point
 
 __all__ = [
     "SymIntervalMatrix",
@@ -46,6 +49,12 @@ VERTEX_DIMENSION_LIMIT = 20
 _VERTEX_CHUNK = 4096
 
 
+def _symmetric(a: np.ndarray) -> bool:
+    # exact symmetry implies allclose symmetry and NaN fails both, so the
+    # exact test only skips allclose's cost on the common exact case
+    return bool((a == a.T).all()) or np.allclose(a, a.T)
+
+
 @dataclass(frozen=True)
 class SymIntervalMatrix:
     """Elementwise interval enclosure of a symmetric n x n matrix."""
@@ -58,7 +67,7 @@ class SymIntervalMatrix:
         hi = np.asarray(self.hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 2 or lo.shape[0] != lo.shape[1]:
             raise NotSymmetric(f"bad shapes {lo.shape} / {hi.shape}")
-        if not (np.allclose(lo, lo.T) and np.allclose(hi, hi.T)):
+        if not (_symmetric(lo) and _symmetric(hi)):
             raise NotSymmetric("endpoint matrices must be symmetric")
         if np.any(lo > hi) or not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise NotSymmetric("entries must be finite intervals with lo <= hi")
@@ -81,43 +90,61 @@ class SymIntervalMatrix:
 
 # -- interval Hessian propagation ----------------------------------------
 #
-# Gradients and Hessians are carried as (lo, hi) pairs of float arrays of
-# shape (n,) and (n, n); line values stay scalar Intervals so that the domain
-# checks are the ones of the interval type.  Each array expression keeps the
-# association order of the elementwise Interval formulas, so every entry is
-# the same float the per-entry Interval computation gives.
-
-_Pair = Tuple[np.ndarray, np.ndarray]
-
-
-def _iv(x: Interval) -> Tuple[float, float]:
-    return x.lo, x.hi
+# Each line's gradient and Hessian are carried as one float array of shape
+# (2, n + 1, n): index 0 of the first axis holds the lower endpoints and
+# index 1 the upper ones; row 0 of the second axis is the gradient and rows
+# 1..n are the Hessian.  One numpy operation then serves both derivatives
+# of a line.  Line values stay scalar Intervals so that the domain checks
+# are the ones of the interval type.  Each array expression keeps the
+# association order of the elementwise Interval formulas, so every entry
+# equals (==) what the per-entry Interval computation gives.
 
 
-def _add(a: _Pair, b: _Pair) -> _Pair:
-    return a[0] + b[0], a[1] + b[1]
+def _scale(s: Interval, m: np.ndarray) -> np.ndarray:
+    """Elementwise product of the scalar interval s with a stack m.
+
+    Equals the four-product min/max rule under ==.  When s does not
+    straddle 0 only the two products that can be extreme are formed (one
+    when s is a point), since multiplying by a non-negative float is
+    monotone and by a non-positive one antitone, also after rounding.
+    """
+    lo, hi = s.lo, s.hi
+    if lo >= 0.0 or hi <= 0.0:
+        if hi <= 0.0:
+            m = m[::-1]  # a non-positive factor swaps the endpoints
+        out = lo * m
+        if lo != hi:
+            far = hi * m
+            np.minimum(out[0], far[0], out=out[0])
+            np.maximum(out[1], far[1], out=out[1])
+        return out
+    a = lo * m  # the four products: a = (p1, p2) and out = (p3, p4)
+    out = hi * m
+    low = np.minimum(a, out)
+    high = np.maximum(a, out, out=a)
+    np.minimum(low[0], low[1], out=out[0])
+    np.maximum(high[0], high[1], out=out[1])
+    return out
 
 
-def _mul(a, b) -> _Pair:
-    """Elementwise interval product of (lo, hi) pairs, with broadcasting."""
-    p1, p2, p3, p4 = a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]
-    return (np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
-            np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Interval enclosure of the outer product a b^T of two (2, n) stacks.
+
+    ``_outer(b, a)`` equals ``_outer(a, b)`` transposed entry for entry: both
+    take the min and max of the same four products.
+    """
+    shape = (a.shape[1], b.shape[1])
+    p = (a[:, None, :, None] * b[None, :, None, :]).reshape(4, *shape)
+    out = np.empty((2, *shape))
+    np.minimum.reduce(p, out=out[0])
+    np.maximum.reduce(p, out=out[1])
+    return out
 
 
-def _outer(a: _Pair, b: _Pair) -> _Pair:
-    """Interval enclosure of the outer product a b^T."""
-    return _mul((a[0][:, None], a[1][:, None]), (b[0][None, :], b[1][None, :]))
-
-
-def _check_finite(*pairs: _Pair) -> None:
-    for lo, hi in pairs:
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise InvalidInterval("non-finite gradient or Hessian enclosure")
-
-
-def _derivative_intervals(op: str, yi: Interval, yk: Interval,
-                          c: float | None, m: int | None) -> Tuple[Interval, Interval]:
+def _derivative_intervals(op: str, yi: Interval, yk: Interval, c: float | None,
+                          m: int | None) -> Tuple[Interval, Optional[Interval]]:
+    """First and second derivative of a unary line; the second is None
+    for the affine ops, whose second derivative is exactly zero."""
     if op == "powNat":
         return yi.pow(m - 1).scale(m), yi.pow(m - 2).scale(m * (m - 1))
     if op == "oneOver":
@@ -130,9 +157,9 @@ def _derivative_intervals(op: str, yi: Interval, yk: Interval,
         ri = yi.recip()
         return ri, ri.pow(2).scale(-1.0)
     if op == "addC":
-        return ONE, ZERO
+        return ONE, None
     if op == "mulByC":
-        return point(c), ZERO
+        return point(c), None
     raise ValueError(f"unknown unary op {op!r}")  # pragma: no cover
 
 
@@ -145,37 +172,43 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     n = cl.n
     if len(box) != n:
         raise ValueError(f"box dimension {len(box)} != variable count {n}")
-    # each line's gradient and Hessian are dropped after their last reader
+    # each line's stack is dropped after its last reader
     last_read = [0] * len(cl.lines)
     for k, line in enumerate(cl.lines, start=1):
         for ref in (line.i, line.j):
             if ref is not None:
                 last_read[ref - 1] = k
     ys: List[Interval] = []
-    gs: List[Optional[_Pair]] = []
-    hs: List[Optional[_Pair]] = []
-    zero_hess = np.zeros((n, n))
+    ms: List[Optional[np.ndarray]] = []
+
+    def stack(ref: int) -> np.ndarray:
+        # a var line's stack (unit gradient, zero Hessian) is built when
+        # first read, so only the live ones take memory
+        m = ms[ref - 1]
+        if m is None:
+            m = np.zeros((2, n + 1, n))
+            m[:, 0, ref - 1] = 1.0
+            ms[ref - 1] = m
+        return m
+
     with np.errstate(over="ignore", invalid="ignore"):
         for k, line in enumerate(cl.lines, start=1):
             try:
                 if line.op == "var":
                     ys.append(box[k - 1])
-                    g = np.zeros(n)
-                    g[k - 1] = 1.0
-                    gs.append((g, g))
-                    hs.append((zero_hess, zero_hess))
+                    ms.append(None)
                     continue
                 if line.op == "add":
                     ys.append(ys[line.i - 1] + ys[line.j - 1])
-                    g = _add(gs[line.i - 1], gs[line.j - 1])
-                    h = _add(hs[line.i - 1], hs[line.j - 1])
+                    m = stack(line.i) + stack(line.j)
                 elif line.op == "mul":
                     yi, yj = ys[line.i - 1], ys[line.j - 1]
-                    gi, gj = gs[line.i - 1], gs[line.j - 1]
+                    mi, mj = stack(line.i), stack(line.j)
                     ys.append(yi * yj)
-                    g = _add(_mul(_iv(yj), gi), _mul(_iv(yi), gj))
-                    h = _add(_add(_mul(_iv(yj), hs[line.i - 1]), _mul(_iv(yi), hs[line.j - 1])),
-                             _add(_outer(gi, gj), _outer(gj, gi)))
+                    m = _scale(yj, mi)
+                    m += _scale(yi, mj)
+                    cross = _outer(mi[:, 0], mj[:, 0])
+                    m[:, 1:] += cross + cross.transpose(0, 2, 1)
                 else:
                     yi = ys[line.i - 1]
                     if line.op == "powNat":
@@ -195,21 +228,22 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
                     else:  # mulByC
                         yk = yi.scale(line.c)
                     first, second = _derivative_intervals(line.op, yi, yk, line.c, line.m)
-                    gi = gs[line.i - 1]
+                    mi = stack(line.i)
                     ys.append(yk)
-                    g = _mul(_iv(first), gi)
-                    h = _add(_mul(_iv(second), _outer(gi, gi)), _mul(_iv(first), hs[line.i - 1]))
-                _check_finite(g, h)
-                gs.append(g)
-                hs.append(h)
+                    m = _scale(first, mi)
+                    if second is not None:
+                        m[:, 1:] += _scale(second, _outer(mi[:, 0], mi[:, 0]))
+                if not np.isfinite(m).all():
+                    raise InvalidInterval("non-finite gradient or Hessian enclosure")
+                ms.append(m)
                 for ref in (line.i, line.j):
                     if ref is not None and last_read[ref - 1] == k:
-                        gs[ref - 1] = hs[ref - 1] = None
+                        ms[ref - 1] = None
             except DomainViolation as err:
                 if err.line is None:
                     raise DomainViolation(err.kind, err.interval, line=k) from None
                 raise
-    lo, hi = hs[-1]
+    lo, hi = stack(len(cl.lines))[:, 1:]
     # symmetrize away last-bit rounding asymmetry between mirrored entries
     lo = np.minimum(lo, lo.T)
     hi = np.maximum(hi, hi.T)

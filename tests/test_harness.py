@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +158,22 @@ def test_codelist_value_domain_violation_names_the_failing_line():
     assert info.value.interval == -0.5
 
 
+@pytest.mark.parametrize("source", ["x1*x2", "x1*x2 - x1*x2"])
+def test_codelist_value_non_finite_is_invalid_interval(source):
+    # the float product overflows to inf without raising; inf - inf is nan
+    cl = compile_expression(source, 2)
+    with pytest.raises(InvalidInterval, match=r"non-finite value inf from mul at codelist line 3"):
+        codelist_value(cl, (1e200, 1e200))
+
+
+def test_alpha_bb_non_finite_point_value_is_invalid_interval():
+    # the shift is -inf at this point, so the old inf value came back as nan
+    cl = compile_expression("x1*x2", 2)
+    box = Box.from_bounds([(0.0, 1e201), (0.0, 1e201)])
+    with pytest.raises(InvalidInterval, match="codelist line 3"):
+        alpha_bb_eval(cl, box, (1e200, 1e200), lam_lo=-1.0)
+
+
 def test_codelist_value_follows_a_reassigned_line_tuple():
     cl = compile_expression("x1 + x2", 2)
     assert codelist_value(cl, (2.0, 3.0)) == 5.0
@@ -281,3 +298,19 @@ def test_run_compare_skips_overflow():
     assert not res.records and len(res.skips) == 5
     for s in res.skips:
         assert s.reason.startswith("InvalidInterval")
+
+
+def test_run_compare_matches_recorded_records_and_skips():
+    # 63 entries x 3 boxes recorded from the earlier reference route, whose
+    # interval Hessian took four products per scalar factor: 30 random_function
+    # entries, 30 that reuse variables and 3 whose boxes skip (sqrt and 1/x
+    # leave their domain, a Hessian entry overflows)
+    data = json.loads((Path(__file__).parent / "data" / "compare_seed.json").read_text())
+    entries = [CorpusEntry(e["name"], e["n"], Box(Interval(float.fromhex(lo), float.fromhex(hi))
+                                                  for lo, hi in e["domain"]), e["source"])
+               for e in data["entries"]]
+    assert len(entries) == 63
+    res = run_compare(entries, boxes_per_function=data["boxes_per_function"], seed=data["seed"])
+    assert [[r.function, r.n, r.box_index, r.method, r.lower_class, r.upper_class]
+            for r in res.records] == data["records"]
+    assert [[s.function, s.n, s.box_index, s.reason] for s in res.skips] == data["skips"]

@@ -3,7 +3,7 @@ package calls through; otherwise its per-layer metrics silently read 0."""
 
 import pytest
 
-from hessbound import Box, Interval, InvalidInterval, bounds, compile_expression
+from hessbound import Box, Interval, InvalidInterval, bounds, compile_expression, harness
 from hessbound.interval import ONE
 
 
@@ -58,3 +58,20 @@ def test_engines_call_the_lambda_operators_through_the_module(monkeypatch):
     bounds.eval_improved(cl, box)
     assert calls.get("lambda_s", 0) > 0 and calls.get("lambda_t", 0) > 0
     assert calls.get("lambda_star", 0) > 0
+
+
+def test_run_compare_calls_the_references_through_the_harness(monkeypatch):
+    calls = {}
+    for name in ("interval_hessian", "gershgorin_bounds", "hertz_rohn_bounds"):
+        original = getattr(harness, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    entry = harness.CorpusEntry("bilinear", 2, Box.from_bounds([(0.5, 1.0), (0.5, 1.5)]),
+                                "x1*x2 + exp(x1)")
+    result = harness.run_compare([entry], boxes_per_function=3, seed=0)
+    assert len(result.records) == 6 and not result.skips
+    assert calls == {"interval_hessian": 3, "gershgorin_bounds": 3, "hertz_rohn_bounds": 3}

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hessbound import (
     Box,
@@ -44,6 +45,26 @@ def test_sym_interval_matrix_validation():
         SymIntervalMatrix(np.ones((2, 2)), np.zeros((2, 2)))
     with pytest.raises(NotSymmetric):
         SymIntervalMatrix(np.zeros((2, 3)), np.ones((2, 3)))
+
+
+def test_sym_interval_matrix_accepts_exact_and_allclose_symmetry():
+    exact = np.array([[1.0, 0.1 + 0.2], [0.1 + 0.2, 2.0]])
+    near = exact.copy()
+    near[1, 0] = 0.3  # 0.1 + 0.2 != 0.3, but allclose
+    for lo in (exact, near):
+        m = SymIntervalMatrix(lo, exact + 1.0)
+        assert m.lo.tolist() == lo.tolist()
+
+
+@pytest.mark.parametrize("lo", [
+    np.array([[0.0, 1.0], [0.5, 0.0]]),
+    np.array([[0.0, math.nan], [math.nan, 0.0]]),
+])
+def test_sym_interval_matrix_rejects_asymmetric_and_nan(lo):
+    with pytest.raises(NotSymmetric, match="endpoint matrices must be symmetric"):
+        SymIntervalMatrix(lo, np.ones((2, 2)))
+    with pytest.raises(NotSymmetric, match="endpoint matrices must be symmetric"):
+        SymIntervalMatrix(np.zeros((2, 2)) - 1.0, lo)
 
 
 def test_mid_rad():
@@ -121,6 +142,82 @@ def test_hessian_overflow_is_invalid_interval():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInterval):
             interval_hessian(cl, Box.from_bounds([(1e-200, 2e-200)]))
+
+
+def test_hessian_of_affine_line_ignores_overflowing_outer_product():
+    # addC has second derivative exactly zero; its operand's gradient is
+    # 1e200, whose outer product overflows, and 0 * inf must not become nan
+    enc = interval_hessian(compile_expression("1e200*x1 + 1", 1), Box.from_bounds([(1, 2)]))
+    assert enc.lo.tolist() == [[0.0]] and enc.hi.tolist() == [[0.0]]
+
+
+# -- the array kernels of interval_hessian --------------------------------
+
+def _four_product(s, lo, hi):
+    lo, hi = float(lo), float(hi)  # Python floats overflow to inf silently
+    p = (s.lo * lo, s.lo * hi, s.hi * lo, s.hi * hi)
+    return min(p), max(p)
+
+
+_ZEROS = st.sampled_from([0.0, -0.0])
+_ENDPOINT = st.one_of(_ZEROS, st.floats(-1e3, 1e3), st.floats(-1e200, 1e200))
+
+
+@st.composite
+def _scalars(draw):
+    kind = draw(st.sampled_from(["nonneg", "nonpos", "straddle", "point"]))
+    if kind == "point":
+        v = draw(_ENDPOINT)
+        return Interval(v, v)
+    a = draw(st.one_of(_ZEROS, st.floats(0.0, 1e3), st.floats(0.0, 1e200)))
+    b = draw(st.one_of(_ZEROS, st.floats(0.0, 1e3), st.floats(0.0, 1e200)))
+    a, b = sorted((abs(a), abs(b)))
+    if kind == "nonneg":
+        return Interval(a, b)
+    if kind == "nonpos":
+        return Interval(-b, -a)
+    return Interval(-a - 1.0, b + 1.0)
+
+
+@st.composite
+def _stacks(draw, shape):
+    ends = np.array(draw(st.lists(st.tuples(_ENDPOINT, _ENDPOINT), min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape)))))
+    return np.stack((ends.min(axis=1).reshape(shape), ends.max(axis=1).reshape(shape)))
+
+
+# entries [-1, 2], [-0, 0], [0, 3], [-2, -0], [-0, 0], [1, 4]
+_ZERO_ENDS = np.array([[[-1.0, -0.0], [0.0, -2.0], [-0.0, 1.0]],
+                       [[2.0, 0.0], [3.0, -0.0], [0.0, 4.0]]])
+
+
+@given(_scalars(), _stacks((3, 2)))
+@example(Interval(0.0, 2.0), _ZERO_ENDS.copy())
+@example(Interval(-0.0, 0.0), _ZERO_ENDS.copy())
+@example(Interval(-3.0, -0.0), _ZERO_ENDS.copy())
+@example(Interval(-0.0, -0.0), _ZERO_ENDS.copy())
+@example(Interval(-1.5, 2.5), _ZERO_ENDS.copy())
+def test_scale_equals_the_four_product_rule(s, m):
+    before = m.copy()
+    with np.errstate(over="ignore"):  # products may overflow to inf
+        got = reference._scale(s, m)
+    assert np.array_equal(m, before)  # the operand is still read by later lines
+    assert got.shape == m.shape
+    for idx in np.ndindex(m.shape[1:]):
+        lo, hi = m[(0, *idx)], m[(1, *idx)]
+        assert (got[(0, *idx)], got[(1, *idx)]) == _four_product(s, lo, hi), (s, lo, hi)
+
+
+@given(_stacks((3,)), _stacks((4,)))
+def test_outer_of_swapped_factors_is_the_transpose(a, b):
+    with np.errstate(over="ignore"):
+        ab = reference._outer(a, b)
+        ba = reference._outer(b, a)
+    assert np.array_equal(ba, ab.transpose(0, 2, 1))
+    for i in range(3):
+        for j in range(4):
+            assert (ab[0, i, j], ab[1, i, j]) == _four_product(
+                Interval(a[0, i], a[1, i]), b[0, j], b[1, j])
 
 
 def test_hessian_drops_each_line_after_its_last_reader():
