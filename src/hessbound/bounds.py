@@ -11,6 +11,9 @@ Two engines are provided:
 
 Gradients are held sparsely (variable index -> interval) so that the
 operation count scales with the number of structurally nonzero entries.
+Every unary line takes its value, r' and curvature rules from
+:data:`hessbound.codelist.UNARY_RULES`; only ``add`` and ``mul`` are
+written out here.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .codelist import Codelist
+from .codelist import UNARY_RULES, Codelist
 from .errors import DomainViolation, EmptySlice, RuleDispatchGap
 from .interval import (
     Box,
@@ -157,54 +160,17 @@ class _Evaluator:
             gi = self._grad_scale(self.grads[line.i - 1], yj)
             gj = self._grad_scale(self.grads[line.j - 1], yi)
             self.grads.append(self._grad_add(gi, gj))
-        elif op == "powNat":
+        else:
+            rule = UNARY_RULES[op]
             yi = self.ys[line.i - 1]
-            self.ys.append(yi.pow(line.m))
-            factor = yi.pow(line.m - 1).scale(line.m)
-            self.ops += 3
-            self.grads.append(self._grad_scale(self.grads[line.i - 1], factor))
-        elif op == "oneOver":
-            yi = self.ys[line.i - 1]
-            yk = yi.recip()
+            yk = rule.value(yi, line)
             self.ys.append(yk)
-            factor = yk.pow(2).scale(-1.0)
-            self.ops += 3
-            self.grads.append(self._grad_scale(self.grads[line.i - 1], factor))
-        elif op == "sqrt":
-            yi = self.ys[line.i - 1]
-            if yi.lo <= 0.0:
-                # the gradient rule divides by sqrt(y); demand strict positivity
-                raise DomainViolation("sqrt", yi, line=k)
-            yk = yi.sqrt()
-            self.ys.append(yk)
-            factor = yk.scale(2.0).recip()
-            self.ops += 3
-            self.grads.append(self._grad_scale(self.grads[line.i - 1], factor))
-        elif op == "exp":
-            yi = self.ys[line.i - 1]
-            yk = yi.exp()
-            self.ys.append(yk)
-            self.ops += 1
-            self.grads.append(self._grad_scale(self.grads[line.i - 1], yk))
-        elif op == "ln":
-            yi = self.ys[line.i - 1]
-            yk = yi.ln()
-            self.ys.append(yk)
-            factor = yi.recip()
-            self.ops += 2
-            self.grads.append(self._grad_scale(self.grads[line.i - 1], factor))
-        elif op == "addC":
-            yi = self.ys[line.i - 1]
-            self.ys.append(yi.add_const(line.c))
-            self.ops += 1
-            self.grads.append(dict(self.grads[line.i - 1]))
-        elif op == "mulByC":
-            yi = self.ys[line.i - 1]
-            self.ys.append(yi.scale(line.c))
-            self.ops += 1
-            self.grads.append(self._grad_scale(self.grads[line.i - 1], Interval(line.c, line.c)))
-        else:  # pragma: no cover - validate() rejects unknown ops
-            raise ValueError(f"unknown op {op!r}")
+            self.ops += rule.ops
+            gi = self.grads[line.i - 1]
+            if rule.first is None:
+                self.grads.append(dict(gi))
+            else:
+                self.grads.append(self._grad_scale(gi, rule.first(yi, yk, line)))
         self.lams.append(lam_rule(self, k, line))
 
 
@@ -226,30 +192,16 @@ def _lam_original(ev: _Evaluator, k: int, line) -> Interval:
         lt = ev._lambda_t(ev.grads[line.i - 1], ev.grads[line.j - 1], ev.full)
         ev.ops += 3
         return yj * lam_i + yi * lam_j + lt
-    ls = ev._lambda_s(ev.grads[line.i - 1], ev.full)
-    if op == "powNat":
-        m = line.m
-        ev.ops += 5
-        return yi.pow(m - 2).scale(m) * (ls.scale(m - 1) + yi * lam_i)
-    if op == "oneOver":
-        ev.ops += 4
-        return yk.pow(2) * (yk.scale(2.0) * ls - lam_i)
-    if op == "sqrt":
-        ev.ops += 4
-        return yk.scale(2.0).recip() * (lam_i + yi.scale(-2.0).recip() * ls)
-    if op == "exp":
-        ev.ops += 2
-        return yk * (ls + lam_i)
-    if op == "ln":
-        ev.ops += 4
-        ri = yi.recip()
-        return ri * (lam_i - ri * ls)
-    if op == "addC":
-        return lam_i
-    if op == "mulByC":
-        ev.ops += 1
-        return lam_i.scale(line.c)
-    raise ValueError(f"unknown op {op!r}")  # pragma: no cover
+    rule = UNARY_RULES[op]
+    if rule.second is None:
+        # an affine rule needs no λ_s, but its block cost is still charged:
+        # the recorded op_count values of tests/data/engine_seed.json include it
+        ev.ops += ev.n
+        ls = None
+    else:
+        ls = ev._lambda_s(ev.grads[line.i - 1], ev.full)
+    ev.ops += rule.lam_ops
+    return rule.lam(yi, yk, line, ls, lam_i)
 
 
 # -- eigenvalue rules, sparsity-aware method -----------------------------
@@ -347,52 +299,16 @@ def _lam_improved(ev: _Evaluator, k: int, line) -> Interval:
                 return lt() + yj * zero_widen(lam_i) + yi * zero_widen(lam_j)
         raise RuleDispatchGap(f"no product rule matched at line {k}")
 
-    if op == "addC":
-        return ZERO if Li == full else lam_i
-    if op == "mulByC":
-        ev.ops += 1
-        return ZERO if Li == full else lam_i.scale(line.c)
-
-    # nonaffine unary compositions
+    rule = UNARY_RULES[op]
+    if rule.second is None:  # affine: L_k = L_i and r'' = 0
+        ev.ops += rule.lam_ops
+        return ZERO if Li == full else rule.lam(yi, yk, line, None, lam_i)
     ls = ev._lambda_s(ev.grads[line.i - 1], full - Lk)
-    if Li == full:
-        lam_arg = None  # the argument block vanishes entirely
-    elif Lk == Li:
-        lam_arg = lam_i
-    else:
-        lam_arg = zero_widen(lam_i)
-
-    if op == "powNat":
-        m = line.m
-        if lam_arg is None:
-            ev.ops += 3
-            return yi.pow(m - 2).scale(m * (m - 1)) * ls
-        ev.ops += 5
-        return yi.pow(m - 2).scale(m) * (ls.scale(m - 1) + yi * lam_arg)
-    if op == "oneOver":
-        if lam_arg is None:
-            ev.ops += 3
-            return yk.pow(3).scale(2.0) * ls
-        ev.ops += 4
-        return yk.pow(2) * (yk.scale(2.0) * ls - lam_arg)
-    if op == "sqrt":
-        if lam_arg is None:
-            ev.ops += 3
-            return yk.pow(3).scale(-4.0).recip() * ls
-        ev.ops += 4
-        return yk.scale(2.0).recip() * (yi.scale(-2.0).recip() * ls + lam_arg)
-    if op == "exp":
-        ev.ops += 2
-        if lam_arg is None:
-            return yk * ls
-        return yk * (ls + lam_arg)
-    if op == "ln":
-        ev.ops += 4
-        ri = yi.recip()
-        if lam_arg is None:
-            return ri.pow(2).scale(-1.0) * ls
-        return ri * (lam_arg - ri * ls)
-    raise ValueError(f"unknown op {op!r}")  # pragma: no cover
+    if Li == full:  # the argument block vanishes entirely
+        ev.ops += rule.second_ops
+        return rule.second(yi, yk, line) * ls
+    ev.ops += rule.lam_ops
+    return rule.lam(yi, yk, line, ls, lam_i if Lk == Li else zero_widen(lam_i))
 
 
 # -- public entry points -------------------------------------------------

@@ -9,6 +9,10 @@ lines.  :meth:`Codelist.analyze` attaches two index sets to every line k:
 
 Both sets are determined by the operation structure alone; they do not
 depend on the box the codelist is later evaluated over.
+
+:data:`UNARY_RULES` holds the interval rules of every unary operation
+y_k = r(y_i): its value, r', r'' and the factored curvature rule.  Both
+bound engines and the interval-Hessian reference route apply them from here.
 """
 
 from __future__ import annotations
@@ -17,13 +21,101 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
-from .errors import MalformedCodelist
+from .errors import DomainViolation, MalformedCodelist
+from .interval import Interval, point
 
-__all__ = ["Line", "Codelist"]
+__all__ = ["Line", "Codelist", "UnaryRule", "UNARY_RULES"]
 
-UNARY_OPS = {"powNat", "oneOver", "sqrt", "exp", "ln", "addC", "mulByC"}
+
+@dataclass(frozen=True)
+class UnaryRule:
+    """Interval rules of one unary operation y_k = r(y_i).
+
+    Each rule is called with the operand enclosure ``yi``, the value
+    enclosure ``yk`` and the codelist ``line`` (for its ``m`` or ``c``):
+
+    * ``value(yi, line)`` -- y_k, raising :class:`DomainViolation` (without a
+      line number) outside the domain;
+    * ``first(yi, yk, line)`` -- r'(y_i); ``None`` means r' = 1 exactly;
+    * ``second(yi, yk, line)`` -- r''(y_i); ``None`` for the affine
+      operations, whose r'' is exactly 0;
+    * ``lam(yi, yk, line, ls, lam)`` -- eigenvalue bounds of y_k's Hessian
+      from the operand's bounds ``lam`` and the λ_s bounds ``ls`` of its
+      gradient's outer product (unused by the affine rules).  The nonaffine
+      rules keep a factored form such as ``yk·(ls + lam)``: interval
+      multiplication is only subdistributive, so ``r''·ls + r'·lam`` is wider.
+
+    ``ops``, ``second_ops`` and ``lam_ops`` are the operation counts the
+    engines charge for ``value`` and ``first`` together, for ``second·ls``
+    and for ``lam``.
+    """
+
+    value: Callable
+    first: Optional[Callable]
+    second: Optional[Callable]
+    lam: Callable
+    ops: int
+    second_ops: int
+    lam_ops: int
+
+
+def _sqrt(yi: Interval, line) -> Interval:
+    if yi.lo <= 0.0:
+        # r' divides by sqrt(y); demand strict positivity
+        raise DomainViolation("sqrt", yi)
+    return yi.sqrt()
+
+
+UNARY_RULES = {
+    "powNat": UnaryRule(
+        value=lambda yi, line: yi.pow(line.m),
+        first=lambda yi, yk, line: yi.pow(line.m - 1).scale(line.m),
+        second=lambda yi, yk, line: yi.pow(line.m - 2).scale(line.m * (line.m - 1)),
+        lam=lambda yi, yk, line, ls, lam:
+            yi.pow(line.m - 2).scale(line.m) * (ls.scale(line.m - 1) + yi * lam),
+        ops=3, second_ops=3, lam_ops=5),
+    "oneOver": UnaryRule(
+        value=lambda yi, line: yi.recip(),
+        first=lambda yi, yk, line: yk.pow(2).scale(-1.0),
+        second=lambda yi, yk, line: yk.pow(3).scale(2.0),
+        lam=lambda yi, yk, line, ls, lam: yk.pow(2) * (yk.scale(2.0) * ls - lam),
+        ops=3, second_ops=3, lam_ops=4),
+    "sqrt": UnaryRule(
+        value=_sqrt,
+        first=lambda yi, yk, line: yk.scale(2.0).recip(),
+        second=lambda yi, yk, line: yk.pow(3).scale(-4.0).recip(),
+        lam=lambda yi, yk, line, ls, lam:
+            yk.scale(2.0).recip() * (yi.scale(-2.0).recip() * ls + lam),
+        ops=3, second_ops=3, lam_ops=4),
+    "exp": UnaryRule(
+        value=lambda yi, line: yi.exp(),
+        first=lambda yi, yk, line: yk,
+        second=lambda yi, yk, line: yk,
+        lam=lambda yi, yk, line, ls, lam: yk * (ls + lam),
+        ops=1, second_ops=2, lam_ops=2),
+    "ln": UnaryRule(
+        value=lambda yi, line: yi.ln(),
+        first=lambda yi, yk, line: yi.recip(),
+        second=lambda yi, yk, line: yi.recip().pow(2).scale(-1.0),
+        lam=lambda yi, yk, line, ls, lam: (ri := yi.recip()) * (lam - ri * ls),
+        ops=2, second_ops=4, lam_ops=4),
+    "addC": UnaryRule(
+        value=lambda yi, line: yi.add_const(line.c),
+        first=None,
+        second=None,
+        lam=lambda yi, yk, line, ls, lam: lam,
+        ops=1, second_ops=0, lam_ops=0),
+    "mulByC": UnaryRule(
+        value=lambda yi, line: yi.scale(line.c),
+        first=lambda yi, yk, line: point(line.c),
+        second=None,
+        lam=lambda yi, yk, line, ls, lam: lam.scale(line.c),
+        ops=1, second_ops=0, lam_ops=1),
+}
+
+UNARY_OPS = frozenset(UNARY_RULES)
 BINARY_OPS = {"add", "mul"}
-AFFINE_OPS = {"addC", "mulByC"}
+AFFINE_OPS = frozenset(op for op, rule in UNARY_RULES.items() if rule.second is None)
 
 # real-point rule per operation, called as fn(vals, i, b) (see point_steps)
 _POINT_OPS = {

@@ -140,7 +140,8 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
     Shifts the function by the separable quadratic
     -0.5 * lam_lo * sum_i (lo_i - x_i)(hi_i - x_i) when the guaranteed
     smallest Hessian eigenvalue lam_lo over the box is negative; the shift
-    vanishes at every vertex and is nonnegative inside the box.
+    vanishes at every vertex and is nonnegative inside the box.  Raises
+    :class:`InvalidInterval` when the shifted value is not finite.
     """
     if not box.contains_point(x, slack=1e-12):
         raise PointOutsideBox(f"{tuple(x)} is not in {box}")
@@ -149,8 +150,11 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
     val = codelist_value(cl, x)
     if lam_lo >= 0.0:
         return val
-    shift = sum((d.lo - xi) * (d.hi - xi) for d, xi in zip(box, x))
-    return val - 0.5 * lam_lo * shift
+    shift = -0.5 * lam_lo * sum((d.lo - xi) * (d.hi - xi) for d, xi in zip(box, x))
+    shifted = val + shift
+    if not math.isfinite(shifted):
+        raise InvalidInterval(f"non-finite alpha-BB shift {shift!r} of the value {val!r}")
+    return shifted
 
 
 # -- box sampling ---------------------------------------------------------

@@ -7,14 +7,18 @@ compared against:
   yielding an elementwise enclosure of the Hessian over a box; each
   codelist line carries its gradient and Hessian as one stacked float array
   of shape (2, n + 1, n) (lower / upper endpoints x gradient row and Hessian
-  rows), so one numpy operation serves both derivatives;
+  rows), so one numpy operation serves both derivatives; unary lines take
+  their value, r' and r'' from :data:`hessbound.codelist.UNARY_RULES`, the
+  table the bound engines use;
 * :func:`gershgorin_bounds` -- disc bounds from such an enclosure;
 * :func:`hertz_rohn_bounds` -- exact extremal eigenvalues of a symmetric
   interval matrix via signed vertex enumeration, with the vertex matrices
   solved in stacked batches by LAPACK (``numpy.linalg.eigvalsh``);
 * :func:`sym_eigen_range` -- eigenvalue range of one symmetric matrix;
 * :func:`point_hessian` / :func:`point_hessians` -- exact real Hessians at
-  single points (scalar and vectorized forms), used as sampling oracles.
+  single points (scalar and vectorized forms), used as sampling oracles;
+  ``point_hessians`` has its own float rules, so sampling checks the
+  interval rules rather than repeating them.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .codelist import Codelist
+from .codelist import UNARY_RULES, Codelist
 from .errors import DimensionTooLarge, DomainViolation, InvalidInterval, NotSymmetric
-from .interval import Box, Interval, ONE, point
+from .interval import Box, Interval, point
 
 __all__ = [
     "SymIntervalMatrix",
@@ -141,28 +145,6 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _derivative_intervals(op: str, yi: Interval, yk: Interval, c: float | None,
-                          m: int | None) -> Tuple[Interval, Optional[Interval]]:
-    """First and second derivative of a unary line; the second is None
-    for the affine ops, whose second derivative is exactly zero."""
-    if op == "powNat":
-        return yi.pow(m - 1).scale(m), yi.pow(m - 2).scale(m * (m - 1))
-    if op == "oneOver":
-        return yk.pow(2).scale(-1.0), yk.pow(3).scale(2.0)
-    if op == "sqrt":
-        return yk.scale(2.0).recip(), yk.pow(3).scale(-4.0).recip()
-    if op == "exp":
-        return yk, yk
-    if op == "ln":
-        ri = yi.recip()
-        return ri, ri.pow(2).scale(-1.0)
-    if op == "addC":
-        return ONE, None
-    if op == "mulByC":
-        return point(c), None
-    raise ValueError(f"unknown unary op {op!r}")  # pragma: no cover
-
-
 def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     """Elementwise enclosure of the Hessian of the codelist over the box.
 
@@ -210,29 +192,14 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
                     cross = _outer(mi[:, 0], mj[:, 0])
                     m[:, 1:] += cross + cross.transpose(0, 2, 1)
                 else:
+                    rule = UNARY_RULES[line.op]
                     yi = ys[line.i - 1]
-                    if line.op == "powNat":
-                        yk = yi.pow(line.m)
-                    elif line.op == "oneOver":
-                        yk = yi.recip()
-                    elif line.op == "sqrt":
-                        if yi.lo <= 0.0:
-                            raise DomainViolation("sqrt", yi)
-                        yk = yi.sqrt()
-                    elif line.op == "exp":
-                        yk = yi.exp()
-                    elif line.op == "ln":
-                        yk = yi.ln()
-                    elif line.op == "addC":
-                        yk = yi.add_const(line.c)
-                    else:  # mulByC
-                        yk = yi.scale(line.c)
-                    first, second = _derivative_intervals(line.op, yi, yk, line.c, line.m)
+                    yk = rule.value(yi, line)
                     mi = stack(line.i)
                     ys.append(yk)
-                    m = _scale(first, mi)
-                    if second is not None:
-                        m[:, 1:] += _scale(second, _outer(mi[:, 0], mi[:, 0]))
+                    m = mi.copy() if rule.first is None else _scale(rule.first(yi, yk, line), mi)
+                    if rule.second is not None:
+                        m[:, 1:] += _scale(rule.second(yi, yk, line), _outer(mi[:, 0], mi[:, 0]))
                 if not np.isfinite(m).all():
                     raise InvalidInterval("non-finite gradient or Hessian enclosure")
                 ms.append(m)
@@ -248,6 +215,40 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     lo = np.minimum(lo, lo.T)
     hi = np.maximum(hi, hi.T)
     return SymIntervalMatrix(lo, hi)
+
+
+# Real-point (value, r', r'') of each unary op, on arrays of sampled operand
+# values.  These are written apart from codelist.UNARY_RULES on purpose:
+# point_hessians is the oracle the interval rules are checked against.
+_POINT_RULES = {
+    "powNat": (lambda y, line: y ** line.m,
+               lambda y, yk, line: line.m * y ** (line.m - 1),
+               lambda y, yk, line: line.m * (line.m - 1) * y ** (line.m - 2)),
+    "oneOver": (lambda y, line: 1.0 / y,
+                lambda y, yk, line: -yk * yk,
+                lambda y, yk, line: 2.0 * yk ** 3),
+    "sqrt": (lambda y, line: np.sqrt(y),
+             lambda y, yk, line: 0.5 / yk,
+             lambda y, yk, line: -0.25 / yk ** 3),
+    "exp": (lambda y, line: np.exp(y),
+            lambda y, yk, line: yk,
+            lambda y, yk, line: yk),
+    "ln": (lambda y, line: np.log(y),
+           lambda y, yk, line: 1.0 / y,
+           lambda y, yk, line: -1.0 / y ** 2),
+    "addC": (lambda y, line: y + line.c,
+             lambda y, yk, line: np.ones(y.shape),
+             lambda y, yk, line: np.zeros(y.shape)),
+    "mulByC": (lambda y, line: y * line.c,
+               lambda y, yk, line: np.full(y.shape, line.c),
+               lambda y, yk, line: np.zeros(y.shape)),
+}
+# (kind, test for sampled operand values outside the domain, description)
+_POINT_DOMAINS = {
+    "oneOver": ("recip", lambda y: y == 0.0, "0 in sampled values"),
+    "sqrt": ("sqrt", lambda y: y <= 0.0, "non-positive sampled values"),
+    "ln": ("ln", lambda y: y <= 0.0, "non-positive sampled values"),
+}
 
 
 def point_hessian(cl: Codelist, x) -> np.ndarray:
@@ -294,46 +295,17 @@ def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
                       + cross + cross.transpose(0, 2, 1))
             continue
         yi = ys[line.i - 1]
-        if line.op == "powNat":
-            m = line.m
-            yk = yi ** m
-            first = m * yi ** (m - 1)
-            second = m * (m - 1) * yi ** (m - 2)
-        elif line.op == "oneOver":
-            if np.any(yi == 0.0):
-                raise DomainViolation("recip", "0 in sampled values", line=k)
-            yk = 1.0 / yi
-            first = -yk * yk
-            second = 2.0 * yk ** 3
-        elif line.op == "sqrt":
-            if np.any(yi <= 0.0):
-                raise DomainViolation("sqrt", "non-positive sampled values", line=k)
-            yk = np.sqrt(yi)
-            first = 0.5 / yk
-            second = -0.25 / yk ** 3
-        elif line.op == "exp":
-            yk = np.exp(yi)
-            first = yk
-            second = yk
-        elif line.op == "ln":
-            if np.any(yi <= 0.0):
-                raise DomainViolation("ln", "non-positive sampled values", line=k)
-            yk = np.log(yi)
-            first = 1.0 / yi
-            second = -1.0 / yi ** 2
-        elif line.op == "addC":
-            yk = yi + line.c
-            first = np.ones(P)
-            second = np.zeros(P)
-        else:  # mulByC
-            yk = yi * line.c
-            first = np.full(P, line.c)
-            second = np.zeros(P)
+        domain = _POINT_DOMAINS.get(line.op)
+        if domain is not None and np.any(domain[1](yi)):
+            raise DomainViolation(domain[0], domain[2], line=k)
+        value, first, second = _POINT_RULES[line.op]
+        yk = value(yi, line)
+        r1, r2 = first(yi, yk, line), second(yi, yk, line)
         gi = gs[line.i - 1]
         ys.append(yk)
-        gs.append(first[:, None] * gi)
+        gs.append(r1[:, None] * gi)
         outer = np.einsum("pa,pb->pab", gi, gi)
-        hs.append(second[:, None, None] * outer + first[:, None, None] * hs[line.i - 1])
+        hs.append(r2[:, None, None] * outer + r1[:, None, None] * hs[line.i - 1])
     return hs[-1]
 
 

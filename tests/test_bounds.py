@@ -188,6 +188,22 @@ def test_op_count_positive_and_larger_for_original():
     assert impr.op_count <= orig.op_count
 
 
+@pytest.mark.parametrize("source,small,n", [
+    ("1e200*x1 + 1", "2*x1 + 1", 1),
+    ("1e200*(x1 + x2) + 1", "2*(x1 + x2) + 1", 2),
+    ("3*(1e200*(x1 + x2))", "3*(2*(x1 + x2))", 2),
+])
+def test_original_affine_line_over_a_huge_gradient(source, small, n):
+    # an affine line takes its operand's curvature bound, scaled; it needs no
+    # λ_s, whose square of the 1e200 gradient would overflow
+    box = Box.from_bounds([(1, 2)] * n)
+    cl = compile_expression(source, n)
+    res = eval_original(cl, box)
+    assert res.eigen == Interval(0.0, 0.0) == eval_improved(cl, box).eigen
+    # the block cost of the λ_s an affine line no longer calls is still charged
+    assert res.op_count == eval_original(compile_expression(small, n), box).op_count
+
+
 def test_improved_sum_cost_scales_linearly():
     counts = {}
     for n in (8, 16, 32):

@@ -1,12 +1,28 @@
-"""Codelist structure and the static index-set analysis."""
+"""Codelist structure, the static index-set analysis and the unary rule table."""
 
+import dataclasses
+import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from hessbound import Codelist, Line, MalformedCodelist, compile_expression
+from hessbound import (
+    Box,
+    Codelist,
+    DomainViolation,
+    Interval,
+    Line,
+    MalformedCodelist,
+    compile_expression,
+    eval_improved,
+    eval_original,
+    point,
+)
+from hessbound.codelist import AFFINE_OPS, UNARY_OPS, UNARY_RULES
 from hessbound.harness import codelist_value
+from hessbound.reference import interval_hessian
 
 
 def test_validate_rejects_structural_errors():
@@ -173,3 +189,82 @@ def test_dump_lists_sets():
 def test_round_trip_value_after_analysis():
     cl = compile_expression("sqrt(x1)*x2 + 1/(x2)", 2)
     assert abs(codelist_value(cl, (4.0, 2.0)) - (2 * 2 + 0.5)) < 1e-12
+
+
+# -- the unary rule table --------------------------------------------------
+
+# (line, closed-form (value, r', r'') at a real point x, points to check)
+CLOSED_FORMS = [
+    (Line("powNat", i=1, m=2), lambda x: (x * x, 2 * x, 2.0), (-1.3, 0.4, 2.5)),
+    (Line("powNat", i=1, m=5), lambda x: (x ** 5, 5 * x ** 4, 20 * x ** 3), (-1.3, 0.4, 2.5)),
+    (Line("oneOver", i=1), lambda x: (1 / x, -1 / x ** 2, 2 / x ** 3), (-1.3, 0.4, 2.5)),
+    (Line("sqrt", i=1), lambda x: (math.sqrt(x), 0.5 / math.sqrt(x), -0.25 / x ** 1.5),
+     (0.4, 2.5, 9.0)),
+    (Line("exp", i=1), lambda x: (math.exp(x), math.exp(x), math.exp(x)), (-1.3, 0.4, 2.5)),
+    (Line("ln", i=1), lambda x: (math.log(x), 1 / x, -1 / x ** 2), (0.4, 2.5, 9.0)),
+    (Line("addC", i=1, c=2.5), lambda x: (x + 2.5, 1.0, 0.0), (-1.3, 0.4, 2.5)),
+    (Line("mulByC", i=1, c=-1.5), lambda x: (-1.5 * x, -1.5, 0.0), (-1.3, 0.4, 2.5)),
+]
+
+
+def test_rule_table_defines_the_unary_vocabulary():
+    assert {line.op for line, _, _ in CLOSED_FORMS} == set(UNARY_RULES) == UNARY_OPS
+    assert AFFINE_OPS == {"addC", "mulByC"}
+
+
+@pytest.mark.parametrize("line,closed,xs", CLOSED_FORMS,
+                         ids=[line.describe() for line, _, _ in CLOSED_FORMS])
+def test_rule_matches_closed_form_derivatives_at_points(line, closed, xs):
+    rule = UNARY_RULES[line.op]
+    for x in xs:
+        yi = point(x)
+        value, d1, d2 = closed(x)
+        yk = rule.value(yi, line)
+        # None stands for r' = 1 and r'' = 0 exactly
+        first = point(1.0) if rule.first is None else rule.first(yi, yk, line)
+        second = point(0.0) if rule.second is None else rule.second(yi, yk, line)
+        # on point arguments the factored curvature rule is r''·ls + r'·lam
+        ls, lam = 0.7, -2.1
+        curv = rule.lam(yi, yk, line, point(ls), point(lam))
+        for got, want in ((yk, value), (first, d1), (second, d2), (curv, d2 * ls + d1 * lam)):
+            assert got.lo == pytest.approx(want, rel=1e-13), (line.op, x)
+            assert got.hi == pytest.approx(want, rel=1e-13), (line.op, x)
+
+
+@pytest.mark.parametrize("op,kind", [("sqrt", "sqrt"), ("ln", "ln"), ("oneOver", "recip")])
+@pytest.mark.parametrize("bounds", [(0.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)])
+def test_rule_value_raises_domain_violation_at_the_boundary(op, kind, bounds):
+    # sqrt demands strict positivity: its r' divides by sqrt(y)
+    with pytest.raises(DomainViolation) as info:
+        UNARY_RULES[op].value(Interval(*bounds), Line(op, i=1))
+    assert info.value.kind == kind and info.value.line is None
+
+
+def test_engines_and_interval_hessian_apply_the_rule_table(monkeypatch):
+    # a second copy of the exp rules anywhere would leave a count at 0
+    calls = Counter()
+    rule = UNARY_RULES["exp"]
+
+    def counted(name):
+        fn = getattr(rule, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    names = ("value", "first", "second", "lam")
+    monkeypatch.setitem(UNARY_RULES, "exp",
+                        dataclasses.replace(rule, **{name: counted(name) for name in names}))
+    # exp(x1) has a full linear operand set, exp(x1*x2) an empty one, so the
+    # sparsity-aware engine takes r''·ls on the first and the factored rule
+    # on the second
+    cl = compile_expression("exp(x1) + exp(x1*x2)", 2)
+    box = Box.from_bounds([(0.5, 1.0), (0.5, 1.5)])
+    for apply, want in ((eval_original, {"value": 2, "first": 2, "lam": 2}),
+                        (eval_improved, {"value": 2, "first": 2, "second": 1, "lam": 1}),
+                        (interval_hessian, {"value": 2, "first": 2, "second": 2})):
+        calls.clear()
+        apply(cl, box)
+        assert calls == want, apply.__name__

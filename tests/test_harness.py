@@ -174,6 +174,13 @@ def test_alpha_bb_non_finite_point_value_is_invalid_interval():
         alpha_bb_eval(cl, box, (1e200, 1e200), lam_lo=-1.0)
 
 
+def test_alpha_bb_non_finite_shift_is_invalid_interval():
+    # the point value 0 is finite, but (lo - x)(hi - x) = -1e400 overflows
+    cl = compile_expression("x1", 1)
+    with pytest.raises(InvalidInterval, match="non-finite alpha-BB shift -inf"):
+        alpha_bb_eval(cl, Box.from_bounds([(-1e200, 1e200)]), [0.0], lam_lo=-1.0)
+
+
 def test_codelist_value_follows_a_reassigned_line_tuple():
     cl = compile_expression("x1 + x2", 2)
     assert codelist_value(cl, (2.0, 3.0)) == 5.0
