@@ -13,7 +13,6 @@ from .bounds import (
     LineState,
     eval_improved,
     eval_original,
-    grad_slice,
     lift_reduced,
     trace_improved,
     trace_original,
@@ -32,7 +31,6 @@ from .errors import (
     MalformedCodelist,
     NotSymmetric,
     PointOutsideBox,
-    RuleDispatchGap,
     UnknownVariable,
 )
 from .expressions import compile_expression, eval_expr, lower, normalize, parse
@@ -58,10 +56,10 @@ __all__ = [
     "Line", "Codelist",
     "parse", "normalize", "lower", "compile_expression", "eval_expr",
     "EvalResult", "LineState", "eval_original", "eval_improved",
-    "trace_original", "trace_improved", "grad_slice", "lift_reduced",
+    "trace_original", "trace_improved", "lift_reduced",
     "HessboundError", "InvalidInterval", "DomainViolation", "EmptySlice",
     "LengthMismatch", "ExpressionSyntaxError", "UnknownVariable",
-    "ConstantExpression", "MalformedCodelist", "RuleDispatchGap",
+    "ConstantExpression", "MalformedCodelist",
     "DimensionTooLarge", "NotSymmetric", "PointOutsideBox",
     "InconsistentInputs",
     "__version__",

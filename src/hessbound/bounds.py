@@ -7,28 +7,29 @@ Two engines are provided:
   n variables.
 * :func:`eval_improved` additionally uses the per-line index sets to keep
   eigenvalue bounds for the nontrivial Hessian block only, which gives
-  bounds that are never wider and often strictly tighter.
+  bounds that are never wider and often strictly tighter.  Which operand
+  bounds enter each line, and how, is the line's ``Codelist.rules`` entry,
+  chosen once when the codelist is built.
 
 Gradients are held sparsely (variable index -> interval) so that the
 operation count scales with the number of structurally nonzero entries.
 Every unary line takes its value, r' and curvature rules from
-:data:`hessbound.codelist.UNARY_RULES`; only ``add`` and ``mul`` are
-written out here.
+:data:`hessbound.codelist.UNARY_RULES`; only ``add`` and ``mul`` values and
+gradients are written out here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence
 
-from .codelist import UNARY_RULES, Codelist
-from .errors import DomainViolation, EmptySlice, RuleDispatchGap
+from .codelist import UNARY_RULES, Codelist, term
+from .errors import DomainViolation, LengthMismatch
 from .interval import (
     Box,
     Interval,
     ONE,
     ZERO,
-    hull,
     lambda_s,
     lambda_star,
     lambda_t,
@@ -38,7 +39,6 @@ from .interval import (
 __all__ = [
     "EvalResult",
     "LineState",
-    "grad_slice",
     "lift_reduced",
     "eval_original",
     "eval_improved",
@@ -67,13 +67,6 @@ class EvalResult:
     op_count: int
 
 
-def grad_slice(g: Box, index_set) -> Box:
-    """Components of ``g`` at the indices of ``index_set``, ascending."""
-    if not index_set:
-        raise EmptySlice("cannot slice a gradient over the empty index set")
-    return Box(g[j - 1] for j in sorted(index_set))
-
-
 def lift_reduced(lam_dagger: Interval, linear_set, n: int) -> Interval:
     """Bounds for the full Hessian from bounds for its nontrivial block."""
     if not linear_set:
@@ -88,11 +81,10 @@ class _Evaluator:
 
     def __init__(self, cl: Codelist, box: Box):
         if len(box) != cl.n:
-            raise ValueError(f"box dimension {len(box)} != variable count {cl.n}")
+            raise LengthMismatch(f"box dimension {len(box)} != variable count {cl.n}")
         self.cl = cl
         self.box = box
         self.n = cl.n
-        self.full = frozenset(range(1, cl.n + 1))
         self.ys: List[Interval] = []
         self.grads: List[SparseGrad] = []
         self.lams: List[Interval] = []
@@ -117,24 +109,27 @@ class _Evaluator:
     def _full(self, g: SparseGrad) -> Box:
         return Box(g.get(j, ZERO) for j in range(1, self.n + 1))
 
-    # The λ operators get only the components in the gradient supports, in
-    # ascending index order, plus the dimension of the block they act on;
-    # the operation count charges the whole block, as the paper counts.
+    def result(self, eigen: Interval, method: str) -> EvalResult:
+        return EvalResult(value=self.ys[-1], gradient=self._full(self.grads[-1]),
+                          eigen=eigen, method=method, op_count=self.ops)
 
-    def _lambda_s(self, g: SparseGrad, block: frozenset) -> Interval:
-        dim = len(block)
+    # The λ operators get the gradient components of the line's block (its
+    # ``Codelist.blocks`` entry, which is the union of the operands' gradient
+    # supports, ascending) plus the dimension they act on; the operation
+    # count charges that whole dimension, as the paper counts.
+
+    def _lambda_s(self, g: SparseGrad, block: Sequence[int], dim: int) -> Interval:
         self.ops += max(dim, 1)
-        return lambda_s([g[j] for j in sorted(g.keys() & block)], dim)
+        return lambda_s([g[j] for j in block], dim)
 
-    def _lambda_t(self, gi: SparseGrad, gj: SparseGrad, block: frozenset) -> Interval:
-        dim = len(block)
+    def _lambda_t(self, gi: SparseGrad, gj: SparseGrad, block: Sequence[int],
+                  dim: int) -> Interval:
         self.ops += 2 * dim + 2
-        comps = sorted((gi.keys() | gj.keys()) & block)
-        return lambda_t([gi.get(j, ZERO) for j in comps], [gj.get(j, ZERO) for j in comps], dim)
+        return lambda_t([gi.get(j, ZERO) for j in block], [gj.get(j, ZERO) for j in block], dim)
 
     # -- value and gradient propagation ----------------------------------
 
-    def run(self, lam_rule) -> None:
+    def run(self, lam_rule) -> "_Evaluator":
         for k, line in enumerate(self.cl.lines, start=1):
             try:
                 self._step(k, line, lam_rule)
@@ -142,6 +137,7 @@ class _Evaluator:
                 if err.line is None:
                     raise DomainViolation(err.kind, err.interval, line=k) from None
                 raise
+        return self
 
     def _step(self, k: int, line, lam_rule) -> None:
         op = line.op
@@ -186,10 +182,12 @@ def _lam_original(ev: _Evaluator, k: int, line) -> Interval:
     if op == "add":
         ev.ops += 1
         return lam_i + ev.lams[line.j - 1]
+    # the gradient supports are the line's block, but λ acts on all n variables
+    block = ev.cl.blocks[k - 1]
     if op == "mul":
         yj = ev.ys[line.j - 1]
         lam_j = ev.lams[line.j - 1]
-        lt = ev._lambda_t(ev.grads[line.i - 1], ev.grads[line.j - 1], ev.full)
+        lt = ev._lambda_t(ev.grads[line.i - 1], ev.grads[line.j - 1], block, ev.n)
         ev.ops += 3
         return yj * lam_i + yi * lam_j + lt
     rule = UNARY_RULES[op]
@@ -199,7 +197,7 @@ def _lam_original(ev: _Evaluator, k: int, line) -> Interval:
         ev.ops += ev.n
         ls = None
     else:
-        ls = ev._lambda_s(ev.grads[line.i - 1], ev.full)
+        ls = ev._lambda_s(ev.grads[line.i - 1], block, ev.n)
     ev.ops += rule.lam_ops
     return rule.lam(yi, yk, line, ls, lam_i)
 
@@ -210,153 +208,62 @@ def _lam_improved(ev: _Evaluator, k: int, line) -> Interval:
     op = line.op
     if op == "var":
         return ZERO
-    cl = ev.cl
-    n = ev.n
-    full = ev.full
-    Lk = cl.linear[k - 1]
+    rule = ev.cl.rules[k - 1]
     lam_i = ev.lams[line.i - 1]
     yi = ev.ys[line.i - 1]
-    yk = ev.ys[k - 1]
-    Li = cl.linear[line.i - 1]
-
     if op == "add":
-        Lj = cl.linear[line.j - 1]
-        lam_j = ev.lams[line.j - 1]
         ev.ops += 1
-        if Li == full and Lj == full:
-            return ZERO
-        if Li != full and Lj == full:
-            return lam_i
-        if Li == full and Lj != full:
-            return lam_j
-        if Li | Lj == full:
-            return hull(lam_i, lam_j)
-        # from here on: Li | Lj is a proper subset of {1..n}
-        if Li == Lj:
-            return lam_i + lam_j
-        if Li < Lj:
-            return lam_i + zero_widen(lam_j)
-        if Lj < Li:
-            return zero_widen(lam_i) + lam_j
-        return zero_widen(lam_i) + zero_widen(lam_j)
-
+        return rule.apply(None, lam_i, ev.lams[line.j - 1])
+    block = ev.cl.blocks[k - 1]
     if op == "mul":
-        Ii, Ij = cl.indep[line.i - 1], cl.indep[line.j - 1]
-        Lj = cl.linear[line.j - 1]
-        lam_j = ev.lams[line.j - 1]
-        yj = ev.ys[line.j - 1]
-        cstar = (Ii | Ij) == full and len(Ii) == n - 1 and len(Ij) == n - 1
-
-        def lt() -> Interval:
-            return ev._lambda_t(ev.grads[line.i - 1], ev.grads[line.j - 1], full - Lk)
-
-        def cross() -> Interval:
-            # both complements are singletons whenever the 2x2 rule fires
-            (a,) = full - Ii
-            (b,) = full - Ij
-            ev.ops += 1
-            return ev.grads[line.i - 1].get(a, ZERO) * ev.grads[line.j - 1].get(b, ZERO)
-
+        gi, gj = ev.grads[line.i - 1], ev.grads[line.j - 1]
+        yj, lam_j = ev.ys[line.j - 1], ev.lams[line.j - 1]
         ev.ops += 2
-        if Li == full and Lj == full:
-            return lt()
-        if Li != full and Lj == full and Lk == Li:
-            return lt() + yj * lam_i
-        if Li != full and Lj == full and Lk < Li and not cstar:
-            return lt() + yj * zero_widen(lam_i)
-        if Li != full and Lj == full and cstar:
-            ev.ops += 4
-            return lambda_star(yj * lam_i, ZERO, cross())
-        if Li == full and Lj != full and Lk == Lj:
-            return lt() + yi * lam_j
-        if Li == full and Lj != full and Lk < Lj and not cstar:
-            return lt() + yi * zero_widen(lam_j)
-        if Li == full and Lj != full and cstar:
-            ev.ops += 4
-            return lambda_star(ZERO, yi * lam_j, cross())
-        Lu, Lc = Li | Lj, Li & Lj
-        if Li != full and Lj != full and Lu == full and Lk < Lc:
-            return lt() + zero_widen(hull(yj * lam_i, yi * lam_j))
-        if Li != full and Lj != full and Lu == full and Lk == Lc and not cstar:
-            return lt() + hull(yj * lam_i, yi * lam_j)
-        if Li != full and Lj != full and cstar:
-            ev.ops += 4
-            return lambda_star(yj * lam_i, yi * lam_j, cross())
-        if Lu != full:
-            if Lk == Li == Lj:
-                return lt() + yj * lam_i + yi * lam_j
-            if Lk == Li and Li < Lj:
-                return lt() + yj * lam_i + yi * zero_widen(lam_j)
-            if Lk == Lj and Lj < Li:
-                return lt() + yj * zero_widen(lam_i) + yi * lam_j
-            if Lk < Li and Li == Lj:
-                return lt() + zero_widen(yj * lam_i + yi * lam_j)
-            if Lk < Li and Li < Lj:
-                return lt() + zero_widen(yj * lam_i + yi * zero_widen(lam_j))
-            if Lk < Lj and Lj < Li:
-                return lt() + zero_widen(yj * zero_widen(lam_i) + yi * lam_j)
-            if not (Li <= Lj) and not (Lj <= Li):
-                return lt() + yj * zero_widen(lam_i) + yi * zero_widen(lam_j)
-        raise RuleDispatchGap(f"no product rule matched at line {k}")
-
-    rule = UNARY_RULES[op]
-    if rule.second is None:  # affine: L_k = L_i and r'' = 0
-        ev.ops += rule.lam_ops
-        return ZERO if Li == full else rule.lam(yi, yk, line, None, lam_i)
-    ls = ev._lambda_s(ev.grads[line.i - 1], full - Lk)
-    if Li == full:  # the argument block vanishes entirely
-        ev.ops += rule.second_ops
-        return rule.second(yi, yk, line) * ls
-    ev.ops += rule.lam_ops
-    return rule.lam(yi, yk, line, ls, lam_i if Lk == Li else zero_widen(lam_i))
+        if rule.cross is not None:  # the 2x2 rule: λ* and the cross product
+            ev.ops += 5
+            a, b = term(rule.i, lam_i, yj), term(rule.j, lam_j, yi)
+            p, q = rule.cross
+            return lambda_star(ZERO if a is None else a, ZERO if b is None else b,
+                               gi.get(p, ZERO) * gj.get(q, ZERO))
+        return rule.apply(ev._lambda_t(gi, gj, block, len(block)), lam_i, lam_j, yi, yj)
+    unary = UNARY_RULES[op]
+    yk = ev.ys[k - 1]
+    lam = term(rule.i, lam_i)  # None when the argument block vanishes entirely
+    if unary.second is None:  # affine: L_k = L_i and r'' = 0
+        ev.ops += unary.lam_ops
+        return ZERO if lam is None else unary.lam(yi, yk, line, None, lam)
+    ls = ev._lambda_s(ev.grads[line.i - 1], block, len(block))
+    if lam is None:
+        ev.ops += unary.second_ops
+        return unary.second(yi, yk, line) * ls
+    ev.ops += unary.lam_ops
+    return unary.lam(yi, yk, line, ls, lam)
 
 
 # -- public entry points -------------------------------------------------
 
-def _run(cl: Codelist, box: Box, method: str) -> _Evaluator:
-    if method == "improved" and not cl.analyzed:
-        cl.analyze()
-    else:
-        cl.validate()
-    ev = _Evaluator(cl, box)
-    ev.run(_lam_improved if method == "improved" else _lam_original)
-    return ev
-
-
 def eval_original(cl: Codelist, box: Box) -> EvalResult:
     """Direct eigenvalue bounds, ignoring sparsity."""
-    ev = _run(cl, box, "original")
-    return EvalResult(
-        value=ev.ys[-1],
-        gradient=ev._full(ev.grads[-1]),
-        eigen=ev.lams[-1],
-        method="original",
-        op_count=ev.ops,
-    )
+    ev = _Evaluator(cl, box).run(_lam_original)
+    return ev.result(ev.lams[-1], "original")
 
 
 def eval_improved(cl: Codelist, box: Box) -> EvalResult:
     """Sparsity-aware eigenvalue bounds (never wider than the original)."""
-    ev = _run(cl, box, "improved")
+    ev = _Evaluator(cl, box).run(_lam_improved)
     eigen = lift_reduced(ev.lams[-1], cl.linear[len(cl.lines) - 1], cl.n)
     ev.ops += 1
-    return EvalResult(
-        value=ev.ys[-1],
-        gradient=ev._full(ev.grads[-1]),
-        eigen=eigen,
-        method="improved",
-        op_count=ev.ops,
-    )
+    return ev.result(eigen, "improved")
 
 
 def trace_original(cl: Codelist, box: Box) -> List[LineState]:
     """Per-line (value, gradient, eigen-bound) triples of the direct method."""
-    ev = _run(cl, box, "original")
+    ev = _Evaluator(cl, box).run(_lam_original)
     return [LineState(y, ev._full(g), lam) for y, g, lam in zip(ev.ys, ev.grads, ev.lams)]
 
 
 def trace_improved(cl: Codelist, box: Box) -> List[LineState]:
     """Per-line triples of the sparsity-aware method (lam holds the
     reduced-block bound, before the final lift)."""
-    ev = _run(cl, box, "improved")
+    ev = _Evaluator(cl, box).run(_lam_improved)
     return [LineState(y, ev._full(g), lam) for y, g, lam in zip(ev.ys, ev.grads, ev.lams)]

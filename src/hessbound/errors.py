@@ -25,11 +25,11 @@ class DomainViolation(HessboundError):
 
 
 class EmptySlice(HessboundError):
-    """A gradient slice over an empty index set was requested."""
+    """A box with no component was requested."""
 
 
-class LengthMismatch(HessboundError):
-    """Two boxes of unequal dimension were combined."""
+class LengthMismatch(HessboundError, ValueError):
+    """Two boxes, or a box or points and a codelist, differ in dimension."""
 
 
 class ExpressionSyntaxError(HessboundError):
@@ -55,10 +55,6 @@ class MalformedCodelist(HessboundError):
         self.line = line
         self.reason = reason
         super().__init__(f"line {line}: {reason}")
-
-
-class RuleDispatchGap(HessboundError):
-    """No sparsity rule matched a codelist line (should be unreachable)."""
 
 
 class DimensionTooLarge(HessboundError):

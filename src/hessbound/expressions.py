@@ -370,10 +370,8 @@ def lower(e, n: int) -> Codelist:
 
 
 def compile_expression(source: str, n: int) -> Codelist:
-    """parse + normalize + lower + index-set analysis in one call."""
-    cl = lower(normalize(parse(source, n)), n)
-    cl.analyze()
-    return cl
+    """parse + normalize + lower in one call; the codelist comes back analysed."""
+    return lower(normalize(parse(source, n)), n)
 
 
 def eval_expr(e, x) -> float:

@@ -115,7 +115,7 @@ def codelist_value(cl: Codelist, x: Sequence[float]) -> float:
     """
     vals: List[float] = [float(x[k]) for k in range(cl.n)]
     try:
-        for fn, i, b in cl.point_steps():
+        for fn, i, b in cl.point_steps:
             vals.append(fn(vals, i, b))
     except (OverflowError, ValueError, ZeroDivisionError) as err:
         k = len(vals) + 1  # the line that failed
@@ -200,9 +200,11 @@ def parse_box(text: str, n: int) -> Box:
     if len(parts) != n:
         raise ValueError(f"box has {len(parts)} components, expected {n}")
     bounds = []
-    for p in parts:
-        lo_s, hi_s = p.split(",")
-        bounds.append((float(lo_s), float(hi_s)))
+    for k, p in enumerate(parts, start=1):
+        ends = p.split(",")
+        if len(ends) != 2:
+            raise ValueError(f"box component {k} is {p.strip()!r}, expected the form lo,hi")
+        bounds.append((float(ends[0]), float(ends[1])))
     return Box.from_bounds(bounds)
 
 
@@ -362,10 +364,14 @@ def run_compare(entries: Sequence[CorpusEntry], boxes_per_function: int = 100,
 
     Boxes that make the function leave its domain (or a reference method
     fail) are skipped with a reason; everything else is deterministic in
-    (entries order, seed).
+    (entries order, seed).  A method other than ``original`` and
+    ``improved`` raises ValueError before any work is done.
     """
-    result = CompareResult(eps=eps, seed=seed, boxes_per_function=boxes_per_function)
     evaluators = {"original": eval_original, "improved": eval_improved}
+    for method in methods:
+        if method not in evaluators:
+            raise ValueError(f"unknown method {method!r}")
+    result = CompareResult(eps=eps, seed=seed, boxes_per_function=boxes_per_function)
     for entry in entries:
         cl = entry.compile()
         box_seed = (seed * 1000003 + zlib.crc32(entry.name.encode())) & 0x7FFFFFFF

@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .codelist import UNARY_RULES, Codelist
-from .errors import DimensionTooLarge, DomainViolation, InvalidInterval, NotSymmetric
+from .errors import DimensionTooLarge, DomainViolation, InvalidInterval, LengthMismatch, NotSymmetric
 from .interval import Box, Interval, point
 
 __all__ = [
@@ -150,10 +150,9 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
 
     Raises :class:`InvalidInterval` when an enclosure entry overflows.
     """
-    cl.validate()
     n = cl.n
     if len(box) != n:
-        raise ValueError(f"box dimension {len(box)} != variable count {n}")
+        raise LengthMismatch(f"box dimension {len(box)} != variable count {n}")
     # each line's stack is dropped after its last reader
     last_read = [0] * len(cl.lines)
     for k, line in enumerate(cl.lines, start=1):
@@ -263,11 +262,10 @@ def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
     ``xs`` has shape (P, n); the result has shape (P, n, n).  This is the
     vectorized twin of :func:`point_hessian` used for dense sampling.
     """
-    cl.validate()
     xs = np.asarray(xs, dtype=float)
     P, n = xs.shape
     if n != cl.n:
-        raise ValueError(f"points of dimension {n} vs variable count {cl.n}")
+        raise LengthMismatch(f"points of dimension {n} vs variable count {cl.n}")
     ys: List[np.ndarray] = []
     gs: List[np.ndarray] = []
     hs: List[np.ndarray] = []

@@ -15,13 +15,13 @@ from hessbound import (
     compile_expression,
     eval_improved,
     eval_original,
-    grad_slice,
+    LengthMismatch,
     lift_reduced,
     trace_improved,
     trace_original,
 )
-from hessbound.errors import EmptySlice
 from hessbound.harness import codelist_value, random_boxes, random_function
+from hessbound.reference import interval_hessian, point_hessians
 
 from helpers import fd_gradient, grid_points, sampled_eigs
 
@@ -83,13 +83,6 @@ def test_value_and_gradient_golden():
 
 # -- helper functions -----------------------------------------------------
 
-def test_grad_slice():
-    g = Box([Interval(1, 1), Interval(2, 2), Interval(3, 3)])
-    assert grad_slice(g, {3, 1}) == Box([Interval(1, 1), Interval(3, 3)])
-    with pytest.raises(EmptySlice):
-        grad_slice(g, set())
-
-
 def test_lift_reduced():
     lam = Interval(2, 5)
     assert lift_reduced(lam, frozenset(), 3) == lam
@@ -110,6 +103,17 @@ def test_dimension_mismatch():
     cl = compile_expression("x1 + x2", 2)
     with pytest.raises(ValueError):
         eval_original(cl, Box.from_bounds([(0, 1)]))
+
+
+@pytest.mark.parametrize("apply", [
+    lambda cl: eval_original(cl, Box.from_bounds([(0, 1)])),
+    lambda cl: eval_improved(cl, Box.from_bounds([(0, 1)] * 3)),
+    lambda cl: interval_hessian(cl, Box.from_bounds([(0, 1)])),
+    lambda cl: point_hessians(cl, np.zeros((4, 3))),
+], ids=["eval_original", "eval_improved", "interval_hessian", "point_hessians"])
+def test_dimension_mismatch_is_a_length_mismatch(apply):
+    with pytest.raises(LengthMismatch, match="variable count 2"):
+        apply(compile_expression("x1*x2", 2))
 
 
 # -- randomized cross-method properties -----------------------------------

@@ -62,6 +62,13 @@ def test_eval_bad_box_dimension(capsys):
     assert code == 2 and "error" in err
 
 
+def test_eval_malformed_box_component_names_it(capsys):
+    code, out, err = run(capsys, "eval", "--inline", "x1", "--vars", "1",
+                         "--box", "1,2,3")
+    assert code == 2 and out == ""
+    assert err == "error: box component 1 is '1,2,3', expected the form lo,hi\n"
+
+
 def test_eval_domain_error_reported(capsys):
     code, _, err = run(capsys, "eval", "--inline", "ln(x1)", "--vars", "1",
                        "--box=-1,1")

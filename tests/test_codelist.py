@@ -1,9 +1,11 @@
 """Codelist structure, the static index-set analysis and the unary rule table."""
 
 import dataclasses
+import json
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,20 @@ from hessbound import (
     eval_original,
     point,
 )
-from hessbound.codelist import AFFINE_OPS, UNARY_OPS, UNARY_RULES
-from hessbound.harness import codelist_value
+from hessbound.codelist import (
+    ABSENT,
+    AFFINE_OPS,
+    EXACT,
+    HULL,
+    STAR,
+    SUM,
+    UNARY_OPS,
+    UNARY_RULES,
+    WIDENED,
+    WIDENED_HULL,
+    WIDENED_SUM,
+)
+from hessbound.harness import codelist_value, random_function
 from hessbound.reference import interval_hessian
 
 
@@ -42,21 +56,30 @@ def test_validate_rejects_structural_errors():
         Codelist(n=1, lines=(Line("var"), Line("frobnicate", i=1))).validate()
 
 
-def test_validate_checks_a_reassigned_field_again():
-    cl = compile_expression("x1*x2", 2).analyze()
-    cl.validate()
-    cl.lines = cl.lines[:-1] + (Line("frobnicate", i=1),)
+@pytest.mark.parametrize("bad", [
+    Line("add", i=1.5, j=1),  # a float operand ref
+    Line("exp", i=True),  # a bool is not a line number
+    Line("powNat", i=1, m=2.5),  # a non-integer exponent
+    Line("addC", i=1, c="2"),  # a constant that is not a number
+], ids=["float-ref", "bool-ref", "float-exponent", "str-constant"])
+def test_construction_rejects_operands_of_the_wrong_type(bad):
     with pytest.raises(MalformedCodelist):
-        cl.validate()
-    cl = compile_expression("x1*x2", 2).analyze()
-    cl.indep = cl.indep[:-1] + (frozenset({1, 2}),)
-    with pytest.raises(MalformedCodelist, match="independence set exceeds linear set"):
-        cl.validate()
-    cl = compile_expression("x1*x2", 2)
-    cl.validate()
-    cl.n = 3
-    with pytest.raises(MalformedCodelist, match="first n lines must be var lines"):
-        cl.validate()
+        Codelist(n=1, lines=(Line("var"), bad))
+
+
+@pytest.mark.parametrize("n", [1.5, True])
+def test_construction_rejects_a_variable_count_that_is_not_an_integer(n):
+    with pytest.raises(MalformedCodelist, match="variable count"):
+        Codelist(n=n, lines=(Line("var"),))
+
+
+def test_codelist_is_frozen_and_analysed_when_built():
+    cl = Codelist(n=2, lines=[Line("var"), Line("var"), Line("mul", i=1, j=2)])
+    assert type(cl.lines) is tuple
+    assert len(cl.indep) == len(cl.linear) == len(cl.blocks) == len(cl.rules) == 3
+    for f in dataclasses.fields(Codelist):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cl, f.name, getattr(cl, f.name))
 
 
 def test_analysis_golden_sum_of_squares():
@@ -186,6 +209,15 @@ def test_dump_lists_sets():
     assert text.splitlines()[-1].startswith("5: add(3,4)")
 
 
+def test_dump_names_each_operation_line_rule():
+    lines = compile_expression("x1*x2 + exp(x1)*x2^2", 2).dump().splitlines()
+    assert lines[0] == "1: var I={2} L={1,2}"
+    assert lines[2] == "3: mul(1,2) I={} L={} rule: absent/absent sum"
+    assert lines[3] == "4: exp(1) I={2} L={2} rule: absent"
+    assert lines[5] == "6: mul(4,5) I={} L={} rule: exact/exact 2x2 1,2"
+    assert lines[6] == "7: add(3,6) I={} L={} rule: exact/exact sum"
+
+
 def test_round_trip_value_after_analysis():
     cl = compile_expression("sqrt(x1)*x2 + 1/(x2)", 2)
     assert abs(codelist_value(cl, (4.0, 2.0)) - (2 * 2 + 0.5)) < 1e-12
@@ -268,3 +300,54 @@ def test_engines_and_interval_hessian_apply_the_rule_table(monkeypatch):
         calls.clear()
         apply(cl, box)
         assert calls == want, apply.__name__
+
+
+# -- the per-line sparsity rules ---------------------------------------------
+
+A, E, W = ABSENT, EXACT, WIDENED
+# every (op, i, j, combine) that analyze() can choose for a binary line
+BINARY_RULES = {
+    ("add", A, A, SUM), ("add", E, A, SUM), ("add", A, E, SUM), ("add", E, E, HULL),
+    ("add", E, E, SUM), ("add", E, W, SUM), ("add", W, E, SUM), ("add", W, W, SUM),
+    ("mul", A, A, SUM), ("mul", E, A, SUM), ("mul", W, A, SUM), ("mul", E, A, STAR),
+    ("mul", A, E, SUM), ("mul", A, W, SUM), ("mul", A, E, STAR), ("mul", E, E, WIDENED_HULL),
+    ("mul", E, E, HULL), ("mul", E, E, STAR), ("mul", E, E, SUM), ("mul", E, W, SUM),
+    ("mul", W, E, SUM), ("mul", E, E, WIDENED_SUM), ("mul", E, W, WIDENED_SUM),
+    ("mul", W, E, WIDENED_SUM), ("mul", W, W, SUM),
+}
+UNARY_LINE_RULES = {("unary", A), ("unary", E), ("unary", W)}
+
+
+def _engine_seed_codelists():
+    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    return [compile_expression(case["source"], case["n"]) for case in cases]
+
+
+def test_every_rule_fires_on_the_engine_fixture():
+    binary, unary, shared = set(), set(), {}
+    for cl in _engine_seed_codelists():
+        for line, rule in zip(cl.lines, cl.rules):
+            if line.op == "var":
+                assert rule is None
+            elif line.op in ("add", "mul"):
+                key = (rule.op, rule.i, rule.j, rule.combine)
+                assert rule.op == line.op and (rule.cross is not None) == (rule.combine == STAR)
+                binary.add(key)
+                if rule.combine != STAR:  # one object per rule, not one per line
+                    assert shared.setdefault(key, rule) is rule
+            else:
+                unary.add((rule.op, rule.i))
+    assert len(BINARY_RULES) == 25
+    assert binary == BINARY_RULES
+    assert unary == UNARY_LINE_RULES
+
+
+def test_index_sets_and_blocks_are_consistent():
+    corpus = _engine_seed_codelists() + [
+        random_function(n, seed=300 + 10 * n + s, require_mul=s % 2 == 0).compile()
+        for n in range(1, 7) for s in range(10)]
+    for cl in corpus:
+        full = frozenset(range(1, cl.n + 1))
+        for ik, lk, block in zip(cl.indep, cl.linear, cl.blocks):
+            assert ik <= lk and ik != full
+            assert block == tuple(sorted(full - lk))

@@ -25,6 +25,7 @@ from hessbound.harness import (
     codelist_value,
     dev,
     emit_report,
+    parse_box,
     random_boxes,
     random_function,
     read_corpus,
@@ -181,11 +182,10 @@ def test_alpha_bb_non_finite_shift_is_invalid_interval():
         alpha_bb_eval(cl, Box.from_bounds([(-1e200, 1e200)]), [0.0], lam_lo=-1.0)
 
 
-def test_codelist_value_follows_a_reassigned_line_tuple():
-    cl = compile_expression("x1 + x2", 2)
-    assert codelist_value(cl, (2.0, 3.0)) == 5.0
-    cl.lines = compile_expression("x1 * x2", 2).lines
-    assert codelist_value(cl, (2.0, 3.0)) == 6.0
+def test_point_steps_are_built_once():
+    cl = compile_expression("x1 * x2 + x1", 2)
+    assert cl.point_steps is cl.point_steps
+    assert codelist_value(cl, (2.0, 3.0)) == 8.0
 
 
 # -- box sampling ---------------------------------------------------------
@@ -287,6 +287,21 @@ def test_report_table_renders(small_result):
 def test_report_unknown_format(small_result):
     with pytest.raises(ValueError):
         emit_report(small_result, "yaml")
+
+
+def test_run_compare_rejects_an_unknown_method_up_front():
+    entries = [random_function(2, seed=61)]
+    with pytest.raises(ValueError, match="unknown method 'foo'"):
+        run_compare(entries, boxes_per_function=2, seed=4, methods=("improved", "foo"))
+
+
+@pytest.mark.parametrize("text,match", [
+    ("1,2,3", "box component 1 is '1,2,3', expected the form lo,hi"),
+    ("0,1;2", "box component 2 is '2', expected the form lo,hi"),
+])
+def test_parse_box_names_a_malformed_component(text, match):
+    with pytest.raises(ValueError, match=match):
+        parse_box(text, len(text.split(";")))
 
 
 def test_run_compare_skips_domain_violations():

@@ -1,10 +1,41 @@
 """The names the span tracer of ``perfbench`` wraps must stay the ones the
 package calls through; otherwise its per-layer metrics silently read 0."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from hessbound import Box, Interval, InvalidInterval, bounds, compile_expression, harness
+from hessbound import Box, Codelist, Interval, InvalidInterval, bounds, compile_expression, harness
 from hessbound.interval import ONE
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracer_hook_resolves_to_a_callable():
+    tracing = _load_tracing()
+    for name, sites in tracing.HOOKS:
+        for target, attr in sites:
+            assert callable(getattr(tracing._resolve(target), attr, None)), (name, target, attr)
+
+
+def test_compile_expression_analyses_once_through_the_class(monkeypatch):
+    calls = []
+    analyze = Codelist.analyze
+
+    def counted(cl):
+        calls.append(cl)
+        return analyze(cl)
+
+    monkeypatch.setattr(Codelist, "analyze", counted)
+    cl = compile_expression("x1*x2 + exp(x1)", 2)
+    assert calls == [cl]
 
 
 @pytest.fixture
