@@ -30,9 +30,11 @@ from .interval import (
     Interval,
     ONE,
     ZERO,
+    _interval,
     lambda_s,
     lambda_star,
     lambda_t,
+    mul_each,
     zero_widen,
 )
 
@@ -95,16 +97,17 @@ class _Evaluator:
     def _grad_add(self, a: SparseGrad, b: SparseGrad) -> SparseGrad:
         out = dict(a)
         for k, v in b.items():
-            if k in out:
-                out[k] = out[k] + v
-                self.ops += 1
-            else:
+            u = out.get(k)
+            if u is None:
                 out[k] = v
+            else:  # u + v, without the operator frame
+                out[k] = _interval(u.lo + v.lo, u.hi + v.hi)
+                self.ops += 1
         return out
 
     def _grad_scale(self, g: SparseGrad, f: Interval) -> SparseGrad:
         self.ops += len(g)
-        return {k: f * v for k, v in g.items()}
+        return dict(zip(g, mul_each(f, g.values())))
 
     def _full(self, g: SparseGrad) -> Box:
         return Box(g.get(j, ZERO) for j in range(1, self.n + 1))

@@ -19,6 +19,11 @@ depend on the box the codelist is later evaluated over.
 :data:`UNARY_RULES` holds the interval rules of every unary operation
 y_k = r(y_i): its value, r', r'' and the factored curvature rule.  Both
 bound engines and the interval-Hessian reference route apply them from here.
+
+:attr:`Codelist.point_function` is the codelist as one generated Python
+function of a real point, one source line per codelist line, compiled on
+first use and kept on the codelist (a pickled codelist is rebuilt from
+``n`` and ``lines`` and compiles its own).
 """
 
 from __future__ import annotations
@@ -124,17 +129,18 @@ UNARY_OPS = frozenset(UNARY_RULES)
 BINARY_OPS = {"add", "mul"}
 AFFINE_OPS = frozenset(op for op, rule in UNARY_RULES.items() if rule.second is None)
 
-# real-point rule per operation, called as fn(vals, i, b) (see point_steps)
-_POINT_OPS = {
-    "add": lambda v, i, j: v[i] + v[j],
-    "mul": lambda v, i, j: v[i] * v[j],
-    "powNat": lambda v, i, m: v[i] ** m,
-    "oneOver": lambda v, i, _: 1.0 / v[i],
-    "sqrt": lambda v, i, _: math.sqrt(v[i]),
-    "exp": lambda v, i, _: math.exp(v[i]),
-    "ln": lambda v, i, _: math.log(v[i]),
-    "addC": lambda v, i, c: v[i] + c,
-    "mulByC": lambda v, i, c: v[i] * c,
+# real-point rule per operation, as source: v{i} / v{j} are the operand
+# lines' values, c{k} is line k's constant (see Codelist.point_function)
+_POINT_EXPR = {
+    "add": "v{i} + v{j}",
+    "mul": "v{i} * v{j}",
+    "powNat": "v{i} ** {m}",
+    "oneOver": "1.0 / v{i}",
+    "sqrt": "sqrt(v{i})",
+    "exp": "exp(v{i})",
+    "ln": "log(v{i})",
+    "addC": "v{i} + c{k}",
+    "mulByC": "v{i} * c{k}",
 }
 
 
@@ -310,22 +316,39 @@ class Codelist:
                                               and math.isfinite(line.c)):
                 raise MalformedCodelist(k, f"{line.op} needs a finite constant")
 
-    @cached_property
-    def point_steps(self) -> Tuple[Tuple[Callable, int, object], ...]:
-        """The operation lines as ``(fn, i, b)`` steps for real-point evaluation.
+    def __reduce__(self):
+        # rebuilt from its inputs: the derived fields are analysed again, and
+        # a generated point function is not carried over (it cannot be pickled)
+        return Codelist, (self.n, self.lines)
 
-        Step k computes ``fn(vals, i, b)`` from the list ``vals`` of earlier
-        line values: ``i`` is the 0-based operand, ``b`` the second operand
-        or the constant.  Built on first use.
+    @cached_property
+    def point_function(self) -> Callable:
+        """The codelist as one Python function ``point(x)`` of a real point.
+
+        Its source is generated and compiled on first use.  Source line
+        k + 1 computes the local ``v<k>`` of codelist line k, the var lines
+        as ``float(x[k - 1])``; so an error raised on a line names it by its
+        traceback line number, and the frame's locals hold every value
+        computed before it.  The function returns ``v<N>`` of the last line;
+        if that value is not finite (a float overflow to inf, or inf - inf,
+        raises nothing) it raises ``FloatingPointError`` instead.
         """
-        steps = []
-        for line in self.lines[self.n:]:
-            if line.op in BINARY_OPS:
-                steps.append((_POINT_OPS[line.op], line.i - 1, line.j - 1))
+        names = {"exp": math.exp, "log": math.log, "sqrt": math.sqrt,
+                 "isfinite": math.isfinite}
+        src = ["def point(x):"]
+        for k, line in enumerate(self.lines, start=1):
+            if line.op == "var":
+                expr = f"float(x[{k - 1}])"
             else:
-                steps.append((_POINT_OPS[line.op], line.i - 1,
-                              line.m if line.op == "powNat" else line.c))
-        return tuple(steps)
+                expr = _POINT_EXPR[line.op].format(i=line.i, j=line.j, m=line.m, k=k)
+                if line.op in AFFINE_OPS:
+                    names[f"c{k}"] = line.c
+            src.append(f"    v{k} = {expr}")
+        last = len(self.lines)
+        src.append(f"    if not isfinite(v{last}): raise FloatingPointError")
+        src.append(f"    return v{last}")
+        exec(compile("\n".join(src), "<codelist point function>", "exec"), names)
+        return names["point"]
 
     def analyze(self) -> "Codelist":
         """Validate, then derive the per-line index sets, blocks and rules.

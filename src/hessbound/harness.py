@@ -11,8 +11,10 @@ quality class per bound side:
     5  better than the vertex-enumeration bound
 
 "as good as" is decided by a scale-free deviation measure with a relative
-tolerance eps.  The module also hosts the convex underestimator and a
-seeded random-function generator used to build corpora.
+tolerance eps.  The module also hosts real-point evaluation, which runs
+a codelist's generated ``point_function`` and names the line an error
+came from, the alpha-BB convex underestimator built on it, and a seeded
+random-function generator used to build corpora.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
     HessboundError,
     InconsistentInputs,
     InvalidInterval,
+    LengthMismatch,
     PointOutsideBox,
 )
 from .expressions import compile_expression
@@ -107,30 +110,33 @@ def classify(tested: Interval, gersh: Interval, vertex: Interval,
 # -- point evaluation and the convex underestimator ----------------------
 
 def codelist_value(cl: Codelist, x: Sequence[float]) -> float:
-    """Evaluate the codelist at a real point.
+    """Evaluate the codelist at a real point through ``cl.point_function``.
 
     Raises :class:`InvalidInterval` when a line overflows or the value is
     not finite, and :class:`DomainViolation` (with the line number) when a
-    line leaves its domain, e.g. ``ln`` of a negative value.
+    line leaves its domain, e.g. ``ln`` of a negative value.  The failing
+    line is the point function's traceback line, the operand value and the
+    first non-finite value are read from its frame's locals.
     """
-    vals: List[float] = [float(x[k]) for k in range(cl.n)]
+    point = cl.point_function
     try:
-        for fn, i, b in cl.point_steps:
-            vals.append(fn(vals, i, b))
-    except (OverflowError, ValueError, ZeroDivisionError) as err:
-        k = len(vals) + 1  # the line that failed
+        return point(x)
+    except (OverflowError, ValueError, ZeroDivisionError, FloatingPointError) as err:
+        tb = err.__traceback__.tb_next  # the point function's own frame
+        vals = tb.tb_frame.f_locals
+        if isinstance(err, FloatingPointError):
+            k = next(k for k in range(1, len(cl.lines) + 1)
+                     if not math.isfinite(vals[f"v{k}"]))
+            raise InvalidInterval(f"non-finite value {vals[f'v{k}']!r} from "
+                                  f"{cl.lines[k - 1].op} at codelist line {k}") from None
+        k = tb.tb_lineno - 1  # source line 1 is the def line
         line = cl.lines[k - 1]
-        arg = vals[line.i - 1]
+        if line.op == "var":  # x itself is malformed, e.g. float("a")
+            raise
+        arg = vals[f"v{line.i}"]
         if isinstance(err, OverflowError):
             raise InvalidInterval(f"{line.op} overflow on {arg!r} at codelist line {k}") from None
         raise DomainViolation("recip" if line.op == "oneOver" else line.op, arg, line=k) from None
-    if not math.isfinite(vals[-1]):
-        # a float product or sum overflows to inf, or inf - inf gives nan,
-        # without raising; name the first line that left the finite range
-        k = next(k for k, v in enumerate(vals, start=1) if not math.isfinite(v))
-        raise InvalidInterval(
-            f"non-finite value {vals[k - 1]!r} from {cl.lines[k - 1].op} at codelist line {k}")
-    return vals[-1]
 
 
 def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
@@ -143,14 +149,22 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
     vanishes at every vertex and is nonnegative inside the box.  Raises
     :class:`InvalidInterval` when the shifted value is not finite.
     """
-    if not box.contains_point(x, slack=1e-12):
-        raise PointOutsideBox(f"{tuple(x)} is not in {box}")
+    if len(x) != len(box):
+        raise LengthMismatch(f"point of length {len(x)} vs box of length {len(box)}")
+    # containment and the sum of (lo_i - x_i)(hi_i - x_i), in one left-to-right
+    # loop of plain float additions (sum() is compensated from Python 3.12)
+    s = 0.0
+    for d, xi in zip(box.dims, x):
+        lo, hi = d.lo, d.hi
+        if not lo - 1e-12 <= xi <= hi + 1e-12:
+            raise PointOutsideBox(f"{tuple(x)} is not in {box}")
+        s += (lo - xi) * (hi - xi)
     if lam_lo is None:
         lam_lo = eval_improved(cl, box).eigen.lo
     val = codelist_value(cl, x)
     if lam_lo >= 0.0:
         return val
-    shift = -0.5 * lam_lo * sum((d.lo - xi) * (d.hi - xi) for d, xi in zip(box, x))
+    shift = -0.5 * lam_lo * s
     shifted = val + shift
     if not math.isfinite(shifted):
         raise InvalidInterval(f"non-finite alpha-BB shift {shift!r} of the value {val!r}")
@@ -201,10 +215,11 @@ def parse_box(text: str, n: int) -> Box:
         raise ValueError(f"box has {len(parts)} components, expected {n}")
     bounds = []
     for k, p in enumerate(parts, start=1):
-        ends = p.split(",")
-        if len(ends) != 2:
-            raise ValueError(f"box component {k} is {p.strip()!r}, expected the form lo,hi")
-        bounds.append((float(ends[0]), float(ends[1])))
+        try:  # two numbers, or ValueError (a wrong count or not a number)
+            lo, hi = map(float, p.split(","))
+        except ValueError:
+            raise ValueError(f"box component {k} is {p.strip()!r}, expected the form lo,hi") from None
+        bounds.append((lo, hi))
     return Box.from_bounds(bounds)
 
 

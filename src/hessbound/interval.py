@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DomainViolation,
@@ -32,6 +32,7 @@ __all__ = [
     "ZERO",
     "ONE",
     "point",
+    "mul_each",
     "hull",
     "zero_widen",
     "lambda_s",
@@ -56,7 +57,7 @@ class Interval:
         if type(hi) is not float:
             hi = float(hi)
             object.__setattr__(self, "hi", hi)
-        if not -math.inf < lo <= hi < math.inf:
+        if not -_INF < lo <= hi < _INF:
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise InvalidInterval(f"non-finite endpoints [{lo}, {hi}]")
             raise InvalidInterval(f"lo > hi in [{lo}, {hi}]")
@@ -64,27 +65,23 @@ class Interval:
     # -- elementary arithmetic -------------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
+        return _interval(self.lo + other.lo, self.hi + other.hi)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        p = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(p), max(p))
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        p, q, r, s = a * c, a * d, b * c, b * d
+        return _interval(min(p, q, r, s), max(p, q, r, s))
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return _interval(-self.hi, -self.lo)
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
+        return _interval(self.lo - other.hi, self.hi - other.lo)
 
     def recip(self) -> "Interval":
         if self.lo <= 0.0 <= self.hi:
             raise DomainViolation("recip", self)
-        return Interval(1.0 / self.hi, 1.0 / self.lo)
+        return _interval(1.0 / self.hi, 1.0 / self.lo)
 
     def pow(self, m: int) -> "Interval":
         if m < 0 or m != int(m):
@@ -98,34 +95,34 @@ class Interval:
         except OverflowError:
             raise InvalidInterval(f"pow overflow on {self}^{m}") from None
         if self.lo > 0 or m % 2 == 1:
-            return Interval(lo_m, hi_m)
+            return _interval(lo_m, hi_m)
         if self.hi < 0:  # m even
-            return Interval(hi_m, lo_m)
-        return Interval(0.0, max(lo_m, hi_m))
+            return _interval(hi_m, lo_m)
+        return _interval(0.0, max(lo_m, hi_m))
 
     def sqrt(self) -> "Interval":
         if self.lo < 0.0:
             raise DomainViolation("sqrt", self)
-        return Interval(math.sqrt(self.lo), math.sqrt(self.hi))
+        return _interval(math.sqrt(self.lo), math.sqrt(self.hi))
 
     def exp(self) -> "Interval":
         try:
-            return Interval(math.exp(self.lo), math.exp(self.hi))
+            return _interval(math.exp(self.lo), math.exp(self.hi))
         except OverflowError:
             raise InvalidInterval(f"exp overflow on {self}") from None
 
     def ln(self) -> "Interval":
         if self.lo <= 0.0:
             raise DomainViolation("ln", self)
-        return Interval(math.log(self.lo), math.log(self.hi))
+        return _interval(math.log(self.lo), math.log(self.hi))
 
     def add_const(self, c: float) -> "Interval":
-        return Interval(self.lo + c, self.hi + c)
+        return _interval(self.lo + c, self.hi + c)
 
     def scale(self, c: float) -> "Interval":
         if c >= 0:
-            return Interval(c * self.lo, c * self.hi)
-        return Interval(c * self.hi, c * self.lo)
+            return _interval(c * self.lo, c * self.hi)
+        return _interval(c * self.hi, c * self.lo)
 
     # -- predicates and helpers ------------------------------------------
 
@@ -148,12 +145,55 @@ class Interval:
         return f"[{self.lo:g}, {self.hi:g}]"
 
 
+_INF = math.inf
+_new = object.__new__
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+
+
+def _interval(lo: float, hi: float) -> Interval:
+    """``Interval(lo, hi)`` without the dataclass ``__init__`` frame.
+
+    Every operator builds its result here.  The endpoints are stored
+    through the slots, and ``__post_init__`` is still looked up on the
+    class and called, so the result is validated (and counted by anything
+    that wraps ``Interval.__post_init__``) as if the constructor had run.
+    """
+    iv = _new(Interval)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
+    iv.__post_init__()
+    return iv
+
+
 ZERO = Interval(0.0, 0.0)
 ONE = Interval(1.0, 1.0)
 
 
 def point(x: float) -> Interval:
-    return Interval(x, x)
+    return _interval(x, x)
+
+
+def mul_each(f: Interval, xs: Iterable[Interval]) -> List[Interval]:
+    """``[f * x for x in xs]``, bit for bit, without an operator frame per x.
+
+    A point factor (lo == hi) needs two products per x.  The other two
+    repeat them, or, for a zero factor such as [-0.0, 0.0], all four are
+    zeros; either way min and max pick the same first result.
+    """
+    a, b = f.lo, f.hi
+    if a == b:
+        out = []
+        for x in xs:
+            p, q = a * x.lo, a * x.hi
+            out.append(_interval(min(p, q), max(p, q)))
+        return out
+    out = []
+    for x in xs:
+        c, d = x.lo, x.hi
+        p, q, r, s = a * c, a * d, b * c, b * d
+        out.append(_interval(min(p, q, r, s), max(p, q, r, s)))
+    return out
 
 
 class Box:
@@ -202,8 +242,15 @@ class Box:
         return corners
 
 
+# The sums below run left to right in plain float additions: from Python
+# 3.12 on, sum() over floats is compensated, which would change the bits.
+
 def _sum_sq_mag(a: Sequence[Interval]) -> float:
-    return sum(max(d.lo * d.lo, d.hi * d.hi) for d in a)
+    s = 0.0
+    for d in a:
+        lo, hi = d.lo, d.hi
+        s += max(lo * lo, hi * hi)
+    return s
 
 
 def lambda_s(a: Sequence[Interval], n: Optional[int] = None) -> Interval:
@@ -221,7 +268,7 @@ def lambda_s(a: Sequence[Interval], n: Optional[int] = None) -> Interval:
         raise LengthMismatch(f"{len(a)} components in dimension {n}")
     if n == 1:
         return a[0].pow(2) if a else ZERO
-    return Interval(0.0, _sum_sq_mag(a))
+    return _interval(0.0, _sum_sq_mag(a))
 
 
 def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = None) -> Interval:
@@ -243,19 +290,23 @@ def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = No
         return (a[0] * b[0]).scale(2.0) if a else ZERO
     beta = math.sqrt(_sum_sq_mag(a) * _sum_sq_mag(b))
     lo, hi = -beta, beta
-    for ai, bi in zip(a, b):
-        p = ai * bi
-        lo += p.lo
-        hi += p.hi
+    for u, v in zip(a, b):  # the endpoints of each pair product u*v, summed
+        c, d, e, f = u.lo, u.hi, v.lo, v.hi
+        p, q, r, s = c * e, c * f, d * e, d * f
+        lo += min(p, q, r, s)
+        hi += max(p, q, r, s)
     if len(a) < n:
         # a left-out pair adds +0.0, which turns a -0.0 lower end into +0.0
         lo += 0.0
-    return Interval(lo, hi)
+    if not -_INF < lo <= hi < _INF:
+        for u, v in zip(a, b):
+            u * v  # raises the error of the first pair product that overflows
+    return _interval(lo, hi)
 
 
 def lambda_r(a: Interval, b: Interval) -> Interval:
     """Interval hull of two intervals."""
-    return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
+    return _interval(min(a.lo, b.lo), max(a.hi, b.hi))
 
 
 hull = lambda_r
@@ -270,9 +321,9 @@ def lambda_star(a: Interval, b: Interval, c: Interval) -> Interval:
         hi = 0.5 * (a.hi + b.hi + math.sqrt((a.hi - b.hi) ** 2 + d))
     except OverflowError:
         raise InvalidInterval(f"lambda_star overflow on {a}, {b}, {c}") from None
-    return Interval(lo, hi)
+    return _interval(lo, hi)
 
 
 def zero_widen(a: Interval) -> Interval:
     """Smallest interval containing both [a] and 0."""
-    return Interval(min(a.lo, 0.0), max(a.hi, 0.0))
+    return _interval(min(a.lo, 0.0), max(a.hi, 0.0))

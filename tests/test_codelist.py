@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import random
 from collections import Counter
 from pathlib import Path
@@ -351,3 +352,16 @@ def test_index_sets_and_blocks_are_consistent():
         for ik, lk, block in zip(cl.indep, cl.linear, cl.blocks):
             assert ik <= lk and ik != full
             assert block == tuple(sorted(full - lk))
+
+
+def test_codelist_pickles_before_and_after_a_point_evaluation():
+    cl = compile_expression("x1*x2 + exp(x1) + 1.5*sqrt(x2)", 2)
+    box = Box.from_bounds([(0.5, 1.0), (1.0, 2.0)])
+    for evaluated in (False, True):
+        assert ("point_function" in vars(cl)) == evaluated
+        copy = pickle.loads(pickle.dumps(cl))
+        assert copy == cl and "point_function" not in vars(copy)
+        assert (copy.indep, copy.linear, copy.blocks, copy.rules) == (
+            cl.indep, cl.linear, cl.blocks, cl.rules)
+        assert codelist_value(copy, (1.0, 2.0)).hex() == codelist_value(cl, (1.0, 2.0)).hex()
+        assert eval_improved(copy, box) == eval_improved(cl, box)

@@ -17,6 +17,7 @@ from hessbound import (
     compile_expression,
     eval_improved,
 )
+from hessbound.codelist import Codelist, Line
 from hessbound.errors import InconsistentInputs
 from hessbound.harness import (
     CorpusEntry,
@@ -182,10 +183,99 @@ def test_alpha_bb_non_finite_shift_is_invalid_interval():
         alpha_bb_eval(cl, Box.from_bounds([(-1e200, 1e200)]), [0.0], lam_lo=-1.0)
 
 
-def test_point_steps_are_built_once():
+def test_point_function_is_built_once():
     cl = compile_expression("x1 * x2 + x1", 2)
-    assert cl.point_steps is cl.point_steps
+    assert cl.point_function is cl.point_function
     assert codelist_value(cl, (2.0, 3.0)) == 8.0
+
+
+# the real-point rules written out once more, as the oracle of the generated
+# point function
+POINT_RULES = {
+    "add": lambda v, line: v[line.i - 1] + v[line.j - 1],
+    "mul": lambda v, line: v[line.i - 1] * v[line.j - 1],
+    "powNat": lambda v, line: v[line.i - 1] ** line.m,
+    "oneOver": lambda v, line: 1.0 / v[line.i - 1],
+    "sqrt": lambda v, line: math.sqrt(v[line.i - 1]),
+    "exp": lambda v, line: math.exp(v[line.i - 1]),
+    "ln": lambda v, line: math.log(v[line.i - 1]),
+    "addC": lambda v, line: v[line.i - 1] + line.c,
+    "mulByC": lambda v, line: v[line.i - 1] * line.c,
+}
+
+
+def walk(cl, x, upto=None):
+    """Values of lines 1..upto (default all) at the point x."""
+    vals = [float(x[k]) for k in range(cl.n)]
+    for line in cl.lines[cl.n:upto]:
+        vals.append(POINT_RULES[line.op](vals, line))
+    return vals
+
+
+def test_point_function_equals_a_walk_over_the_lines():
+    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    rng = random.Random(11)
+    compared = 0
+    for case in cases:
+        cl = compile_expression(case["source"], case["n"])
+        dims = [(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]]
+        for x in [tuple(lo for lo, _ in dims), tuple(hi for _, hi in dims)] + [
+                tuple(rng.uniform(lo, hi) for lo, hi in dims) for _ in range(5)]:
+            try:
+                expected = walk(cl, x)[-1]
+            except (OverflowError, ValueError, ZeroDivisionError):
+                with pytest.raises((DomainViolation, InvalidInterval)):
+                    codelist_value(cl, x)
+                continue
+            if not math.isfinite(expected):
+                with pytest.raises(InvalidInterval, match="non-finite value"):
+                    codelist_value(cl, x)
+                continue
+            assert cl.point_function(x).hex() == expected.hex(), (case["source"], x)
+            assert codelist_value(cl, x).hex() == expected.hex()
+            compared += 1
+    assert compared >= 1300
+
+
+def deep_codelist(op, prep, m=None):
+    """Two variables, 29 bounded lines, ``prep`` on line 32 and ``op`` of it
+    on line 33, then 20 more lines."""
+    lines = [Line("var"), Line("var")]
+    for k in range(3, 32):
+        lines.append(Line("add", i=k - 1, j=1) if k % 2 else Line("mulByC", i=k - 1, c=0.5))
+    lines.append(prep)
+    lines.append(Line(op, i=32, m=m))
+    for k in range(34, 54):
+        lines.append(Line("add", i=k - 1, j=2))
+    return Codelist(2, lines)
+
+
+@pytest.mark.parametrize("op,prep,kind", [
+    ("ln", Line("addC", i=31, c=-5.0), "ln"),
+    ("sqrt", Line("addC", i=31, c=-5.0), "sqrt"),
+    ("oneOver", Line("mulByC", i=31, c=0.0), "recip"),
+])
+def test_codelist_value_names_a_deep_domain_violation(op, prep, kind):
+    cl = deep_codelist(op, prep)
+    x = (0.75, 0.25)
+    with pytest.raises(DomainViolation) as info:
+        codelist_value(cl, x)
+    assert (info.value.kind, info.value.line) == (kind, 33)
+    assert info.value.interval == walk(cl, x, upto=32)[-1]
+
+
+def test_codelist_value_names_a_deep_pow_overflow():
+    cl = deep_codelist("powNat", Line("addC", i=31, c=1e3), m=200)
+    x = (0.75, 0.25)
+    arg = walk(cl, x, upto=32)[-1]
+    with pytest.raises(InvalidInterval, match=rf"^powNat overflow on {arg!r} at codelist line 33$"):
+        codelist_value(cl, x)
+
+
+def test_codelist_value_reraises_a_malformed_point():
+    cl = compile_expression("x1 * x2", 2)
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        codelist_value(cl, (1.0, "a"))
 
 
 # -- box sampling ---------------------------------------------------------
@@ -298,6 +388,8 @@ def test_run_compare_rejects_an_unknown_method_up_front():
 @pytest.mark.parametrize("text,match", [
     ("1,2,3", "box component 1 is '1,2,3', expected the form lo,hi"),
     ("0,1;2", "box component 2 is '2', expected the form lo,hi"),
+    ("a,1", "box component 1 is 'a,1', expected the form lo,hi"),
+    ("0,1;2,b", "box component 2 is '2,b', expected the form lo,hi"),
 ])
 def test_parse_box_names_a_malformed_component(text, match):
     with pytest.raises(ValueError, match=match):

@@ -3,10 +3,11 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hessbound import (
     Box,
@@ -24,6 +25,7 @@ from hessbound import (
     point,
     zero_widen,
 )
+from hessbound.interval import mul_each
 
 
 def iv(lo, hi):
@@ -342,3 +344,79 @@ def test_zero_widen():
     assert zero_widen(iv(-2, -1)) == iv(-2, 0)
     assert zero_widen(iv(-1, 1)) == iv(-1, 1)
     assert zero_widen(zero_widen(iv(3, 4))) == zero_widen(iv(3, 4))
+
+
+# -- endpoint fast paths, bit for bit ---------------------------------------
+
+# signed zeros, points and negative factors are where a reordered min/max or
+# a dropped product would show, so the draws lean on them
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, -1e-300, 1e150, -1e150]),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+@st.composite
+def edge_intervals(draw):
+    a = draw(edge_floats)
+    if draw(st.booleans()):
+        return point(a)  # zero width
+    b = draw(edge_floats)
+    return Interval(a, b) if a <= b else Interval(b, a)  # [0.0, -0.0] is kept
+
+
+def product_hexes(x, y):
+    p = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+    return min(p).hex(), max(p).hex()
+
+
+# zero products of both signs, from signed-zero endpoints and from underflow
+@example(point(2.0), [Interval(-0.0, 0.0), Interval(0.0, -0.0), Interval(-1e-300, 1e-300)])
+@example(point(-2.0), [Interval(-0.0, 0.0), Interval(-1e-300, 1e-300)])
+@example(Interval(-0.0, 0.0), [Interval(-1.0, 1.0), point(-3.0), Interval(0.0, -0.0)])
+@given(edge_intervals(), st.lists(edge_intervals(), max_size=6))
+def test_mul_each_equals_the_operator_and_the_endpoint_products(f, xs):
+    expected = [hexes(f * x) for x in xs]
+    assert [hexes(p) for p in mul_each(f, xs)] == expected
+    assert expected == [product_hexes(f, x) for x in xs]
+
+
+def sum_sq_mag(comps):
+    s = 0.0
+    for d in comps:
+        s += max(d.lo * d.lo, d.hi * d.hi)
+    return s
+
+
+@example([(Interval(-0.0, 0.0), point(2.0)), (point(-1e-300), Interval(-1e-300, 1e-300))])
+@given(st.lists(st.tuples(edge_intervals(), edge_intervals()), min_size=2, max_size=6))
+def test_lambda_s_t_loops_equal_the_per_pair_formulas(pairs):
+    a = [u for u, _ in pairs]
+    b = [v for _, v in pairs]
+    try:
+        beta = math.sqrt(sum_sq_mag(a) * sum_sq_mag(b))
+        lo, hi = -beta, beta
+        for u, v in zip(a, b):
+            p = u * v
+            lo, hi = lo + p.lo, hi + p.hi
+        expected = hexes(Interval(lo, hi))
+    except InvalidInterval as err:
+        with pytest.raises(InvalidInterval, match=re.escape(str(err))):
+            lambda_t(a, b)
+        return
+    assert hexes(lambda_t(a, b)) == expected
+    assert hexes(lambda_s(a)) == (0.0.hex(), sum_sq_mag(a).hex())
+
+
+def test_lambda_s_adds_squares_left_to_right():
+    # 1e16 + 1 rounds back to 1e16 four times; a compensated sum (Python
+    # 3.12's sum() over floats) would give 1e16 + 4
+    assert lambda_s([point(1e8)] + [ONE] * 4).hi == 1e16
+
+
+def test_lambda_t_pair_overflow_names_the_pair_product():
+    # the first pair product is [-inf, -inf]; the sum of all pairs would be nan
+    a = [iv(-1e200, -1e200), iv(0, 1)]
+    b = [iv(1e200, 1e200), iv(0, 1)]
+    with pytest.raises(InvalidInterval, match=r"^non-finite endpoints \[-inf, -inf\]$"):
+        lambda_t(a, b)
