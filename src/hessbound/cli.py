@@ -33,9 +33,15 @@ __all__ = ["main"]
 
 
 def _parse_point(text: str, n: int) -> List[float]:
-    vals = [float(v) for v in text.split(",")]
-    if len(vals) != n:
-        raise ValueError(f"point has {len(vals)} components, expected {n}")
+    parts = text.split(",")
+    if len(parts) != n:
+        raise ValueError(f"point has {len(parts)} components, expected {n}")
+    vals = []
+    for k, p in enumerate(parts, start=1):
+        try:
+            vals.append(float(p))
+        except ValueError:
+            raise ValueError(f"point component {k} is {p.strip()!r}, expected a number") from None
     return vals
 
 

@@ -1,12 +1,15 @@
 """Expression parsing and lowering to the straight-line codelist IR.
 
 The textual grammar accepts subtraction, division, unary minus and numeric
-literals for convenience; :func:`normalize` rewrites all of them into the
-closed operation alphabet
+literals for convenience.  The parser builds every node through a builder
+that writes them in the closed operation alphabet
 
     var, add, mul, powNat (m >= 2), oneOver, sqrt, exp, ln, addC, mulByC
 
-so that the rest of the package only ever sees these eleven node kinds.
+and folds constant operands as it goes, so the rest of the package only
+ever sees these ten operations: ``x - y`` is ``x + (-1)*y``, ``x / y`` is
+``x * oneOver(y)``, and a ``Const`` node can only be a whole tree, which
+:func:`normalize` rejects.
 """
 
 from __future__ import annotations
@@ -18,14 +21,13 @@ from .codelist import Codelist, Line
 from .errors import ConstantExpression, ExpressionSyntaxError, UnknownVariable
 
 __all__ = [
-    "Var", "Const", "Add", "Sub", "Mul", "Div", "Neg", "PowNat",
+    "Var", "Const", "Add", "Mul", "PowNat",
     "Recip", "Sqrt", "Exp", "Ln", "AddConst", "MulByConst",
     "parse", "normalize", "lower", "compile_expression", "eval_expr",
 ]
 
 
 # -- AST node kinds ------------------------------------------------------
-# Sub/Div/Neg only appear in freshly parsed trees; normalize removes them.
 
 @dataclass(frozen=True)
 class Var:
@@ -44,26 +46,9 @@ class Add:
 
 
 @dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
 class Mul:
     left: object
     right: object
-
-
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
 
 
 @dataclass(frozen=True)
@@ -104,19 +89,27 @@ class MulByConst:
     c: float
 
 
-_FUNCTIONS = {"sqrt": Sqrt, "exp": Exp, "ln": Ln}
+# function name -> (node kind, its fold on a constant argument)
+_FUNCTIONS = {"sqrt": (Sqrt, math.sqrt), "exp": (Exp, math.exp), "ln": (Ln, math.log)}
 
 
 class _Parser:
     """Recursive-descent parser for the expression grammar.
 
     Precedence (loosest to tightest): + - ; * / ; unary - ; ^ .
+
+    Nodes are built in post-order, left to right, through the builders at
+    the end of the class.  A constant fold that is undefined (``1/0``,
+    ``ln(0)``, an overflow) is not raised where it happens: the first one is
+    raised once the whole source has parsed, so a syntax error anywhere in
+    the source is reported before it.
     """
 
     def __init__(self, source: str, n: int):
         self.src = source
         self.n = n
         self.pos = 0
+        self.undefined = None  # the first undefined constant fold
 
     def error(self, message: str):
         raise ExpressionSyntaxError(self.pos, message)
@@ -139,6 +132,8 @@ class _Parser:
         self.skip_ws()
         if self.pos != len(self.src):
             self.error("trailing input")
+        if self.undefined is not None:
+            raise self.undefined
         return expr
 
     def expr(self):
@@ -147,7 +142,7 @@ class _Parser:
             op = self.peek()
             self.pos += 1
             rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            node = self.add(node, rhs if op == "+" else self.neg(rhs))
         return node
 
     def term(self):
@@ -156,20 +151,20 @@ class _Parser:
             op = self.peek()
             self.pos += 1
             rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            node = self.mul(node, rhs if op == "*" else self.recip(rhs))
         return node
 
     def factor(self):
         if self.peek() == "-":
             self.pos += 1
-            return Neg(self.factor())
+            return self.neg(self.factor())
         node = self.atom()
         if self.peek() == "^":
             self.pos += 1
             if self.peek() == "-":
                 self.error("exponent must be a natural number")
             m = self.natural()
-            node = PowNat(node, m)
+            node = self.power(node, m)
         return node
 
     def natural(self) -> int:
@@ -197,7 +192,7 @@ class _Parser:
                 self.eat("(")
                 node = self.expr()
                 self.eat(")")
-                return _FUNCTIONS[name](node)
+                return self.call(*_FUNCTIONS[name], node)
             if name.startswith("x") and name[1:].isdigit():
                 index = int(name[1:])
                 if not 1 <= index <= self.n:
@@ -229,101 +224,81 @@ class _Parser:
         except ValueError:
             self.error(f"bad number literal {self.src[start:self.pos]!r}")
 
+    # -- node builders: each returns its node in the closed alphabet, with
+    # constant operands folded (a Const never sits below the root)
+
+    def fail(self, message: str) -> Const:
+        """Remember an undefined fold; its NaN placeholder folds on silently."""
+        if self.undefined is None:
+            self.undefined = ExpressionSyntaxError(0, message)
+        return Const(math.nan)
+
+    @staticmethod
+    def add(l, r):
+        if isinstance(r, Const):
+            return Const(l.value + r.value) if isinstance(l, Const) else AddConst(l, r.value)
+        return AddConst(r, l.value) if isinstance(l, Const) else Add(l, r)
+
+    @staticmethod
+    def mul(l, r):
+        if isinstance(r, Const):
+            return Const(l.value * r.value) if isinstance(l, Const) else MulByConst(l, r.value)
+        return MulByConst(r, l.value) if isinstance(l, Const) else Mul(l, r)
+
+    @staticmethod
+    def neg(a):
+        return Const(-a.value) if isinstance(a, Const) else MulByConst(a, -1.0)
+
+    def recip(self, a):
+        if not isinstance(a, Const):
+            return Recip(a)
+        if a.value == 0:
+            return self.fail("division by a literal zero")
+        return Const(1.0 / a.value)
+
+    def power(self, base, m: int):
+        if m == 0:
+            return Const(1.0)
+        if m == 1:
+            return base
+        if not isinstance(base, Const):
+            return PowNat(base, m)
+        try:
+            return Const(base.value ** m)
+        except OverflowError:
+            return self.fail(f"constant fold of PowNat at {base.value} with m = {m} is undefined")
+
+    def call(self, kind, fold, a):
+        if not isinstance(a, Const):
+            return kind(a)
+        try:
+            return Const(fold(a.value))
+        except (ValueError, OverflowError):
+            return self.fail(f"constant fold of {kind.__name__} at {a.value} is undefined")
+
 
 def parse(source: str, n: int):
-    """Parse ``source`` into an AST over variables x1..xn."""
+    """Parse ``source`` into a tree over variables x1..xn.
+
+    The tree is already in the closed operation alphabet with its constants
+    folded.  Raises :class:`ExpressionSyntaxError` for bad text or a constant
+    fold that is undefined, and :class:`UnknownVariable` for a variable
+    outside x1..xn.
+    """
     return _Parser(source, n).parse()
 
 
-def _fold_unary(cls, value: float, pos_hint: int = 0) -> float:
-    try:
-        if cls is Sqrt:
-            return math.sqrt(value)
-        if cls is Exp:
-            return math.exp(value)
-        if cls is Ln:
-            return math.log(value)
-        if cls is Recip:
-            return 1.0 / value
-    except (ValueError, ZeroDivisionError, OverflowError):
-        pass
-    raise ExpressionSyntaxError(pos_hint, f"constant fold of {cls.__name__} at {value} is undefined")
-
-
-def _norm(e):
-    if isinstance(e, (Var, Const)):
-        return e
-    if isinstance(e, Neg):
-        inner = _norm(e.arg)
-        if isinstance(inner, Const):
-            return Const(-inner.value)
-        return MulByConst(inner, -1.0)
-    if isinstance(e, Sub):
-        return _norm(Add(e.left, Neg(e.right)))
-    if isinstance(e, Div):
-        return _norm(Mul(e.left, Recip(e.right)))
-    if isinstance(e, Add):
-        l, r = _norm(e.left), _norm(e.right)
-        if isinstance(l, Const) and isinstance(r, Const):
-            return Const(l.value + r.value)
-        if isinstance(r, Const):
-            return AddConst(l, r.value)
-        if isinstance(l, Const):
-            return AddConst(r, l.value)
-        return Add(l, r)
-    if isinstance(e, Mul):
-        l, r = _norm(e.left), _norm(e.right)
-        if isinstance(l, Const) and isinstance(r, Const):
-            return Const(l.value * r.value)
-        if isinstance(r, Const):
-            return MulByConst(l, r.value)
-        if isinstance(l, Const):
-            return MulByConst(r, l.value)
-        return Mul(l, r)
-    if isinstance(e, PowNat):
-        base = _norm(e.base)
-        if e.m == 0:
-            return Const(1.0)
-        if e.m == 1:
-            return base
-        if isinstance(base, Const):
-            return Const(base.value ** e.m)
-        return PowNat(base, e.m)
-    if isinstance(e, Recip):
-        inner = _norm(e.arg)
-        if isinstance(inner, Const):
-            if inner.value == 0:
-                raise ExpressionSyntaxError(0, "division by a literal zero")
-            return Const(1.0 / inner.value)
-        return Recip(inner)
-    if isinstance(e, (Sqrt, Exp, Ln)):
-        inner = _norm(e.arg)
-        if isinstance(inner, Const):
-            return Const(_fold_unary(type(e), inner.value))
-        return type(e)(inner)
-    if isinstance(e, AddConst):
-        inner = _norm(e.arg)
-        if isinstance(inner, Const):
-            return Const(inner.value + e.c)
-        return AddConst(inner, e.c)
-    if isinstance(e, MulByConst):
-        inner = _norm(e.arg)
-        if isinstance(inner, Const):
-            return Const(inner.value * e.c)
-        return MulByConst(inner, e.c)
-    raise TypeError(f"unknown node {e!r}")
-
-
 def normalize(e):
-    """Rewrite an AST into the closed operation alphabet.
+    """Check that a parsed tree depends on a variable, and return it.
 
-    Raises :class:`ConstantExpression` if the whole expression folds to a
-    constant, since every codelist line must trace back to a variable.
+    :func:`parse` builds the tree in the closed operation alphabet already;
+    what is left is to raise :class:`ConstantExpression` when the whole
+    expression folded to a constant, since every codelist line must trace
+    back to a variable.
     """
-    out = _norm(e)
-    if isinstance(out, Const):
-        raise ConstantExpression(f"expression is the constant {out.value}")
-    return out
+    if isinstance(e, Const):
+        raise ConstantExpression(f"expression is the constant {e.value}")
+    return e
 
 
 def lower(e, n: int) -> Codelist:
@@ -382,14 +357,8 @@ def eval_expr(e, x) -> float:
         return e.value
     if isinstance(e, Add):
         return eval_expr(e.left, x) + eval_expr(e.right, x)
-    if isinstance(e, Sub):
-        return eval_expr(e.left, x) - eval_expr(e.right, x)
     if isinstance(e, Mul):
         return eval_expr(e.left, x) * eval_expr(e.right, x)
-    if isinstance(e, Div):
-        return eval_expr(e.left, x) / eval_expr(e.right, x)
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, x)
     if isinstance(e, PowNat):
         return eval_expr(e.base, x) ** e.m
     if isinstance(e, Recip):

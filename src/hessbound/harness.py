@@ -112,16 +112,20 @@ def classify(tested: Interval, gersh: Interval, vertex: Interval,
 def codelist_value(cl: Codelist, x: Sequence[float]) -> float:
     """Evaluate the codelist at a real point through ``cl.point_function``.
 
-    Raises :class:`InvalidInterval` when a line overflows or the value is
-    not finite, and :class:`DomainViolation` (with the line number) when a
-    line leaves its domain, e.g. ``ln`` of a negative value.  The failing
-    line is the point function's traceback line, the operand value and the
-    first non-finite value are read from its frame's locals.
+    Raises :class:`LengthMismatch` when x does not have n components,
+    :class:`InvalidInterval` when a component is not a number, a line
+    overflows or the value is not finite, and :class:`DomainViolation` (with
+    the line number) when a line leaves its domain, e.g. ``ln`` of a
+    negative value.  The failing line is the point function's traceback
+    line, the operand value and the first non-finite value are read from
+    its frame's locals.
     """
+    if len(x) != cl.n:
+        raise LengthMismatch(f"point of length {len(x)} vs codelist of n={cl.n}")
     point = cl.point_function
     try:
         return point(x)
-    except (OverflowError, ValueError, ZeroDivisionError, FloatingPointError) as err:
+    except (OverflowError, ValueError, TypeError, ZeroDivisionError, FloatingPointError) as err:
         tb = err.__traceback__.tb_next  # the point function's own frame
         vals = tb.tb_frame.f_locals
         if isinstance(err, FloatingPointError):
@@ -131,8 +135,8 @@ def codelist_value(cl: Codelist, x: Sequence[float]) -> float:
                                   f"{cl.lines[k - 1].op} at codelist line {k}") from None
         k = tb.tb_lineno - 1  # source line 1 is the def line
         line = cl.lines[k - 1]
-        if line.op == "var":  # x itself is malformed, e.g. float("a")
-            raise
+        if line.op == "var":  # float() of the component failed
+            raise InvalidInterval(f"point component {k} is {x[k - 1]!r}, not a number") from None
         arg = vals[f"v{line.i}"]
         if isinstance(err, OverflowError):
             raise InvalidInterval(f"{line.op} overflow on {arg!r} at codelist line {k}") from None
@@ -147,18 +151,23 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
     -0.5 * lam_lo * sum_i (lo_i - x_i)(hi_i - x_i) when the guaranteed
     smallest Hessian eigenvalue lam_lo over the box is negative; the shift
     vanishes at every vertex and is nonnegative inside the box.  Raises
-    :class:`InvalidInterval` when the shifted value is not finite.
+    :class:`InvalidInterval` when a component of x is not a number or the
+    shifted value is not finite.
     """
     if len(x) != len(box):
         raise LengthMismatch(f"point of length {len(x)} vs box of length {len(box)}")
     # containment and the sum of (lo_i - x_i)(hi_i - x_i), in one left-to-right
     # loop of plain float additions (sum() is compensated from Python 3.12)
     s = 0.0
-    for d, xi in zip(box.dims, x):
-        lo, hi = d.lo, d.hi
-        if not lo - 1e-12 <= xi <= hi + 1e-12:
-            raise PointOutsideBox(f"{tuple(x)} is not in {box}")
-        s += (lo - xi) * (hi - xi)
+    try:
+        for d, xi in zip(box.dims, x):
+            lo, hi = d.lo, d.hi
+            if not lo - 1e-12 <= xi <= hi + 1e-12:
+                raise PointOutsideBox(f"{tuple(x)} is not in {box}")
+            s += (lo - xi) * (hi - xi)
+    except TypeError:  # xi is the first component that is not a number
+        k = next(k for k, v in enumerate(x, start=1) if v is xi)
+        raise InvalidInterval(f"point component {k} is {xi!r}, not a number") from None
     if lam_lo is None:
         lam_lo = eval_improved(cl, box).eigen.lo
     val = codelist_value(cl, x)
@@ -270,8 +279,10 @@ def write_corpus(directory: str, entries: Iterable[CorpusEntry]) -> None:
 
 # -- seeded random function generation ------------------------------------
 
-def random_function(n: int, seed: int, extra_ops: int = 3,
-                    require_mul: bool = False) -> CorpusEntry:
+_EXTRA_OPS = 3  # a generated function's step budget beyond one step per variable
+
+
+def random_function(n: int, seed: int, *, require_mul: bool = False) -> CorpusEntry:
     """Generate one random, domain-safe function of n variables.
 
     Builds the expression bottom-up from the variable pool, guarding every
@@ -316,7 +327,7 @@ def random_function(n: int, seed: int, extra_ops: int = 3,
         return f"{c}*({expr})", iv.scale(c)
 
     steps = 0
-    budget = extra_ops + len(pool)
+    budget = _EXTRA_OPS + len(pool)
     while len(pool) > 1 or steps < budget:
         steps += 1
         if steps > 10 * budget:
@@ -373,19 +384,15 @@ class CompareResult:
 
 
 def run_compare(entries: Sequence[CorpusEntry], boxes_per_function: int = 100,
-                seed: int = 0, eps: float = DEFAULT_EPS,
-                methods: Sequence[str] = ("original", "improved")) -> CompareResult:
-    """Classify each method against the references on sampled sub-boxes.
+                seed: int = 0, eps: float = DEFAULT_EPS) -> CompareResult:
+    """Classify ``original`` and then ``improved`` against the references
+    on sampled sub-boxes.
 
     Boxes that make the function leave its domain (or a reference method
     fail) are skipped with a reason; everything else is deterministic in
-    (entries order, seed).  A method other than ``original`` and
-    ``improved`` raises ValueError before any work is done.
+    (entries order, seed).
     """
     evaluators = {"original": eval_original, "improved": eval_improved}
-    for method in methods:
-        if method not in evaluators:
-            raise ValueError(f"unknown method {method!r}")
     result = CompareResult(eps=eps, seed=seed, boxes_per_function=boxes_per_function)
     for entry in entries:
         cl = entry.compile()
@@ -395,8 +402,8 @@ def run_compare(entries: Sequence[CorpusEntry], boxes_per_function: int = 100,
                 enc = interval_hessian(cl, box)
                 gersh = gershgorin_bounds(enc)
                 vertex = hertz_rohn_bounds(enc)
-                for method in methods:
-                    tested = evaluators[method](cl, box).eigen
+                for method, evaluate in evaluators.items():
+                    tested = evaluate(cl, box).eigen
                     low, up = classify(tested, gersh, vertex, eps)
                     result.records.append(CompareRecord(
                         entry.name, entry.n, idx, method, low, up))

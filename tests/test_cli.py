@@ -115,6 +115,13 @@ def test_underestimate_json(capsys):
     assert abs(data["value"]) < 1e-12
 
 
+def test_underestimate_malformed_point_names_its_component(capsys):
+    code, out, err = run(capsys, "underestimate", "--inline", "x1*x2",
+                         "--vars", "2", "--box", "0,1;0,1", "--at", "a,1")
+    assert code == 2 and out == ""
+    assert err == "error: point component 1 is 'a', expected a number\n"
+
+
 def test_underestimate_point_outside(capsys):
     code, _, err = run(capsys, "underestimate", "--inline", "x1*x2",
                        "--vars", "2", "--box", "0,1;0,1", "--at", "2,2")
@@ -126,6 +133,14 @@ def test_eval_overflow_is_clean_error(capsys):
                          "--box", "1e200,1e201")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_eval_overflowing_constant_fold_is_clean_error(capsys):
+    code, out, err = run(capsys, "eval", "--inline", "2^2000*x1", "--vars", "1",
+                         "--box", "0,1")
+    assert code == 2 and out == ""
+    assert err == ("error: syntax error at position 0: "
+                   "constant fold of PowNat at 2.0 with m = 2000 is undefined\n")
 
 
 # -- convexity ------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Parsing, normalization and lowering to codelists."""
 
+import json
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +22,9 @@ from hessbound import (
 from hessbound.expressions import (
     Add,
     AddConst,
+    Const,
     Exp,
+    Ln,
     Mul,
     MulByConst,
     PowNat,
@@ -105,6 +110,31 @@ def test_normalize_idempotent():
         assert normalize(e) == e
 
 
+@pytest.mark.parametrize("src,message", [
+    ("x1/0", "division by a literal zero"),
+    ("ln(0)+x1", "constant fold of Ln at 0.0 is undefined"),
+    ("sqrt(-1)*x1", "constant fold of Sqrt at -1.0 is undefined"),
+    ("exp(1000)*x1", "constant fold of Exp at 1000.0 is undefined"),
+    ("(1e200)^2*x1", "constant fold of PowNat at 1e+200 with m = 2 is undefined"),
+    ("-(2^1100)+x1", "constant fold of PowNat at 2.0 with m = 1100 is undefined"),
+])
+def test_undefined_constant_fold_is_a_syntax_error(src, message):
+    with pytest.raises(ExpressionSyntaxError) as info:
+        compile_expression(src, 1)
+    assert str(info.value) == f"syntax error at position 0: {message}"
+
+
+@pytest.mark.parametrize("src,n,error", [
+    ("ln(0) + x1 +", 1, "syntax error at position 12: expected an atom"),
+    ("1/0 + x3", 2, "x3 with n=2"),
+    ("sqrt(-1)*x1 + ln(0)", 1, "syntax error at position 0: constant fold of Sqrt at -1.0 is undefined"),
+    ("(1/0)^0 + x1", 1, "syntax error at position 0: division by a literal zero"),
+])
+def test_a_syntax_error_wins_over_an_earlier_fold_and_the_first_fold_wins(src, n, error):
+    with pytest.raises((ExpressionSyntaxError, UnknownVariable), match=re.escape(error)):
+        parse(src, n)
+
+
 # -- lowering -------------------------------------------------------------
 
 def test_lower_shape():
@@ -135,6 +165,8 @@ SOURCES = [
     "1/(x1 + x2) - x3^3",
     "-2.5*x1 + x2/x1",
     "exp(x1*x2) + sqrt(x3 + 1)",
+    "x2^0*x1 - x3/x2^1",
+    "-(x1 - 2)^1/(x2^0 + x3)",
 ]
 
 
@@ -166,3 +198,30 @@ def test_random_polynomials_round_trip(seed):
     expected = sum(float(t.split("*", 1)[0]) * x[int(t.split("x")[1][0]) - 1] ** int(t.rsplit("^", 1)[1])
                    for t in src.split(" + "))
     assert math.isclose(codelist_value(cl, x), expected, rel_tol=1e-9, abs_tol=1e-9)
+
+
+# -- the parsed tree is in the closed alphabet ----------------------------
+
+CLOSED_ALPHABET = (Var, Add, Mul, PowNat, Recip, Sqrt, Exp, Ln, AddConst, MulByConst)
+
+
+def children(e):
+    if isinstance(e, (Add, Mul)):
+        return (e.left, e.right)
+    if isinstance(e, PowNat):
+        return (e.base,)
+    if isinstance(e, Var):
+        return ()
+    return (e.arg,)
+
+
+def test_parse_builds_only_closed_alphabet_nodes():
+    data = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    cases = [(src, 3) for src in SOURCES] + sorted({(c["source"], c["n"]) for c in data})
+    for src, n in cases:
+        stack = [parse(src, n)]
+        while stack:
+            e = stack.pop()
+            assert isinstance(e, CLOSED_ALPHABET), (src, e)  # no Const below the root either
+            assert not isinstance(e, PowNat) or e.m >= 2, (src, e)
+            stack.extend(children(e))

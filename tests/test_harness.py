@@ -13,6 +13,7 @@ from hessbound import (
     DomainViolation,
     Interval,
     InvalidInterval,
+    LengthMismatch,
     PointOutsideBox,
     compile_expression,
     eval_improved,
@@ -273,9 +274,26 @@ def test_codelist_value_names_a_deep_pow_overflow():
 
 
 def test_codelist_value_reraises_a_malformed_point():
+    # a component float() rejects comes back as a library error naming it
     cl = compile_expression("x1 * x2", 2)
-    with pytest.raises(ValueError, match="could not convert string to float"):
+    with pytest.raises(InvalidInterval, match=r"^point component 2 is 'a', not a number$"):
         codelist_value(cl, (1.0, "a"))
+    with pytest.raises(InvalidInterval, match=r"^point component 2 is None, not a number$"):
+        codelist_value(cl, (1.0, None))
+
+
+@pytest.mark.parametrize("x", [(1.0,), (1.0, 2.0, 3.0)])
+def test_codelist_value_rejects_a_point_of_the_wrong_length(x):
+    cl = compile_expression("x1 * x2", 2)
+    with pytest.raises(LengthMismatch, match=f"point of length {len(x)} vs codelist of n=2"):
+        codelist_value(cl, x)
+
+
+def test_alpha_bb_names_a_malformed_point_component():
+    cl = compile_expression("x1 * x2", 2)
+    box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
+    with pytest.raises(InvalidInterval, match=r"^point component 2 is 'a', not a number$"):
+        alpha_bb_eval(cl, box, (0.5, "a"), -1.0)
 
 
 # -- box sampling ---------------------------------------------------------
@@ -377,12 +395,6 @@ def test_report_table_renders(small_result):
 def test_report_unknown_format(small_result):
     with pytest.raises(ValueError):
         emit_report(small_result, "yaml")
-
-
-def test_run_compare_rejects_an_unknown_method_up_front():
-    entries = [random_function(2, seed=61)]
-    with pytest.raises(ValueError, match="unknown method 'foo'"):
-        run_compare(entries, boxes_per_function=2, seed=4, methods=("improved", "foo"))
 
 
 @pytest.mark.parametrize("text,match", [

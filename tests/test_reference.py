@@ -345,9 +345,9 @@ def test_hertz_rohn_endpoints_attained_at_vertices():
         assert abs(hr.lo - lo) < 1e-9 and abs(hr.hi - hi) < 1e-9
 
 
-# -- Jacobi eigensolver ---------------------------------------------------
+# -- sym_eigen_range (LAPACK) ---------------------------------------------
 
-def test_jacobi_2x2_characteristic_polynomial():
+def test_sym_eigen_range_2x2_characteristic_polynomial():
     # [[a, c], [c, b]] has eigenvalues (a+b)/2 -+ sqrt(((a-b)/2)^2 + c^2)
     a, b, c = 1.0, -2.0, 0.75
     r = sym_eigen_range(np.array([[a, c], [c, b]]))
@@ -357,14 +357,14 @@ def test_jacobi_2x2_characteristic_polynomial():
     assert abs(r.hi - (half + disc)) < 1e-10
 
 
-def test_jacobi_3x3_known_spectrum():
+def test_sym_eigen_range_3x3_known_spectrum():
     # circulant-like matrix with spectrum {0, 3, 3} after shift: use
     # ones(3) which has eigenvalues {0, 0, 3}
     r = sym_eigen_range(np.ones((3, 3)))
     assert abs(r.lo) < 1e-10 and abs(r.hi - 3) < 1e-10
 
 
-def test_jacobi_matches_numpy_randomized():
+def test_sym_eigen_range_matches_numpy_randomized():
     rng = np.random.default_rng(23)
     for _ in range(40):
         n = int(rng.integers(1, 9))
@@ -376,6 +376,6 @@ def test_jacobi_matches_numpy_randomized():
         assert abs(r.lo - w[0]) < tol and abs(r.hi - w[-1]) < tol
 
 
-def test_jacobi_rejects_asymmetric():
+def test_sym_eigen_range_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         sym_eigen_range(np.array([[0.0, 1.0], [0.0, 0.0]]))
