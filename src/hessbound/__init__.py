@@ -33,7 +33,7 @@ from .errors import (
     PointOutsideBox,
     UnknownVariable,
 )
-from .expressions import compile_expression, eval_expr, lower, normalize, parse
+from .expressions import compile_expression
 from .interval import (
     Box,
     Interval,
@@ -54,7 +54,7 @@ __all__ = [
     "Interval", "Box", "ZERO", "ONE", "point", "hull",
     "lambda_s", "lambda_t", "lambda_r", "lambda_star", "zero_widen",
     "Line", "Codelist",
-    "parse", "normalize", "lower", "compile_expression", "eval_expr",
+    "compile_expression",
     "EvalResult", "LineState", "eval_original", "eval_improved",
     "trace_original", "trace_improved", "lift_reduced",
     "HessboundError", "InvalidInterval", "DomainViolation", "EmptySlice",

@@ -137,9 +137,7 @@ class _Evaluator:
             try:
                 self._step(k, line, lam_rule)
             except DomainViolation as err:
-                if err.line is None:
-                    raise DomainViolation(err.kind, err.interval, line=k) from None
-                raise
+                raise DomainViolation(err.kind, err.interval, line=k) from None
         return self
 
     def _step(self, k: int, line, lam_rule) -> None:

@@ -1,96 +1,43 @@
-"""Expression parsing and lowering to the straight-line codelist IR.
+"""Expression parsing straight into the straight-line codelist IR.
 
 The textual grammar accepts subtraction, division, unary minus and numeric
-literals for convenience.  The parser builds every node through a builder
-that writes them in the closed operation alphabet
+literals for convenience.  The parser appends one codelist line per
+operation as it reads the source, in the closed operation alphabet
 
     var, add, mul, powNat (m >= 2), oneOver, sqrt, exp, ln, addC, mulByC
 
 and folds constant operands as it goes, so the rest of the package only
-ever sees these ten operations: ``x - y`` is ``x + (-1)*y``, ``x / y`` is
-``x * oneOver(y)``, and a ``Const`` node can only be a whole tree, which
-:func:`normalize` rejects.
+ever sees these ten operations: ``x - y`` is ``x + (-1)*y`` and ``x / y``
+is ``x * oneOver(y)``.  There is no expression tree: every parsed operand
+is either the number of the line that computes it or a folded constant.
+
+A new unary operation (e.g. ``sin``) needs one ``_FUNCTIONS`` entry here,
+its ``UNARY_RULES`` row and ``_POINT_EXPR`` template in
+:mod:`hessbound.codelist`, and its float rule in ``reference._POINT_RULES``
+(plus a ``reference._POINT_DOMAINS`` entry if its domain is restricted).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .codelist import Codelist, Line
 from .errors import ConstantExpression, ExpressionSyntaxError, UnknownVariable
 
-__all__ = [
-    "Var", "Const", "Add", "Mul", "PowNat",
-    "Recip", "Sqrt", "Exp", "Ln", "AddConst", "MulByConst",
-    "parse", "normalize", "lower", "compile_expression", "eval_expr",
-]
+__all__ = ["compile_expression"]
 
+# function name -> (codelist op, its fold on a constant argument, the name
+# an undefined fold reports)
+_FUNCTIONS = {
+    "sqrt": ("sqrt", math.sqrt, "Sqrt"),
+    "exp": ("exp", math.exp, "Exp"),
+    "ln": ("ln", math.log, "Ln"),
+}
 
-# -- AST node kinds ------------------------------------------------------
-
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class PowNat:
-    base: object
-    m: int
-
-
-@dataclass(frozen=True)
-class Recip:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Sqrt:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Exp:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Ln:
-    arg: object
-
-
-@dataclass(frozen=True)
-class AddConst:
-    arg: object
-    c: float
-
-
-@dataclass(frozen=True)
-class MulByConst:
-    arg: object
-    c: float
-
-
-# function name -> (node kind, its fold on a constant argument)
-_FUNCTIONS = {"sqrt": (Sqrt, math.sqrt), "exp": (Exp, math.exp), "ln": (Ln, math.log)}
+# Deepest nesting of parentheses and function calls.  Each level costs four
+# parser frames, so this stays well inside Python's default recursion limit
+# of 1000 with room for the caller's frames.
+MAX_NESTING = 150
 
 
 class _Parser:
@@ -98,17 +45,20 @@ class _Parser:
 
     Precedence (loosest to tightest): + - ; * / ; unary - ; ^ .
 
-    Nodes are built in post-order, left to right, through the builders at
-    the end of the class.  A constant fold that is undefined (``1/0``,
-    ``ln(0)``, an overflow) is not raised where it happens: the first one is
-    raised once the whole source has parsed, so a syntax error anywhere in
-    the source is reported before it.
+    Operations are emitted in post-order, left to right, through the
+    builders at the end of the class; an operand is the ``int`` number of
+    its line or a ``float`` constant.  A constant fold that is undefined
+    (``1/0``, ``ln(0)``, an overflow) is not raised where it happens: the
+    first one is raised once the whole source has parsed, so a syntax error
+    anywhere in the source is reported before it.
     """
 
     def __init__(self, source: str, n: int):
         self.src = source
         self.n = n
         self.pos = 0
+        self.depth = 0  # open parentheses and calls
+        self.lines = [Line(op="var")] * n
         self.undefined = None  # the first undefined constant fold
 
     def error(self, message: str):
@@ -128,13 +78,13 @@ class _Parser:
         self.pos += 1
 
     def parse(self):
-        expr = self.expr()
+        operand = self.expr()
         self.skip_ws()
         if self.pos != len(self.src):
             self.error("trailing input")
         if self.undefined is not None:
             raise self.undefined
-        return expr
+        return operand
 
     def expr(self):
         node = self.term()
@@ -155,16 +105,19 @@ class _Parser:
         return node
 
     def factor(self):
-        if self.peek() == "-":
+        negations = 0
+        while self.peek() == "-":
             self.pos += 1
-            return self.neg(self.factor())
+            negations += 1
+        mark = len(self.lines)
         node = self.atom()
         if self.peek() == "^":
             self.pos += 1
             if self.peek() == "-":
                 self.error("exponent must be a natural number")
-            m = self.natural()
-            node = self.power(node, m)
+            node = self.power(node, self.natural(), mark)
+        for _ in range(negations):
+            node = self.neg(node)
         return node
 
     def natural(self) -> int:
@@ -179,30 +132,36 @@ class _Parser:
     def atom(self):
         ch = self.peek()
         if ch == "(":
-            self.pos += 1
-            node = self.expr()
-            self.eat(")")
-            return node
+            return self.group()
         if ch.isalpha():
             start = self.pos
             while self.pos < len(self.src) and self.src[self.pos].isalnum():
                 self.pos += 1
             name = self.src[start:self.pos]
             if name in _FUNCTIONS:
-                self.eat("(")
-                node = self.expr()
-                self.eat(")")
-                return self.call(*_FUNCTIONS[name], node)
+                return self.call(*_FUNCTIONS[name], self.group())
             if name.startswith("x") and name[1:].isdigit():
                 index = int(name[1:])
                 if not 1 <= index <= self.n:
                     raise UnknownVariable(f"{name} with n={self.n}")
-                return Var(index)
+                return index
             self.pos = start
             self.error(f"unknown identifier {name!r}")
         if ch.isdigit() or ch == ".":
-            return Const(self.number())
+            return self.number()
         self.error("expected an atom")
+
+    def group(self):
+        """``( expr )``, raising at the ``(`` that opens one level too many."""
+        self.eat("(")
+        if self.depth == MAX_NESTING:
+            raise ExpressionSyntaxError(
+                self.pos - 1, f"parentheses and calls nested deeper than {MAX_NESTING}")
+        self.depth += 1
+        node = self.expr()
+        self.eat(")")
+        self.depth -= 1
+        return node
 
     def number(self) -> float:
         self.skip_ws()
@@ -224,153 +183,77 @@ class _Parser:
         except ValueError:
             self.error(f"bad number literal {self.src[start:self.pos]!r}")
 
-    # -- node builders: each returns its node in the closed alphabet, with
-    # constant operands folded (a Const never sits below the root)
+    # -- builders: each emits its operation as one codelist line and returns
+    # the line's number, or folds constant operands into a float
 
-    def fail(self, message: str) -> Const:
+    def emit(self, op: str, i: int, j=None, c=None, m=None) -> int:
+        self.lines.append(Line(op, i, j, c, m))
+        return len(self.lines)
+
+    def fail(self, message: str) -> float:
         """Remember an undefined fold; its NaN placeholder folds on silently."""
         if self.undefined is None:
             self.undefined = ExpressionSyntaxError(0, message)
-        return Const(math.nan)
+        return math.nan
 
-    @staticmethod
-    def add(l, r):
-        if isinstance(r, Const):
-            return Const(l.value + r.value) if isinstance(l, Const) else AddConst(l, r.value)
-        return AddConst(r, l.value) if isinstance(l, Const) else Add(l, r)
+    def add(self, l, r):
+        if isinstance(r, float):
+            return l + r if isinstance(l, float) else self.emit("addC", l, c=r)
+        return self.emit("addC", r, c=l) if isinstance(l, float) else self.emit("add", l, r)
 
-    @staticmethod
-    def mul(l, r):
-        if isinstance(r, Const):
-            return Const(l.value * r.value) if isinstance(l, Const) else MulByConst(l, r.value)
-        return MulByConst(r, l.value) if isinstance(l, Const) else Mul(l, r)
+    def mul(self, l, r):
+        if isinstance(r, float):
+            return l * r if isinstance(l, float) else self.emit("mulByC", l, c=r)
+        return self.emit("mulByC", r, c=l) if isinstance(l, float) else self.emit("mul", l, r)
 
-    @staticmethod
-    def neg(a):
-        return Const(-a.value) if isinstance(a, Const) else MulByConst(a, -1.0)
+    def neg(self, a):
+        return -a if isinstance(a, float) else self.emit("mulByC", a, c=-1.0)
 
     def recip(self, a):
-        if not isinstance(a, Const):
-            return Recip(a)
-        if a.value == 0:
+        if not isinstance(a, float):
+            return self.emit("oneOver", a)
+        if a == 0:
             return self.fail("division by a literal zero")
-        return Const(1.0 / a.value)
+        return 1.0 / a
 
-    def power(self, base, m: int):
+    def power(self, base, m: int, mark: int):
+        """``base^m``; the lines from ``mark`` on compute ``base``."""
         if m == 0:
-            return Const(1.0)
+            del self.lines[mark:]
+            return 1.0
         if m == 1:
             return base
-        if not isinstance(base, Const):
-            return PowNat(base, m)
+        if not isinstance(base, float):
+            return self.emit("powNat", base, m=m)
         try:
-            return Const(base.value ** m)
+            return base ** m
         except OverflowError:
-            return self.fail(f"constant fold of PowNat at {base.value} with m = {m} is undefined")
+            return self.fail(f"constant fold of PowNat at {base} with m = {m} is undefined")
 
-    def call(self, kind, fold, a):
-        if not isinstance(a, Const):
-            return kind(a)
+    def call(self, op: str, fold, label: str, a):
+        if not isinstance(a, float):
+            return self.emit(op, a)
         try:
-            return Const(fold(a.value))
+            return fold(a)
         except (ValueError, OverflowError):
-            return self.fail(f"constant fold of {kind.__name__} at {a.value} is undefined")
-
-
-def parse(source: str, n: int):
-    """Parse ``source`` into a tree over variables x1..xn.
-
-    The tree is already in the closed operation alphabet with its constants
-    folded.  Raises :class:`ExpressionSyntaxError` for bad text or a constant
-    fold that is undefined, and :class:`UnknownVariable` for a variable
-    outside x1..xn.
-    """
-    return _Parser(source, n).parse()
-
-
-def normalize(e):
-    """Check that a parsed tree depends on a variable, and return it.
-
-    :func:`parse` builds the tree in the closed operation alphabet already;
-    what is left is to raise :class:`ConstantExpression` when the whole
-    expression folded to a constant, since every codelist line must trace
-    back to a variable.
-    """
-    if isinstance(e, Const):
-        raise ConstantExpression(f"expression is the constant {e.value}")
-    return e
-
-
-def lower(e, n: int) -> Codelist:
-    """Lower a normalized AST to a codelist with n leading var lines.
-
-    Emits one line per AST node in post-order; no common subexpressions are
-    merged, so the mapping from nodes to lines is one-to-one.
-    """
-    lines = [Line(op="var") for _ in range(n)]
-
-    def emit(node) -> int:
-        if isinstance(node, Var):
-            return node.index
-        if isinstance(node, Add):
-            i, j = emit(node.left), emit(node.right)
-            lines.append(Line(op="add", i=i, j=j))
-        elif isinstance(node, Mul):
-            i, j = emit(node.left), emit(node.right)
-            lines.append(Line(op="mul", i=i, j=j))
-        elif isinstance(node, PowNat):
-            i = emit(node.base)
-            lines.append(Line(op="powNat", i=i, m=node.m))
-        elif isinstance(node, Recip):
-            lines.append(Line(op="oneOver", i=emit(node.arg)))
-        elif isinstance(node, Sqrt):
-            lines.append(Line(op="sqrt", i=emit(node.arg)))
-        elif isinstance(node, Exp):
-            lines.append(Line(op="exp", i=emit(node.arg)))
-        elif isinstance(node, Ln):
-            lines.append(Line(op="ln", i=emit(node.arg)))
-        elif isinstance(node, AddConst):
-            lines.append(Line(op="addC", i=emit(node.arg), c=node.c))
-        elif isinstance(node, MulByConst):
-            lines.append(Line(op="mulByC", i=emit(node.arg), c=node.c))
-        else:
-            raise TypeError(f"node {node!r} is outside the lowered alphabet")
-        return len(lines)
-
-    root = emit(e)
-    if root != len(lines):
-        # bare-variable root with n > 1: the result must sit on the last line
-        lines.append(Line(op="mulByC", i=root, c=1.0))
-    return Codelist(n=n, lines=tuple(lines))
+            return self.fail(f"constant fold of {label} at {a} is undefined")
 
 
 def compile_expression(source: str, n: int) -> Codelist:
-    """parse + normalize + lower in one call; the codelist comes back analysed."""
-    return lower(normalize(parse(source, n)), n)
+    """Parse ``source`` over variables x1..xn into an analysed codelist.
 
-
-def eval_expr(e, x) -> float:
-    """Evaluate an AST at a real point (1-based variables)."""
-    if isinstance(e, Var):
-        return float(x[e.index - 1])
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Add):
-        return eval_expr(e.left, x) + eval_expr(e.right, x)
-    if isinstance(e, Mul):
-        return eval_expr(e.left, x) * eval_expr(e.right, x)
-    if isinstance(e, PowNat):
-        return eval_expr(e.base, x) ** e.m
-    if isinstance(e, Recip):
-        return 1.0 / eval_expr(e.arg, x)
-    if isinstance(e, Sqrt):
-        return math.sqrt(eval_expr(e.arg, x))
-    if isinstance(e, Exp):
-        return math.exp(eval_expr(e.arg, x))
-    if isinstance(e, Ln):
-        return math.log(eval_expr(e.arg, x))
-    if isinstance(e, AddConst):
-        return eval_expr(e.arg, x) + e.c
-    if isinstance(e, MulByConst):
-        return eval_expr(e.arg, x) * e.c
-    raise TypeError(f"unknown node {e!r}")
+    Raises :class:`ExpressionSyntaxError` for bad text, nesting deeper than
+    :data:`MAX_NESTING` or a constant fold that is undefined,
+    :class:`UnknownVariable` for a variable outside x1..xn and
+    :class:`ConstantExpression` when the whole expression folds to a
+    constant, since every codelist line must trace back to a variable.
+    No common subexpressions are merged.
+    """
+    parser = _Parser(source, n)
+    root = parser.parse()
+    if isinstance(root, float):
+        raise ConstantExpression(f"expression is the constant {root}")
+    if root != len(parser.lines):
+        # bare-variable root with n > 1: the result must sit on the last line
+        parser.emit("mulByC", root, c=1.0)
+    return Codelist(n=n, lines=tuple(parser.lines))

@@ -206,9 +206,7 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
                     if ref is not None and last_read[ref - 1] == k:
                         ms[ref - 1] = None
             except DomainViolation as err:
-                if err.line is None:
-                    raise DomainViolation(err.kind, err.interval, line=k) from None
-                raise
+                raise DomainViolation(err.kind, err.interval, line=k) from None
     lo, hi = stack(len(cl.lines))[:, 1:]
     # symmetrize away last-bit rounding asymmetry between mirrored entries
     lo = np.minimum(lo, lo.T)

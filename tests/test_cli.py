@@ -76,6 +76,15 @@ def test_eval_malformed_box_number_names_its_component(capsys):
     assert err == "error: box component 1 is 'a,1', expected the form lo,hi\n"
 
 
+@pytest.mark.parametrize("opening", ["(", "exp("])
+def test_eval_nesting_too_deep_is_one_error_line(capsys, opening):
+    code, out, err = run(capsys, "eval", "--inline", opening * 400 + "x1" + ")" * 400,
+                         "--vars", "1", "--box", "0,1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: syntax error at position ")
+    assert "nested deeper than" in err
+
+
 def test_eval_domain_error_reported(capsys):
     code, _, err = run(capsys, "eval", "--inline", "ln(x1)", "--vars", "1",
                        "--box=-1,1")

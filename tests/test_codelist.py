@@ -35,9 +35,11 @@ from hessbound.codelist import (
     WIDENED,
     WIDENED_HULL,
     WIDENED_SUM,
+    _POINT_EXPR,
 )
+from hessbound.expressions import _FUNCTIONS
 from hessbound.harness import codelist_value, random_function
-from hessbound.reference import interval_hessian
+from hessbound.reference import _POINT_RULES, interval_hessian
 
 
 def test_validate_rejects_structural_errors():
@@ -243,6 +245,10 @@ CLOSED_FORMS = [
 def test_rule_table_defines_the_unary_vocabulary():
     assert {line.op for line, _, _ in CLOSED_FORMS} == set(UNARY_RULES) == UNARY_OPS
     assert AFFINE_OPS == {"addC", "mulByC"}
+    # a unary op is usable only with all of these: a parser name, a point
+    # template and the oracle's float rule
+    assert {op for op, _, _ in _FUNCTIONS.values()} <= UNARY_OPS
+    assert UNARY_OPS <= set(_POINT_EXPR) and UNARY_OPS <= set(_POINT_RULES)
 
 
 @pytest.mark.parametrize("line,closed,xs", CLOSED_FORMS,

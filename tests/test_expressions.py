@@ -1,4 +1,4 @@
-"""Parsing, normalization and lowering to codelists."""
+"""Parsing expression text straight into codelist lines."""
 
 import json
 import math
@@ -10,104 +10,87 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hessbound import (
+    Box,
     ConstantExpression,
     ExpressionSyntaxError,
+    HessboundError,
+    Line,
     UnknownVariable,
     compile_expression,
-    eval_expr,
-    lower,
-    normalize,
-    parse,
+    eval_improved,
+    eval_original,
 )
-from hessbound.expressions import (
-    Add,
-    AddConst,
-    Const,
-    Exp,
-    Ln,
-    Mul,
-    MulByConst,
-    PowNat,
-    Recip,
-    Sqrt,
-    Var,
-)
+from hessbound.expressions import MAX_NESTING
 from hessbound.harness import codelist_value
+from hessbound.reference import interval_hessian
+
+def ops(src, n):
+    """The codelist of ``src`` after its var lines."""
+    return compile_expression(src, n).lines[n:]
 
 
 # -- parsing --------------------------------------------------------------
 
 def test_parse_precedence():
     # a + b*c parses multiplication tighter than addition
-    e = normalize(parse("x1 + x2*x3", 3))
-    assert isinstance(e, Add)
-    assert isinstance(e.right, Mul)
+    assert ops("x1 + x2*x3", 3) == (Line("mul", 2, 3), Line("add", 1, 4))
 
 
 def test_parse_power_tightest():
-    e = normalize(parse("2*x1^2", 1))
-    assert isinstance(e, MulByConst)
-    assert isinstance(e.arg, PowNat)
+    assert ops("2*x1^2", 1) == (Line("powNat", 1, m=2), Line("mulByC", 2, c=2.0))
 
 
 def test_parse_function_calls():
-    e = normalize(parse("sqrt(exp(x1))", 1))
-    assert isinstance(e, Sqrt)
-    assert isinstance(e.arg, Exp)
+    assert ops("sqrt(exp(x1))", 1) == (Line("exp", 1), Line("sqrt", 2))
 
 
 def test_parse_unknown_variable():
     with pytest.raises(UnknownVariable):
-        parse("x3", 2)
+        compile_expression("x3", 2)
 
 
 def test_parse_syntax_errors():
     for bad in ["x1 +", "(x1", "x1 ^ -2", "x1 @ x2", "foo(x1)", ""]:
         with pytest.raises(ExpressionSyntaxError):
-            parse(bad, 2)
+            compile_expression(bad, 2)
 
 
 def test_parse_numbers():
-    e = normalize(parse("x1 * 2.5e-1", 1))
-    assert isinstance(e, MulByConst) and e.c == 0.25
+    assert ops("x1 * 2.5e-1", 1) == (Line("mulByC", 1, c=0.25),)
 
 
-# -- normalization --------------------------------------------------------
+# -- the closed alphabet and constant folds -------------------------------
 
 def test_normalize_removes_sub_div_neg():
-    e = normalize(parse("x1 - x2", 2))
-    assert isinstance(e, Add) and isinstance(e.right, MulByConst) and e.right.c == -1.0
-    e = normalize(parse("x1 / x2", 2))
-    assert isinstance(e, Mul) and isinstance(e.right, Recip)
-    e = normalize(parse("-x1", 1))
-    assert isinstance(e, MulByConst) and e.c == -1.0
+    assert ops("x1 - x2", 2) == (Line("mulByC", 2, c=-1.0), Line("add", 1, 3))
+    assert ops("x1 / x2", 2) == (Line("oneOver", 2), Line("mul", 1, 3))
+    assert ops("-x1", 1) == (Line("mulByC", 1, c=-1.0),)
+    assert ops("--x1^2", 1) == (Line("powNat", 1, m=2), Line("mulByC", 2, c=-1.0),
+                                Line("mulByC", 3, c=-1.0))
 
 
 def test_normalize_folds_constants():
-    e = normalize(parse("x1 + 2*3", 1))
-    assert isinstance(e, AddConst) and e.c == 6.0
+    assert ops("x1 + 2*3", 1) == (Line("addC", 1, c=6.0),)
+    assert ops("(1 - 3)*x1 + 1/4", 1) == (Line("mulByC", 1, c=-2.0), Line("addC", 2, c=0.25))
 
 
 def test_normalize_pow_edge_cases():
-    assert isinstance(normalize(parse("x1^1", 1)), Var)
+    assert compile_expression("x1^1", 1).lines == (Line(op="var"),)
     with pytest.raises(ConstantExpression):
-        normalize(parse("x1^0", 1))
+        compile_expression("x1^0", 1)
+    # ^0 drops the lines its base emitted, and nothing before them
+    assert ops("x1*x2 + (sqrt(x1) + x2)^0*x3", 3) == (
+        Line("mul", 1, 2), Line("mulByC", 3, c=1.0), Line("add", 4, 5))
 
 
 def test_normalize_constant_expression_raises():
-    with pytest.raises(ConstantExpression):
-        normalize(parse("1 + 2", 1))
+    with pytest.raises(ConstantExpression, match=re.escape("expression is the constant 3.0")):
+        compile_expression("1 + 2", 1)
 
 
 def test_normalize_division_by_literal_zero():
     with pytest.raises(ExpressionSyntaxError):
-        normalize(parse("x1 / 0", 1))
-
-
-def test_normalize_idempotent():
-    for src in ["x1 - x2/x1", "-sqrt(x1)*ln(x2)", "x1^3 + 2"]:
-        e = normalize(parse(src, 2))
-        assert normalize(e) == e
+        compile_expression("x1 / 0", 1)
 
 
 @pytest.mark.parametrize("src,message", [
@@ -132,15 +115,47 @@ def test_undefined_constant_fold_is_a_syntax_error(src, message):
 ])
 def test_a_syntax_error_wins_over_an_earlier_fold_and_the_first_fold_wins(src, n, error):
     with pytest.raises((ExpressionSyntaxError, UnknownVariable), match=re.escape(error)):
-        parse(src, n)
+        compile_expression(src, n)
 
 
-# -- lowering -------------------------------------------------------------
+# -- nesting --------------------------------------------------------------
+
+@pytest.mark.parametrize("opening", ["(", "exp(", "sqrt( ", "ln("])
+def test_nesting_deeper_than_the_limit_is_a_syntax_error(opening):
+    def nested(depth):
+        return opening * depth + "x1 + 2" + ")" * depth
+
+    cl = compile_expression(nested(MAX_NESTING), 1)
+    assert len(cl.lines) == 1 + MAX_NESTING * (opening != "(") + 1
+    for depth in (MAX_NESTING + 1, 400, 5000):
+        with pytest.raises(ExpressionSyntaxError) as info:
+            compile_expression(nested(depth), 1)
+        # reported at the opening parenthesis of level MAX_NESTING + 1
+        position = MAX_NESTING * len(opening) + opening.index("(")
+        assert info.value.position == position
+        assert str(info.value) == (f"syntax error at position {position}: parentheses "
+                                   f"and calls nested deeper than {MAX_NESTING}")
+
+
+def test_long_sources_compile_and_evaluate_without_recursion():
+    src = " + ".join(f"x{1 + k % 3}*x{1 + (k + 1) % 3}" for k in range(3000))
+    cl = compile_expression(src, 3)
+    assert len(cl.lines) == 6002
+    box = Box.from_bounds([(0.5, 1.0), (1.0, 2.0), (-1.0, 1.0)])
+    for engine in (eval_original, eval_improved):
+        eigen = engine(cl, box).eigen  # the Hessian's spectrum is {-1000, 2000}
+        assert eigen.lo <= -1000.0 and eigen.hi >= 2000.0
+    assert codelist_value(cl, (1.0, 2.0, 3.0)) == 1000 * (2.0 + 6.0 + 3.0)
+    assert interval_hessian(cl, box).lo[0, 1] == 1000.0
+    minus = compile_expression("-" * 3001 + "x1", 1)
+    assert len(minus.lines) == 3002 and codelist_value(minus, (2.0,)) == -2.0
+
+
+# -- codelist shape -------------------------------------------------------
 
 def test_lower_shape():
     cl = compile_expression("x1^2 + x2^2", 2)
-    ops = [l.op for l in cl.lines]
-    assert ops == ["var", "var", "powNat", "powNat", "add"]
+    assert [l.op for l in cl.lines] == ["var", "var", "powNat", "powNat", "add"]
     assert cl.t == 3
 
 
@@ -152,8 +167,23 @@ def test_lower_last_line_is_result_even_for_bare_variable():
 
 def test_lower_no_subexpression_merging():
     # x1*x1 keeps two operand references but emits exactly one mul line
-    cl = lower(normalize(parse("(x1 + x2) * (x1 + x2)", 2)), 2)
+    cl = compile_expression("(x1 + x2) * (x1 + x2)", 2)
     assert [l.op for l in cl.lines].count("add") == 2
+
+
+def test_compile_matches_the_recorded_codelists():
+    """Every line (op, refs, constant as float.hex, exponent) or error (type
+    and message) as recorded from the earlier expression-tree front end."""
+    cases = json.loads((Path(__file__).parent / "data" / "codelist_seed.json").read_text())
+    assert len(cases) == 304
+    for case in cases:
+        try:
+            cl = compile_expression(case["source"], case["n"])
+        except HessboundError as err:
+            assert case.get("error") == [type(err).__name__, str(err)], case["source"]
+            continue
+        got = [[l.op, l.i, l.j, None if l.c is None else l.c.hex(), l.m] for l in cl.lines]
+        assert case.get("lines") == got, case["source"]
 
 
 # -- round-trip evaluation ------------------------------------------------
@@ -172,12 +202,15 @@ SOURCES = [
 
 @pytest.mark.parametrize("src", SOURCES)
 def test_codelist_matches_ast_evaluation(src):
-    rng = random.Random(hash(src) & 0xFFFF)
-    ast = normalize(parse(src, 3))
-    cl = lower(ast, 3)
+    # the oracle is Python's own parser: ^ is **, and - / * bind as in Python
+    code = compile(src.replace("^", "**"), src, "eval")
+    rng = random.Random(src)
+    cl = compile_expression(src, 3)
     for _ in range(50):
         x = [rng.uniform(0.5, 2.0) for _ in range(3)]
-        assert math.isclose(eval_expr(ast, x), codelist_value(cl, x), rel_tol=1e-12)
+        names = {"ln": math.log, "sqrt": math.sqrt, "exp": math.exp,
+                 "x1": x[0], "x2": x[1], "x3": x[2]}
+        assert math.isclose(eval(code, names), codelist_value(cl, x), rel_tol=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -198,30 +231,3 @@ def test_random_polynomials_round_trip(seed):
     expected = sum(float(t.split("*", 1)[0]) * x[int(t.split("x")[1][0]) - 1] ** int(t.rsplit("^", 1)[1])
                    for t in src.split(" + "))
     assert math.isclose(codelist_value(cl, x), expected, rel_tol=1e-9, abs_tol=1e-9)
-
-
-# -- the parsed tree is in the closed alphabet ----------------------------
-
-CLOSED_ALPHABET = (Var, Add, Mul, PowNat, Recip, Sqrt, Exp, Ln, AddConst, MulByConst)
-
-
-def children(e):
-    if isinstance(e, (Add, Mul)):
-        return (e.left, e.right)
-    if isinstance(e, PowNat):
-        return (e.base,)
-    if isinstance(e, Var):
-        return ()
-    return (e.arg,)
-
-
-def test_parse_builds_only_closed_alphabet_nodes():
-    data = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
-    cases = [(src, 3) for src in SOURCES] + sorted({(c["source"], c["n"]) for c in data})
-    for src, n in cases:
-        stack = [parse(src, n)]
-        while stack:
-            e = stack.pop()
-            assert isinstance(e, CLOSED_ALPHABET), (src, e)  # no Const below the root either
-            assert not isinstance(e, PowNat) or e.m >= 2, (src, e)
-            stack.extend(children(e))

@@ -241,6 +241,19 @@ def test_hessian_drops_each_line_after_its_last_reader():
 
 # -- point Hessians -------------------------------------------------------
 
+@pytest.mark.parametrize("src,kind,line", [
+    ("x2 + 1/x1", "recip", 3),
+    ("x2*ln(x1)", "ln", 3),
+    ("x2 + x1*sqrt(x1)", "sqrt", 3),
+])
+def test_point_hessians_name_the_line_of_a_sampled_domain_violation(src, kind, line):
+    cl = compile_expression(src, 2)
+    point_hessians(cl, [[1.0, 1.0], [0.5, 2.0]])  # inside the domain
+    with pytest.raises(DomainViolation) as info:
+        point_hessians(cl, [[1.0, 1.0], [0.0, 2.0]])
+    assert (info.value.kind, info.value.line) == (kind, line)
+
+
 def test_point_hessian_matches_analytic():
     cl = compile_expression("x1^2 + x2*exp(x2)", 2)
     H = point_hessian(cl, (0.3, 0.7))
