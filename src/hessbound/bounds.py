@@ -11,17 +11,20 @@ Two engines are provided:
   bounds enter each line, and how, is the line's ``Codelist.rules`` entry,
   chosen once when the codelist is built.
 
-Gradients are held sparsely (variable index -> interval) so that the
-operation count scales with the number of structurally nonzero entries.
-Every unary line takes its value, r' and curvature rules from
-:data:`hessbound.codelist.UNARY_RULES`; only ``add`` and ``mul`` values and
-gradients are written out here.
+Both engines are one walk over the codelist (:func:`_walk`) that
+propagates values and sparse gradients (variable index -> interval, so the
+work scales with the structurally nonzero entries) and calls the method's
+eigenvalue rule on each line.  Every unary line takes its value, r' and
+curvature rules from :data:`hessbound.codelist.UNARY_RULES`; only ``add``
+and ``mul`` values and gradients are written out here.  ``op_count`` is the
+paper's cost measure, ``Codelist.op_counts``: it is fixed when the codelist
+is built and the same on every box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from .codelist import UNARY_RULES, Codelist, term
 from .errors import DomainViolation, LengthMismatch
@@ -78,193 +81,134 @@ def lift_reduced(lam_dagger: Interval, linear_set, n: int) -> Interval:
     return zero_widen(lam_dagger)
 
 
-class _Evaluator:
-    """Shared value/gradient propagation with operation counting."""
+def _grad_add(a: SparseGrad, b: SparseGrad) -> SparseGrad:
+    out = dict(a)
+    for k, v in b.items():
+        u = out.get(k)
+        out[k] = v if u is None else _interval(u.lo + v.lo, u.hi + v.hi)  # u + v, inlined
+    return out
 
-    def __init__(self, cl: Codelist, box: Box):
-        if len(box) != cl.n:
-            raise LengthMismatch(f"box dimension {len(box)} != variable count {cl.n}")
-        self.cl = cl
-        self.box = box
-        self.n = cl.n
-        self.ys: List[Interval] = []
-        self.grads: List[SparseGrad] = []
-        self.lams: List[Interval] = []
-        self.ops = 0
 
-    # -- sparse gradient helpers -----------------------------------------
+def _grad_scale(g: SparseGrad, f: Interval) -> SparseGrad:
+    return dict(zip(g, mul_each(f, g.values())))
 
-    def _grad_add(self, a: SparseGrad, b: SparseGrad) -> SparseGrad:
-        out = dict(a)
-        for k, v in b.items():
-            u = out.get(k)
-            if u is None:
-                out[k] = v
-            else:  # u + v, without the operator frame
-                out[k] = _interval(u.lo + v.lo, u.hi + v.hi)
-                self.ops += 1
-        return out
 
-    def _grad_scale(self, g: SparseGrad, f: Interval) -> SparseGrad:
-        self.ops += len(g)
-        return dict(zip(g, mul_each(f, g.values())))
+def _full(g: SparseGrad, n: int) -> Box:
+    return Box(g.get(j, ZERO) for j in range(1, n + 1))
 
-    def _full(self, g: SparseGrad) -> Box:
-        return Box(g.get(j, ZERO) for j in range(1, self.n + 1))
 
-    def result(self, eigen: Interval, method: str) -> EvalResult:
-        return EvalResult(value=self.ys[-1], gradient=self._full(self.grads[-1]),
-                          eigen=eigen, method=method, op_count=self.ops)
+def _walk(cl: Codelist, box: Box, lam_rule) -> tuple:
+    """Lists of the values, sparse gradients and eigenvalue bounds of every line.
 
-    # The λ operators get the gradient components of the line's block (its
-    # ``Codelist.blocks`` entry, which is the union of the operands' gradient
-    # supports, ascending) plus the dimension they act on; the operation
-    # count charges that whole dimension, as the paper counts.
-
-    def _lambda_s(self, g: SparseGrad, block: Sequence[int], dim: int) -> Interval:
-        self.ops += max(dim, 1)
-        return lambda_s([g[j] for j in block], dim)
-
-    def _lambda_t(self, gi: SparseGrad, gj: SparseGrad, block: Sequence[int],
-                  dim: int) -> Interval:
-        self.ops += 2 * dim + 2
-        return lambda_t([gi.get(j, ZERO) for j in block], [gj.get(j, ZERO) for j in block], dim)
-
-    # -- value and gradient propagation ----------------------------------
-
-    def run(self, lam_rule) -> "_Evaluator":
-        for k, line in enumerate(self.cl.lines, start=1):
-            try:
-                self._step(k, line, lam_rule)
-            except DomainViolation as err:
-                raise DomainViolation(err.kind, err.interval, line=k) from None
-        return self
-
-    def _step(self, k: int, line, lam_rule) -> None:
-        op = line.op
-        if op == "var":
-            self.ys.append(self.box[k - 1])
-            self.grads.append({k: ONE})
-        elif op == "add":
-            yi, yj = self.ys[line.i - 1], self.ys[line.j - 1]
-            self.ys.append(yi + yj)
-            self.ops += 1
-            self.grads.append(self._grad_add(self.grads[line.i - 1], self.grads[line.j - 1]))
-        elif op == "mul":
-            yi, yj = self.ys[line.i - 1], self.ys[line.j - 1]
-            self.ys.append(yi * yj)
-            self.ops += 1
-            gi = self._grad_scale(self.grads[line.i - 1], yj)
-            gj = self._grad_scale(self.grads[line.j - 1], yi)
-            self.grads.append(self._grad_add(gi, gj))
-        else:
-            rule = UNARY_RULES[op]
-            yi = self.ys[line.i - 1]
-            yk = rule.value(yi, line)
-            self.ys.append(yk)
-            self.ops += rule.ops
-            gi = self.grads[line.i - 1]
-            if rule.first is None:
-                self.grads.append(dict(gi))
+    ``lam_rule(cl, k, line, ys, grads, lams)`` gives the bound of operation
+    line k from the lists so far, which already hold line k's value and
+    gradient.  A :class:`DomainViolation` is raised again with its line.
+    """
+    n = cl.n
+    if len(box) != n:
+        raise LengthMismatch(f"box dimension {len(box)} != variable count {n}")
+    ys, lams = list(box), [ZERO] * n
+    grads: List[SparseGrad] = [{k: ONE} for k in range(1, n + 1)]
+    try:
+        for k, line in enumerate(cl.lines[n:], start=n + 1):
+            yi, gi = ys[line.i - 1], grads[line.i - 1]
+            if line.op == "add":
+                ys.append(yi + ys[line.j - 1])
+                grads.append(_grad_add(gi, grads[line.j - 1]))
+            elif line.op == "mul":
+                yj = ys[line.j - 1]
+                ys.append(yi * yj)
+                grads.append(_grad_add(_grad_scale(gi, yj), _grad_scale(grads[line.j - 1], yi)))
             else:
-                self.grads.append(self._grad_scale(gi, rule.first(yi, yk, line)))
-        self.lams.append(lam_rule(self, k, line))
+                rule = UNARY_RULES[line.op]
+                yk = rule.value(yi, line)
+                ys.append(yk)
+                grads.append(dict(gi) if rule.first is None
+                             else _grad_scale(gi, rule.first(yi, yk, line)))
+            lams.append(lam_rule(cl, k, line, ys, grads, lams))
+    except DomainViolation as err:
+        raise DomainViolation(err.kind, err.interval, line=k) from None
+    return ys, grads, lams
 
 
-# -- eigenvalue rules, original method -----------------------------------
+# The λ operators get the gradient components on the line's ``Codelist.blocks``
+# entry (the operands' gradient supports, ascending) and the dimension they act on.
 
-def _lam_original(ev: _Evaluator, k: int, line) -> Interval:
-    op = line.op
-    if op == "var":
-        return ZERO
-    lam_i = ev.lams[line.i - 1]
-    yi = ev.ys[line.i - 1]
-    yk = ev.ys[k - 1]
-    if op == "add":
-        ev.ops += 1
-        return lam_i + ev.lams[line.j - 1]
-    # the gradient supports are the line's block, but λ acts on all n variables
-    block = ev.cl.blocks[k - 1]
-    if op == "mul":
-        yj = ev.ys[line.j - 1]
-        lam_j = ev.lams[line.j - 1]
-        lt = ev._lambda_t(ev.grads[line.i - 1], ev.grads[line.j - 1], block, ev.n)
-        ev.ops += 3
-        return yj * lam_i + yi * lam_j + lt
-    rule = UNARY_RULES[op]
-    if rule.second is None:
-        # an affine rule needs no λ_s, but its block cost is still charged:
-        # the recorded op_count values of tests/data/engine_seed.json include it
-        ev.ops += ev.n
-        ls = None
-    else:
-        ls = ev._lambda_s(ev.grads[line.i - 1], block, ev.n)
-    ev.ops += rule.lam_ops
-    return rule.lam(yi, yk, line, ls, lam_i)
+def _lam_original(cl: Codelist, k: int, line, ys, grads, lams) -> Interval:
+    """Eigenvalue rule of the original method: λ acts on all n variables."""
+    lam_i, yi, gi = lams[line.i - 1], ys[line.i - 1], grads[line.i - 1]
+    if line.op == "add":
+        return lam_i + lams[line.j - 1]
+    block = cl.blocks[k - 1]
+    if line.op == "mul":
+        gj = grads[line.j - 1]
+        lt = lambda_t([gi.get(j, ZERO) for j in block], [gj.get(j, ZERO) for j in block], cl.n)
+        return ys[line.j - 1] * lam_i + yi * lams[line.j - 1] + lt
+    rule = UNARY_RULES[line.op]
+    ls = None if rule.second is None else lambda_s([gi[j] for j in block], cl.n)
+    return rule.lam(yi, ys[k - 1], line, ls, lam_i)
 
 
-# -- eigenvalue rules, sparsity-aware method -----------------------------
-
-def _lam_improved(ev: _Evaluator, k: int, line) -> Interval:
-    op = line.op
-    if op == "var":
-        return ZERO
-    rule = ev.cl.rules[k - 1]
-    lam_i = ev.lams[line.i - 1]
-    yi = ev.ys[line.i - 1]
-    if op == "add":
-        ev.ops += 1
-        return rule.apply(None, lam_i, ev.lams[line.j - 1])
-    block = ev.cl.blocks[k - 1]
-    if op == "mul":
-        gi, gj = ev.grads[line.i - 1], ev.grads[line.j - 1]
-        yj, lam_j = ev.ys[line.j - 1], ev.lams[line.j - 1]
-        ev.ops += 2
+def _lam_improved(cl: Codelist, k: int, line, ys, grads, lams) -> Interval:
+    """Eigenvalue rule of the sparsity-aware method: the line's
+    ``Codelist.rules`` entry, λ acting on its block only."""
+    rule = cl.rules[k - 1]
+    lam_i, yi, gi = lams[line.i - 1], ys[line.i - 1], grads[line.i - 1]
+    if line.op == "add":
+        return rule.apply(None, lam_i, lams[line.j - 1])
+    block = cl.blocks[k - 1]
+    if line.op == "mul":
+        gj, yj, lam_j = grads[line.j - 1], ys[line.j - 1], lams[line.j - 1]
         if rule.cross is not None:  # the 2x2 rule: λ* and the cross product
-            ev.ops += 5
             a, b = term(rule.i, lam_i, yj), term(rule.j, lam_j, yi)
             p, q = rule.cross
             return lambda_star(ZERO if a is None else a, ZERO if b is None else b,
                                gi.get(p, ZERO) * gj.get(q, ZERO))
-        return rule.apply(ev._lambda_t(gi, gj, block, len(block)), lam_i, lam_j, yi, yj)
-    unary = UNARY_RULES[op]
-    yk = ev.ys[k - 1]
+        lt = lambda_t([gi.get(j, ZERO) for j in block], [gj.get(j, ZERO) for j in block],
+                      len(block))
+        return rule.apply(lt, lam_i, lam_j, yi, yj)
+    unary = UNARY_RULES[line.op]
+    yk = ys[k - 1]
     lam = term(rule.i, lam_i)  # None when the argument block vanishes entirely
     if unary.second is None:  # affine: L_k = L_i and r'' = 0
-        ev.ops += unary.lam_ops
         return ZERO if lam is None else unary.lam(yi, yk, line, None, lam)
-    ls = ev._lambda_s(ev.grads[line.i - 1], block, len(block))
+    ls = lambda_s([gi[j] for j in block], len(block))
     if lam is None:
-        ev.ops += unary.second_ops
         return unary.second(yi, yk, line) * ls
-    ev.ops += unary.lam_ops
     return unary.lam(yi, yk, line, ls, lam)
 
 
 # -- public entry points -------------------------------------------------
 
+def _result(cl: Codelist, ys, grads, eigen: Interval, method: str) -> EvalResult:
+    return EvalResult(value=ys[-1], gradient=_full(grads[-1], cl.n), eigen=eigen,
+                      method=method, op_count=cl.op_counts[method])
+
+
 def eval_original(cl: Codelist, box: Box) -> EvalResult:
     """Direct eigenvalue bounds, ignoring sparsity."""
-    ev = _Evaluator(cl, box).run(_lam_original)
-    return ev.result(ev.lams[-1], "original")
+    ys, grads, lams = _walk(cl, box, _lam_original)
+    return _result(cl, ys, grads, lams[-1], "original")
 
 
 def eval_improved(cl: Codelist, box: Box) -> EvalResult:
     """Sparsity-aware eigenvalue bounds (never wider than the original)."""
-    ev = _Evaluator(cl, box).run(_lam_improved)
-    eigen = lift_reduced(ev.lams[-1], cl.linear[len(cl.lines) - 1], cl.n)
-    ev.ops += 1
-    return ev.result(eigen, "improved")
+    ys, grads, lams = _walk(cl, box, _lam_improved)
+    eigen = lift_reduced(lams[-1], cl.linear[len(cl.lines) - 1], cl.n)
+    return _result(cl, ys, grads, eigen, "improved")
+
+
+def _trace(cl: Codelist, box: Box, lam_rule) -> List[LineState]:
+    ys, grads, lams = _walk(cl, box, lam_rule)
+    return [LineState(y, _full(g, cl.n), lam) for y, g, lam in zip(ys, grads, lams)]
 
 
 def trace_original(cl: Codelist, box: Box) -> List[LineState]:
     """Per-line (value, gradient, eigen-bound) triples of the direct method."""
-    ev = _Evaluator(cl, box).run(_lam_original)
-    return [LineState(y, ev._full(g), lam) for y, g, lam in zip(ev.ys, ev.grads, ev.lams)]
+    return _trace(cl, box, _lam_original)
 
 
 def trace_improved(cl: Codelist, box: Box) -> List[LineState]:
     """Per-line triples of the sparsity-aware method (lam holds the
     reduced-block bound, before the final lift)."""
-    ev = _Evaluator(cl, box).run(_lam_improved)
-    return [LineState(y, ev._full(g), lam) for y, g, lam in zip(ev.ys, ev.grads, ev.lams)]
+    return _trace(cl, box, _lam_improved)

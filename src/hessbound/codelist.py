@@ -13,8 +13,8 @@ line k
 * ``rules[k]`` -- the :class:`Rule` by which the sparsity-aware engine
   combines the operands' eigenvalue bounds (``None`` on a var line).
 
-All four are determined by the operation structure alone; they do not
-depend on the box the codelist is later evaluated over.
+and to the codelist ``op_counts``, each engine's operation count.  All are
+fixed by the operation structure alone, not by the box it is evaluated over.
 
 :data:`UNARY_RULES` holds the interval rules of every unary operation
 y_k = r(y_i): its value, r', r'' and the factored curvature rule.  Both
@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Tuple
 
 from .errors import DomainViolation, MalformedCodelist
 from .interval import ZERO, Interval, hull, point, zero_widen
@@ -57,9 +58,9 @@ class UnaryRule:
       rules keep a factored form such as ``yk·(ls + lam)``: interval
       multiplication is only subdistributive, so ``r''·ls + r'·lam`` is wider.
 
-    ``ops``, ``second_ops`` and ``lam_ops`` are the operation counts the
-    engines charge for ``value`` and ``first`` together, for ``second·ls``
-    and for ``lam``.
+    ``ops``, ``second_ops`` and ``lam_ops`` are the operation counts of
+    ``value`` and ``first`` together, of ``second·ls`` and of ``lam``, as
+    :meth:`Codelist.analyze` adds them into ``op_counts``.
     """
 
     value: Callable
@@ -264,6 +265,12 @@ def _binary_rule(op: str, ii: frozenset, li: frozenset, ij: frozenset, lj: froze
                         WIDENED_SUM if nested and lk < lc else SUM)
 
 
+def _check_variable_count(n) -> None:
+    """Raise :class:`MalformedCodelist` unless ``n`` is an integer >= 1."""
+    if type(n) is not int or n < 1:
+        raise MalformedCodelist(0, "variable count must be an integer >= 1")
+
+
 def _is_ref(ref, k: int) -> bool:
     """Whether ``ref`` is the (1-based) number of a line before line k."""
     return type(ref) is int and 1 <= ref < k
@@ -280,6 +287,7 @@ class Codelist:
     linear: Tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
     blocks: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     rules: Tuple[Optional[Rule], ...] = field(init=False, repr=False, compare=False)
+    op_counts: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lines", tuple(self.lines))
@@ -296,8 +304,7 @@ class Codelist:
     def validate(self) -> None:
         """Check structural invariants; raises MalformedCodelist."""
         n = self.n
-        if type(n) is not int or n < 1:
-            raise MalformedCodelist(0, "variable count must be an integer >= 1")
+        _check_variable_count(n)
         for k, line in enumerate(self.lines, start=1):
             if k <= n:
                 if line.op != "var":
@@ -351,9 +358,24 @@ class Codelist:
         return names["point"]
 
     def analyze(self) -> "Codelist":
-        """Validate, then derive the per-line index sets, blocks and rules.
+        """Validate, then derive the index sets, blocks, rules and operation
+        counts.  Construction calls it; a second call derives the same values.
 
-        Construction calls it; calling it again derives the same values.
+        ``op_counts`` maps ``"original"`` and ``"improved"`` to the paper's
+        cost measure, the interval operations of each method's rules.  With
+        s_x = n - |I_x| (y_x's gradient support) and b = n - |L_k| (the size
+        of ``blocks[k]``), operation line k costs both methods
+
+        * add: 1 (value) + s_i + s_j - s_k (gradient sums on the shared
+          support) + 1 (λ); mul: 1 + s_i + s_j + (s_i + s_j - s_k);
+        * unary: ``ops`` (value and r') + s_i (gradient, unless r' = 1);
+
+        then the original method adds 2n + 2 (λ_t) + 3 on a mul line and
+        n (λ_s, charged on affine lines too) + ``lam_ops`` on a unary one.
+        The improved method adds 2 + 5 (2x2 rule) or 2 + 2b + 2 (λ_t) on a
+        mul line, ``lam_ops`` on an affine one and max(b, 1) (λ_s) plus
+        ``second_ops`` if the operand's term is absent, else ``lam_ops``, on
+        another unary one; and 1 for its final lift.
         """
         self.validate()
         n = self.n
@@ -363,22 +385,39 @@ class Codelist:
         blocks: list = []
         rules: list = []
         seen: dict = {}  # linear set -> its block, so equal sets share one tuple
+        both, original, improved = 0, 0, 1  # 1: the improved final lift
         for k, line in enumerate(self.lines, start=1):
-            if line.op == "var":
+            op = line.op
+            if op == "var":
                 ik, lk, rule = full - {k}, full, None
             else:
                 ii, li = indep[line.i - 1], linear[line.i - 1]
-                if line.op in BINARY_OPS:
+                if op in BINARY_OPS:
                     ij, lj = indep[line.j - 1], linear[line.j - 1]
                     ik = ii & ij
-                    lk = li & lj if line.op == "add" else ik
-                    rule = _binary_rule(line.op, ii, li, ij, lj, lk, full)
+                    lk = li & lj if op == "add" else ik
+                    rule = _binary_rule(op, ii, li, ij, lj, lk, full)
+                    shared = n - len(ii) - len(ij) + len(ik)  # |S_i ∩ S_j|
+                    if op == "add":
+                        both += shared + 2
+                    else:
+                        both += 1 + 2 * n - len(ii) - len(ij) + shared
+                        original += 2 * n + 5
+                        improved += 7 if rule.cross is not None else 2 * (n - len(lk)) + 4
                 else:
                     ik = ii
-                    lk = li if line.op in AFFINE_OPS else ii
+                    lk = li if op in AFFINE_OPS else ii
                     # L_k = L_i on an affine line, so its term is never widened
                     kind = ABSENT if li == full else EXACT if lk == li else WIDENED
                     rule = _shared_rule("unary", kind)
+                    unary = UNARY_RULES[op]
+                    both += unary.ops + (0 if unary.first is None else n - len(ii))
+                    original += n + unary.lam_ops
+                    if unary.second is None:
+                        improved += unary.lam_ops
+                    else:
+                        improved += max(n - len(lk), 1) + (
+                            unary.second_ops if kind == ABSENT else unary.lam_ops)
             block = seen.get(lk)
             if block is None:
                 block = seen[lk] = tuple(sorted(full - lk))
@@ -390,6 +429,8 @@ class Codelist:
         object.__setattr__(self, "linear", tuple(linear))
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "rules", tuple(rules))
+        object.__setattr__(self, "op_counts", MappingProxyType(
+            {"original": both + original, "improved": both + improved}))
         return self
 
     def dump(self) -> str:

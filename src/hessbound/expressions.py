@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .codelist import Codelist, Line
+from .codelist import Codelist, Line, _check_variable_count
 from .errors import ConstantExpression, ExpressionSyntaxError, UnknownVariable
 
 __all__ = ["compile_expression"]
@@ -178,10 +178,12 @@ class _Parser:
                     self.pos += 1
             else:
                 self.pos = mark
+        text = self.src[start:self.pos]
         try:
-            return float(self.src[start:self.pos])
+            value = float(text)
         except ValueError:
-            self.error(f"bad number literal {self.src[start:self.pos]!r}")
+            self.error(f"bad number literal {text!r}")
+        return value if math.isfinite(value) else self.fail(f"number literal {text} overflows")
 
     # -- builders: each emits its operation as one codelist line and returns
     # the line's number, or folds constant operands into a float
@@ -196,14 +198,24 @@ class _Parser:
             self.undefined = ExpressionSyntaxError(0, message)
         return math.nan
 
+    def folded(self, value: float, label: str, *operands: float) -> float:
+        """``value``, the fold of ``label`` at ``operands``, unless it overflows."""
+        if math.isfinite(value):
+            return value
+        return self.fail(f"constant fold of {label} at {' and '.join(map(str, operands))} is undefined")
+
     def add(self, l, r):
         if isinstance(r, float):
-            return l + r if isinstance(l, float) else self.emit("addC", l, c=r)
+            if isinstance(l, float):
+                return self.folded(l + r, "Add", l, r)
+            return self.emit("addC", l, c=r)
         return self.emit("addC", r, c=l) if isinstance(l, float) else self.emit("add", l, r)
 
     def mul(self, l, r):
         if isinstance(r, float):
-            return l * r if isinstance(l, float) else self.emit("mulByC", l, c=r)
+            if isinstance(l, float):
+                return self.folded(l * r, "Mul", l, r)
+            return self.emit("mulByC", l, c=r)
         return self.emit("mulByC", r, c=l) if isinstance(l, float) else self.emit("mul", l, r)
 
     def neg(self, a):
@@ -214,7 +226,7 @@ class _Parser:
             return self.emit("oneOver", a)
         if a == 0:
             return self.fail("division by a literal zero")
-        return 1.0 / a
+        return self.folded(1.0 / a, "OneOver", a)
 
     def power(self, base, m: int, mark: int):
         """``base^m``; the lines from ``mark`` on compute ``base``."""
@@ -242,13 +254,15 @@ class _Parser:
 def compile_expression(source: str, n: int) -> Codelist:
     """Parse ``source`` over variables x1..xn into an analysed codelist.
 
-    Raises :class:`ExpressionSyntaxError` for bad text, nesting deeper than
-    :data:`MAX_NESTING` or a constant fold that is undefined,
-    :class:`UnknownVariable` for a variable outside x1..xn and
+    Raises :class:`MalformedCodelist` unless ``n`` is an integer >= 1,
+    :class:`ExpressionSyntaxError` for bad text, nesting deeper than
+    :data:`MAX_NESTING` or a constant fold or literal that is undefined or
+    overflows, :class:`UnknownVariable` for a variable outside x1..xn and
     :class:`ConstantExpression` when the whole expression folds to a
     constant, since every codelist line must trace back to a variable.
     No common subexpressions are merged.
     """
+    _check_variable_count(n)
     parser = _Parser(source, n)
     root = parser.parse()
     if isinstance(root, float):

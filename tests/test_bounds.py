@@ -208,6 +208,16 @@ def test_original_affine_line_over_a_huge_gradient(source, small, n):
     assert res.op_count == eval_original(compile_expression(small, n), box).op_count
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64])
+def test_sum_of_squares_op_counts_closed_form(n):
+    # the paper's sparsity gain in closed form: n^2 + 11n - 2 operations for
+    # the original method, 10n - 1 for the improved one, on any box
+    cl = compile_expression(" + ".join(f"x{i}^2" for i in range(1, n + 1)), n)
+    box = Box.from_bounds([(-1, 2)] * n)
+    assert eval_original(cl, box).op_count == n * n + 11 * n - 2
+    assert eval_improved(cl, box).op_count == 10 * n - 1
+
+
 def test_improved_sum_cost_scales_linearly():
     counts = {}
     for n in (8, 16, 32):

@@ -15,6 +15,7 @@ from hessbound import (
     ExpressionSyntaxError,
     HessboundError,
     Line,
+    MalformedCodelist,
     UnknownVariable,
     compile_expression,
     eval_improved,
@@ -100,11 +101,24 @@ def test_normalize_division_by_literal_zero():
     ("exp(1000)*x1", "constant fold of Exp at 1000.0 is undefined"),
     ("(1e200)^2*x1", "constant fold of PowNat at 1e+200 with m = 2 is undefined"),
     ("-(2^1100)+x1", "constant fold of PowNat at 2.0 with m = 1100 is undefined"),
+    # an overflow to inf (or a fold of one) is undefined too, not a bad codelist line
+    ("x1 + 1e200*1e200", "constant fold of Mul at 1e+200 and 1e+200 is undefined"),
+    ("x1*(1e308+1e308)", "constant fold of Add at 1e+308 and 1e+308 is undefined"),
+    ("x1 + 1/5e-324", "constant fold of OneOver at 5e-324 is undefined"),
+    ("x1 + 0*1e400", "number literal 1e400 overflows"),
+    ("x1 + 1/(1e200*1e200)", "constant fold of Mul at 1e+200 and 1e+200 is undefined"),
 ])
 def test_undefined_constant_fold_is_a_syntax_error(src, message):
     with pytest.raises(ExpressionSyntaxError) as info:
         compile_expression(src, 1)
     assert str(info.value) == f"syntax error at position 0: {message}"
+
+
+@pytest.mark.parametrize("n", [2.0, True, 0])
+def test_variable_count_must_be_a_positive_integer(n):
+    with pytest.raises(MalformedCodelist) as info:
+        compile_expression("x1", n)
+    assert str(info.value) == "line 0: variable count must be an integer >= 1"
 
 
 @pytest.mark.parametrize("src,n,error", [
