@@ -40,7 +40,6 @@ from .interval import (
     ONE,
     ZERO,
     hull,
-    lambda_r,
     lambda_s,
     lambda_star,
     lambda_t,
@@ -52,7 +51,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Interval", "Box", "ZERO", "ONE", "point", "hull",
-    "lambda_s", "lambda_t", "lambda_r", "lambda_star", "zero_widen",
+    "lambda_s", "lambda_t", "lambda_star", "zero_widen",
     "Line", "Codelist",
     "compile_expression",
     "EvalResult", "LineState", "eval_original", "eval_improved",

@@ -12,32 +12,35 @@ Two engines are provided:
   chosen once when the codelist is built.
 
 Both engines are one walk over the codelist (:func:`_walk`) that
-propagates values and sparse gradients (variable index -> interval, so the
-work scales with the structurally nonzero entries) and calls the method's
-eigenvalue rule on each line.  Every unary line takes its value, r' and
-curvature rules from :data:`hessbound.codelist.UNARY_RULES`; only ``add``
-and ``mul`` values and gradients are written out here.  ``op_count`` is the
-paper's cost measure, ``Codelist.op_counts``: it is fixed when the codelist
-is built and the same on every box.
+propagates values and sparse gradients and calls the method's eigenvalue
+rule on each line.  A sparse gradient maps a variable index to the
+``(lo, hi)`` float endpoints of that entry, so the work scales with the
+structurally nonzero entries and builds no :class:`Interval` per entry; its
+arithmetic is the interval arithmetic, bit for bit, with the same validity
+check and error.  Gradients become intervals only in the results.  Every
+unary line takes its value, r' and curvature rules from
+:data:`hessbound.codelist.UNARY_RULES`; only ``add`` and ``mul`` values and
+gradients are written out here.  ``op_count`` is the paper's cost measure,
+``Codelist.op_counts``: it is fixed when the codelist is built and the same
+on every box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from math import inf
+from typing import Dict, List, Tuple
 
 from .codelist import UNARY_RULES, Codelist, term
 from .errors import DomainViolation, LengthMismatch
 from .interval import (
     Box,
     Interval,
-    ONE,
     ZERO,
     _interval,
     lambda_s,
     lambda_star,
     lambda_t,
-    mul_each,
     zero_widen,
 )
 
@@ -51,7 +54,8 @@ __all__ = [
     "trace_improved",
 ]
 
-SparseGrad = Dict[int, Interval]
+SparseGrad = Dict[int, Tuple[float, float]]
+_ZERO, _ONE = (0.0, 0.0), (1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -81,20 +85,62 @@ def lift_reduced(lam_dagger: Interval, linear_set, n: int) -> Interval:
     return zero_widen(lam_dagger)
 
 
+# Each new entry gets Interval's check; a failing one is built as an
+# Interval, which raises the error the interval operator would have raised.
+
 def _grad_add(a: SparseGrad, b: SparseGrad) -> SparseGrad:
+    """``a + b`` entrywise: the interval sum of the entries both have."""
     out = dict(a)
     for k, v in b.items():
         u = out.get(k)
-        out[k] = v if u is None else _interval(u.lo + v.lo, u.hi + v.hi)  # u + v, inlined
+        if u is None:
+            out[k] = v
+        else:
+            lo, hi = u[0] + v[0], u[1] + v[1]
+            if not -inf < lo <= hi < inf:
+                Interval(lo, hi)
+            out[k] = lo, hi
     return out
 
 
 def _grad_scale(g: SparseGrad, f: Interval) -> SparseGrad:
-    return dict(zip(g, mul_each(f, g.values())))
+    """``{k: f * x}`` over the entries of g, bit for bit.
+
+    A point factor (lo == hi) needs two products per x.  The other two
+    repeat them, or, for a zero factor such as [-0.0, 0.0], all four are
+    zeros; either way min and max pick the same first result.
+    """
+    a, b = f.lo, f.hi
+    out = {}
+    if a == b:
+        for k, (c, d) in g.items():
+            p, q = a * c, a * d
+            lo, hi = min(p, q), max(p, q)
+            if not -inf < lo <= hi < inf:
+                Interval(lo, hi)
+            out[k] = lo, hi
+        return out
+    for k, (c, d) in g.items():
+        p, q, r, s = a * c, a * d, b * c, b * d
+        lo, hi = min(p, q, r, s), max(p, q, r, s)
+        if not -inf < lo <= hi < inf:
+            Interval(lo, hi)
+        out[k] = lo, hi
+    return out
+
+
+def _product(u: Tuple[float, float], v: Tuple[float, float]) -> Tuple[float, float]:
+    """The interval product of two gradient entries."""
+    (a, b), (c, d) = u, v
+    p, q, r, s = a * c, a * d, b * c, b * d
+    lo, hi = min(p, q, r, s), max(p, q, r, s)
+    if not -inf < lo <= hi < inf:
+        Interval(lo, hi)
+    return lo, hi
 
 
 def _full(g: SparseGrad, n: int) -> Box:
-    return Box(g.get(j, ZERO) for j in range(1, n + 1))
+    return Box(_interval(*g[j]) if j in g else ZERO for j in range(1, n + 1))
 
 
 def _walk(cl: Codelist, box: Box, lam_rule) -> tuple:
@@ -108,7 +154,7 @@ def _walk(cl: Codelist, box: Box, lam_rule) -> tuple:
     if len(box) != n:
         raise LengthMismatch(f"box dimension {len(box)} != variable count {n}")
     ys, lams = list(box), [ZERO] * n
-    grads: List[SparseGrad] = [{k: ONE} for k in range(1, n + 1)]
+    grads: List[SparseGrad] = [{k: _ONE} for k in range(1, n + 1)]
     try:
         for k, line in enumerate(cl.lines[n:], start=n + 1):
             yi, gi = ys[line.i - 1], grads[line.i - 1]
@@ -142,7 +188,7 @@ def _lam_original(cl: Codelist, k: int, line, ys, grads, lams) -> Interval:
     block = cl.blocks[k - 1]
     if line.op == "mul":
         gj = grads[line.j - 1]
-        lt = lambda_t([gi.get(j, ZERO) for j in block], [gj.get(j, ZERO) for j in block], cl.n)
+        lt = lambda_t([gi.get(j, _ZERO) for j in block], [gj.get(j, _ZERO) for j in block], cl.n)
         return ys[line.j - 1] * lam_i + yi * lams[line.j - 1] + lt
     rule = UNARY_RULES[line.op]
     ls = None if rule.second is None else lambda_s([gi[j] for j in block], cl.n)
@@ -163,8 +209,8 @@ def _lam_improved(cl: Codelist, k: int, line, ys, grads, lams) -> Interval:
             a, b = term(rule.i, lam_i, yj), term(rule.j, lam_j, yi)
             p, q = rule.cross
             return lambda_star(ZERO if a is None else a, ZERO if b is None else b,
-                               gi.get(p, ZERO) * gj.get(q, ZERO))
-        lt = lambda_t([gi.get(j, ZERO) for j in block], [gj.get(j, ZERO) for j in block],
+                               _product(gi.get(p, _ZERO), gj.get(q, _ZERO)))
+        lt = lambda_t([gi.get(j, _ZERO) for j in block], [gj.get(j, _ZERO) for j in block],
                       len(block))
         return rule.apply(lt, lam_i, lam_j, yi, yj)
     unary = UNARY_RULES[line.op]

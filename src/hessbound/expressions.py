@@ -50,7 +50,9 @@ class _Parser:
     its line or a ``float`` constant.  A constant fold that is undefined
     (``1/0``, ``ln(0)``, an overflow) is not raised where it happens: the
     first one is raised once the whole source has parsed, so a syntax error
-    anywhere in the source is reported before it.
+    anywhere in the source is reported before it.  It is reported at the
+    start of the folded subexpression: the left operand of a binary
+    operator or ``^``, the name of a function, or the number literal.
     """
 
     def __init__(self, source: str, n: int):
@@ -86,22 +88,29 @@ class _Parser:
             raise self.undefined
         return operand
 
+    def start(self) -> int:
+        """The position of the next token."""
+        self.skip_ws()
+        return self.pos
+
     def expr(self):
+        start = self.start()
         node = self.term()
         while self.peek() in ("+", "-"):
             op = self.peek()
             self.pos += 1
             rhs = self.term()
-            node = self.add(node, rhs if op == "+" else self.neg(rhs))
+            node = self.add(node, rhs if op == "+" else self.neg(rhs), start)
         return node
 
     def term(self):
+        start = self.start()
         node = self.factor()
         while self.peek() in ("*", "/"):
             op = self.peek()
             self.pos += 1
             rhs = self.factor()
-            node = self.mul(node, rhs if op == "*" else self.recip(rhs))
+            node = self.mul(node, rhs if op == "*" else self.recip(rhs, start), start)
         return node
 
     def factor(self):
@@ -109,20 +118,19 @@ class _Parser:
         while self.peek() == "-":
             self.pos += 1
             negations += 1
-        mark = len(self.lines)
+        mark, start = len(self.lines), self.pos  # peek() skipped the whitespace
         node = self.atom()
         if self.peek() == "^":
             self.pos += 1
             if self.peek() == "-":
                 self.error("exponent must be a natural number")
-            node = self.power(node, self.natural(), mark)
+            node = self.power(node, self.natural(), mark, start)
         for _ in range(negations):
             node = self.neg(node)
         return node
 
     def natural(self) -> int:
-        self.skip_ws()
-        start = self.pos
+        start = self.start()
         while self.pos < len(self.src) and self.src[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
@@ -139,7 +147,7 @@ class _Parser:
                 self.pos += 1
             name = self.src[start:self.pos]
             if name in _FUNCTIONS:
-                return self.call(*_FUNCTIONS[name], self.group())
+                return self.call(*_FUNCTIONS[name], self.group(), start)
             if name.startswith("x") and name[1:].isdigit():
                 index = int(name[1:])
                 if not 1 <= index <= self.n:
@@ -164,8 +172,7 @@ class _Parser:
         return node
 
     def number(self) -> float:
-        self.skip_ws()
-        start = self.pos
+        start = self.start()
         while self.pos < len(self.src) and (self.src[self.pos].isdigit() or self.src[self.pos] == "."):
             self.pos += 1
         if self.pos < len(self.src) and self.src[self.pos] in "eE":
@@ -183,52 +190,57 @@ class _Parser:
             value = float(text)
         except ValueError:
             self.error(f"bad number literal {text!r}")
-        return value if math.isfinite(value) else self.fail(f"number literal {text} overflows")
+        if math.isfinite(value):
+            return value
+        return self.fail(f"number literal {text} overflows", start)
 
     # -- builders: each emits its operation as one codelist line and returns
-    # the line's number, or folds constant operands into a float
+    # the line's number, or folds constant operands into a float; ``start``
+    # is where the folded subexpression starts in the source
 
     def emit(self, op: str, i: int, j=None, c=None, m=None) -> int:
         self.lines.append(Line(op, i, j, c, m))
         return len(self.lines)
 
-    def fail(self, message: str) -> float:
+    def fail(self, message: str, start: int) -> float:
         """Remember an undefined fold; its NaN placeholder folds on silently."""
         if self.undefined is None:
-            self.undefined = ExpressionSyntaxError(0, message)
+            self.undefined = ExpressionSyntaxError(start, message)
         return math.nan
 
-    def folded(self, value: float, label: str, *operands: float) -> float:
+    def folded(self, value: float, start: int, label: str, *operands: float) -> float:
         """``value``, the fold of ``label`` at ``operands``, unless it overflows."""
         if math.isfinite(value):
             return value
-        return self.fail(f"constant fold of {label} at {' and '.join(map(str, operands))} is undefined")
+        return self.fail(
+            f"constant fold of {label} at {' and '.join(map(str, operands))} is undefined", start)
 
-    def add(self, l, r):
+    def add(self, l, r, start: int):
         if isinstance(r, float):
             if isinstance(l, float):
-                return self.folded(l + r, "Add", l, r)
+                return self.folded(l + r, start, "Add", l, r)
             return self.emit("addC", l, c=r)
         return self.emit("addC", r, c=l) if isinstance(l, float) else self.emit("add", l, r)
 
-    def mul(self, l, r):
+    def mul(self, l, r, start: int):
         if isinstance(r, float):
             if isinstance(l, float):
-                return self.folded(l * r, "Mul", l, r)
+                return self.folded(l * r, start, "Mul", l, r)
             return self.emit("mulByC", l, c=r)
         return self.emit("mulByC", r, c=l) if isinstance(l, float) else self.emit("mul", l, r)
 
     def neg(self, a):
         return -a if isinstance(a, float) else self.emit("mulByC", a, c=-1.0)
 
-    def recip(self, a):
+    def recip(self, a, start: int):
+        """``1/a``, the divisor of a division whose dividend starts at ``start``."""
         if not isinstance(a, float):
             return self.emit("oneOver", a)
         if a == 0:
-            return self.fail("division by a literal zero")
-        return self.folded(1.0 / a, "OneOver", a)
+            return self.fail("division by a literal zero", start)
+        return self.folded(1.0 / a, start, "OneOver", a)
 
-    def power(self, base, m: int, mark: int):
+    def power(self, base, m: int, mark: int, start: int):
         """``base^m``; the lines from ``mark`` on compute ``base``."""
         if m == 0:
             del self.lines[mark:]
@@ -240,15 +252,15 @@ class _Parser:
         try:
             return base ** m
         except OverflowError:
-            return self.fail(f"constant fold of PowNat at {base} with m = {m} is undefined")
+            return self.fail(f"constant fold of PowNat at {base} with m = {m} is undefined", start)
 
-    def call(self, op: str, fold, label: str, a):
+    def call(self, op: str, fold, label: str, a, start: int):
         if not isinstance(a, float):
             return self.emit(op, a)
         try:
             return fold(a)
         except (ValueError, OverflowError):
-            return self.fail(f"constant fold of {label} at {a} is undefined")
+            return self.fail(f"constant fold of {label} at {a} is undefined", start)
 
 
 def compile_expression(source: str, n: int) -> Codelist:

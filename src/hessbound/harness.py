@@ -149,8 +149,10 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
 
     Shifts the function by the separable quadratic
     -0.5 * lam_lo * sum_i (lo_i - x_i)(hi_i - x_i) when the guaranteed
-    smallest Hessian eigenvalue lam_lo over the box is negative; the shift
-    vanishes at every vertex and is nonnegative inside the box.  Raises
+    smallest Hessian eigenvalue lam_lo over the box is negative.  Each
+    factor pair (lo_i - x_i)(hi_i - x_i) is <= 0 inside the box, so the
+    shift vanishes at every vertex and is <= 0 inside the box, which makes
+    the result an underestimator of the function.  Raises
     :class:`InvalidInterval` when a component of x is not a number or the
     shifted value is not finite.
     """

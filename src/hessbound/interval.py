@@ -7,8 +7,12 @@ rules this module provides the four operators used by the bound engine:
 
 * ``lambda_s`` -- encloses the spectrum of rank-1 matrices a a^T,
 * ``lambda_t`` -- encloses the spectrum of symmetric terms a b^T + b a^T,
-* ``lambda_r`` -- the interval hull,
+* ``hull`` -- the interval hull, the paper's λ_r,
 * ``lambda_star`` -- tight bounds for 2x2 symmetric interval matrices.
+
+An interval unpacks as ``lo, hi = iv``.  The λ operators read their
+gradient components that way, so the engines can pass ``(lo, hi)`` float
+pairs where public callers pass :class:`Interval` objects.
 
 Everything here is immutable and side-effect free.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     DomainViolation,
@@ -32,12 +36,10 @@ __all__ = [
     "ZERO",
     "ONE",
     "point",
-    "mul_each",
     "hull",
     "zero_widen",
     "lambda_s",
     "lambda_t",
-    "lambda_r",
     "lambda_star",
 ]
 
@@ -61,6 +63,10 @@ class Interval:
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise InvalidInterval(f"non-finite endpoints [{lo}, {hi}]")
             raise InvalidInterval(f"lo > hi in [{lo}, {hi}]")
+
+    def __iter__(self):
+        """The endpoints, so that ``lo, hi = iv`` unpacks an interval."""
+        return iter((self.lo, self.hi))
 
     # -- elementary arithmetic -------------------------------------------
 
@@ -90,15 +96,7 @@ class Interval:
             return ONE
         if m == 1:
             return self
-        try:
-            lo_m, hi_m = self.lo**m, self.hi**m
-        except OverflowError:
-            raise InvalidInterval(f"pow overflow on {self}^{m}") from None
-        if self.lo > 0 or m % 2 == 1:
-            return _interval(lo_m, hi_m)
-        if self.hi < 0:  # m even
-            return _interval(hi_m, lo_m)
-        return _interval(0.0, max(lo_m, hi_m))
+        return _pow(self.lo, self.hi, m)
 
     def sqrt(self) -> "Interval":
         if self.lo < 0.0:
@@ -174,26 +172,17 @@ def point(x: float) -> Interval:
     return _interval(x, x)
 
 
-def mul_each(f: Interval, xs: Iterable[Interval]) -> List[Interval]:
-    """``[f * x for x in xs]``, bit for bit, without an operator frame per x.
-
-    A point factor (lo == hi) needs two products per x.  The other two
-    repeat them, or, for a zero factor such as [-0.0, 0.0], all four are
-    zeros; either way min and max pick the same first result.
-    """
-    a, b = f.lo, f.hi
-    if a == b:
-        out = []
-        for x in xs:
-            p, q = a * x.lo, a * x.hi
-            out.append(_interval(min(p, q), max(p, q)))
-        return out
-    out = []
-    for x in xs:
-        c, d = x.lo, x.hi
-        p, q, r, s = a * c, a * d, b * c, b * d
-        out.append(_interval(min(p, q, r, s), max(p, q, r, s)))
-    return out
+def _pow(lo: float, hi: float, m: int) -> Interval:
+    """``[lo, hi]^m`` for a natural m >= 2, from the endpoints."""
+    try:
+        lo_m, hi_m = lo**m, hi**m
+    except OverflowError:
+        raise InvalidInterval(f"pow overflow on {Interval(lo, hi)}^{m}") from None
+    if lo > 0 or m % 2 == 1:
+        return _interval(lo_m, hi_m)
+    if hi < 0:  # m even
+        return _interval(hi_m, lo_m)
+    return _interval(0.0, max(lo_m, hi_m))
 
 
 class Box:
@@ -247,8 +236,7 @@ class Box:
 
 def _sum_sq_mag(a: Sequence[Interval]) -> float:
     s = 0.0
-    for d in a:
-        lo, hi = d.lo, d.hi
+    for lo, hi in a:
         s += max(lo * lo, hi * hi)
     return s
 
@@ -258,7 +246,8 @@ def lambda_s(a: Sequence[Interval], n: Optional[int] = None) -> Interval:
 
     ``a`` may list only the components of v that can be nonzero, in
     ascending index order; ``n`` is the dimension of the space v lives in
-    (default ``len(a)``), and the missing components are zero.  In one
+    (default ``len(a)``), and the missing components are zero.  A component
+    is an :class:`Interval` or a ``(lo, hi)`` pair of floats.  In one
     dimension this is the exact square; otherwise the spectrum is
     {0 (multiple), |v|^2}, bounded by [0, sum of squared magnitudes].
     """
@@ -267,7 +256,7 @@ def lambda_s(a: Sequence[Interval], n: Optional[int] = None) -> Interval:
     elif n < len(a):
         raise LengthMismatch(f"{len(a)} components in dimension {n}")
     if n == 1:
-        return a[0].pow(2) if a else ZERO
+        return _pow(*a[0], 2) if a else ZERO
     return _interval(0.0, _sum_sq_mag(a))
 
 
@@ -278,7 +267,8 @@ def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = No
     nonzero (the same indices for both, ascending, ``ZERO`` where one of
     them vanishes); ``n`` is the dimension (default ``len(a)``), and the
     components left out are zero in both.  The result is the same, bit for
-    bit, as with the zero components listed.
+    bit, as with the zero components listed.  Components are intervals or
+    ``(lo, hi)`` pairs, as for :func:`lambda_s`.
     """
     if len(a) != len(b):
         raise LengthMismatch(f"boxes of length {len(a)} and {len(b)}")
@@ -287,11 +277,14 @@ def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = No
     elif n < len(a):
         raise LengthMismatch(f"{len(a)} components in dimension {n}")
     if n == 1:
-        return (a[0] * b[0]).scale(2.0) if a else ZERO
+        if not a:
+            return ZERO
+        (c, d), (e, f) = a[0], b[0]
+        p, q, r, s = c * e, c * f, d * e, d * f  # the product a[0] * b[0]
+        return _interval(min(p, q, r, s), max(p, q, r, s)).scale(2.0)
     beta = math.sqrt(_sum_sq_mag(a) * _sum_sq_mag(b))
     lo, hi = -beta, beta
-    for u, v in zip(a, b):  # the endpoints of each pair product u*v, summed
-        c, d, e, f = u.lo, u.hi, v.lo, v.hi
+    for (c, d), (e, f) in zip(a, b):  # the endpoints of each pair product, summed
         p, q, r, s = c * e, c * f, d * e, d * f
         lo += min(p, q, r, s)
         hi += max(p, q, r, s)
@@ -300,27 +293,27 @@ def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = No
         lo += 0.0
     if not -_INF < lo <= hi < _INF:
         for u, v in zip(a, b):
-            u * v  # raises the error of the first pair product that overflows
+            Interval(*u) * Interval(*v)  # raises the error of the first overflowing product
     return _interval(lo, hi)
 
 
-def lambda_r(a: Interval, b: Interval) -> Interval:
-    """Interval hull of two intervals."""
+def hull(a: Interval, b: Interval) -> Interval:
+    """Interval hull of two intervals: the paper's λ_r."""
     return _interval(min(a.lo, b.lo), max(a.hi, b.hi))
-
-
-hull = lambda_r
 
 
 def lambda_star(a: Interval, b: Interval, c: Interval) -> Interval:
     """Tight eigenvalue bounds for 2x2 symmetric matrices with diagonal
-    entries in [a], [b] and off-diagonal entry in [c]."""
-    d = 4.0 * max(c.lo * c.lo, c.hi * c.hi)
+    entries in [a], [b] and off-diagonal entry in [c] (an interval or a
+    ``(lo, hi)`` pair)."""
+    c_lo, c_hi = c
+    d = 4.0 * max(c_lo * c_lo, c_hi * c_hi)
     try:
         lo = 0.5 * (a.lo + b.lo - math.sqrt((a.lo - b.lo) ** 2 + d))
         hi = 0.5 * (a.hi + b.hi + math.sqrt((a.hi - b.hi) ** 2 + d))
     except OverflowError:
-        raise InvalidInterval(f"lambda_star overflow on {a}, {b}, {c}") from None
+        raise InvalidInterval(
+            f"lambda_star overflow on {a}, {b}, {Interval(c_lo, c_hi)}") from None
     return _interval(lo, hi)
 
 

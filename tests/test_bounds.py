@@ -12,6 +12,7 @@ from hessbound import (
     Box,
     DomainViolation,
     Interval,
+    InvalidInterval,
     compile_expression,
     eval_improved,
     eval_original,
@@ -97,6 +98,26 @@ def test_domain_violation_carries_line_number():
     with pytest.raises(DomainViolation) as exc:
         eval_original(cl, Box.from_bounds([(-1, 1), (0, 1)]))
     assert exc.value.line is not None
+
+
+@pytest.mark.parametrize("source,n,lo,hi,message", [
+    # finite values, gradient entries past the float range: a scaled entry
+    # (a point factor and an interval factor) and a summed one
+    ("(1e160*x1)^2", 1, 1e-10, 2e-10, "non-finite endpoints [inf, inf]"),
+    ("1e300*(1e10*x1)", 1, 1e-10, 2e-10, "non-finite endpoints [inf, inf]"),
+    ("1e308*x1 + 1e308*x1", 1, 1e-10, 2e-10, "non-finite endpoints [inf, inf]"),
+    # finite gradients whose λ_t / λ* bound overflows
+    ("exp(x1)*(1e200*x2) + (1e200*x1)*exp(x2)", 2, 1e-200, 2e-200,
+     "non-finite endpoints [-inf, inf]"),
+])
+@pytest.mark.parametrize("engine", [eval_original, eval_improved])
+def test_gradient_overflow_with_a_finite_value_is_invalid(engine, source, n, lo, hi, message):
+    cl = compile_expression(source, n)
+    box = Box.from_bounds([(lo, hi)] * n)
+    assert codelist_value(cl, box.midpoint()) < 1e301
+    with pytest.raises(InvalidInterval) as info:
+        engine(cl, box)
+    assert str(info.value) == message
 
 
 def test_dimension_mismatch():

@@ -31,20 +31,31 @@ def test_eval_json_schema(capsys):
     assert isinstance(data["opCount"], int) and data["opCount"] > 0
 
 
-@pytest.mark.parametrize("method,lo,hi", [
-    ("original", 0.0, 4.0),
-    ("improved", 2.0, 2.0),
-    ("gershgorin", 2.0, 2.0),
-    ("hertzrohn", 2.0, 2.0),
-])
-def test_eval_all_methods(capsys, method, lo, hi):
-    code, out, _ = run(capsys, "eval", "--inline", "x1^2 + x2^2",
-                       "--vars", "2", "--box", "0,1;0,1",
-                       "--method", method, "--json")
+# the engines' op counts, n^2 + 11n - 2 and 10n - 1 at n = 2; the
+# interval-Hessian routes keep no count
+METHODS = [
+    ("original", 0.0, 4.0, 24),
+    ("improved", 2.0, 2.0, 19),
+    ("gershgorin", 2.0, 2.0, None),
+    ("hertzrohn", 2.0, 2.0, None),
+]
+
+
+@pytest.mark.parametrize("method,lo,hi,ops", METHODS,
+                         ids=[f"{m}-{lo}-{hi}" for m, lo, hi, _ in METHODS])
+def test_eval_all_methods(capsys, method, lo, hi, ops):
+    args = ("eval", "--inline", "x1^2 + x2^2", "--vars", "2", "--box", "0,1;0,1",
+            "--method", method)
+    code, out, _ = run(capsys, *args, "--json")
     assert code == 0
     data = json.loads(out)
+    assert set(data) == {"method", "value", "gradient", "eigen", "opCount"}
     assert math.isclose(data["eigen"][0], lo, abs_tol=1e-10)
     assert math.isclose(data["eigen"][1], hi, abs_tol=1e-10)
+    assert data["opCount"] == ops
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert f"opCount:  {'n/a' if ops is None else ops}\n" in out
 
 
 def test_eval_from_file(capsys, tmp_path):

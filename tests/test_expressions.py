@@ -94,24 +94,32 @@ def test_normalize_division_by_literal_zero():
         compile_expression("x1 / 0", 1)
 
 
-@pytest.mark.parametrize("src,message", [
-    ("x1/0", "division by a literal zero"),
-    ("ln(0)+x1", "constant fold of Ln at 0.0 is undefined"),
-    ("sqrt(-1)*x1", "constant fold of Sqrt at -1.0 is undefined"),
-    ("exp(1000)*x1", "constant fold of Exp at 1000.0 is undefined"),
-    ("(1e200)^2*x1", "constant fold of PowNat at 1e+200 with m = 2 is undefined"),
-    ("-(2^1100)+x1", "constant fold of PowNat at 2.0 with m = 1100 is undefined"),
+# (source, position, message): the position is where the folded
+# subexpression starts, at the left operand, the function name or the literal
+UNDEFINED_FOLDS = [
+    ("x1/0", 0, "division by a literal zero"),
+    ("ln(0)+x1", 0, "constant fold of Ln at 0.0 is undefined"),
+    ("sqrt(-1)*x1", 0, "constant fold of Sqrt at -1.0 is undefined"),
+    ("exp(1000)*x1", 0, "constant fold of Exp at 1000.0 is undefined"),
+    ("(1e200)^2*x1", 0, "constant fold of PowNat at 1e+200 with m = 2 is undefined"),
+    ("-(2^1100)+x1", 2, "constant fold of PowNat at 2.0 with m = 1100 is undefined"),
     # an overflow to inf (or a fold of one) is undefined too, not a bad codelist line
-    ("x1 + 1e200*1e200", "constant fold of Mul at 1e+200 and 1e+200 is undefined"),
-    ("x1*(1e308+1e308)", "constant fold of Add at 1e+308 and 1e+308 is undefined"),
-    ("x1 + 1/5e-324", "constant fold of OneOver at 5e-324 is undefined"),
-    ("x1 + 0*1e400", "number literal 1e400 overflows"),
-    ("x1 + 1/(1e200*1e200)", "constant fold of Mul at 1e+200 and 1e+200 is undefined"),
-])
-def test_undefined_constant_fold_is_a_syntax_error(src, message):
+    ("x1 + 1e200*1e200", 5, "constant fold of Mul at 1e+200 and 1e+200 is undefined"),
+    ("x1*(1e308+1e308)", 4, "constant fold of Add at 1e+308 and 1e+308 is undefined"),
+    ("x1 + 1/5e-324", 5, "constant fold of OneOver at 5e-324 is undefined"),
+    ("x1 + 0*1e400", 7, "number literal 1e400 overflows"),
+    ("x1 + 1/(1e200*1e200)", 8, "constant fold of Mul at 1e+200 and 1e+200 is undefined"),
+    ("x1 + exp(1000)", 5, "constant fold of Exp at 1000.0 is undefined"),
+    ("x1 + 3*2^2000", 7, "constant fold of PowNat at 2.0 with m = 2000 is undefined"),
+]
+
+
+@pytest.mark.parametrize("src,position,message", UNDEFINED_FOLDS,
+                         ids=[f"{src}-{message}" for src, _, message in UNDEFINED_FOLDS])
+def test_undefined_constant_fold_is_a_syntax_error(src, position, message):
     with pytest.raises(ExpressionSyntaxError) as info:
         compile_expression(src, 1)
-    assert str(info.value) == f"syntax error at position 0: {message}"
+    assert str(info.value) == f"syntax error at position {position}: {message}"
 
 
 @pytest.mark.parametrize("n", [2.0, True, 0])
@@ -125,7 +133,7 @@ def test_variable_count_must_be_a_positive_integer(n):
     ("ln(0) + x1 +", 1, "syntax error at position 12: expected an atom"),
     ("1/0 + x3", 2, "x3 with n=2"),
     ("sqrt(-1)*x1 + ln(0)", 1, "syntax error at position 0: constant fold of Sqrt at -1.0 is undefined"),
-    ("(1/0)^0 + x1", 1, "syntax error at position 0: division by a literal zero"),
+    ("(1/0)^0 + x1", 1, "syntax error at position 1: division by a literal zero"),
 ])
 def test_a_syntax_error_wins_over_an_earlier_fold_and_the_first_fold_wins(src, n, error):
     with pytest.raises((ExpressionSyntaxError, UnknownVariable), match=re.escape(error)):
