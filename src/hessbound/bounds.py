@@ -11,10 +11,11 @@ Two engines are provided:
   bounds enter each line, and how, is the line's ``Codelist.rules`` entry,
   chosen once when the codelist is built.
 
-Both engines are one walk over the codelist (:func:`_walk`) that
-propagates values and sparse gradients and calls the method's eigenvalue
-rule on each line.  A sparse gradient maps a variable index to the
-``(lo, hi)`` float endpoints of that entry, so the work scales with the
+Both engines are one walk over the codelist (:func:`_walk`) in two passes.
+The value pass (:func:`_values`) propagates values and sparse gradients,
+which the two methods share; the λ pass then applies the method's
+eigenvalue rule to each line.  A sparse gradient maps a variable index to
+the ``(lo, hi)`` float endpoints of that entry, so the work scales with the
 structurally nonzero entries and builds no :class:`Interval` per entry; its
 arithmetic is the interval arithmetic, bit for bit, with the same validity
 check and error.  Gradients become intervals only in the results.  Every
@@ -23,6 +24,16 @@ unary line takes its value, r' and curvature rules from
 gradients are written out here.  ``op_count`` is the paper's cost measure,
 ``Codelist.op_counts``: it is fixed when the codelist is built and the same
 on every box.
+
+The module keeps the last value pass in one slot, keyed by the codelist
+and the box's component tuple, both compared by identity (``is``).  So the
+second engine (or trace) asked about the same :class:`Box` object reuses
+the first one's values and gradients, and any other call pays one identity
+check.  The value pass does not raise on a line: it records the first
+failing line and its error and stops.  The λ pass bounds the lines before
+that one, so an earlier λ error still wins, and then raises the recorded
+error afresh, a :class:`DomainViolation` with its line number; the errors
+and their order are those of a single walk.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from math import inf
 from typing import Dict, List, Tuple
 
 from .codelist import UNARY_RULES, Codelist, term
-from .errors import DomainViolation, LengthMismatch
+from .errors import DomainViolation, HessboundError, LengthMismatch
 from .interval import (
     Box,
     Interval,
@@ -143,38 +154,78 @@ def _full(g: SparseGrad, n: int) -> Box:
     return Box(_interval(*g[j]) if j in g else ZERO for j in range(1, n + 1))
 
 
-def _walk(cl: Codelist, box: Box, lam_rule) -> tuple:
-    """Lists of the values, sparse gradients and eigenvalue bounds of every line.
+# The last value pass: (codelist, box components, ys, grads, failure).  It is
+# reused only for the same codelist and the same component tuple, compared
+# with ``is``: equal intervals can differ in the sign of a zero endpoint.  The
+# strong references keep both ids from being recycled while the slot holds
+# them.  The slot is one tuple, read and replaced whole, so threads that
+# share it at worst redo a pass.
+_last = None
 
-    ``lam_rule(cl, k, line, ys, grads, lams)`` gives the bound of operation
-    line k from the lists so far, which already hold line k's value and
-    gradient.  A :class:`DomainViolation` is raised again with its line.
+
+def _values(cl: Codelist, box: Box) -> tuple:
+    """Lists of the values and sparse gradients of every line, and the first failure.
+
+    The pass does not raise on a line: it stops at the first one that fails
+    and returns ``(k, error)`` as the failure (``None`` when every line
+    succeeds), so that the λ pass can raise it in the walk's order.
     """
     n = cl.n
     if len(box) != n:
         raise LengthMismatch(f"box dimension {len(box)} != variable count {n}")
-    ys, lams = list(box), [ZERO] * n
+    ys = list(box)
     grads: List[SparseGrad] = [{k: _ONE} for k in range(1, n + 1)]
     try:
         for k, line in enumerate(cl.lines[n:], start=n + 1):
             yi, gi = ys[line.i - 1], grads[line.i - 1]
             if line.op == "add":
-                ys.append(yi + ys[line.j - 1])
-                grads.append(_grad_add(gi, grads[line.j - 1]))
+                yk, gk = yi + ys[line.j - 1], _grad_add(gi, grads[line.j - 1])
             elif line.op == "mul":
                 yj = ys[line.j - 1]
-                ys.append(yi * yj)
-                grads.append(_grad_add(_grad_scale(gi, yj), _grad_scale(grads[line.j - 1], yi)))
+                yk = yi * yj
+                gk = _grad_add(_grad_scale(gi, yj), _grad_scale(grads[line.j - 1], yi))
             else:
                 rule = UNARY_RULES[line.op]
                 yk = rule.value(yi, line)
-                ys.append(yk)
-                grads.append(dict(gi) if rule.first is None
-                             else _grad_scale(gi, rule.first(yi, yk, line)))
+                gk = dict(gi) if rule.first is None else _grad_scale(gi, rule.first(yi, yk, line))
+            ys.append(yk)
+            grads.append(gk)
+    except HessboundError as err:
+        return ys, grads, (k, err.with_traceback(None))
+    return ys, grads, None
+
+
+def _walk(cl: Codelist, box: Box, lam_rule) -> tuple:
+    """Lists of the values, sparse gradients and eigenvalue bounds of every line.
+
+    The values and gradients come from :func:`_values`, or from the slot when
+    the previous pass was on this codelist and box.  ``lam_rule(cl, k, line,
+    ys, grads, lams)`` gives the bound of operation line k from those lists
+    and the bounds of the lines before it.  The lines before a failing one
+    get their bounds first, so an earlier λ error wins; then the failure is
+    raised afresh, a :class:`DomainViolation` with its line.
+    """
+    global _last
+    last, dims = _last, box.dims
+    if last is not None and last[0] is cl and last[1] is dims:
+        ys, grads, failure = last[2:]
+    else:
+        ys, grads, failure = _values(cl, box)
+        _last = cl, dims, ys, grads, failure
+    n = cl.n
+    lams = [ZERO] * n
+    stop = len(cl.lines) if failure is None else failure[0] - 1
+    try:
+        for k, line in enumerate(cl.lines[n:stop], start=n + 1):
             lams.append(lam_rule(cl, k, line, ys, grads, lams))
     except DomainViolation as err:
+        failure = k, err
+    if failure is None:
+        return ys, grads, lams
+    k, err = failure
+    if isinstance(err, DomainViolation):
         raise DomainViolation(err.kind, err.interval, line=k) from None
-    return ys, grads, lams
+    raise type(err)(*err.args) from None
 
 
 # The λ operators get the gradient components on the line's ``Codelist.blocks``

@@ -194,6 +194,9 @@ class Box:
         self.dims: Tuple[Interval, ...] = tuple(dims)
         if not self.dims:
             raise EmptySlice("a box must have at least one component")
+        for i, d in enumerate(self.dims, start=1):
+            if not isinstance(d, Interval):
+                raise InvalidInterval(f"box component {i} is not an Interval: {d!r}")
 
     @classmethod
     def from_bounds(cls, bounds: Sequence[Tuple[float, float]]) -> "Box":

@@ -15,9 +15,8 @@ compared against:
   interval matrix via signed vertex enumeration, with the vertex matrices
   solved in stacked batches by LAPACK (``numpy.linalg.eigvalsh``);
 * :func:`sym_eigen_range` -- eigenvalue range of one symmetric matrix;
-* :func:`point_hessian` / :func:`point_hessians` -- exact real Hessians at
-  single points (scalar and vectorized forms), used as sampling oracles;
-  ``point_hessians`` has its own float rules, so sampling checks the
+* :func:`point_hessians` -- exact real Hessians at a batch of points, used
+  as a sampling oracle; it has its own float rules, so sampling checks the
   interval rules rather than repeating them.
 """
 
@@ -31,12 +30,11 @@ import numpy as np
 
 from .codelist import UNARY_RULES, Codelist
 from .errors import DimensionTooLarge, DomainViolation, InvalidInterval, LengthMismatch, NotSymmetric
-from .interval import Box, Interval, point
+from .interval import Box, Interval
 
 __all__ = [
     "SymIntervalMatrix",
     "interval_hessian",
-    "point_hessian",
     "point_hessians",
     "gershgorin_bounds",
     "hertz_rohn_bounds",
@@ -248,17 +246,10 @@ _POINT_DOMAINS = {
 }
 
 
-def point_hessian(cl: Codelist, x) -> np.ndarray:
-    """Exact real Hessian at one point, via the degenerate-box enclosure."""
-    enc = interval_hessian(cl, Box(point(float(v)) for v in x))
-    return 0.5 * (enc.lo + enc.hi)
-
-
 def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
     """Real Hessians at a batch of points.
 
-    ``xs`` has shape (P, n); the result has shape (P, n, n).  This is the
-    vectorized twin of :func:`point_hessian` used for dense sampling.
+    ``xs`` has shape (P, n); the result has shape (P, n, n).
     """
     xs = np.asarray(xs, dtype=float)
     P, n = xs.shape

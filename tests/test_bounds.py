@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -282,3 +284,105 @@ def test_engines_match_recorded_results():
             got = {"value": hexes(res.value), "gradient": [hexes(g) for g in res.gradient],
                    "eigen": hexes(res.eigen), "op_count": res.op_count}
             assert got == case[method], (method, case["source"])
+
+
+# -- both engines on one box ----------------------------------------------
+
+def test_an_earlier_lambda_error_wins_over_a_later_value_error():
+    # line 5's λ_t overflows; line 7 takes ln of a negative interval, so a
+    # split that raised value errors as it met them would report line 7
+    cl = compile_expression("(1e160*x1)*(1e160*x2) + ln(x1 - 1)", 2)
+    box = Box.from_bounds([(1e-200, 2e-200)] * 2)
+    for engines in ((eval_original, eval_improved), (eval_improved, eval_original)):
+        for engine in engines:
+            with pytest.raises(InvalidInterval) as info:
+                engine(cl, box)
+            assert str(info.value) == "non-finite endpoints [-inf, inf]"
+
+
+def test_a_domain_violation_of_the_lambda_pass_carries_its_line():
+    # the values are defined; sqrt's r'' cubes y = sqrt(x1), which underflows
+    cl = compile_expression("sqrt(x1) + x2", 2)
+    box = Box.from_bounds([(1e-300, 1.0), (0.0, 1.0)])
+    for _ in range(2):  # afresh, then on the kept value pass
+        with pytest.raises(DomainViolation) as info:
+            eval_improved(cl, box)
+        assert (info.value.kind, info.value.line) == ("recip", 3)
+
+
+def _hexes(x):
+    return x.lo.hex(), x.hi.hex()
+
+
+def _outcome(apply, cl, box):
+    """Everything ``apply(cl, box)`` gives, floats as hex: the result or the error."""
+    try:
+        res = apply(cl, box)
+    except Exception as err:
+        return type(err).__name__, str(err), getattr(err, "line", None)
+    if isinstance(res, list):  # a trace
+        return [(_hexes(s.y), [_hexes(g) for g in s.grad], _hexes(s.lam)) for s in res]
+    return (_hexes(res.value), [_hexes(g) for g in res.gradient], _hexes(res.eigen),
+            res.method, res.op_count)
+
+
+def test_an_engine_after_another_on_the_same_box_equals_it_on_a_fresh_box():
+    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    failures = 0
+    for case in cases:
+        cl = compile_expression(case["source"], case["n"])
+        inside = [(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]]
+        for bounds in (inside, [(-1.0, 1.0)] * case["n"]):  # the second leaves most domains
+            for first in (eval_original, eval_improved):
+                for then in (eval_original, eval_improved, trace_original, trace_improved):
+                    if then is first:
+                        continue
+                    want = _outcome(then, cl, Box.from_bounds(bounds))
+                    box = Box.from_bounds(bounds)
+                    before = _outcome(first, cl, box)
+                    assert _outcome(then, cl, box) == want, (case["source"], bounds)
+                    assert _outcome(first, cl, box) == before, (case["source"], bounds)
+                    failures += isinstance(want[0], str)
+    assert failures > 0  # the deferred failure path ran
+
+
+def test_an_equal_box_with_other_zero_signs_is_evaluated_afresh():
+    # the two boxes are ==, but the sign of the zero endpoints reaches the results
+    cl = compile_expression("x1*x2 + x1", 2)
+    signed, unsigned = (Box.from_bounds([(zero, 1.0)] * 2) for zero in (-0.0, 0.0))
+    assert signed == unsigned
+    want = _outcome(eval_improved, cl, Box.from_bounds([(0.0, 1.0)] * 2))
+    assert _outcome(eval_improved, cl, signed) != want
+    eval_original(cl, signed)
+    assert _outcome(eval_improved, cl, unsigned) == want
+
+
+def test_threads_alternating_boxes_on_one_codelist_get_fresh_box_results():
+    entry = random_function(4, seed=11, require_mul=True)
+    cl = entry.compile()
+    boxes = random_boxes(entry.domain, 6, seed=3)
+    engines = (eval_original, eval_improved)
+    want = [[_outcome(engine, cl, Box.from_bounds([(d.lo, d.hi) for d in box]))
+             for engine in engines] for box in boxes]
+    wrong = []
+
+    def work(offset):
+        for step in range(600):
+            b = (offset + step) % len(boxes)
+            if [_outcome(engine, cl, boxes[b]) for engine in engines] != want[b]:
+                wrong.append(b)
+
+    # more threads than cores, switching as often as the interpreter allows;
+    # two pairs of threads walk the boxes in step, so they often ask about one box at once
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in (0, 0, 1, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong

@@ -300,13 +300,20 @@ def test_engines_and_interval_hessian_apply_the_rule_table(monkeypatch):
     # sparsity-aware engine takes r''·ls on the first and the factored rule
     # on the second
     cl = compile_expression("exp(x1) + exp(x1*x2)", 2)
-    box = Box.from_bounds([(0.5, 1.0), (0.5, 1.5)])
+    bounds = [(0.5, 1.0), (0.5, 1.5)]
     for apply, want in ((eval_original, {"value": 2, "first": 2, "lam": 2}),
                         (eval_improved, {"value": 2, "first": 2, "second": 1, "lam": 1}),
                         (interval_hessian, {"value": 2, "first": 2, "second": 2})):
         calls.clear()
-        apply(cl, box)
+        apply(cl, Box.from_bounds(bounds))
         assert calls == want, apply.__name__
+    # on the box the original engine has just evaluated, the improved one
+    # reuses its values and gradients
+    box = Box.from_bounds(bounds)
+    eval_original(cl, box)
+    calls.clear()
+    eval_improved(cl, box)
+    assert calls == {"second": 1, "lam": 1}
 
 
 # -- the per-line sparsity rules ---------------------------------------------

@@ -194,6 +194,19 @@ def test_box_basics():
         b.contains_point((0.5,))
 
 
+@pytest.mark.parametrize("dims,message", [
+    # floats instead of intervals
+    ([0.5, 1.0], "box component 1 is not an Interval: 0.5"),
+    # one interval: it unpacks to its endpoints
+    (Interval(0, 1), "box component 1 is not an Interval: 0.0"),
+    ([iv(0, 1), (0.0, 1.0)], "box component 2 is not an Interval: (0.0, 1.0)"),
+])
+def test_box_rejects_a_component_that_is_not_an_interval(dims, message):
+    with pytest.raises(InvalidInterval) as info:
+        Box(dims)
+    assert str(info.value) == message
+
+
 # -- spectral operators ---------------------------------------------------
 
 def test_lambda_s_single_component_is_exact_square():

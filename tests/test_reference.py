@@ -26,7 +26,6 @@ from hessbound.reference import (
     gershgorin_bounds,
     hertz_rohn_bounds,
     interval_hessian,
-    point_hessian,
     point_hessians,
     sym_eigen_range,
 )
@@ -254,19 +253,21 @@ def test_point_hessians_name_the_line_of_a_sampled_domain_violation(src, kind, l
     assert (info.value.kind, info.value.line) == (kind, line)
 
 
-def test_point_hessian_matches_analytic():
+def test_point_hessians_match_analytic():
     cl = compile_expression("x1^2 + x2*exp(x2)", 2)
-    H = point_hessian(cl, (0.3, 0.7))
+    H = point_hessians(cl, [[0.3, 0.7]])[0]
     assert np.allclose(H, [[2, 0], [0, (2 + 0.7) * math.exp(0.7)]])
 
 
-def test_point_hessians_batch_matches_scalar():
+def test_point_hessians_match_the_enclosure_on_a_degenerate_box():
     entry = random_function(3, seed=77)
     cl = entry.compile()
     pts = grid_points(entry.domain, 3)
     batch = point_hessians(cl, pts)
     for p in range(0, len(pts), 7):
-        assert np.allclose(batch[p], point_hessian(cl, pts[p]), atol=1e-10)
+        enc = interval_hessian(cl, Box(Interval(v, v) for v in pts[p]))
+        assert np.allclose(batch[p], enc.lo, atol=1e-10)
+        assert np.allclose(batch[p], enc.hi, atol=1e-10)
 
 
 # -- Gershgorin -----------------------------------------------------------
