@@ -11,36 +11,36 @@ Two engines are provided:
   bounds enter each line, and how, is the line's ``Codelist.rules`` entry,
   chosen once when the codelist is built.
 
-Both engines are one walk over the codelist (:func:`_walk`) in two passes.
-The value pass (:func:`_values`) propagates values and sparse gradients,
-which the two methods share; the λ pass then applies the method's
-eigenvalue rule to each line.  A sparse gradient maps a variable index to
-the ``(lo, hi)`` float endpoints of that entry, so the work scales with the
-structurally nonzero entries and builds no :class:`Interval` per entry; its
-arithmetic is the interval arithmetic, bit for bit, with the same validity
-check and error.  Gradients become intervals only in the results.  Every
-unary line takes its value, r' and curvature rules from
-:data:`hessbound.codelist.UNARY_RULES`; only ``add`` and ``mul`` values and
-gradients are written out here.  ``op_count`` is the paper's cost measure,
-``Codelist.op_counts``: it is fixed when the codelist is built and the same
-on every box.
+One walk over the codelist (:func:`_walk`) in two passes serves three
+rules: the eigenvalue rules of both engines and the interval-Hessian rule of
+:func:`hessbound.reference.interval_hessian`.  The value pass (:func:`_values`)
+propagates values, sparse gradients and each unary line's r'; the second
+pass applies the rule to each line.  A sparse gradient maps a variable index
+to the ``(lo, hi)`` float endpoints of that entry, so the work scales with
+the structurally nonzero entries; its arithmetic is the interval arithmetic,
+bit for bit, with the same validity check and error.  Every unary line takes
+its value, r' and curvature rules from :data:`hessbound.codelist.UNARY_RULES`;
+only ``add`` and ``mul`` values and gradients are written out here.
+``op_count`` is the paper's cost measure, ``Codelist.op_counts``: it is
+fixed when the codelist is built and the same on every box.
 
 The module keeps the last value pass in one slot, keyed by the codelist
 and the box's component tuple, both compared by identity (``is``).  So the
-second engine (or trace) asked about the same :class:`Box` object reuses
-the first one's values and gradients, and any other call pays one identity
-check.  The value pass does not raise on a line: it records the first
-failing line and its error and stops.  The λ pass bounds the lines before
-that one, so an earlier λ error still wins, and then raises the recorded
-error afresh, a :class:`DomainViolation` with its line number; the errors
-and their order are those of a single walk.
+second route (engine, trace or interval Hessian) asked about the same
+:class:`Box` object reuses the first one's values and gradients, and any
+other call pays one identity check.  The value pass does not raise on a
+line: it records the first failing line and its error and stops.  The
+second pass applies its rule to the lines before that one, so an earlier
+rule error still wins, and then raises the recorded error afresh, a
+:class:`DomainViolation` with its line number; the errors and their order
+are those of a single walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .codelist import UNARY_RULES, Codelist, term
 from .errors import DomainViolation, HessboundError, LengthMismatch
@@ -154,7 +154,7 @@ def _full(g: SparseGrad, n: int) -> Box:
     return Box(_interval(*g[j]) if j in g else ZERO for j in range(1, n + 1))
 
 
-# The last value pass: (codelist, box components, ys, grads, failure).  It is
+# The last value pass: (codelist, box components, ys, grads, firsts, failure).  It is
 # reused only for the same codelist and the same component tuple, compared
 # with ``is``: equal intervals can differ in the sign of a zero endpoint.  The
 # strong references keep both ids from being recycled while the slot holds
@@ -164,17 +164,18 @@ _last = None
 
 
 def _values(cl: Codelist, box: Box) -> tuple:
-    """Lists of the values and sparse gradients of every line, and the first failure.
+    """The values and sparse gradients of every line, r' by line number, and the first failure.
 
     The pass does not raise on a line: it stops at the first one that fails
     and returns ``(k, error)`` as the failure (``None`` when every line
-    succeeds), so that the λ pass can raise it in the walk's order.
+    succeeds), so that the second pass can raise it in the walk's order.
     """
     n = cl.n
     if len(box) != n:
         raise LengthMismatch(f"box dimension {len(box)} != variable count {n}")
     ys = list(box)
     grads: List[SparseGrad] = [{k: _ONE} for k in range(1, n + 1)]
+    firsts: Dict[int, Optional[Interval]] = {}
     try:
         for k, line in enumerate(cl.lines[n:], start=n + 1):
             yi, gi = ys[line.i - 1], grads[line.i - 1]
@@ -187,41 +188,42 @@ def _values(cl: Codelist, box: Box) -> tuple:
             else:
                 rule = UNARY_RULES[line.op]
                 yk = rule.value(yi, line)
-                gk = dict(gi) if rule.first is None else _grad_scale(gi, rule.first(yi, yk, line))
+                firsts[k] = first = None if rule.first is None else rule.first(yi, yk, line)
+                gk = dict(gi) if first is None else _grad_scale(gi, first)
             ys.append(yk)
             grads.append(gk)
     except HessboundError as err:
-        return ys, grads, (k, err.with_traceback(None))
-    return ys, grads, None
+        return ys, grads, firsts, (k, err.with_traceback(None))
+    return ys, grads, firsts, None
 
 
-def _walk(cl: Codelist, box: Box, lam_rule) -> tuple:
-    """Lists of the values, sparse gradients and eigenvalue bounds of every line.
+def _walk(cl: Codelist, box: Box, rule, seed=ZERO) -> tuple:
+    """Lists of the values, sparse gradients and rule results of every line.
 
-    The values and gradients come from :func:`_values`, or from the slot when
-    the previous pass was on this codelist and box.  ``lam_rule(cl, k, line,
-    ys, grads, lams)`` gives the bound of operation line k from those lists
-    and the bounds of the lines before it.  The lines before a failing one
-    get their bounds first, so an earlier λ error wins; then the failure is
-    raised afresh, a :class:`DomainViolation` with its line.
+    The first three come from :func:`_values`, or from the slot when the
+    previous pass was on this codelist and box.  ``rule(cl, k, line, ys,
+    grads, firsts, out)`` gives operation line k's result from those and the
+    results ``out`` of earlier lines (``seed`` on a var line; a rule may drop
+    one no later line reads).  The lines before a failing one come first, so
+    an earlier rule error wins; then the failure is raised afresh.
     """
     global _last
     last, dims = _last, box.dims
     if last is not None and last[0] is cl and last[1] is dims:
-        ys, grads, failure = last[2:]
+        ys, grads, firsts, failure = last[2:]
     else:
-        ys, grads, failure = _values(cl, box)
-        _last = cl, dims, ys, grads, failure
+        ys, grads, firsts, failure = _values(cl, box)
+        _last = cl, dims, ys, grads, firsts, failure
     n = cl.n
-    lams = [ZERO] * n
+    out = [seed] * n
     stop = len(cl.lines) if failure is None else failure[0] - 1
     try:
         for k, line in enumerate(cl.lines[n:stop], start=n + 1):
-            lams.append(lam_rule(cl, k, line, ys, grads, lams))
+            out.append(rule(cl, k, line, ys, grads, firsts, out))
     except DomainViolation as err:
         failure = k, err
     if failure is None:
-        return ys, grads, lams
+        return ys, grads, out
     k, err = failure
     if isinstance(err, DomainViolation):
         raise DomainViolation(err.kind, err.interval, line=k) from None
@@ -231,7 +233,7 @@ def _walk(cl: Codelist, box: Box, lam_rule) -> tuple:
 # The λ operators get the gradient components on the line's ``Codelist.blocks``
 # entry (the operands' gradient supports, ascending) and the dimension they act on.
 
-def _lam_original(cl: Codelist, k: int, line, ys, grads, lams) -> Interval:
+def _lam_original(cl: Codelist, k: int, line, ys, grads, firsts, lams) -> Interval:
     """Eigenvalue rule of the original method: λ acts on all n variables."""
     lam_i, yi, gi = lams[line.i - 1], ys[line.i - 1], grads[line.i - 1]
     if line.op == "add":
@@ -246,7 +248,7 @@ def _lam_original(cl: Codelist, k: int, line, ys, grads, lams) -> Interval:
     return rule.lam(yi, ys[k - 1], line, ls, lam_i)
 
 
-def _lam_improved(cl: Codelist, k: int, line, ys, grads, lams) -> Interval:
+def _lam_improved(cl: Codelist, k: int, line, ys, grads, firsts, lams) -> Interval:
     """Eigenvalue rule of the sparsity-aware method: the line's
     ``Codelist.rules`` entry, λ acting on its block only."""
     rule = cl.rules[k - 1]

@@ -34,7 +34,7 @@ from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
-from .errors import DomainViolation, MalformedCodelist
+from .errors import DomainViolation, InvalidInterval, MalformedCodelist
 from .interval import ZERO, Interval, hull, point, zero_widen
 
 __all__ = ["Line", "Codelist", "Rule", "UnaryRule", "UNARY_RULES"]
@@ -79,6 +79,13 @@ def _sqrt(yi: Interval, line) -> Interval:
     return yi.sqrt()
 
 
+def _sqrt_second(yi: Interval, yk: Interval, line) -> Interval:
+    cube = yk.pow(3)
+    if cube.lo == 0.0:  # y^3 underflows although y > 0: r'' = -1/(4y^3) overflows
+        raise InvalidInterval(f"sqrt r'' overflow on {yi}")
+    return cube.scale(-4.0).recip()
+
+
 UNARY_RULES = {
     "powNat": UnaryRule(
         value=lambda yi, line: yi.pow(line.m),
@@ -96,7 +103,7 @@ UNARY_RULES = {
     "sqrt": UnaryRule(
         value=_sqrt,
         first=lambda yi, yk, line: yk.scale(2.0).recip(),
-        second=lambda yi, yk, line: yk.pow(3).scale(-4.0).recip(),
+        second=_sqrt_second,
         lam=lambda yi, yk, line, ls, lam:
             yk.scale(2.0).recip() * (yi.scale(-2.0).recip() * ls + lam),
         ops=3, second_ops=3, lam_ops=4),

@@ -4,12 +4,11 @@ These provide the baseline eigenvalue bounds the codelist methods are
 compared against:
 
 * :func:`interval_hessian` -- forward second-order interval propagation,
-  yielding an elementwise enclosure of the Hessian over a box; each
-  codelist line carries its gradient and Hessian as one stacked float array
-  of shape (2, n + 1, n) (lower / upper endpoints x gradient row and Hessian
-  rows), so one numpy operation serves both derivatives; unary lines take
-  their value, r' and r'' from :data:`hessbound.codelist.UNARY_RULES`, the
-  table the bound engines use;
+  yielding an elementwise enclosure of the Hessian over a box.  It is a rule
+  on the bound engines' walk (:func:`hessbound.bounds._walk`): values,
+  gradients and r' come from their value pass, r'' from
+  :data:`hessbound.codelist.UNARY_RULES`, and each line carries its Hessian
+  as one float array of shape (2, n, n), the lower and upper endpoints;
 * :func:`gershgorin_bounds` -- disc bounds from such an enclosure;
 * :func:`hertz_rohn_bounds` -- exact extremal eigenvalues of a symmetric
   interval matrix via signed vertex enumeration, with the vertex matrices
@@ -24,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
+from .bounds import _ZERO, _walk
 from .codelist import UNARY_RULES, Codelist
 from .errors import DimensionTooLarge, DomainViolation, InvalidInterval, LengthMismatch, NotSymmetric
 from .interval import Box, Interval
@@ -91,15 +91,6 @@ class SymIntervalMatrix:
 
 
 # -- interval Hessian propagation ----------------------------------------
-#
-# Each line's gradient and Hessian are carried as one float array of shape
-# (2, n + 1, n): index 0 of the first axis holds the lower endpoints and
-# index 1 the upper ones; row 0 of the second axis is the gradient and rows
-# 1..n are the Hessian.  One numpy operation then serves both derivatives
-# of a line.  Line values stay scalar Intervals so that the domain checks
-# are the ones of the interval type.  Each array expression keeps the
-# association order of the elementwise Interval formulas, so every entry
-# equals (==) what the per-entry Interval computation gives.
 
 
 def _scale(s: Interval, m: np.ndarray) -> np.ndarray:
@@ -143,73 +134,72 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dense(g, block) -> np.ndarray:
+    """The (2, b) stack of a sparse gradient's entries on a block, 0 off its support."""
+    return np.array([g.get(j, _ZERO) for j in block]).T
+
+
 def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     """Elementwise enclosure of the Hessian of the codelist over the box.
 
-    Raises :class:`InvalidInterval` when an enclosure entry overflows.
+    Every array expression keeps the association order of the elementwise
+    Interval formulas, so each entry equals (==) the per-entry Interval
+    result.  Raises :class:`InvalidInterval` when an entry overflows.
     """
     n = cl.n
-    if len(box) != n:
-        raise LengthMismatch(f"box dimension {len(box)} != variable count {n}")
-    # each line's stack is dropped after its last reader
-    last_read = [0] * len(cl.lines)
-    for k, line in enumerate(cl.lines, start=1):
-        for ref in (line.i, line.j):
-            if ref is not None:
-                last_read[ref - 1] = k
-    ys: List[Interval] = []
-    ms: List[Optional[np.ndarray]] = []
+    zero = np.broadcast_to(0.0, (2, n, n))  # read-only, the stack of every line with an empty block
+    last_read = {ref: k for k, line in enumerate(cl.lines, start=1) for ref in (line.i, line.j)}
+    at = {}  # block -> the index of its entries in a stack
 
-    def stack(ref: int) -> np.ndarray:
-        # a var line's stack (unit gradient, zero Hessian) is built when
-        # first read, so only the live ones take memory
-        m = ms[ref - 1]
+    def add(m, d, block):
+        """``m + d`` for d given on block x block; ``None`` is the zero stack."""
+        if len(block) == n:
+            return d if m is None else np.add(m, d, out=m)
+        ix = at.get(block)
+        if ix is None:
+            rows = np.array(block) - 1
+            ix = at[block] = slice(None), rows[:, None], rows
         if m is None:
-            m = np.zeros((2, n + 1, n))
-            m[:, 0, ref - 1] = 1.0
-            ms[ref - 1] = m
+            m = np.zeros((2, n, n))
+            m[ix] = d
+        else:
+            m[ix] += d
+        return m
+
+    def hessian(cl, k, line, ys, grads, firsts, hs):
+        block, mi = cl.blocks[k - 1], hs[line.i - 1]
+        mj = None if line.j is None else hs[line.j - 1]
+        if not block:  # y_k is affine in x
+            m = zero
+        elif line.op == "add":
+            m = mj if mi is zero else mi if mj is zero else mi + mj
+        elif line.op == "mul":
+            m = None if mi is zero else _scale(ys[line.j - 1], mi)
+            if mj is not zero:
+                term = _scale(ys[line.i - 1], mj)
+                m = term if m is None else np.add(m, term, out=m)
+            cross = _outer(_dense(grads[line.i - 1], block), _dense(grads[line.j - 1], block))
+            m = add(m, cross + cross.transpose(0, 2, 1), block)
+        elif (rule := UNARY_RULES[line.op]).first is None:  # r' = 1, r'' = 0
+            m = mi
+        else:
+            m = None if mi is zero else _scale(firsts[k], mi)
+            if rule.second is not None:
+                g = _dense(grads[line.i - 1], block)
+                r2 = rule.second(ys[line.i - 1], ys[k - 1], line)
+                m = add(m, _scale(r2, _outer(g, g)), block)
+        # a stack shared with an operand has been checked already
+        if m is not mi and m is not mj and m is not zero and not np.isfinite(m).all():
+            raise InvalidInterval("non-finite gradient or Hessian enclosure")
+        for ref in (line.i, line.j):  # drop each stack after its last reader
+            if ref is not None and last_read[ref] == k:
+                hs[ref - 1] = None
         return m
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, line in enumerate(cl.lines, start=1):
-            try:
-                if line.op == "var":
-                    ys.append(box[k - 1])
-                    ms.append(None)
-                    continue
-                if line.op == "add":
-                    ys.append(ys[line.i - 1] + ys[line.j - 1])
-                    m = stack(line.i) + stack(line.j)
-                elif line.op == "mul":
-                    yi, yj = ys[line.i - 1], ys[line.j - 1]
-                    mi, mj = stack(line.i), stack(line.j)
-                    ys.append(yi * yj)
-                    m = _scale(yj, mi)
-                    m += _scale(yi, mj)
-                    cross = _outer(mi[:, 0], mj[:, 0])
-                    m[:, 1:] += cross + cross.transpose(0, 2, 1)
-                else:
-                    rule = UNARY_RULES[line.op]
-                    yi = ys[line.i - 1]
-                    yk = rule.value(yi, line)
-                    mi = stack(line.i)
-                    ys.append(yk)
-                    m = mi.copy() if rule.first is None else _scale(rule.first(yi, yk, line), mi)
-                    if rule.second is not None:
-                        m[:, 1:] += _scale(rule.second(yi, yk, line), _outer(mi[:, 0], mi[:, 0]))
-                if not np.isfinite(m).all():
-                    raise InvalidInterval("non-finite gradient or Hessian enclosure")
-                ms.append(m)
-                for ref in (line.i, line.j):
-                    if ref is not None and last_read[ref - 1] == k:
-                        ms[ref - 1] = None
-            except DomainViolation as err:
-                raise DomainViolation(err.kind, err.interval, line=k) from None
-    lo, hi = stack(len(cl.lines))[:, 1:]
+        lo, hi = _walk(cl, box, hessian, zero)[2][-1]
     # symmetrize away last-bit rounding asymmetry between mirrored entries
-    lo = np.minimum(lo, lo.T)
-    hi = np.maximum(hi, hi.T)
-    return SymIntervalMatrix(lo, hi)
+    return SymIntervalMatrix(np.minimum(lo, lo.T), np.maximum(hi, hi.T))
 
 
 # Real-point (value, r', r'') of each unary op, on arrays of sampled operand

@@ -1,5 +1,6 @@
 """Eigenvalue bound engines: golden values, soundness, tightening."""
 
+import dataclasses
 import json
 import math
 import random
@@ -23,8 +24,9 @@ from hessbound import (
     trace_improved,
     trace_original,
 )
+from hessbound.codelist import UNARY_RULES
 from hessbound.harness import codelist_value, random_boxes, random_function
-from hessbound.reference import interval_hessian, point_hessians
+from hessbound.reference import SymIntervalMatrix, interval_hessian, point_hessians
 
 from helpers import fd_gradient, grid_points, sampled_eigs
 
@@ -300,14 +302,32 @@ def test_an_earlier_lambda_error_wins_over_a_later_value_error():
             assert str(info.value) == "non-finite endpoints [-inf, inf]"
 
 
-def test_a_domain_violation_of_the_lambda_pass_carries_its_line():
-    # the values are defined; sqrt's r'' cubes y = sqrt(x1), which underflows
+def test_sqrt_curvature_that_overflows_is_an_invalid_interval():
+    # sqrt is smooth on the box, but y = sqrt(x1) reaches 1e-150, whose cube
+    # underflows to 0, so r'' = -1/(4y^3) overflows: no route may call that a
+    # domain violation
     cl = compile_expression("sqrt(x1) + x2", 2)
-    box = Box.from_bounds([(1e-300, 1.0), (0.0, 1.0)])
-    for _ in range(2):  # afresh, then on the kept value pass
-        with pytest.raises(DomainViolation) as info:
-            eval_improved(cl, box)
-        assert (info.value.kind, info.value.line) == ("recip", 3)
+    bounds = [(1e-300, 1.0), (0.0, 1.0)]
+    for route in (eval_original, eval_improved, interval_hessian):
+        for box in [Box.from_bounds(bounds)] * 2:  # afresh, then on the kept value pass
+            with pytest.raises(InvalidInterval):
+                route(cl, box)
+
+
+def test_a_domain_violation_of_the_lambda_pass_carries_its_line(monkeypatch):
+    # the values are defined; exp's λ rule is made to reject its operand
+    def lam(yi, yk, line, ls, lam):
+        raise DomainViolation("exp", yi)
+
+    monkeypatch.setitem(UNARY_RULES, "exp", dataclasses.replace(UNARY_RULES["exp"], lam=lam))
+    cl = compile_expression("x1 + exp(x1*x2)", 2)
+    line = next(k for k, ln in enumerate(cl.lines, start=1) if ln.op == "exp")
+    box = Box.from_bounds([(0.5, 1.0), (0.0, 1.0)])
+    for engine in (eval_original, eval_improved):
+        for _ in range(2):  # afresh, then on the kept value pass
+            with pytest.raises(DomainViolation) as info:
+                engine(cl, box)
+            assert (info.value.kind, info.value.line) == ("exp", line)
 
 
 def _hexes(x):
@@ -320,6 +340,8 @@ def _outcome(apply, cl, box):
         res = apply(cl, box)
     except Exception as err:
         return type(err).__name__, str(err), getattr(err, "line", None)
+    if isinstance(res, SymIntervalMatrix):
+        return [v.hex() for v in res.lo.ravel()], [v.hex() for v in res.hi.ravel()]
     if isinstance(res, list):  # a trace
         return [(_hexes(s.y), [_hexes(g) for g in s.grad], _hexes(s.lam)) for s in res]
     return (_hexes(res.value), [_hexes(g) for g in res.gradient], _hexes(res.eigen),
@@ -327,14 +349,16 @@ def _outcome(apply, cl, box):
 
 
 def test_an_engine_after_another_on_the_same_box_equals_it_on_a_fresh_box():
+    # interval_hessian is a rule on the same walk, so it takes part too
     cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
     failures = 0
     for case in cases:
         cl = compile_expression(case["source"], case["n"])
         inside = [(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]]
         for bounds in (inside, [(-1.0, 1.0)] * case["n"]):  # the second leaves most domains
-            for first in (eval_original, eval_improved):
-                for then in (eval_original, eval_improved, trace_original, trace_improved):
+            for first in (eval_original, eval_improved, interval_hessian):
+                for then in (eval_original, eval_improved, trace_original, trace_improved,
+                             interval_hessian):
                     if then is first:
                         continue
                     want = _outcome(then, cl, Box.from_bounds(bounds))
@@ -361,15 +385,15 @@ def test_threads_alternating_boxes_on_one_codelist_get_fresh_box_results():
     entry = random_function(4, seed=11, require_mul=True)
     cl = entry.compile()
     boxes = random_boxes(entry.domain, 6, seed=3)
-    engines = (eval_original, eval_improved)
-    want = [[_outcome(engine, cl, Box.from_bounds([(d.lo, d.hi) for d in box]))
-             for engine in engines] for box in boxes]
+    routes = (eval_original, eval_improved, interval_hessian)
+    want = [[_outcome(route, cl, Box.from_bounds([(d.lo, d.hi) for d in box]))
+             for route in routes] for box in boxes]
     wrong = []
 
     def work(offset):
         for step in range(600):
             b = (offset + step) % len(boxes)
-            if [_outcome(engine, cl, boxes[b]) for engine in engines] != want[b]:
+            if [_outcome(route, cl, boxes[b]) for route in routes] != want[b]:
                 wrong.append(b)
 
     # more threads than cores, switching as often as the interpreter allows;

@@ -314,6 +314,10 @@ def test_engines_and_interval_hessian_apply_the_rule_table(monkeypatch):
     calls.clear()
     eval_improved(cl, box)
     assert calls == {"second": 1, "lam": 1}
+    # and so does the interval-Hessian rule, r' included
+    calls.clear()
+    interval_hessian(cl, box)
+    assert calls == {"second": 2}
 
 
 # -- the per-line sparsity rules ---------------------------------------------

@@ -18,6 +18,7 @@ from hessbound import (
     InvalidInterval,
     NotSymmetric,
     compile_expression,
+    eval_original,
 )
 from hessbound import reference
 from hessbound.harness import random_boxes, random_function
@@ -148,6 +149,32 @@ def test_hessian_of_affine_line_ignores_overflowing_outer_product():
     # 1e200, whose outer product overflows, and 0 * inf must not become nan
     enc = interval_hessian(compile_expression("1e200*x1 + 1", 1), Box.from_bounds([(1, 2)]))
     assert enc.lo.tolist() == [[0.0]] and enc.hi.tolist() == [[0.0]]
+
+
+def test_a_hessian_overflow_wins_over_a_later_domain_violation():
+    # line 4's Hessian 2e400 overflows; line 5 takes sqrt of [-1, 1].  The
+    # value pass stops at line 5, and the Hessian rule still reports line 4
+    cl = compile_expression("(1e200*x1)^2 + sqrt(x2)", 2)
+    bounds = [(1e-200, 2e-200), (-1.0, 1.0)]
+    box = Box.from_bounds(bounds)
+    with pytest.raises(InvalidInterval):  # its λ overflows on line 4 too
+        eval_original(cl, box)
+    for box in (Box.from_bounds(bounds), box):  # afresh, then on the engine's value pass
+        with pytest.raises(InvalidInterval) as info:
+            interval_hessian(cl, box)
+        assert str(info.value) == "non-finite gradient or Hessian enclosure"
+
+
+def test_a_gradient_overflow_raises_the_engines_error():
+    # the values stay in [5, 6] and [e^5, e^6]; the gradient 1e307·e^5 does
+    # not fit a double, and the value pass that finds it is the engines'
+    cl = compile_expression("exp(1e307*x1)", 1)
+    bounds = [(5e-307, 6e-307)]
+    with pytest.raises(InvalidInterval) as engine:
+        eval_original(cl, Box.from_bounds(bounds))
+    with pytest.raises(InvalidInterval) as route:
+        interval_hessian(cl, Box.from_bounds(bounds))
+    assert str(route.value) == str(engine.value) == "non-finite endpoints [inf, inf]"
 
 
 # -- the array kernels of interval_hessian --------------------------------
