@@ -15,12 +15,19 @@ One walk over the codelist (:func:`_walk`) in two passes serves three
 rules: the eigenvalue rules of both engines and the interval-Hessian rule of
 :func:`hessbound.reference.interval_hessian`.  The value pass (:func:`_values`)
 propagates values, sparse gradients and each unary line's r'; the second
-pass applies the rule to each line.  A sparse gradient maps a variable index
-to the ``(lo, hi)`` float endpoints of that entry, so the work scales with
-the structurally nonzero entries; its arithmetic is the interval arithmetic,
-bit for bit, with the same validity check and error.  Every unary line takes
-its value, r' and curvature rules from :data:`hessbound.codelist.UNARY_RULES`;
-only ``add`` and ``mul`` values and gradients are written out here.
+pass applies the rule to each line.  Every interval the walk carries -- a
+line's value, r' and eigenvalue bound, and each gradient entry -- is a
+``(lo, hi)`` pair of floats, computed by the endpoint kernels of
+:mod:`hessbound.interval`: the interval arithmetic, bit for bit, with the
+same validity check and errors.  A sparse gradient maps a variable index to
+its entry, so the work scales with the structurally nonzero entries.  The λ
+operators return an :class:`Interval`, whose endpoints the rules read.
+Every unary line takes its value, r' and curvature rules from
+:data:`hessbound.codelist.UNARY_RULES`; only ``add`` and ``mul`` values and
+gradients are written out here.  Intervals are built only at the edge, where
+a public function hands one out: an :class:`EvalResult`'s value and eigen
+bound (and its gradient :class:`Box`, on first read), the input of
+:func:`lift_reduced` and the :class:`LineState` triples of a trace.
 ``op_count`` is the paper's cost measure, ``Codelist.op_counts``: it is
 fixed when the codelist is built and the same on every box.
 
@@ -38,8 +45,7 @@ are those of a single walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import inf
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .codelist import UNARY_RULES, Codelist, term
@@ -47,11 +53,14 @@ from .errors import DomainViolation, HessboundError, LengthMismatch
 from .interval import (
     Box,
     Interval,
+    Pair,
     ZERO,
     _interval,
     lambda_s,
     lambda_star,
     lambda_t,
+    pair_add,
+    pair_mul,
     zero_widen,
 )
 
@@ -65,8 +74,9 @@ __all__ = [
     "trace_improved",
 ]
 
-SparseGrad = Dict[int, Tuple[float, float]]
+SparseGrad = Dict[int, Pair]
 _ZERO, _ONE = (0.0, 0.0), (1.0, 1.0)
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -78,13 +88,58 @@ class LineState:
     lam: Interval
 
 
-@dataclass(frozen=True)
 class EvalResult:
-    value: Interval
-    gradient: Box
-    eigen: Interval
-    method: str
-    op_count: int
+    """An engine's result on a box: ``value``, ``gradient``, ``eigen``,
+    ``method`` and ``op_count``.
+
+    Immutable, and compared and shown field by field like a frozen
+    dataclass.  The engines keep the gradient as sparse endpoint pairs and
+    build its :class:`Box` on the first read of ``gradient``.
+    """
+
+    __slots__ = ("value", "eigen", "method", "op_count", "_gradient", "_sparse")
+
+    def __init__(self, value: Interval, gradient: Optional[Box], eigen: Interval, method: str,
+                 op_count: int, *, _sparse: Optional[Tuple[SparseGrad, int]] = None):
+        # an engine passes no gradient but its sparse form, (gradient, n)
+        _set(self, "value", value)
+        _set(self, "_gradient", gradient)
+        _set(self, "_sparse", _sparse)
+        _set(self, "eigen", eigen)
+        _set(self, "method", method)
+        _set(self, "op_count", op_count)
+
+    @property
+    def gradient(self) -> Box:
+        g = self._gradient
+        if g is None:
+            g = _full(*self._sparse)
+            _set(self, "_gradient", g)
+            _set(self, "_sparse", None)
+        return g
+
+    def _fields(self) -> tuple:
+        return self.value, self.gradient, self.eigen, self.method, self.op_count
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return ("EvalResult(value={!r}, gradient={!r}, eigen={!r}, method={!r}, "
+                "op_count={!r})".format(*self._fields()))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return EvalResult, self._fields()
 
 
 def lift_reduced(lam_dagger: Interval, linear_set, n: int) -> Interval:
@@ -96,58 +151,18 @@ def lift_reduced(lam_dagger: Interval, linear_set, n: int) -> Interval:
     return zero_widen(lam_dagger)
 
 
-# Each new entry gets Interval's check; a failing one is built as an
-# Interval, which raises the error the interval operator would have raised.
-
 def _grad_add(a: SparseGrad, b: SparseGrad) -> SparseGrad:
     """``a + b`` entrywise: the interval sum of the entries both have."""
     out = dict(a)
     for k, v in b.items():
         u = out.get(k)
-        if u is None:
-            out[k] = v
-        else:
-            lo, hi = u[0] + v[0], u[1] + v[1]
-            if not -inf < lo <= hi < inf:
-                Interval(lo, hi)
-            out[k] = lo, hi
+        out[k] = v if u is None else pair_add(u, v)
     return out
 
 
-def _grad_scale(g: SparseGrad, f: Interval) -> SparseGrad:
-    """``{k: f * x}`` over the entries of g, bit for bit.
-
-    A point factor (lo == hi) needs two products per x.  The other two
-    repeat them, or, for a zero factor such as [-0.0, 0.0], all four are
-    zeros; either way min and max pick the same first result.
-    """
-    a, b = f.lo, f.hi
-    out = {}
-    if a == b:
-        for k, (c, d) in g.items():
-            p, q = a * c, a * d
-            lo, hi = min(p, q), max(p, q)
-            if not -inf < lo <= hi < inf:
-                Interval(lo, hi)
-            out[k] = lo, hi
-        return out
-    for k, (c, d) in g.items():
-        p, q, r, s = a * c, a * d, b * c, b * d
-        lo, hi = min(p, q, r, s), max(p, q, r, s)
-        if not -inf < lo <= hi < inf:
-            Interval(lo, hi)
-        out[k] = lo, hi
-    return out
-
-
-def _product(u: Tuple[float, float], v: Tuple[float, float]) -> Tuple[float, float]:
-    """The interval product of two gradient entries."""
-    (a, b), (c, d) = u, v
-    p, q, r, s = a * c, a * d, b * c, b * d
-    lo, hi = min(p, q, r, s), max(p, q, r, s)
-    if not -inf < lo <= hi < inf:
-        Interval(lo, hi)
-    return lo, hi
+def _grad_scale(g: SparseGrad, f: Pair) -> SparseGrad:
+    """``{k: f * x}`` over the entries of g."""
+    return {k: pair_mul(f, x) for k, x in g.items()}
 
 
 def _full(g: SparseGrad, n: int) -> Box:
@@ -173,17 +188,17 @@ def _values(cl: Codelist, box: Box) -> tuple:
     n = cl.n
     if len(box) != n:
         raise LengthMismatch(f"box dimension {len(box)} != variable count {n}")
-    ys = list(box)
+    ys: List[Pair] = [(d.lo, d.hi) for d in box.dims]
     grads: List[SparseGrad] = [{k: _ONE} for k in range(1, n + 1)]
-    firsts: Dict[int, Optional[Interval]] = {}
+    firsts: Dict[int, Optional[Pair]] = {}
     try:
         for k, line in enumerate(cl.lines[n:], start=n + 1):
             yi, gi = ys[line.i - 1], grads[line.i - 1]
             if line.op == "add":
-                yk, gk = yi + ys[line.j - 1], _grad_add(gi, grads[line.j - 1])
+                yk, gk = pair_add(yi, ys[line.j - 1]), _grad_add(gi, grads[line.j - 1])
             elif line.op == "mul":
                 yj = ys[line.j - 1]
-                yk = yi * yj
+                yk = pair_mul(yi, yj)
                 gk = _grad_add(_grad_scale(gi, yj), _grad_scale(grads[line.j - 1], yi))
             else:
                 rule = UNARY_RULES[line.op]
@@ -197,10 +212,11 @@ def _values(cl: Codelist, box: Box) -> tuple:
     return ys, grads, firsts, None
 
 
-def _walk(cl: Codelist, box: Box, rule, seed=ZERO) -> tuple:
+def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
     """Lists of the values, sparse gradients and rule results of every line.
 
-    The first three come from :func:`_values`, or from the slot when the
+    ``box`` is a :class:`Box`, or anything ``Box`` builds one from.  The
+    first two lists come from :func:`_values`, or from the slot when the
     previous pass was on this codelist and box.  ``rule(cl, k, line, ys,
     grads, firsts, out)`` gives operation line k's result from those and the
     results ``out`` of earlier lines (``seed`` on a var line; a rule may drop
@@ -208,6 +224,8 @@ def _walk(cl: Codelist, box: Box, rule, seed=ZERO) -> tuple:
     an earlier rule error wins; then the failure is raised afresh.
     """
     global _last
+    if not isinstance(box, Box):
+        box = Box(box)
     last, dims = _last, box.dims
     if last is not None and last[0] is cl and last[1] is dims:
         ys, grads, firsts, failure = last[2:]
@@ -231,24 +249,30 @@ def _walk(cl: Codelist, box: Box, rule, seed=ZERO) -> tuple:
 
 
 # The λ operators get the gradient components on the line's ``Codelist.blocks``
-# entry (the operands' gradient supports, ascending) and the dimension they act on.
+# entry (the operands' gradient supports, ascending) and the dimension they
+# act on; the engines read the Interval each returns as a pair.
 
-def _lam_original(cl: Codelist, k: int, line, ys, grads, firsts, lams) -> Interval:
+def _lam_original(cl: Codelist, k: int, line, ys, grads, firsts, lams) -> Pair:
     """Eigenvalue rule of the original method: λ acts on all n variables."""
     lam_i, yi, gi = lams[line.i - 1], ys[line.i - 1], grads[line.i - 1]
     if line.op == "add":
-        return lam_i + lams[line.j - 1]
+        return pair_add(lam_i, lams[line.j - 1])
     block = cl.blocks[k - 1]
     if line.op == "mul":
         gj = grads[line.j - 1]
         lt = lambda_t([gi.get(j, _ZERO) for j in block], [gj.get(j, _ZERO) for j in block], cl.n)
-        return ys[line.j - 1] * lam_i + yi * lams[line.j - 1] + lt
+        return pair_add(pair_add(pair_mul(ys[line.j - 1], lam_i), pair_mul(yi, lams[line.j - 1])),
+                        (lt.lo, lt.hi))
     rule = UNARY_RULES[line.op]
-    ls = None if rule.second is None else lambda_s([gi[j] for j in block], cl.n)
+    if rule.second is None:
+        ls = None
+    else:
+        ls = lambda_s([gi[j] for j in block], cl.n)
+        ls = ls.lo, ls.hi
     return rule.lam(yi, ys[k - 1], line, ls, lam_i)
 
 
-def _lam_improved(cl: Codelist, k: int, line, ys, grads, firsts, lams) -> Interval:
+def _lam_improved(cl: Codelist, k: int, line, ys, grads, firsts, lams) -> Pair:
     """Eigenvalue rule of the sparsity-aware method: the line's
     ``Codelist.rules`` entry, λ acting on its block only."""
     rule = cl.rules[k - 1]
@@ -261,45 +285,48 @@ def _lam_improved(cl: Codelist, k: int, line, ys, grads, firsts, lams) -> Interv
         if rule.cross is not None:  # the 2x2 rule: λ* and the cross product
             a, b = term(rule.i, lam_i, yj), term(rule.j, lam_j, yi)
             p, q = rule.cross
-            return lambda_star(ZERO if a is None else a, ZERO if b is None else b,
-                               _product(gi.get(p, _ZERO), gj.get(q, _ZERO)))
+            star = lambda_star(_ZERO if a is None else a, _ZERO if b is None else b,
+                               pair_mul(gi.get(p, _ZERO), gj.get(q, _ZERO)))
+            return star.lo, star.hi
         lt = lambda_t([gi.get(j, _ZERO) for j in block], [gj.get(j, _ZERO) for j in block],
                       len(block))
-        return rule.apply(lt, lam_i, lam_j, yi, yj)
+        return rule.apply((lt.lo, lt.hi), lam_i, lam_j, yi, yj)
     unary = UNARY_RULES[line.op]
     yk = ys[k - 1]
     lam = term(rule.i, lam_i)  # None when the argument block vanishes entirely
     if unary.second is None:  # affine: L_k = L_i and r'' = 0
-        return ZERO if lam is None else unary.lam(yi, yk, line, None, lam)
+        return _ZERO if lam is None else unary.lam(yi, yk, line, None, lam)
     ls = lambda_s([gi[j] for j in block], len(block))
+    ls = ls.lo, ls.hi
     if lam is None:
-        return unary.second(yi, yk, line) * ls
+        return pair_mul(unary.second(yi, yk, line), ls)
     return unary.lam(yi, yk, line, ls, lam)
 
 
-# -- public entry points -------------------------------------------------
+# -- public entry points: Intervals are built here -------------------------
 
 def _result(cl: Codelist, ys, grads, eigen: Interval, method: str) -> EvalResult:
-    return EvalResult(value=ys[-1], gradient=_full(grads[-1], cl.n), eigen=eigen,
-                      method=method, op_count=cl.op_counts[method])
+    return EvalResult(_interval(*ys[-1]), None, eigen, method, cl.op_counts[method],
+                      _sparse=(grads[-1], cl.n))
 
 
 def eval_original(cl: Codelist, box: Box) -> EvalResult:
     """Direct eigenvalue bounds, ignoring sparsity."""
     ys, grads, lams = _walk(cl, box, _lam_original)
-    return _result(cl, ys, grads, lams[-1], "original")
+    return _result(cl, ys, grads, _interval(*lams[-1]), "original")
 
 
 def eval_improved(cl: Codelist, box: Box) -> EvalResult:
     """Sparsity-aware eigenvalue bounds (never wider than the original)."""
     ys, grads, lams = _walk(cl, box, _lam_improved)
-    eigen = lift_reduced(lams[-1], cl.linear[len(cl.lines) - 1], cl.n)
+    eigen = lift_reduced(_interval(*lams[-1]), cl.linear[len(cl.lines) - 1], cl.n)
     return _result(cl, ys, grads, eigen, "improved")
 
 
 def _trace(cl: Codelist, box: Box, lam_rule) -> List[LineState]:
     ys, grads, lams = _walk(cl, box, lam_rule)
-    return [LineState(y, _full(g, cl.n), lam) for y, g, lam in zip(ys, grads, lams)]
+    return [LineState(_interval(*y), _full(g, cl.n), _interval(*lam))
+            for y, g, lam in zip(ys, grads, lams)]
 
 
 def trace_original(cl: Codelist, box: Box) -> List[LineState]:

@@ -17,8 +17,9 @@ and to the codelist ``op_counts``, each engine's operation count.  All are
 fixed by the operation structure alone, not by the box it is evaluated over.
 
 :data:`UNARY_RULES` holds the interval rules of every unary operation
-y_k = r(y_i): its value, r', r'' and the factored curvature rule.  Both
-bound engines and the interval-Hessian reference route apply them from here.
+y_k = r(y_i): its value, r', r'' and the factored curvature rule, on
+``(lo, hi)`` float pairs.  Both bound engines and the interval-Hessian
+reference route apply them from here; :class:`Rule` combines pairs too.
 
 :attr:`Codelist.point_function` is the codelist as one generated Python
 function of a real point, one source line per codelist line, compiled on
@@ -35,7 +36,22 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
 from .errors import DomainViolation, InvalidInterval, MalformedCodelist
-from .interval import ZERO, Interval, hull, point, zero_widen
+from .interval import (
+    Interval,
+    Pair,
+    pair_add,
+    pair_add_const,
+    pair_exp,
+    pair_hull,
+    pair_ln,
+    pair_mul,
+    pair_pow,
+    pair_recip,
+    pair_scale,
+    pair_sqrt,
+    pair_sub,
+    pair_zero_widen,
+)
 
 __all__ = ["Line", "Codelist", "Rule", "UnaryRule", "UNARY_RULES"]
 
@@ -44,8 +60,10 @@ __all__ = ["Line", "Codelist", "Rule", "UnaryRule", "UNARY_RULES"]
 class UnaryRule:
     """Interval rules of one unary operation y_k = r(y_i).
 
-    Each rule is called with the operand enclosure ``yi``, the value
-    enclosure ``yk`` and the codelist ``line`` (for its ``m`` or ``c``):
+    Every interval a rule takes or returns is a ``(lo, hi)`` pair of floats,
+    computed by the endpoint kernels of :mod:`hessbound.interval`.  Each rule
+    is called with the operand enclosure ``yi``, the value enclosure ``yk``
+    and the codelist ``line`` (for its ``m`` or ``c``):
 
     * ``value(yi, line)`` -- y_k, raising :class:`DomainViolation` (without a
       line number) outside the domain;
@@ -72,64 +90,70 @@ class UnaryRule:
     lam_ops: int
 
 
-def _sqrt(yi: Interval, line) -> Interval:
-    if yi.lo <= 0.0:
+def _sqrt(yi: Pair, line) -> Pair:
+    lo, hi = yi
+    if lo <= 0.0:
         # r' divides by sqrt(y); demand strict positivity
-        raise DomainViolation("sqrt", yi)
-    return yi.sqrt()
+        raise DomainViolation("sqrt", Interval(lo, hi))
+    return pair_sqrt(yi)
 
 
-def _sqrt_second(yi: Interval, yk: Interval, line) -> Interval:
-    cube = yk.pow(3)
-    if cube.lo == 0.0:  # y^3 underflows although y > 0: r'' = -1/(4y^3) overflows
-        raise InvalidInterval(f"sqrt r'' overflow on {yi}")
-    return cube.scale(-4.0).recip()
+def _sqrt_second(yi: Pair, yk: Pair, line) -> Pair:
+    cube = pair_pow(yk, 3)
+    if cube[0] == 0.0:  # y^3 underflows although y > 0: r'' = -1/(4y^3) overflows
+        raise InvalidInterval(f"sqrt r'' overflow on {Interval(*yi)}")
+    return pair_recip(pair_scale(cube, -4.0))
 
 
 UNARY_RULES = {
     "powNat": UnaryRule(
-        value=lambda yi, line: yi.pow(line.m),
-        first=lambda yi, yk, line: yi.pow(line.m - 1).scale(line.m),
-        second=lambda yi, yk, line: yi.pow(line.m - 2).scale(line.m * (line.m - 1)),
+        value=lambda yi, line: pair_pow(yi, line.m),
+        first=lambda yi, yk, line: pair_scale(pair_pow(yi, line.m - 1), line.m),
+        second=lambda yi, yk, line:
+            pair_scale(pair_pow(yi, line.m - 2), line.m * (line.m - 1)),
         lam=lambda yi, yk, line, ls, lam:
-            yi.pow(line.m - 2).scale(line.m) * (ls.scale(line.m - 1) + yi * lam),
+            pair_mul(pair_scale(pair_pow(yi, line.m - 2), line.m),
+                     pair_add(pair_scale(ls, line.m - 1), pair_mul(yi, lam))),
         ops=3, second_ops=3, lam_ops=5),
     "oneOver": UnaryRule(
-        value=lambda yi, line: yi.recip(),
-        first=lambda yi, yk, line: yk.pow(2).scale(-1.0),
-        second=lambda yi, yk, line: yk.pow(3).scale(2.0),
-        lam=lambda yi, yk, line, ls, lam: yk.pow(2) * (yk.scale(2.0) * ls - lam),
+        value=lambda yi, line: pair_recip(yi),
+        first=lambda yi, yk, line: pair_scale(pair_pow(yk, 2), -1.0),
+        second=lambda yi, yk, line: pair_scale(pair_pow(yk, 3), 2.0),
+        lam=lambda yi, yk, line, ls, lam:
+            pair_mul(pair_pow(yk, 2), pair_sub(pair_mul(pair_scale(yk, 2.0), ls), lam)),
         ops=3, second_ops=3, lam_ops=4),
     "sqrt": UnaryRule(
         value=_sqrt,
-        first=lambda yi, yk, line: yk.scale(2.0).recip(),
+        first=lambda yi, yk, line: pair_recip(pair_scale(yk, 2.0)),
         second=_sqrt_second,
         lam=lambda yi, yk, line, ls, lam:
-            yk.scale(2.0).recip() * (yi.scale(-2.0).recip() * ls + lam),
+            pair_mul(pair_recip(pair_scale(yk, 2.0)),
+                     pair_add(pair_mul(pair_recip(pair_scale(yi, -2.0)), ls), lam)),
         ops=3, second_ops=3, lam_ops=4),
     "exp": UnaryRule(
-        value=lambda yi, line: yi.exp(),
+        value=lambda yi, line: pair_exp(yi),
         first=lambda yi, yk, line: yk,
         second=lambda yi, yk, line: yk,
-        lam=lambda yi, yk, line, ls, lam: yk * (ls + lam),
+        lam=lambda yi, yk, line, ls, lam: pair_mul(yk, pair_add(ls, lam)),
         ops=1, second_ops=2, lam_ops=2),
     "ln": UnaryRule(
-        value=lambda yi, line: yi.ln(),
-        first=lambda yi, yk, line: yi.recip(),
-        second=lambda yi, yk, line: yi.recip().pow(2).scale(-1.0),
-        lam=lambda yi, yk, line, ls, lam: (ri := yi.recip()) * (lam - ri * ls),
+        value=lambda yi, line: pair_ln(yi),
+        first=lambda yi, yk, line: pair_recip(yi),
+        second=lambda yi, yk, line: pair_scale(pair_pow(pair_recip(yi), 2), -1.0),
+        lam=lambda yi, yk, line, ls, lam:
+            pair_mul(ri := pair_recip(yi), pair_sub(lam, pair_mul(ri, ls))),
         ops=2, second_ops=4, lam_ops=4),
     "addC": UnaryRule(
-        value=lambda yi, line: yi.add_const(line.c),
+        value=lambda yi, line: pair_add_const(yi, line.c),
         first=None,
         second=None,
         lam=lambda yi, yk, line, ls, lam: lam,
         ops=1, second_ops=0, lam_ops=0),
     "mulByC": UnaryRule(
-        value=lambda yi, line: yi.scale(line.c),
-        first=lambda yi, yk, line: point(line.c),
+        value=lambda yi, line: pair_scale(yi, line.c),
+        first=lambda yi, yk, line: (float(line.c), float(line.c)),
         second=None,
-        lam=lambda yi, yk, line, ls, lam: lam.scale(line.c),
+        lam=lambda yi, yk, line, ls, lam: pair_scale(lam, line.c),
         ops=1, second_ops=0, lam_ops=1),
 }
 
@@ -180,18 +204,18 @@ ABSENT, EXACT, WIDENED = "absent", "exact", "widened"
 SUM, WIDENED_SUM, HULL, WIDENED_HULL, STAR = "sum", "widened sum", "hull", "widened hull", "2x2"
 
 
-def term(kind: str, lam: Interval, factor: Optional[Interval] = None) -> Optional[Interval]:
+def term(kind: str, lam: Pair, factor: Optional[Pair] = None) -> Optional[Pair]:
     """An operand's term in a rule: ``factor·lam``, ``lam`` zero-widened
     first if ``kind`` is WIDENED; ``None`` if it is ABSENT."""
     if kind == ABSENT:
         return None
     if kind == WIDENED:
-        lam = zero_widen(lam)
-    return lam if factor is None else factor * lam
+        lam = pair_zero_widen(lam)
+    return lam if factor is None else pair_mul(factor, lam)
 
 
-def _plus(x: Optional[Interval], y: Optional[Interval]) -> Optional[Interval]:
-    return y if x is None else x if y is None else x + y
+def _plus(x: Optional[Pair], y: Optional[Pair]) -> Optional[Pair]:
+    return y if x is None else x if y is None else pair_add(x, y)
 
 
 @dataclass(frozen=True)
@@ -229,23 +253,24 @@ class Rule:
         cross = "" if self.cross is None else " {},{}".format(*self.cross)
         return f"{self.i}/{self.j} {self.combine}{cross}"
 
-    def apply(self, lt: Optional[Interval], lam_i: Interval, lam_j: Interval,
-              yi: Optional[Interval] = None, yj: Optional[Interval] = None) -> Interval:
+    def apply(self, lt: Optional[Pair], lam_i: Pair, lam_j: Pair,
+              yi: Optional[Pair] = None, yj: Optional[Pair] = None) -> Pair:
         """A binary line's bound from its λ_t bound ``lt`` (``None`` on an add
         line) and its operands' bounds; on a mul line the terms are scaled by
-        ``yj`` and ``yi``.  Evaluated in the order the formula is written.
-        The 2x2 rule is the engine's: it needs the gradients."""
+        ``yj`` and ``yi``.  All are ``(lo, hi)`` pairs.  Evaluated in the
+        order the formula is written.  The 2x2 rule is the engine's: it needs
+        the gradients."""
         a = term(self.i, lam_i, yj)
         if self.combine == SUM:
             out = _plus(_plus(lt, a), term(self.j, lam_j, yi))
-            return ZERO if out is None else out
+            return (0.0, 0.0) if out is None else out
         b = term(self.j, lam_j, yi)
         if self.combine == WIDENED_SUM:
-            return lt + zero_widen(a + b)
-        h = hull(a, b)
+            return pair_add(lt, pair_zero_widen(pair_add(a, b)))
+        h = pair_hull(a, b)
         if self.combine == WIDENED_HULL:
-            h = zero_widen(h)
-        return h if lt is None else lt + h
+            h = pair_zero_widen(h)
+        return h if lt is None else pair_add(lt, h)
 
 
 _shared_rule = cache(Rule)  # one object per (op, i, j, combine)

@@ -2,8 +2,21 @@
 
 Intervals are closed, bounded subsets [lo, hi] of the reals.  All
 operations return the exact image interval in round-to-nearest double
-precision; no directed rounding is performed.  On top of the elementary
-rules this module provides the four operators used by the bound engine:
+precision; no directed rounding is performed.
+
+The endpoint kernels (``pair_add``, ``pair_sub``, ``pair_mul``,
+``pair_scale``, ``pair_add_const``, ``pair_recip``, ``pair_pow``,
+``pair_sqrt``, ``pair_exp``, ``pair_ln``, ``pair_zero_widen`` and
+``pair_hull``) are the one home of the endpoint formulas.  Each takes and
+returns intervals as ``(lo, hi)`` pairs of floats, runs the validity check
+of :class:`Interval` on its result and raises the errors of the interval
+operation.  The :class:`Interval` operators wrap them, and the bound
+engines and the unary rule table call them directly, so that a value never
+becomes an object on their hot paths; a change to how an endpoint is
+computed (outward rounding, say) is made in the kernels alone.
+
+On top of the elementary rules this module provides the four operators used
+by the bound engine:
 
 * ``lambda_s`` -- encloses the spectrum of rank-1 matrices a a^T,
 * ``lambda_t`` -- encloses the spectrum of symmetric terms a b^T + b a^T,
@@ -11,8 +24,9 @@ rules this module provides the four operators used by the bound engine:
 * ``lambda_star`` -- tight bounds for 2x2 symmetric interval matrices.
 
 An interval unpacks as ``lo, hi = iv``.  The λ operators read their
-gradient components that way, so the engines can pass ``(lo, hi)`` float
-pairs where public callers pass :class:`Interval` objects.
+interval arguments that way, so the engines can pass ``(lo, hi)`` float
+pairs where public callers pass :class:`Interval` objects; they return an
+:class:`Interval`.
 
 Everything here is immutable and side-effect free.
 """
@@ -60,67 +74,50 @@ class Interval:
             hi = float(hi)
             object.__setattr__(self, "hi", hi)
         if not -_INF < lo <= hi < _INF:
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise InvalidInterval(f"non-finite endpoints [{lo}, {hi}]")
-            raise InvalidInterval(f"lo > hi in [{lo}, {hi}]")
+            _reject(lo, hi)
 
     def __iter__(self):
         """The endpoints, so that ``lo, hi = iv`` unpacks an interval."""
         return iter((self.lo, self.hi))
 
-    # -- elementary arithmetic -------------------------------------------
+    # -- elementary arithmetic, by the endpoint kernels below ---------------
 
     def __add__(self, other: "Interval") -> "Interval":
-        return _interval(self.lo + other.lo, self.hi + other.hi)
+        return _interval(*pair_add((self.lo, self.hi), (other.lo, other.hi)))
 
     def __mul__(self, other: "Interval") -> "Interval":
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        p, q, r, s = a * c, a * d, b * c, b * d
-        return _interval(min(p, q, r, s), max(p, q, r, s))
+        return _interval(*pair_mul((self.lo, self.hi), (other.lo, other.hi)))
 
     def __neg__(self) -> "Interval":
-        return _interval(-self.hi, -self.lo)
+        return _interval(*pair_scale((self.lo, self.hi), -1.0))
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return _interval(self.lo - other.hi, self.hi - other.lo)
+        return _interval(*pair_sub((self.lo, self.hi), (other.lo, other.hi)))
 
     def recip(self) -> "Interval":
-        if self.lo <= 0.0 <= self.hi:
-            raise DomainViolation("recip", self)
-        return _interval(1.0 / self.hi, 1.0 / self.lo)
+        return _interval(*pair_recip((self.lo, self.hi)))
 
     def pow(self, m: int) -> "Interval":
-        if m < 0 or m != int(m):
-            raise ValueError(f"exponent must be a natural number, got {m}")
         if m == 0:
             return ONE
         if m == 1:
             return self
-        return _pow(self.lo, self.hi, m)
+        return _interval(*pair_pow((self.lo, self.hi), m))
 
     def sqrt(self) -> "Interval":
-        if self.lo < 0.0:
-            raise DomainViolation("sqrt", self)
-        return _interval(math.sqrt(self.lo), math.sqrt(self.hi))
+        return _interval(*pair_sqrt((self.lo, self.hi)))
 
     def exp(self) -> "Interval":
-        try:
-            return _interval(math.exp(self.lo), math.exp(self.hi))
-        except OverflowError:
-            raise InvalidInterval(f"exp overflow on {self}") from None
+        return _interval(*pair_exp((self.lo, self.hi)))
 
     def ln(self) -> "Interval":
-        if self.lo <= 0.0:
-            raise DomainViolation("ln", self)
-        return _interval(math.log(self.lo), math.log(self.hi))
+        return _interval(*pair_ln((self.lo, self.hi)))
 
     def add_const(self, c: float) -> "Interval":
-        return _interval(self.lo + c, self.hi + c)
+        return _interval(*pair_add_const((self.lo, self.hi), c))
 
     def scale(self, c: float) -> "Interval":
-        if c >= 0:
-            return _interval(c * self.lo, c * self.hi)
-        return _interval(c * self.hi, c * self.lo)
+        return _interval(*pair_scale((self.lo, self.hi), c))
 
     # -- predicates and helpers ------------------------------------------
 
@@ -149,6 +146,13 @@ _set_lo = Interval.lo.__set__
 _set_hi = Interval.hi.__set__
 
 
+def _reject(lo: float, hi: float):
+    """Raise the error of an invalid ``Interval(lo, hi)``."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInterval(f"non-finite endpoints [{lo}, {hi}]")
+    raise InvalidInterval(f"lo > hi in [{lo}, {hi}]")
+
+
 def _interval(lo: float, hi: float) -> Interval:
     """``Interval(lo, hi)`` without the dataclass ``__init__`` frame.
 
@@ -172,17 +176,138 @@ def point(x: float) -> Interval:
     return _interval(x, x)
 
 
-def _pow(lo: float, hi: float, m: int) -> Interval:
-    """``[lo, hi]^m`` for a natural m >= 2, from the endpoints."""
+# -- endpoint kernels (see the module docstring) ----------------------------
+#
+# An Interval operand unpacks like a pair, so a kernel takes either; on the
+# engines' paths the operands are tuples.
+
+Pair = Tuple[float, float]
+
+
+def pair_add(x: Pair, y: Pair) -> Pair:
+    (a, b), (c, d) = x, y
+    lo, hi = a + c, b + d
+    if not -_INF < lo <= hi < _INF:
+        _reject(lo, hi)
+    return lo, hi
+
+
+def pair_sub(x: Pair, y: Pair) -> Pair:
+    (a, b), (c, d) = x, y
+    lo, hi = a - d, b - c
+    if not -_INF < lo <= hi < _INF:
+        _reject(lo, hi)
+    return lo, hi
+
+
+def pair_mul(x: Pair, y: Pair) -> Pair:
+    (a, b), (c, d) = x, y
+    p, q, r, s = a * c, a * d, b * c, b * d
+    lo, hi = min(p, q, r, s), max(p, q, r, s)
+    if not -_INF < lo <= hi < _INF:
+        _reject(lo, hi)
+    return lo, hi
+
+
+def pair_scale(x: Pair, c: float) -> Pair:
+    """``c·x`` for a real c."""
+    a, b = x
+    lo, hi = (c * a, c * b) if c >= 0 else (c * b, c * a)
+    if not -_INF < lo <= hi < _INF:
+        _reject(lo, hi)
+    return lo, hi
+
+
+def pair_add_const(x: Pair, c: float) -> Pair:
+    """``x + c`` for a real c."""
+    a, b = x
+    lo, hi = a + c, b + c
+    if not -_INF < lo <= hi < _INF:
+        _reject(lo, hi)
+    return lo, hi
+
+
+def pair_recip(x: Pair) -> Pair:
+    a, b = x
+    if a <= 0.0 <= b:
+        raise DomainViolation("recip", Interval(a, b))
+    lo, hi = 1.0 / b, 1.0 / a
+    if not -_INF < lo <= hi < _INF:
+        _reject(lo, hi)
+    return lo, hi
+
+
+def pair_pow(x: Pair, m: int) -> Pair:
+    """``x^m`` for a natural number m."""
+    if m < 0 or m != int(m):
+        raise ValueError(f"exponent must be a natural number, got {m}")
+    if m == 0:
+        return 1.0, 1.0
+    if m == 1:
+        return x
+    a, b = x
     try:
-        lo_m, hi_m = lo**m, hi**m
+        a_m, b_m = a**m, b**m
     except OverflowError:
-        raise InvalidInterval(f"pow overflow on {Interval(lo, hi)}^{m}") from None
-    if lo > 0 or m % 2 == 1:
-        return _interval(lo_m, hi_m)
-    if hi < 0:  # m even
-        return _interval(hi_m, lo_m)
-    return _interval(0.0, max(lo_m, hi_m))
+        raise InvalidInterval(f"pow overflow on {Interval(a, b)}^{m}") from None
+    if a > 0 or m % 2 == 1:
+        lo, hi = a_m, b_m
+    elif b < 0:  # m even
+        lo, hi = b_m, a_m
+    else:
+        lo, hi = 0.0, max(a_m, b_m)
+    if not -_INF < lo <= hi < _INF:
+        _reject(lo, hi)
+    return lo, hi
+
+
+def pair_sqrt(x: Pair) -> Pair:
+    a, b = x
+    if a < 0.0:
+        raise DomainViolation("sqrt", Interval(a, b))
+    lo, hi = math.sqrt(a), math.sqrt(b)
+    if not -_INF < lo <= hi < _INF:
+        _reject(lo, hi)
+    return lo, hi
+
+
+def pair_exp(x: Pair) -> Pair:
+    a, b = x
+    try:
+        lo, hi = math.exp(a), math.exp(b)
+    except OverflowError:
+        raise InvalidInterval(f"exp overflow on {Interval(a, b)}") from None
+    if not -_INF < lo <= hi < _INF:
+        _reject(lo, hi)
+    return lo, hi
+
+
+def pair_ln(x: Pair) -> Pair:
+    a, b = x
+    if a <= 0.0:
+        raise DomainViolation("ln", Interval(a, b))
+    lo, hi = math.log(a), math.log(b)
+    if not -_INF < lo <= hi < _INF:
+        _reject(lo, hi)
+    return lo, hi
+
+
+def pair_zero_widen(x: Pair) -> Pair:
+    """The smallest interval containing both x and 0."""
+    a, b = x
+    lo, hi = min(a, 0.0), max(b, 0.0)
+    if not -_INF < lo <= hi < _INF:
+        _reject(lo, hi)
+    return lo, hi
+
+
+def pair_hull(x: Pair, y: Pair) -> Pair:
+    """The interval hull of x and y."""
+    (a, b), (c, d) = x, y
+    lo, hi = min(a, c), max(b, d)
+    if not -_INF < lo <= hi < _INF:
+        _reject(lo, hi)
+    return lo, hi
 
 
 class Box:
@@ -191,6 +316,10 @@ class Box:
     __slots__ = ("dims",)
 
     def __init__(self, dims: Iterable[Interval]):
+        try:
+            dims = iter(dims)
+        except TypeError:
+            raise InvalidInterval(f"a box is built from Interval components, got {dims!r}") from None
         self.dims: Tuple[Interval, ...] = tuple(dims)
         if not self.dims:
             raise EmptySlice("a box must have at least one component")
@@ -259,7 +388,7 @@ def lambda_s(a: Sequence[Interval], n: Optional[int] = None) -> Interval:
     elif n < len(a):
         raise LengthMismatch(f"{len(a)} components in dimension {n}")
     if n == 1:
-        return _pow(*a[0], 2) if a else ZERO
+        return _interval(*pair_pow(a[0], 2)) if a else ZERO
     return _interval(0.0, _sum_sq_mag(a))
 
 
@@ -282,9 +411,7 @@ def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = No
     if n == 1:
         if not a:
             return ZERO
-        (c, d), (e, f) = a[0], b[0]
-        p, q, r, s = c * e, c * f, d * e, d * f  # the product a[0] * b[0]
-        return _interval(min(p, q, r, s), max(p, q, r, s)).scale(2.0)
+        return _interval(*pair_scale(pair_mul(a[0], b[0]), 2.0))
     beta = math.sqrt(_sum_sq_mag(a) * _sum_sq_mag(b))
     lo, hi = -beta, beta
     for (c, d), (e, f) in zip(a, b):  # the endpoints of each pair product, summed
@@ -296,30 +423,30 @@ def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = No
         lo += 0.0
     if not -_INF < lo <= hi < _INF:
         for u, v in zip(a, b):
-            Interval(*u) * Interval(*v)  # raises the error of the first overflowing product
+            pair_mul(u, v)  # raises the error of the first overflowing product
     return _interval(lo, hi)
 
 
 def hull(a: Interval, b: Interval) -> Interval:
     """Interval hull of two intervals: the paper's λ_r."""
-    return _interval(min(a.lo, b.lo), max(a.hi, b.hi))
+    return _interval(*pair_hull((a.lo, a.hi), (b.lo, b.hi)))
 
 
 def lambda_star(a: Interval, b: Interval, c: Interval) -> Interval:
     """Tight eigenvalue bounds for 2x2 symmetric matrices with diagonal
-    entries in [a], [b] and off-diagonal entry in [c] (an interval or a
-    ``(lo, hi)`` pair)."""
-    c_lo, c_hi = c
+    entries in [a], [b] and off-diagonal entry in [c] (each an interval or
+    a ``(lo, hi)`` pair)."""
+    (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi) = a, b, c
     d = 4.0 * max(c_lo * c_lo, c_hi * c_hi)
     try:
-        lo = 0.5 * (a.lo + b.lo - math.sqrt((a.lo - b.lo) ** 2 + d))
-        hi = 0.5 * (a.hi + b.hi + math.sqrt((a.hi - b.hi) ** 2 + d))
+        lo = 0.5 * (a_lo + b_lo - math.sqrt((a_lo - b_lo) ** 2 + d))
+        hi = 0.5 * (a_hi + b_hi + math.sqrt((a_hi - b_hi) ** 2 + d))
     except OverflowError:
-        raise InvalidInterval(
-            f"lambda_star overflow on {a}, {b}, {Interval(c_lo, c_hi)}") from None
+        raise InvalidInterval(f"lambda_star overflow on {Interval(a_lo, a_hi)}, "
+                              f"{Interval(b_lo, b_hi)}, {Interval(c_lo, c_hi)}") from None
     return _interval(lo, hi)
 
 
 def zero_widen(a: Interval) -> Interval:
     """Smallest interval containing both [a] and 0."""
-    return _interval(min(a.lo, 0.0), max(a.hi, 0.0))
+    return _interval(*pair_zero_widen((a.lo, a.hi)))

@@ -30,7 +30,7 @@ import numpy as np
 from .bounds import _ZERO, _walk
 from .codelist import UNARY_RULES, Codelist
 from .errors import DimensionTooLarge, DomainViolation, InvalidInterval, LengthMismatch, NotSymmetric
-from .interval import Box, Interval
+from .interval import Box, Interval, Pair
 
 __all__ = [
     "SymIntervalMatrix",
@@ -93,15 +93,15 @@ class SymIntervalMatrix:
 # -- interval Hessian propagation ----------------------------------------
 
 
-def _scale(s: Interval, m: np.ndarray) -> np.ndarray:
-    """Elementwise product of the scalar interval s with a stack m.
+def _scale(s: Pair, m: np.ndarray) -> np.ndarray:
+    """Elementwise product of the scalar interval s, a (lo, hi) pair, with a stack m.
 
     Equals the four-product min/max rule under ==.  When s does not
     straddle 0 only the two products that can be extreme are formed (one
     when s is a point), since multiplying by a non-negative float is
     monotone and by a non-positive one antitone, also after rounding.
     """
-    lo, hi = s.lo, s.hi
+    lo, hi = s
     if lo >= 0.0 or hi <= 0.0:
         if hi <= 0.0:
             m = m[::-1]  # a non-positive factor swaps the endpoints

@@ -348,6 +348,54 @@ def _outcome(apply, cl, box):
             res.method, res.op_count)
 
 
+# (source, n, box, outcome of eval_original, of eval_improved): overflow and
+# domain errors raised from (lo, hi) pairs name their operands as intervals,
+# with the text of the interval operators
+_POW_OVERFLOW = ("InvalidInterval", "pow overflow on [1, 5.22147e+173]^2", None)
+_RECIP = ("DomainViolation", "recip undefined on [-1, 1] at codelist line 2", 2)
+ERROR_CASES = [
+    # only the improved engine takes the 2x2 rule; the original one's λ_t overflows
+    ("exp(exp(x1))*exp(x2)", 2, [(4, 5.5), (100, 105)],
+     ("InvalidInterval", "non-finite endpoints [-inf, inf]", None),
+     ("InvalidInterval", "lambda_star overflow on [4.20109e+70, 4.44925e+156], "
+      "[1.38396e+67, 7.40076e+151], [7.55616e+68, 1.81091e+154]", None)),
+    ("exp(x1)^2", 1, [(0, 400)], _POW_OVERFLOW, _POW_OVERFLOW),
+    ("1/x1 + exp(x1)", 1, [(-1, 1)], _RECIP, _RECIP),
+]
+
+
+@pytest.mark.parametrize("source,n,bounds,original,improved", ERROR_CASES,
+                         ids=[c[0] for c in ERROR_CASES])
+def test_error_texts_are_those_of_the_interval_operators(source, n, bounds, original, improved):
+    cl = compile_expression(source, n)
+    for engine, other, want in ((eval_original, eval_improved, original),
+                                (eval_improved, eval_original, improved)):
+        assert _outcome(engine, cl, Box.from_bounds(bounds)) == want, engine.__name__
+        box = Box.from_bounds(bounds)
+        _outcome(other, cl, box)
+        assert _outcome(engine, cl, box) == want, engine.__name__  # on the kept value pass
+        if want[0] == "DomainViolation":
+            with pytest.raises(DomainViolation) as info:
+                engine(cl, box)
+            assert type(info.value.interval) is Interval
+
+
+ROUTES = (eval_original, eval_improved, trace_original, trace_improved, interval_hessian)
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=[r.__name__ for r in ROUTES])
+def test_every_route_takes_intervals_in_any_sequence(route):
+    cl = compile_expression("x1*x2 + exp(x1)", 2)
+    dims = [Interval(0.0, 1.0), Interval(-1.0, 2.0)]
+    want = _outcome(route, cl, Box(dims))
+    assert _outcome(route, cl, dims) == want
+    assert _outcome(route, cl, tuple(dims)) == want
+    # float pairs and a number are not boxes of intervals
+    for bad in ([(0.0, 1.0), (-1.0, 2.0)], 5):
+        with pytest.raises(InvalidInterval):
+            route(cl, bad)
+
+
 def test_an_engine_after_another_on_the_same_box_equals_it_on_a_fresh_box():
     # interval_hessian is a rule on the same walk, so it takes part too
     cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())

@@ -21,7 +21,6 @@ from hessbound import (
     compile_expression,
     eval_improved,
     eval_original,
-    point,
 )
 from hessbound.codelist import (
     ABSENT,
@@ -254,20 +253,22 @@ def test_rule_table_defines_the_unary_vocabulary():
 @pytest.mark.parametrize("line,closed,xs", CLOSED_FORMS,
                          ids=[line.describe() for line, _, _ in CLOSED_FORMS])
 def test_rule_matches_closed_form_derivatives_at_points(line, closed, xs):
+    # the rules take and return intervals as (lo, hi) float pairs
     rule = UNARY_RULES[line.op]
     for x in xs:
-        yi = point(x)
+        yi = (x, x)
         value, d1, d2 = closed(x)
         yk = rule.value(yi, line)
         # None stands for r' = 1 and r'' = 0 exactly
-        first = point(1.0) if rule.first is None else rule.first(yi, yk, line)
-        second = point(0.0) if rule.second is None else rule.second(yi, yk, line)
+        first = (1.0, 1.0) if rule.first is None else rule.first(yi, yk, line)
+        second = (0.0, 0.0) if rule.second is None else rule.second(yi, yk, line)
         # on point arguments the factored curvature rule is r''·ls + r'·lam
         ls, lam = 0.7, -2.1
-        curv = rule.lam(yi, yk, line, point(ls), point(lam))
+        curv = rule.lam(yi, yk, line, (ls, ls), (lam, lam))
         for got, want in ((yk, value), (first, d1), (second, d2), (curv, d2 * ls + d1 * lam)):
-            assert got.lo == pytest.approx(want, rel=1e-13), (line.op, x)
-            assert got.hi == pytest.approx(want, rel=1e-13), (line.op, x)
+            lo, hi = got
+            assert lo == pytest.approx(want, rel=1e-13), (line.op, x)
+            assert hi == pytest.approx(want, rel=1e-13), (line.op, x)
 
 
 @pytest.mark.parametrize("op,kind", [("sqrt", "sqrt"), ("ln", "ln"), ("oneOver", "recip")])

@@ -2,6 +2,7 @@
 package calls through; otherwise its per-layer metrics silently read 0."""
 
 import importlib.util
+import pickle
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,31 @@ def test_post_init_still_validates_when_wrapped(constructions):
     with pytest.raises(InvalidInterval, match="lo > hi"):
         Interval(2.0, 1.0)
     assert constructions[0] == 1
+
+
+def test_the_gradient_box_is_built_on_first_read(constructions):
+    # every variable is in the gradient's support, so each entry is an Interval built
+    cl = compile_expression("x1*x2 + x3*x4 + exp(x5*x6) + (x7 + x8)^2", 8)
+    box = Box.from_bounds([(0.5, 1.0)] * 8)
+    res = bounds.eval_original(cl, box)
+    before = constructions[0]
+    gradient = res.gradient
+    assert constructions[0] == before + 8 and len(gradient) == 8
+    assert res.gradient is gradient and constructions[0] == before + 8
+
+
+def test_results_compare_by_their_fields_gradient_included():
+    cl = compile_expression("x1*x2 + exp(x1)", 2)
+    box = Box.from_bounds([(0.5, 1.0), (0.0, 2.0)])
+    res = bounds.eval_original(cl, box)
+    assert bounds.eval_original(cl, box) == res  # on the kept value pass
+    assert bounds.eval_original(cl, Box.from_bounds([(0.5, 1.0), (0.0, 2.0)])) == res
+    same = bounds.EvalResult(res.value, res.gradient, res.eigen, res.method, res.op_count)
+    assert same == res and repr(same) == repr(res)
+    assert repr(res).startswith(f"EvalResult(value={res.value!r}, gradient=Box(")
+    other = Box([res.gradient[0], Interval(0.0, 0.0)])
+    assert bounds.EvalResult(res.value, other, res.eigen, res.method, res.op_count) != res
+    assert pickle.loads(pickle.dumps(res)) == res
 
 
 def test_engines_call_the_lambda_operators_through_the_module(monkeypatch):

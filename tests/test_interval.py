@@ -13,6 +13,7 @@ from hessbound import (
     Box,
     DomainViolation,
     EmptySlice,
+    HessboundError,
     Interval,
     InvalidInterval,
     LengthMismatch,
@@ -26,6 +27,20 @@ from hessbound import (
     zero_widen,
 )
 from hessbound.bounds import _grad_scale
+from hessbound.interval import (
+    pair_add,
+    pair_add_const,
+    pair_exp,
+    pair_hull,
+    pair_ln,
+    pair_mul,
+    pair_pow,
+    pair_recip,
+    pair_scale,
+    pair_sqrt,
+    pair_sub,
+    pair_zero_widen,
+)
 
 
 def iv(lo, hi):
@@ -205,6 +220,11 @@ def test_box_rejects_a_component_that_is_not_an_interval(dims, message):
     with pytest.raises(InvalidInterval) as info:
         Box(dims)
     assert str(info.value) == message
+
+
+def test_box_of_a_non_iterable_is_an_invalid_interval():
+    with pytest.raises(InvalidInterval, match="^a box is built from Interval components, got 5$"):
+        Box(5)
 
 
 # -- spectral operators ---------------------------------------------------
@@ -435,3 +455,122 @@ def test_lambda_t_pair_overflow_names_the_pair_product():
     b = [iv(1e200, 1e200), iv(0, 1)]
     with pytest.raises(InvalidInterval, match=r"^non-finite endpoints \[-inf, -inf\]$"):
         lambda_t(a, b)
+
+
+# -- the endpoint kernels, bit for bit --------------------------------------
+
+# The interval operators' formulas written out on the endpoints, each giving
+# the raw (lo, hi) or raising the operator's domain or overflow error; the
+# validity check is Interval's own.
+
+def _recip(x):
+    if x.lo <= 0.0 <= x.hi:
+        raise DomainViolation("recip", x)
+    return 1.0 / x.hi, 1.0 / x.lo
+
+
+def _sqrt(x):
+    if x.lo < 0.0:
+        raise DomainViolation("sqrt", x)
+    return math.sqrt(x.lo), math.sqrt(x.hi)
+
+
+def _exp(x):
+    try:
+        return math.exp(x.lo), math.exp(x.hi)
+    except OverflowError:
+        raise InvalidInterval(f"exp overflow on {x}") from None
+
+
+def _ln(x):
+    if x.lo <= 0.0:
+        raise DomainViolation("ln", x)
+    return math.log(x.lo), math.log(x.hi)
+
+
+def _pow(x, m):
+    if m == 0:
+        return 1.0, 1.0
+    if m == 1:
+        return x.lo, x.hi
+    try:
+        lo, hi = x.lo ** m, x.hi ** m
+    except OverflowError:
+        raise InvalidInterval(f"pow overflow on {x}^{m}") from None
+    if x.lo > 0 or m % 2 == 1:
+        return lo, hi
+    return (hi, lo) if x.hi < 0 else (0.0, max(lo, hi))
+
+
+def _products(x, y):
+    p = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+    return min(p), max(p)
+
+
+# name: (kernel on pairs, operator on Intervals, endpoint formula)
+BINARY_KERNELS = {
+    "add": (pair_add, lambda x, y: x + y, lambda x, y: (x.lo + y.lo, x.hi + y.hi)),
+    "sub": (pair_sub, lambda x, y: x - y, lambda x, y: (x.lo - y.hi, x.hi - y.lo)),
+    "mul": (pair_mul, lambda x, y: x * y, _products),
+    "hull": (pair_hull, hull, lambda x, y: (min(x.lo, y.lo), max(x.hi, y.hi))),
+}
+UNARY_KERNELS = {
+    "recip": (pair_recip, Interval.recip, _recip),
+    "sqrt": (pair_sqrt, Interval.sqrt, _sqrt),
+    "exp": (pair_exp, Interval.exp, _exp),
+    "ln": (pair_ln, Interval.ln, _ln),
+    "zero_widen": (pair_zero_widen, zero_widen, lambda x: (min(x.lo, 0.0), max(x.hi, 0.0))),
+    "neg": (lambda x: pair_scale(x, -1.0), lambda x: -x, lambda x: (-x.hi, -x.lo)),
+}
+CONSTANT_KERNELS = {
+    "scale": (pair_scale, Interval.scale,
+              lambda x, c: (c * x.lo, c * x.hi) if c >= 0 else (c * x.hi, c * x.lo)),
+    "add_const": (pair_add_const, Interval.add_const, lambda x, c: (x.lo + c, x.hi + c)),
+}
+
+
+def _result(compute):
+    """The result as hex endpoints, or the error's type, text and interval type."""
+    try:
+        lo, hi = compute()
+    except HessboundError as err:
+        return type(err).__name__, str(err), type(getattr(err, "interval", None)).__name__
+    return lo.hex(), hi.hex()
+
+
+# large endpoints overflow products, sums, pow and exp
+kernel_floats = st.one_of(
+    edge_floats, st.sampled_from([1e155, -1e155, 1e308, -1e308, 709.0, 710.0, 1e-320]))
+
+
+@st.composite
+def kernel_intervals(draw):
+    a = draw(kernel_floats)
+    if draw(st.booleans()):
+        return point(a)
+    b = draw(kernel_floats)
+    return Interval(a, b) if a <= b else Interval(b, a)
+
+
+@example(Interval(-0.0, 0.0), Interval(0.0, -0.0), -0.0, 2)
+@example(Interval(-1.0, -0.0), Interval(-1.0, 0.0), 0.0, 0)  # a tie of -0.0 and 0.0 products
+@example(point(-2.0), Interval(-0.0, 0.0), 0.0, 3)
+@example(Interval(1e155, 1e308), point(1e155), 1e300, 2)
+@example(Interval(709.0, 710.0), Interval(-1.0, 0.0), -1e308, 4)
+@given(kernel_intervals(), kernel_intervals(),
+       st.one_of(kernel_floats, st.integers(-3, 3)), st.integers(0, 6))
+def test_kernels_equal_the_interval_operators_bit_for_bit(x, y, c, m):
+    px, py = (x.lo, x.hi), (y.lo, y.hi)
+
+    def check(name, kernel, operator, oracle):
+        want = _result(lambda: Interval(*oracle()))
+        assert _result(kernel) == want, (name, x, y, c, m)
+        assert _result(operator) == want, (name, x, y, c, m)
+
+    for name, (kernel, operator, oracle) in BINARY_KERNELS.items():
+        check(name, lambda: kernel(px, py), lambda: operator(x, y), lambda: oracle(x, y))
+    for name, (kernel, operator, oracle) in UNARY_KERNELS.items():
+        check(name, lambda: kernel(px), lambda: operator(x), lambda: oracle(x))
+    for name, (kernel, operator, oracle) in CONSTANT_KERNELS.items():
+        check(name, lambda: kernel(px, c), lambda: operator(x, c), lambda: oracle(x, c))
+    check("pow", lambda: pair_pow(px, m), lambda: x.pow(m), lambda: _pow(x, m))
