@@ -26,6 +26,7 @@ from .errors import (
     ExpressionSyntaxError,
     HessboundError,
     InconsistentInputs,
+    InvalidArgument,
     InvalidInterval,
     LengthMismatch,
     MalformedCodelist,
@@ -56,7 +57,7 @@ __all__ = [
     "compile_expression",
     "EvalResult", "LineState", "eval_original", "eval_improved",
     "trace_original", "trace_improved", "lift_reduced",
-    "HessboundError", "InvalidInterval", "DomainViolation", "EmptySlice",
+    "HessboundError", "InvalidInterval", "InvalidArgument", "DomainViolation", "EmptySlice",
     "LengthMismatch", "ExpressionSyntaxError", "UnknownVariable",
     "ConstantExpression", "MalformedCodelist",
     "DimensionTooLarge", "NotSymmetric", "PointOutsideBox",

@@ -35,12 +35,18 @@ The module keeps the last value pass in one slot, keyed by the codelist
 and the box's component tuple, both compared by identity (``is``).  So the
 second route (engine, trace or interval Hessian) asked about the same
 :class:`Box` object reuses the first one's values and gradients, and any
-other call pays one identity check.  The value pass does not raise on a
-line: it records the first failing line and its error and stops.  The
-second pass applies its rule to the lines before that one, so an earlier
-rule error still wins, and then raises the recorded error afresh, a
-:class:`DomainViolation` with its line number; the errors and their order
-are those of a single walk.
+other call pays one identity check.  The slot also holds the box's λ memo,
+created empty with the value pass: λ_t of each mul line and λ_s of each
+nonaffine unary line whose block has two or more variables, by line number,
+as the first engine on the box computed them; the other engine reads them
+(see :func:`_lam_t`).  λ_t gets the operands' sparse gradients with their
+``Codelist.supports``, so its sums run over the nonzero entries only.
+
+The value pass does not raise on a line: it records the first failing line
+and its error and stops.  The second pass applies its rule to the lines
+before that one, so an earlier rule error still wins, and then raises the
+recorded error afresh, a :class:`DomainViolation` with its line number; the
+errors and their order are those of a single walk.
 """
 
 from __future__ import annotations
@@ -169,12 +175,13 @@ def _full(g: SparseGrad, n: int) -> Box:
     return Box(_interval(*g[j]) if j in g else ZERO for j in range(1, n + 1))
 
 
-# The last value pass: (codelist, box components, ys, grads, firsts, failure).  It is
-# reused only for the same codelist and the same component tuple, compared
-# with ``is``: equal intervals can differ in the sign of a zero endpoint.  The
-# strong references keep both ids from being recycled while the slot holds
-# them.  The slot is one tuple, read and replaced whole, so threads that
-# share it at worst redo a pass.
+# The last value pass: (codelist, box components, ys, grads, firsts, failure,
+# memo).  It is reused only for the same codelist and the same component
+# tuple, compared with ``is``: equal intervals can differ in the sign of a
+# zero endpoint.  The strong references keep both ids from being recycled
+# while the slot holds them.  The slot is one tuple, read and replaced whole,
+# so threads that share it at worst redo a pass; the memo dict they then
+# share only ever gains an entry that is equal to any other writer's.
 _last = None
 
 
@@ -218,26 +225,28 @@ def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
     ``box`` is a :class:`Box`, or anything ``Box`` builds one from.  The
     first two lists come from :func:`_values`, or from the slot when the
     previous pass was on this codelist and box.  ``rule(cl, k, line, ys,
-    grads, firsts, out)`` gives operation line k's result from those and the
-    results ``out`` of earlier lines (``seed`` on a var line; a rule may drop
-    one no later line reads).  The lines before a failing one come first, so
-    an earlier rule error wins; then the failure is raised afresh.
+    grads, firsts, memo, out)`` gives operation line k's result from those,
+    the box's λ memo (see :func:`_lam_t`) and the results ``out`` of earlier
+    lines (``seed`` on a var line; a rule may drop one no later line reads).
+    The lines before a failing one come first, so an earlier rule error
+    wins; then the failure is raised afresh.
     """
     global _last
     if not isinstance(box, Box):
         box = Box(box)
     last, dims = _last, box.dims
     if last is not None and last[0] is cl and last[1] is dims:
-        ys, grads, firsts, failure = last[2:]
+        ys, grads, firsts, failure, memo = last[2:]
     else:
         ys, grads, firsts, failure = _values(cl, box)
-        _last = cl, dims, ys, grads, firsts, failure
+        memo = {}
+        _last = cl, dims, ys, grads, firsts, failure, memo
     n = cl.n
     out = [seed] * n
     stop = len(cl.lines) if failure is None else failure[0] - 1
     try:
         for k, line in enumerate(cl.lines[n:stop], start=n + 1):
-            out.append(rule(cl, k, line, ys, grads, firsts, out))
+            out.append(rule(cl, k, line, ys, grads, firsts, memo, out))
     except DomainViolation as err:
         failure = k, err
     if failure is None:
@@ -248,56 +257,82 @@ def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
     raise type(err)(*err.args) from None
 
 
-# The λ operators get the gradient components on the line's ``Codelist.blocks``
-# entry (the operands' gradient supports, ascending) and the dimension they
-# act on; the engines read the Interval each returns as a pair.
+# λ_t of a mul line and λ_s of a nonaffine unary line act on the line's
+# ``Codelist.blocks`` entry: the operands' gradient supports.  On a block of
+# two or more variables they give both engines the same bits (the original
+# engine's λ_t only adds the +0.0 of the variables outside the block), so
+# each is computed once per box, by whichever engine comes first, and kept
+# in the memo by line number.  A one-variable block is the exact square or
+# product for the improved engine and the rank-one bound in n dimensions for
+# the original one; those, and the original engine's λ_t on a 2x2 line,
+# stay per engine.  The engines read the Interval each operator returns as a
+# pair.
 
-def _lam_original(cl: Codelist, k: int, line, ys, grads, firsts, lams) -> Pair:
+def _lam_t(cl: Codelist, k: int, line, grads, memo, n: int) -> Pair:
+    """λ_t of mul line k in dimension n: the block's own, or the whole space's."""
+    i, j = line.i - 1, line.j - 1
+    size = len(cl.blocks[k - 1])
+    if size == 1 or cl.rules[k - 1].cross is not None:
+        lt = lambda_t(grads[i], grads[j], n, (cl.supports[i], cl.supports[j]))
+        return lt.lo, lt.hi
+    lt = memo.get(k)
+    if lt is None:
+        lt = lambda_t(grads[i], grads[j], size, (cl.supports[i], cl.supports[j]))
+        lt = memo[k] = lt.lo, lt.hi
+    return lt if size == n else (lt[0] + 0.0, lt[1])
+
+
+def _lam_s(cl: Codelist, k: int, line, grads, memo, n: int) -> Pair:
+    """λ_s of unary line k in dimension n, as :func:`_lam_t`."""
+    gi = grads[line.i - 1]
+    block = cl.blocks[k - 1]
+    if len(block) == 1:
+        ls = lambda_s([gi[j] for j in block], n)
+        return ls.lo, ls.hi
+    ls = memo.get(k)
+    if ls is None:
+        ls = lambda_s([gi[j] for j in block], len(block))
+        ls = memo[k] = ls.lo, ls.hi
+    return ls
+
+
+def _lam_original(cl: Codelist, k: int, line, ys, grads, firsts, memo, lams) -> Pair:
     """Eigenvalue rule of the original method: λ acts on all n variables."""
-    lam_i, yi, gi = lams[line.i - 1], ys[line.i - 1], grads[line.i - 1]
+    lam_i, yi = lams[line.i - 1], ys[line.i - 1]
     if line.op == "add":
         return pair_add(lam_i, lams[line.j - 1])
-    block = cl.blocks[k - 1]
     if line.op == "mul":
-        gj = grads[line.j - 1]
-        lt = lambda_t([gi.get(j, _ZERO) for j in block], [gj.get(j, _ZERO) for j in block], cl.n)
         return pair_add(pair_add(pair_mul(ys[line.j - 1], lam_i), pair_mul(yi, lams[line.j - 1])),
-                        (lt.lo, lt.hi))
+                        _lam_t(cl, k, line, grads, memo, cl.n))
     rule = UNARY_RULES[line.op]
-    if rule.second is None:
-        ls = None
-    else:
-        ls = lambda_s([gi[j] for j in block], cl.n)
-        ls = ls.lo, ls.hi
+    ls = None if rule.second is None else _lam_s(cl, k, line, grads, memo, cl.n)
     return rule.lam(yi, ys[k - 1], line, ls, lam_i)
 
 
-def _lam_improved(cl: Codelist, k: int, line, ys, grads, firsts, lams) -> Pair:
+def _lam_improved(cl: Codelist, k: int, line, ys, grads, firsts, memo, lams) -> Pair:
     """Eigenvalue rule of the sparsity-aware method: the line's
     ``Codelist.rules`` entry, λ acting on its block only."""
     rule = cl.rules[k - 1]
-    lam_i, yi, gi = lams[line.i - 1], ys[line.i - 1], grads[line.i - 1]
+    lam_i, yi = lams[line.i - 1], ys[line.i - 1]
     if line.op == "add":
         return rule.apply(None, lam_i, lams[line.j - 1])
-    block = cl.blocks[k - 1]
     if line.op == "mul":
-        gj, yj, lam_j = grads[line.j - 1], ys[line.j - 1], lams[line.j - 1]
+        yj, lam_j = ys[line.j - 1], lams[line.j - 1]
         if rule.cross is not None:  # the 2x2 rule: λ* and the cross product
             a, b = term(rule.i, lam_i, yj), term(rule.j, lam_j, yi)
             p, q = rule.cross
             star = lambda_star(_ZERO if a is None else a, _ZERO if b is None else b,
-                               pair_mul(gi.get(p, _ZERO), gj.get(q, _ZERO)))
+                               pair_mul(grads[line.i - 1].get(p, _ZERO),
+                                        grads[line.j - 1].get(q, _ZERO)))
             return star.lo, star.hi
-        lt = lambda_t([gi.get(j, _ZERO) for j in block], [gj.get(j, _ZERO) for j in block],
-                      len(block))
-        return rule.apply((lt.lo, lt.hi), lam_i, lam_j, yi, yj)
+        lt = _lam_t(cl, k, line, grads, memo, len(cl.blocks[k - 1]))
+        return rule.apply(lt, lam_i, lam_j, yi, yj)
     unary = UNARY_RULES[line.op]
     yk = ys[k - 1]
     lam = term(rule.i, lam_i)  # None when the argument block vanishes entirely
     if unary.second is None:  # affine: L_k = L_i and r'' = 0
         return _ZERO if lam is None else unary.lam(yi, yk, line, None, lam)
-    ls = lambda_s([gi[j] for j in block], len(block))
-    ls = ls.lo, ls.hi
+    ls = _lam_s(cl, k, line, grads, memo, len(cl.blocks[k - 1]))
     if lam is None:
         return pair_mul(unary.second(yi, yk, line), ls)
     return unary.lam(yi, yk, line, ls, lam)

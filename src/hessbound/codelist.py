@@ -7,6 +7,8 @@ construction validates it and :meth:`Codelist.analyze` attaches to every
 line k
 
 * ``indep[k]`` -- variables the intermediate function y_k is independent of,
+* ``supports[k]`` -- the other variables, ascending: the support of y_k's
+  gradient, the keys of the engines' sparse gradient of line k,
 * ``linear[k]`` -- variables y_k depends on at most linearly,
 * ``blocks[k]`` -- the variables outside ``linear[k]``, ascending: the block
   of y_k's Hessian that can be nonzero, on which the λ operators act,
@@ -311,11 +313,18 @@ def _is_ref(ref, k: int) -> bool:
 @dataclass(frozen=True)
 class Codelist:
     """Straight-line program for one scalar function of n variables; building
-    one raises :class:`MalformedCodelist` if it is malformed."""
+    one raises :class:`MalformedCodelist` if it is malformed.
+
+    The derived fields are those of the module docstring, one entry per
+    line.  ``supports[k - 1]`` lists, ascending, the variables line k's
+    gradient can depend on (all but ``indep[k - 1]``); the engines pass the
+    operands' supports to ``lambda_t``.  Equal index sets share one tuple.
+    """
 
     n: int
     lines: Tuple[Line, ...]
     indep: Tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
+    supports: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     linear: Tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
     blocks: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     rules: Tuple[Optional[Rule], ...] = field(init=False, repr=False, compare=False)
@@ -390,8 +399,9 @@ class Codelist:
         return names["point"]
 
     def analyze(self) -> "Codelist":
-        """Validate, then derive the index sets, blocks, rules and operation
-        counts.  Construction calls it; a second call derives the same values.
+        """Validate, then derive the index sets, supports, blocks, rules and
+        operation counts.  Construction calls it; a second call derives the
+        same values.
 
         ``op_counts`` maps ``"original"`` and ``"improved"`` to the paper's
         cost measure, the interval operations of each method's rules.  With
@@ -408,15 +418,22 @@ class Codelist:
         mul line, ``lam_ops`` on an affine one and max(b, 1) (λ_s) plus
         ``second_ops`` if the operand's term is absent, else ``lam_ops``, on
         another unary one; and 1 for its final lift.
+
+        The counts are the paper's cost model, not the work the engines do:
+        λ_t is charged on the whole block (or on all n variables) although
+        the engines sum over the operands' supports, and λ_s and λ_t are
+        charged to each method although the engines compute a term of a
+        two-or-more-variable block once per box for both.
         """
         self.validate()
         n = self.n
         full = frozenset(range(1, n + 1))
         indep: list = []
         linear: list = []
+        supports: list = []
         blocks: list = []
         rules: list = []
-        seen: dict = {}  # linear set -> its block, so equal sets share one tuple
+        seen: dict = {}  # index set -> the ascending rest, so equal sets share one tuple
         both, original, improved = 0, 0, 1  # 1: the improved final lift
         for k, line in enumerate(self.lines, start=1):
             op = line.op
@@ -450,15 +467,17 @@ class Codelist:
                     else:
                         improved += max(n - len(lk), 1) + (
                             unary.second_ops if kind == ABSENT else unary.lam_ops)
-            block = seen.get(lk)
-            if block is None:
-                block = seen[lk] = tuple(sorted(full - lk))
+            for rest in ik, lk:
+                if rest not in seen:
+                    seen[rest] = tuple(sorted(full - rest))
             indep.append(ik)
             linear.append(lk)
-            blocks.append(block)
+            supports.append(seen[ik])
+            blocks.append(seen[lk])
             rules.append(rule)
         object.__setattr__(self, "indep", tuple(indep))
         object.__setattr__(self, "linear", tuple(linear))
+        object.__setattr__(self, "supports", tuple(supports))
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "rules", tuple(rules))
         object.__setattr__(self, "op_counts", MappingProxyType(

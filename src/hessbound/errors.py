@@ -32,6 +32,12 @@ class LengthMismatch(HessboundError, ValueError):
     """Two boxes, or a box or points and a codelist, differ in dimension."""
 
 
+class InvalidArgument(HessboundError, ValueError):
+    """An argument is not of the kind the operation takes: an interval
+    endpoint that is not a real number, an exponent that is not a natural
+    number, sparse components whose keys are not their supports."""
+
+
 class ExpressionSyntaxError(HessboundError):
     """Expression text could not be parsed."""
 

@@ -40,6 +40,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 from .errors import (
     DomainViolation,
     EmptySlice,
+    InvalidArgument,
     InvalidInterval,
     LengthMismatch,
 )
@@ -68,10 +69,10 @@ class Interval:
     def __post_init__(self):
         lo, hi = self.lo, self.hi
         if type(lo) is not float:
-            lo = float(lo)
+            lo = _endpoint(lo)
             object.__setattr__(self, "lo", lo)
         if type(hi) is not float:
-            hi = float(hi)
+            hi = _endpoint(hi)
             object.__setattr__(self, "hi", hi)
         if not -_INF < lo <= hi < _INF:
             _reject(lo, hi)
@@ -144,6 +145,14 @@ _INF = math.inf
 _new = object.__new__
 _set_lo = Interval.lo.__set__
 _set_hi = Interval.hi.__set__
+
+
+def _endpoint(x) -> float:
+    """``float(x)``, or :class:`InvalidArgument` if x is not a real number."""
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"interval endpoint {x!r} is not a real number") from None
 
 
 def _reject(lo: float, hi: float):
@@ -239,8 +248,12 @@ def pair_recip(x: Pair) -> Pair:
 
 def pair_pow(x: Pair, m: int) -> Pair:
     """``x^m`` for a natural number m."""
-    if m < 0 or m != int(m):
-        raise ValueError(f"exponent must be a natural number, got {m}")
+    try:
+        natural = m >= 0 and m == int(m)
+    except (TypeError, ValueError, OverflowError):  # not a number, nan or inf
+        natural = False
+    if not natural:
+        raise InvalidArgument(f"exponent must be a natural number, got {m!r}")
     if m == 0:
         return 1.0, 1.0
     if m == 1:
@@ -392,7 +405,8 @@ def lambda_s(a: Sequence[Interval], n: Optional[int] = None) -> Interval:
     return _interval(0.0, _sum_sq_mag(a))
 
 
-def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = None) -> Interval:
+def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = None,
+             supports: Optional[Tuple[Sequence[int], Sequence[int]]] = None) -> Interval:
     """Spectral enclosure for symmetric terms u v^T + v u^T, u in a, v in b.
 
     ``a`` and ``b`` may list only the components where u or v can be
@@ -401,7 +415,40 @@ def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = No
     components left out are zero in both.  The result is the same, bit for
     bit, as with the zero components listed.  Components are intervals or
     ``(lo, hi)`` pairs, as for :func:`lambda_s`.
+
+    With ``supports = (sa, sb)``, ``a`` and ``b`` are mappings from index to
+    component whose keys are the ascending index tuples ``sa`` and ``sb``
+    (two sparse gradients, say), and ``n`` defaults to the size of their
+    union.  Each squared-magnitude sum then runs over its own support and
+    the cross sum over the shared indices only, with the bits of the listed
+    form on the union: a left-out term is a signed zero, which changes a
+    float sum only when the sum is -0.0, and a sum that starts at +0.0 or at
+    ±β ≠ 0 never is.  At β = 0 (and in one dimension) the union is listed.
     """
+    if supports is not None:
+        sa, sb = supports
+        if len(a) != len(sa) or len(b) != len(sb):
+            raise InvalidArgument("the keys of a and b must be their supports")
+        # the pairs on the shared indices, ascending, from the shorter support
+        if len(sb) < len(sa):
+            pairs = [(a[j], b[j]) for j in sb if j in a]
+        else:
+            pairs = [(a[j], b[j]) for j in sa if j in b]
+        m = len(sa) + len(sb) - len(pairs)
+        if n is None:
+            n = m
+        elif n < m:
+            raise LengthMismatch(f"{m} components in dimension {n}")
+        if n > 1:
+            try:
+                beta = math.sqrt(_sum_sq_mag(map(a.__getitem__, sa))
+                                 * _sum_sq_mag(map(b.__getitem__, sb)))
+            except KeyError:
+                raise InvalidArgument("the keys of a and b must be their supports") from None
+            if beta != 0.0:
+                return _lambda_t(beta, pairs, m, n)
+        union = sorted({*sa, *sb})
+        return lambda_t([a.get(j, ZERO) for j in union], [b.get(j, ZERO) for j in union], n)
     if len(a) != len(b):
         raise LengthMismatch(f"boxes of length {len(a)} and {len(b)}")
     if n is None:
@@ -412,17 +459,22 @@ def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = No
         if not a:
             return ZERO
         return _interval(*pair_scale(pair_mul(a[0], b[0]), 2.0))
-    beta = math.sqrt(_sum_sq_mag(a) * _sum_sq_mag(b))
+    return _lambda_t(math.sqrt(_sum_sq_mag(a) * _sum_sq_mag(b)), list(zip(a, b)), len(a), n)
+
+
+def _lambda_t(beta: float, pairs, m: int, n: int) -> Interval:
+    """λ_t in dimension n > 1 from β and the component pairs whose product
+    can be nonzero, of m components listed."""
     lo, hi = -beta, beta
-    for (c, d), (e, f) in zip(a, b):  # the endpoints of each pair product, summed
+    for (c, d), (e, f) in pairs:  # the endpoints of each pair product, summed
         p, q, r, s = c * e, c * f, d * e, d * f
         lo += min(p, q, r, s)
         hi += max(p, q, r, s)
-    if len(a) < n:
+    if m < n:
         # a left-out pair adds +0.0, which turns a -0.0 lower end into +0.0
         lo += 0.0
     if not -_INF < lo <= hi < _INF:
-        for u, v in zip(a, b):
+        for u, v in pairs:
             pair_mul(u, v)  # raises the error of the first overflowing product
     return _interval(lo, hi)
 

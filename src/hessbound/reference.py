@@ -69,6 +69,8 @@ class SymIntervalMatrix:
         hi = np.asarray(self.hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 2 or lo.shape[0] != lo.shape[1]:
             raise NotSymmetric(f"bad shapes {lo.shape} / {hi.shape}")
+        if lo.shape[0] == 0:
+            raise NotSymmetric("an interval matrix needs at least one row")
         if not (_symmetric(lo) and _symmetric(hi)):
             raise NotSymmetric("endpoint matrices must be symmetric")
         if np.any(lo > hi) or not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -166,7 +168,7 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
             m[ix] += d
         return m
 
-    def hessian(cl, k, line, ys, grads, firsts, hs):
+    def hessian(cl, k, line, ys, grads, firsts, memo, hs):
         block, mi = cl.blocks[k - 1], hs[line.i - 1]
         mj = None if line.j is None else hs[line.j - 1]
         if not block:  # y_k is affine in x

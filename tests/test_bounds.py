@@ -418,6 +418,54 @@ def test_an_engine_after_another_on_the_same_box_equals_it_on_a_fresh_box():
     assert failures > 0  # the deferred failure path ran
 
 
+# (source, n, box, eigen bound or error of eval_original, of eval_improved),
+# recorded as float.hex before the engines shared their λ_s / λ_t terms
+_ZERO_HEX = ("0x0.0p+0", "0x0.0p+0")
+SHARING_CASES = [
+    # one-variable blocks (x1^2, exp(x1) and their product): λ_s and λ_t per engine
+    ("x1^2*exp(x1) + x2*x3", 3, [(0.5, 1.0), (0.0, 1.0), (1.0, 2.0)],
+     ("-0x1.326c0278cd5c2p+2", "0x1.4072939b1cc7cp+4"),
+     ("-0x1.0000000000000p+0", "0x1.3072939b1cc7cp+4")),
+    # blocks of 2 and 3 variables out of 4: shared, the original engine adds +0.0
+    ("exp(x1 + x2)*(x2 + x3) + x4", 4, [(0.0, 0.5), (-1.0, 1.0), (1.0, 2.0), (0.0, 1.0)],
+     ("-0x1.130e5349e5dc7p+3", "0x1.42ae7e319bdeap+5"),
+     ("-0x1.130e5349e5dc7p+3", "0x1.42ae7e319bdeap+5")),
+    # β = 0: every gradient entry of (x1 - 1)^2 is [0, 0]
+    ("(x1 - 1)^2*x2", 2, [(1.0, 1.0), (-2.0, -0.5)],
+     ("-0x1.0000000000000p+2", "0x0.0p+0"), ("-0x1.0000000000000p+2", "0x0.0p+0")),
+    # β = 0 on a block smaller than n: the +0.0 alone makes the original's lower end +0.0
+    ("(x1 - 1)^2*(-(x1 - 1)*(x2 - 1))", 3, [(1.0, 1.0), (1.0, 1.0), (0.0, 1.0)],
+     _ZERO_HEX, ("-0x0.0p+0", "0x0.0p+0")),
+    # β = 0 with entries outside the shared support: their signed zeros decide the sign
+    ("(x1 - 1)*(x2 - 1)*(1 - x1)", 3, [(1.0, 1.0), (1.0, 1.0), (-1.0, 1.0)],
+     _ZERO_HEX, _ZERO_HEX),
+    # λ_t overflows: a shared pair product, then β alone
+    ("(1e160*x1)*(1e160*x1 + x2) + x3", 3, [(1e-100, 2e-100), (1.0, 2.0), (0.0, 1.0)],
+     ("InvalidInterval", "non-finite endpoints [inf, inf]"),
+     ("InvalidInterval", "non-finite endpoints [inf, inf]")),
+    ("(1e100*x1 + 1e100*x2)*(1e100*x2 + 1e100*x3) + x4", 4, [(1.0, 2.0)] * 3 + [(0.0, 1.0)],
+     ("InvalidInterval", "non-finite endpoints [-inf, inf]"),
+     ("InvalidInterval", "non-finite endpoints [-inf, inf]")),
+]
+
+
+@pytest.mark.parametrize("source,n,bounds,original,improved", SHARING_CASES,
+                         ids=[c[0] for c in SHARING_CASES])
+def test_shared_lambda_terms_give_each_engine_its_fresh_box_bits(source, n, bounds, original,
+                                                                 improved):
+    cl = compile_expression(source, n)
+    routes = (eval_original, eval_improved, trace_original, trace_improved)
+    fresh = {route: _outcome(route, cl, Box.from_bounds(bounds)) for route in routes}
+    for route, want in ((eval_original, original), (eval_improved, improved)):
+        got = fresh[route]  # a result's eigen bound, or the error's type and text
+        assert (got[2] if len(got) == 5 else got[:2]) == want, route.__name__
+    for pair in ((eval_original, eval_improved), (trace_original, trace_improved)):
+        for first, then in (pair, pair[::-1]):
+            box = Box.from_bounds(bounds)
+            assert _outcome(first, cl, box) == fresh[first]
+            assert _outcome(then, cl, box) == fresh[then], (first.__name__, then.__name__)
+
+
 def test_an_equal_box_with_other_zero_signs_is_evaluated_afresh():
     # the two boxes are ==, but the sign of the zero endpoints reaches the results
     cl = compile_expression("x1*x2 + x1", 2)

@@ -22,6 +22,7 @@ from hessbound import (
     eval_improved,
     eval_original,
 )
+from hessbound import bounds
 from hessbound.codelist import (
     ABSENT,
     AFFINE_OPS,
@@ -367,9 +368,16 @@ def test_index_sets_and_blocks_are_consistent():
         for n in range(1, 7) for s in range(10)]
     for cl in corpus:
         full = frozenset(range(1, cl.n + 1))
-        for ik, lk, block in zip(cl.indep, cl.linear, cl.blocks):
+        rests = {}  # index set -> the tuple of the other variables
+        for ik, lk, support, block in zip(cl.indep, cl.linear, cl.supports, cl.blocks):
             assert ik <= lk and ik != full
+            assert support == tuple(sorted(full - ik))
             assert block == tuple(sorted(full - lk))
+            assert rests.setdefault(ik, support) is support  # equal sets share one tuple
+            assert rests.setdefault(lk, block) is block
+        # the supports are the keys of the engines' sparse gradients
+        grads = bounds._values(cl, Box.from_bounds([(1.0, 1.5)] * cl.n))[1]
+        assert [tuple(sorted(g)) for g in grads] == list(cl.supports[:len(grads)])
 
 
 def test_codelist_pickles_before_and_after_a_point_evaluation():
@@ -379,7 +387,7 @@ def test_codelist_pickles_before_and_after_a_point_evaluation():
         assert ("point_function" in vars(cl)) == evaluated
         copy = pickle.loads(pickle.dumps(cl))
         assert copy == cl and "point_function" not in vars(copy)
-        assert (copy.indep, copy.linear, copy.blocks, copy.rules) == (
-            cl.indep, cl.linear, cl.blocks, cl.rules)
+        assert (copy.indep, copy.supports, copy.linear, copy.blocks, copy.rules) == (
+            cl.indep, cl.supports, cl.linear, cl.blocks, cl.rules)
         assert codelist_value(copy, (1.0, 2.0)).hex() == codelist_value(cl, (1.0, 2.0)).hex()
         assert eval_improved(copy, box) == eval_improved(cl, box)

@@ -108,13 +108,25 @@ def test_engines_call_the_lambda_operators_through_the_module(monkeypatch):
         monkeypatch.setattr(bounds, name, counted)
     # products of one-variable factors fire the 2x2 rule of the improved engine
     cl = compile_expression("exp(x1)*exp(x2) + x1*x3 + x2^2", 3)
-    box = Box.from_bounds([(0.5, 1.0), (0.5, 1.5), (1.0, 2.0)])
-    bounds.eval_original(cl, box)
+    ranges = [(0.5, 1.0), (0.5, 1.5), (1.0, 2.0)]
+    bounds.eval_original(cl, Box.from_bounds(ranges))
     assert calls.get("lambda_s", 0) > 0 and calls.get("lambda_t", 0) > 0
     calls.clear()
-    bounds.eval_improved(cl, box)
+    bounds.eval_improved(cl, Box.from_bounds(ranges))
     assert calls.get("lambda_s", 0) > 0 and calls.get("lambda_t", 0) > 0
     assert calls.get("lambda_star", 0) > 0
+    # every λ_s / λ_t block here has two or more variables, so the engine that
+    # comes second on a box reads the first one's terms and calls neither
+    cl = compile_expression("exp(x1 + x2)*(x2 + x3)", 3)
+    for first, second in ((bounds.eval_original, bounds.eval_improved),
+                          (bounds.eval_improved, bounds.eval_original)):
+        box = Box.from_bounds(ranges)
+        calls.clear()
+        first(cl, box)
+        assert calls == {"lambda_s": 1, "lambda_t": 1}
+        calls.clear()
+        second(cl, box)
+        assert calls == {}
 
 
 def test_run_compare_calls_the_references_through_the_harness(monkeypatch):

@@ -15,6 +15,7 @@ from hessbound import (
     EmptySlice,
     HessboundError,
     Interval,
+    InvalidArgument,
     InvalidInterval,
     LengthMismatch,
     ONE,
@@ -79,6 +80,21 @@ def test_endpoints_are_coerced_to_float():
         x = Interval(lo, hi)
         assert type(x.lo) is float and type(x.hi) is float
         assert x == Interval(1.0, 2.0)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Interval("a", 1), "interval endpoint 'a' is not a real number"),
+    (lambda: Interval(0.0, None), "interval endpoint None is not a real number"),
+    (lambda: iv(1, 2).pow(-1), "exponent must be a natural number, got -1"),
+    (lambda: iv(1, 2).pow(2.5), "exponent must be a natural number, got 2.5"),
+    (lambda: iv(1, 2).pow(math.nan), "exponent must be a natural number, got nan"),
+    (lambda: iv(1, 2).pow("2"), "exponent must be a natural number, got '2'"),
+])
+def test_a_bad_endpoint_or_exponent_is_a_value_error_of_the_package(build, message):
+    with pytest.raises(InvalidArgument) as info:
+        build()
+    assert isinstance(info.value, HessboundError) and isinstance(info.value, ValueError)
+    assert str(info.value) == message
 
 
 def test_interval_is_frozen_slotted_and_hashable():
@@ -455,6 +471,48 @@ def test_lambda_t_pair_overflow_names_the_pair_product():
     b = [iv(1e200, 1e200), iv(0, 1)]
     with pytest.raises(InvalidInterval, match=r"^non-finite endpoints \[-inf, -inf\]$"):
         lambda_t(a, b)
+
+
+def _outcome_or_error(f):
+    try:
+        return hexes(f())
+    except InvalidInterval as err:
+        return str(err)
+
+
+# zero components of both signs, and ones whose squares underflow (β = 0)
+# or overflow (β = inf), next to ordinary ones
+sparse_components = st.one_of(edge_intervals(), st.sampled_from(
+    [ZERO, Interval(-0.0, -0.0), point(1e-170), point(-1e-170), point(1e160), point(-1e160)]))
+
+
+# β = 0: the left-out pairs' +0.0 turns the lower end -0.0 into +0.0, then the +0.0 of n
+@example({1: ZERO}, {2: point(-1.0)}, 0)
+@example({1: point(-1.0)}, {2: Interval(-0.0, -0.0)}, 1)
+@given(st.dictionaries(st.integers(1, 6), sparse_components, max_size=6),
+       st.dictionaries(st.integers(1, 6), sparse_components, max_size=6),
+       st.integers(0, 2))
+def test_lambda_t_on_supports_equals_the_listed_union(a, b, extra):
+    # the operands' own supports, as the engines' sparse gradients give them
+    supports = tuple(sorted(a)), tuple(sorted(b))
+    union = sorted({*a, *b})
+    n = max(len(union) + extra, 1)
+    listed = [a.get(j, ZERO) for j in union], [b.get(j, ZERO) for j in union]
+    assert (_outcome_or_error(lambda: lambda_t(a, b, n, supports))
+            == _outcome_or_error(lambda: lambda_t(*listed, n)))
+    if union:
+        assert (_outcome_or_error(lambda: lambda_t(a, b, None, supports))
+                == _outcome_or_error(lambda: lambda_t(*listed)))
+    if len(union) > 1:
+        with pytest.raises(LengthMismatch):
+            lambda_t(a, b, len(union) - 1, supports)
+
+
+def test_lambda_t_rejects_keys_that_are_not_the_supports():
+    a, b = {1: ONE, 2: ONE}, {2: ONE}
+    for supports in (((1,), (2,)), ((1, 3), (2,))):
+        with pytest.raises(InvalidArgument, match="keys of a and b must be their supports"):
+            lambda_t(a, b, 3, supports)
 
 
 # -- the endpoint kernels, bit for bit --------------------------------------

@@ -47,6 +47,12 @@ def test_sym_interval_matrix_validation():
         SymIntervalMatrix(np.zeros((2, 3)), np.ones((2, 3)))
 
 
+def test_sym_interval_matrix_rejects_an_empty_matrix():
+    # accepted, the references would fail on it with numpy's own ValueError
+    with pytest.raises(NotSymmetric, match="at least one row"):
+        SymIntervalMatrix(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
 def test_sym_interval_matrix_accepts_exact_and_allclose_symmetry():
     exact = np.array([[1.0, 0.1 + 0.2], [0.1 + 0.2, 2.0]])
     near = exact.copy()
