@@ -18,16 +18,16 @@ propagates values, sparse gradients and each unary line's r'; the second
 pass applies the rule to each line.  Every interval the walk carries -- a
 line's value, r' and eigenvalue bound, and each gradient entry -- is a
 ``(lo, hi)`` pair of floats, computed by the endpoint kernels of
-:mod:`hessbound.interval`: the interval arithmetic, bit for bit, with the
-same validity check and errors.  A sparse gradient maps a variable index to
-its entry, so the work scales with the structurally nonzero entries.  The λ
-operators return an :class:`Interval`, whose endpoints the rules read.
-Every unary line takes its value, r' and curvature rules from
-:data:`hessbound.codelist.UNARY_RULES`; only ``add`` and ``mul`` values and
-gradients are written out here.  Intervals are built only at the edge, where
-a public function hands one out: an :class:`EvalResult`'s value and eigen
-bound (and its gradient :class:`Box`, on first read), the input of
-:func:`lift_reduced` and the :class:`LineState` triples of a trace.
+:mod:`hessbound.interval`, the λ kernels included: the interval
+arithmetic, bit for bit, with the same validity check and errors.  A sparse
+gradient maps a variable index to its entry, so the work scales with the
+structurally nonzero entries.  Every unary line takes its value, r' and
+curvature rules from :data:`hessbound.codelist.UNARY_RULES`; only ``add``
+and ``mul`` values and gradients are written out here.  Intervals are
+built only at the edge, where a public function hands one out: an
+:class:`EvalResult`'s value and eigen bound (and its gradient :class:`Box`,
+on first read), the input of :func:`lift_reduced` and the
+:class:`LineState` triples of a trace.
 ``op_count`` is the paper's cost measure, ``Codelist.op_counts``: it is
 fixed when the codelist is built and the same on every box.
 
@@ -56,19 +56,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .codelist import UNARY_RULES, Codelist, term
 from .errors import DomainViolation, HessboundError, LengthMismatch
-from .interval import (
-    Box,
-    Interval,
-    Pair,
-    ZERO,
-    _interval,
-    lambda_s,
-    lambda_star,
-    lambda_t,
-    pair_add,
-    pair_mul,
-    zero_widen,
-)
+from .interval import Box, Interval, Pair, ZERO, _interval, pair_add, pair_mul, zero_widen
+# the engines call the λ kernels by these module names, which tracers and tests wrap
+from .interval import pair_lambda_s as lambda_s, pair_lambda_star as lambda_star
+from .interval import pair_lambda_t as lambda_t
 
 __all__ = [
     "EvalResult",
@@ -264,21 +255,19 @@ def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
 # each is computed once per box, by whichever engine comes first, and kept
 # in the memo by line number.  A one-variable block is the exact square or
 # product for the improved engine and the rank-one bound in n dimensions for
-# the original one; those, and the original engine's λ_t on a 2x2 line,
-# stay per engine.  The engines read the Interval each operator returns as a
-# pair.
+# the original one, so it stays per engine.  The improved engine takes λ* on
+# a 2x2 line and never reads that line's entry.
 
 def _lam_t(cl: Codelist, k: int, line, grads, memo, n: int) -> Pair:
     """λ_t of mul line k in dimension n: the block's own, or the whole space's."""
     i, j = line.i - 1, line.j - 1
+    supports = cl.supports[i], cl.supports[j]
     size = len(cl.blocks[k - 1])
-    if size == 1 or cl.rules[k - 1].cross is not None:
-        lt = lambda_t(grads[i], grads[j], n, (cl.supports[i], cl.supports[j]))
-        return lt.lo, lt.hi
+    if size == 1:
+        return lambda_t(grads[i], grads[j], supports, n)
     lt = memo.get(k)
     if lt is None:
-        lt = lambda_t(grads[i], grads[j], size, (cl.supports[i], cl.supports[j]))
-        lt = memo[k] = lt.lo, lt.hi
+        lt = memo[k] = lambda_t(grads[i], grads[j], supports, size)
     return lt if size == n else (lt[0] + 0.0, lt[1])
 
 
@@ -287,12 +276,10 @@ def _lam_s(cl: Codelist, k: int, line, grads, memo, n: int) -> Pair:
     gi = grads[line.i - 1]
     block = cl.blocks[k - 1]
     if len(block) == 1:
-        ls = lambda_s([gi[j] for j in block], n)
-        return ls.lo, ls.hi
+        return lambda_s([gi[j] for j in block], n)
     ls = memo.get(k)
     if ls is None:
-        ls = lambda_s([gi[j] for j in block], len(block))
-        ls = memo[k] = ls.lo, ls.hi
+        ls = memo[k] = lambda_s([gi[j] for j in block], len(block))
     return ls
 
 
@@ -321,10 +308,9 @@ def _lam_improved(cl: Codelist, k: int, line, ys, grads, firsts, memo, lams) -> 
         if rule.cross is not None:  # the 2x2 rule: λ* and the cross product
             a, b = term(rule.i, lam_i, yj), term(rule.j, lam_j, yi)
             p, q = rule.cross
-            star = lambda_star(_ZERO if a is None else a, _ZERO if b is None else b,
+            return lambda_star(_ZERO if a is None else a, _ZERO if b is None else b,
                                pair_mul(grads[line.i - 1].get(p, _ZERO),
                                         grads[line.j - 1].get(q, _ZERO)))
-            return star.lo, star.hi
         lt = _lam_t(cl, k, line, grads, memo, len(cl.blocks[k - 1]))
         return rule.apply(lt, lam_i, lam_j, yi, yj)
     unary = UNARY_RULES[line.op]

@@ -318,7 +318,7 @@ class Codelist:
     The derived fields are those of the module docstring, one entry per
     line.  ``supports[k - 1]`` lists, ascending, the variables line k's
     gradient can depend on (all but ``indep[k - 1]``); the engines pass the
-    operands' supports to ``lambda_t``.  Equal index sets share one tuple.
+    operands' supports to ``pair_lambda_t``.  Equal index sets share one tuple.
     """
 
     n: int

@@ -35,7 +35,7 @@ class LengthMismatch(HessboundError, ValueError):
 class InvalidArgument(HessboundError, ValueError):
     """An argument is not of the kind the operation takes: an interval
     endpoint that is not a real number, an exponent that is not a natural
-    number, sparse components whose keys are not their supports."""
+    number, a malformed box text or corpus file, an unknown report format."""
 
 
 class ExpressionSyntaxError(HessboundError):

@@ -33,6 +33,7 @@ from .errors import (
     DomainViolation,
     HessboundError,
     InconsistentInputs,
+    InvalidArgument,
     InvalidInterval,
     LengthMismatch,
     PointOutsideBox,
@@ -223,13 +224,14 @@ def parse_box(text: str, n: int) -> Box:
     """Parse ``'l1,u1;l2,u2;...;ln,un'`` into an n-dimensional box."""
     parts = [p for p in text.split(";") if p.strip()]
     if len(parts) != n:
-        raise ValueError(f"box has {len(parts)} components, expected {n}")
+        raise InvalidArgument(f"box has {len(parts)} components, expected {n}")
     bounds = []
     for k, p in enumerate(parts, start=1):
         try:  # two numbers, or ValueError (a wrong count or not a number)
             lo, hi = map(float, p.split(","))
         except ValueError:
-            raise ValueError(f"box component {k} is {p.strip()!r}, expected the form lo,hi") from None
+            raise InvalidArgument(
+                f"box component {k} is {p.strip()!r}, expected the form lo,hi") from None
         bounds.append((lo, hi))
     return Box.from_bounds(bounds)
 
@@ -253,7 +255,12 @@ def read_corpus(directory: str) -> List[CorpusEntry]:
                 if not line:
                     continue
                 if line.lower().startswith("vars:"):
-                    n = int(line.split(":", 1)[1])
+                    text = line.split(":", 1)[1].strip()
+                    try:
+                        n = int(text)
+                    except ValueError:
+                        raise InvalidArgument(
+                            f"{fname}: vars: {text!r} is not a whole number") from None
                 elif line.startswith("#"):
                     body = line.lstrip("#").strip()
                     if body.lower().startswith("domain:"):
@@ -261,7 +268,7 @@ def read_corpus(directory: str) -> List[CorpusEntry]:
                 else:
                     expr_lines.append(line)
         if n is None or domain_text is None or not expr_lines:
-            raise ValueError(f"{fname}: needs a vars: line, a domain comment and an expression")
+            raise InvalidArgument(f"{fname}: needs a vars: line, a domain comment and an expression")
         entries.append(CorpusEntry(
             name=fname[:-4],
             n=n,
@@ -468,4 +475,4 @@ def emit_report(result: CompareResult, fmt: str = "csv") -> str:
         if result.skips:
             lines.append(f"skipped boxes: {len(result.skips)}")
         return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {fmt!r}")
+    raise InvalidArgument(f"unknown report format {fmt!r}")

@@ -6,14 +6,16 @@ precision; no directed rounding is performed.
 
 The endpoint kernels (``pair_add``, ``pair_sub``, ``pair_mul``,
 ``pair_scale``, ``pair_add_const``, ``pair_recip``, ``pair_pow``,
-``pair_sqrt``, ``pair_exp``, ``pair_ln``, ``pair_zero_widen`` and
-``pair_hull``) are the one home of the endpoint formulas.  Each takes and
-returns intervals as ``(lo, hi)`` pairs of floats, runs the validity check
-of :class:`Interval` on its result and raises the errors of the interval
-operation.  The :class:`Interval` operators wrap them, and the bound
-engines and the unary rule table call them directly, so that a value never
-becomes an object on their hot paths; a change to how an endpoint is
-computed (outward rounding, say) is made in the kernels alone.
+``pair_sqrt``, ``pair_exp``, ``pair_ln``, ``pair_zero_widen``, ``pair_hull``
+and the spectral ``pair_lambda_s``, ``pair_lambda_t`` and
+``pair_lambda_star``) are the one home of the endpoint formulas.  Each takes
+and returns intervals as ``(lo, hi)`` pairs of floats, runs the validity
+check of :class:`Interval` on its result and raises the errors of the
+interval operation.  The :class:`Interval` operators and the public
+functions below wrap them, and the bound engines and the unary rule table
+call them directly, so that a value never becomes an object on their hot
+paths; a change to how an endpoint is computed (outward rounding, say) is
+made in the kernels alone.
 
 On top of the elementary rules this module provides the four operators used
 by the bound engine:
@@ -23,11 +25,6 @@ by the bound engine:
 * ``hull`` -- the interval hull, the paper's λ_r,
 * ``lambda_star`` -- tight bounds for 2x2 symmetric interval matrices.
 
-An interval unpacks as ``lo, hi = iv``.  The λ operators read their
-interval arguments that way, so the engines can pass ``(lo, hi)`` float
-pairs where public callers pass :class:`Interval` objects; they return an
-:class:`Interval`.
-
 Everything here is immutable and side-effect free.
 """
 
@@ -35,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     DomainViolation,
@@ -323,6 +320,86 @@ def pair_hull(x: Pair, y: Pair) -> Pair:
     return lo, hi
 
 
+# The sums below run left to right in plain float additions: from Python
+# 3.12 on, sum() over floats is compensated, which would change the bits.
+
+def _sum_sq_mag(a: Iterable[Pair]) -> float:
+    s = 0.0
+    for lo, hi in a:
+        s += max(lo * lo, hi * hi)
+    return s
+
+
+def pair_lambda_s(a: Sequence[Pair], n: int) -> Pair:
+    """λ_s of the components ``a`` of a vector in dimension n (see :func:`lambda_s`)."""
+    if n < len(a):
+        raise LengthMismatch(f"{len(a)} components in dimension {n}")
+    if n == 1:
+        return pair_pow(a[0], 2) if a else (0.0, 0.0)
+    lo, hi = 0.0, _sum_sq_mag(a)
+    if not -_INF < lo <= hi < _INF:
+        _reject(lo, hi)
+    return lo, hi
+
+
+def pair_lambda_t(a: Mapping[int, Pair], b: Mapping[int, Pair],
+                  supports: Tuple[Sequence[int], Sequence[int]], n: int) -> Pair:
+    """λ_t in dimension n (see :func:`lambda_t`) of two sparse vectors.
+
+    ``a`` and ``b`` map an index to a component, and their keys are the
+    ascending indices ``supports = (sa, sb)``; the components left out are
+    zero.  Each squared-magnitude sum runs over its own support and the
+    cross sum over the shared indices only, with the bits of the sums over
+    the union: a left-out term is a signed zero, which changes a float sum
+    only when the sum is -0.0, and a sum that starts at ±β ≠ 0 never is.  At
+    β = 0 (and in one dimension) the cross sum runs over the union.
+    """
+    sa, sb = supports
+    # the pairs on the shared indices, ascending, from the shorter support
+    if len(sb) < len(sa):
+        pairs = [(a[j], b[j]) for j in sb if j in a]
+    else:
+        pairs = [(a[j], b[j]) for j in sa if j in b]
+    m = len(sa) + len(sb) - len(pairs)
+    if n < m:
+        raise LengthMismatch(f"{m} components in dimension {n}")
+    beta = 0.0 if n == 1 else math.sqrt(_sum_sq_mag(map(a.__getitem__, sa))
+                                        * _sum_sq_mag(map(b.__getitem__, sb)))
+    if beta == 0.0 and len(pairs) < m:
+        pairs = [(a.get(j, ZERO), b.get(j, ZERO)) for j in sorted({*sa, *sb})]
+    if n == 1:
+        return pair_scale(pair_mul(*pairs[0]), 2.0) if pairs else (0.0, 0.0)
+    lo, hi = -beta, beta
+    for (c, d), (e, f) in pairs:  # the endpoints of each pair product, summed
+        p, q, r, s = c * e, c * f, d * e, d * f
+        lo += min(p, q, r, s)
+        hi += max(p, q, r, s)
+    if m < n:
+        # a left-out pair adds +0.0, which turns a -0.0 lower end into +0.0
+        lo += 0.0
+    if not -_INF < lo <= hi < _INF:
+        for u, v in pairs:
+            pair_mul(u, v)  # raises the error of the first overflowing product
+        _reject(lo, hi)
+    return lo, hi
+
+
+def pair_lambda_star(a: Pair, b: Pair, c: Pair) -> Pair:
+    """λ* of the 2x2 symmetric matrices with diagonal entries in a and b and
+    off-diagonal entry in c (see :func:`lambda_star`)."""
+    (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi) = a, b, c
+    d = 4.0 * max(c_lo * c_lo, c_hi * c_hi)
+    try:
+        lo = 0.5 * (a_lo + b_lo - math.sqrt((a_lo - b_lo) ** 2 + d))
+        hi = 0.5 * (a_hi + b_hi + math.sqrt((a_hi - b_hi) ** 2 + d))
+    except OverflowError:
+        raise InvalidInterval(f"lambda_star overflow on {Interval(a_lo, a_hi)}, "
+                              f"{Interval(b_lo, b_hi)}, {Interval(c_lo, c_hi)}") from None
+    if not -_INF < lo <= hi < _INF:
+        _reject(lo, hi)
+    return lo, hi
+
+
 class Box:
     """Axis-aligned hyperrectangle: an ordered tuple of intervals."""
 
@@ -376,107 +453,32 @@ class Box:
         return corners
 
 
-# The sums below run left to right in plain float additions: from Python
-# 3.12 on, sum() over floats is compensated, which would change the bits.
-
-def _sum_sq_mag(a: Sequence[Interval]) -> float:
-    s = 0.0
-    for lo, hi in a:
-        s += max(lo * lo, hi * hi)
-    return s
-
-
 def lambda_s(a: Sequence[Interval], n: Optional[int] = None) -> Interval:
     """Spectral enclosure for rank-1 matrices v v^T with v in the box ``a``.
 
     ``a`` may list only the components of v that can be nonzero, in
     ascending index order; ``n`` is the dimension of the space v lives in
-    (default ``len(a)``), and the missing components are zero.  A component
-    is an :class:`Interval` or a ``(lo, hi)`` pair of floats.  In one
+    (default ``len(a)``), and the missing components are zero.  In one
     dimension this is the exact square; otherwise the spectrum is
     {0 (multiple), |v|^2}, bounded by [0, sum of squared magnitudes].
     """
-    if n is None:
-        n = len(a)
-    elif n < len(a):
-        raise LengthMismatch(f"{len(a)} components in dimension {n}")
-    if n == 1:
-        return _interval(*pair_pow(a[0], 2)) if a else ZERO
-    return _interval(0.0, _sum_sq_mag(a))
+    return _interval(*pair_lambda_s(a, len(a) if n is None else n))
 
 
-def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = None,
-             supports: Optional[Tuple[Sequence[int], Sequence[int]]] = None) -> Interval:
+def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = None) -> Interval:
     """Spectral enclosure for symmetric terms u v^T + v u^T, u in a, v in b.
 
     ``a`` and ``b`` may list only the components where u or v can be
     nonzero (the same indices for both, ascending, ``ZERO`` where one of
     them vanishes); ``n`` is the dimension (default ``len(a)``), and the
     components left out are zero in both.  The result is the same, bit for
-    bit, as with the zero components listed.  Components are intervals or
-    ``(lo, hi)`` pairs, as for :func:`lambda_s`.
-
-    With ``supports = (sa, sb)``, ``a`` and ``b`` are mappings from index to
-    component whose keys are the ascending index tuples ``sa`` and ``sb``
-    (two sparse gradients, say), and ``n`` defaults to the size of their
-    union.  Each squared-magnitude sum then runs over its own support and
-    the cross sum over the shared indices only, with the bits of the listed
-    form on the union: a left-out term is a signed zero, which changes a
-    float sum only when the sum is -0.0, and a sum that starts at +0.0 or at
-    ±β ≠ 0 never is.  At β = 0 (and in one dimension) the union is listed.
+    bit, as with the zero components listed.
     """
-    if supports is not None:
-        sa, sb = supports
-        if len(a) != len(sa) or len(b) != len(sb):
-            raise InvalidArgument("the keys of a and b must be their supports")
-        # the pairs on the shared indices, ascending, from the shorter support
-        if len(sb) < len(sa):
-            pairs = [(a[j], b[j]) for j in sb if j in a]
-        else:
-            pairs = [(a[j], b[j]) for j in sa if j in b]
-        m = len(sa) + len(sb) - len(pairs)
-        if n is None:
-            n = m
-        elif n < m:
-            raise LengthMismatch(f"{m} components in dimension {n}")
-        if n > 1:
-            try:
-                beta = math.sqrt(_sum_sq_mag(map(a.__getitem__, sa))
-                                 * _sum_sq_mag(map(b.__getitem__, sb)))
-            except KeyError:
-                raise InvalidArgument("the keys of a and b must be their supports") from None
-            if beta != 0.0:
-                return _lambda_t(beta, pairs, m, n)
-        union = sorted({*sa, *sb})
-        return lambda_t([a.get(j, ZERO) for j in union], [b.get(j, ZERO) for j in union], n)
     if len(a) != len(b):
         raise LengthMismatch(f"boxes of length {len(a)} and {len(b)}")
-    if n is None:
-        n = len(a)
-    elif n < len(a):
-        raise LengthMismatch(f"{len(a)} components in dimension {n}")
-    if n == 1:
-        if not a:
-            return ZERO
-        return _interval(*pair_scale(pair_mul(a[0], b[0]), 2.0))
-    return _lambda_t(math.sqrt(_sum_sq_mag(a) * _sum_sq_mag(b)), list(zip(a, b)), len(a), n)
-
-
-def _lambda_t(beta: float, pairs, m: int, n: int) -> Interval:
-    """λ_t in dimension n > 1 from β and the component pairs whose product
-    can be nonzero, of m components listed."""
-    lo, hi = -beta, beta
-    for (c, d), (e, f) in pairs:  # the endpoints of each pair product, summed
-        p, q, r, s = c * e, c * f, d * e, d * f
-        lo += min(p, q, r, s)
-        hi += max(p, q, r, s)
-    if m < n:
-        # a left-out pair adds +0.0, which turns a -0.0 lower end into +0.0
-        lo += 0.0
-    if not -_INF < lo <= hi < _INF:
-        for u, v in pairs:
-            pair_mul(u, v)  # raises the error of the first overflowing product
-    return _interval(lo, hi)
+    full = range(len(a))
+    return _interval(*pair_lambda_t(dict(zip(full, a)), dict(zip(full, b)), (full, full),
+                                    len(a) if n is None else n))
 
 
 def hull(a: Interval, b: Interval) -> Interval:
@@ -486,17 +488,8 @@ def hull(a: Interval, b: Interval) -> Interval:
 
 def lambda_star(a: Interval, b: Interval, c: Interval) -> Interval:
     """Tight eigenvalue bounds for 2x2 symmetric matrices with diagonal
-    entries in [a], [b] and off-diagonal entry in [c] (each an interval or
-    a ``(lo, hi)`` pair)."""
-    (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi) = a, b, c
-    d = 4.0 * max(c_lo * c_lo, c_hi * c_hi)
-    try:
-        lo = 0.5 * (a_lo + b_lo - math.sqrt((a_lo - b_lo) ** 2 + d))
-        hi = 0.5 * (a_hi + b_hi + math.sqrt((a_hi - b_hi) ** 2 + d))
-    except OverflowError:
-        raise InvalidInterval(f"lambda_star overflow on {Interval(a_lo, a_hi)}, "
-                              f"{Interval(b_lo, b_hi)}, {Interval(c_lo, c_hi)}") from None
-    return _interval(lo, hi)
+    entries in [a], [b] and off-diagonal entry in [c]."""
+    return _interval(*pair_lambda_star(a, b, c))
 
 
 def zero_widen(a: Interval) -> Interval:

@@ -115,6 +115,13 @@ def test_compare_writes_csv(capsys, tmp_path):
     assert text.startswith("method,n,bound,cases,")
 
 
+def test_compare_malformed_corpus_file_is_one_error_line_naming_it(capsys, tmp_path):
+    (tmp_path / "f.txt").write_text("vars: two\n# domain: 0,1;0,1\nx1*x2\n")
+    code, out, err = run(capsys, "compare", "--corpus", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == "error: f.txt: vars: 'two' is not a whole number\n"
+
+
 def test_compare_stdout_table(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     write_corpus(str(corpus), [random_function(2, seed=7)])

@@ -11,7 +11,9 @@ import pytest
 from hessbound import (
     Box,
     DomainViolation,
+    HessboundError,
     Interval,
+    InvalidArgument,
     InvalidInterval,
     LengthMismatch,
     PointOutsideBox,
@@ -325,10 +327,24 @@ def test_corpus_round_trip(tmp_path):
         e.compile()  # must stay compilable
 
 
+def _argument_error(call) -> str:
+    """The text of the error ``call()`` raises, a ValueError of the package."""
+    with pytest.raises(InvalidArgument) as info:
+        call()
+    assert isinstance(info.value, HessboundError) and isinstance(info.value, ValueError)
+    return str(info.value)
+
+
 def test_read_corpus_rejects_incomplete_file(tmp_path):
     (tmp_path / "bad.txt").write_text("x1 + x2\n")
-    with pytest.raises(ValueError):
-        read_corpus(str(tmp_path))
+    assert (_argument_error(lambda: read_corpus(str(tmp_path)))
+            == "bad.txt: needs a vars: line, a domain comment and an expression")
+
+
+def test_read_corpus_names_the_file_of_a_vars_line_that_is_not_a_number(tmp_path):
+    (tmp_path / "bad.txt").write_text("vars: two\n# domain: 0,1;0,1\nx1*x2\n")
+    assert (_argument_error(lambda: read_corpus(str(tmp_path)))
+            == "bad.txt: vars: 'two' is not a whole number")
 
 
 def test_random_function_is_seed_deterministic_and_domain_safe():
@@ -393,8 +409,8 @@ def test_report_table_renders(small_result):
 
 
 def test_report_unknown_format(small_result):
-    with pytest.raises(ValueError):
-        emit_report(small_result, "yaml")
+    assert (_argument_error(lambda: emit_report(small_result, "yaml"))
+            == "unknown report format 'yaml'")
 
 
 @pytest.mark.parametrize("text,match", [
@@ -404,8 +420,11 @@ def test_report_unknown_format(small_result):
     ("0,1;2,b", "box component 2 is '2,b', expected the form lo,hi"),
 ])
 def test_parse_box_names_a_malformed_component(text, match):
-    with pytest.raises(ValueError, match=match):
-        parse_box(text, len(text.split(";")))
+    assert _argument_error(lambda: parse_box(text, len(text.split(";")))) == match
+
+
+def test_parse_box_rejects_the_wrong_component_count():
+    assert _argument_error(lambda: parse_box("0,1", 2)) == "box has 1 components, expected 2"
 
 
 def test_run_compare_skips_domain_violations():

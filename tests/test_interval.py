@@ -33,6 +33,9 @@ from hessbound.interval import (
     pair_add_const,
     pair_exp,
     pair_hull,
+    pair_lambda_s,
+    pair_lambda_star,
+    pair_lambda_t,
     pair_ln,
     pair_mul,
     pair_pow,
@@ -475,9 +478,10 @@ def test_lambda_t_pair_overflow_names_the_pair_product():
 
 def _outcome_or_error(f):
     try:
-        return hexes(f())
+        lo, hi = f()
     except InvalidInterval as err:
         return str(err)
+    return lo.hex(), hi.hex()
 
 
 # zero components of both signs, and ones whose squares underflow (β = 0)
@@ -495,24 +499,15 @@ sparse_components = st.one_of(edge_intervals(), st.sampled_from(
 def test_lambda_t_on_supports_equals_the_listed_union(a, b, extra):
     # the operands' own supports, as the engines' sparse gradients give them
     supports = tuple(sorted(a)), tuple(sorted(b))
+    pa, pb = ({j: (x.lo, x.hi) for j, x in g.items()} for g in (a, b))
     union = sorted({*a, *b})
     n = max(len(union) + extra, 1)
     listed = [a.get(j, ZERO) for j in union], [b.get(j, ZERO) for j in union]
-    assert (_outcome_or_error(lambda: lambda_t(a, b, n, supports))
+    assert (_outcome_or_error(lambda: pair_lambda_t(pa, pb, supports, n))
             == _outcome_or_error(lambda: lambda_t(*listed, n)))
-    if union:
-        assert (_outcome_or_error(lambda: lambda_t(a, b, None, supports))
-                == _outcome_or_error(lambda: lambda_t(*listed)))
     if len(union) > 1:
-        with pytest.raises(LengthMismatch):
-            lambda_t(a, b, len(union) - 1, supports)
-
-
-def test_lambda_t_rejects_keys_that_are_not_the_supports():
-    a, b = {1: ONE, 2: ONE}, {2: ONE}
-    for supports in (((1,), (2,)), ((1, 3), (2,))):
-        with pytest.raises(InvalidArgument, match="keys of a and b must be their supports"):
-            lambda_t(a, b, 3, supports)
+        with pytest.raises(LengthMismatch, match=f"^{len(union)} components in dimension"):
+            pair_lambda_t(pa, pb, supports, len(union) - 1)
 
 
 # -- the endpoint kernels, bit for bit --------------------------------------
@@ -632,3 +627,15 @@ def test_kernels_equal_the_interval_operators_bit_for_bit(x, y, c, m):
     for name, (kernel, operator, oracle) in CONSTANT_KERNELS.items():
         check(name, lambda: kernel(px, c), lambda: operator(x, c), lambda: oracle(x, c))
     check("pow", lambda: pair_pow(px, m), lambda: x.pow(m), lambda: _pow(x, m))
+    # the λ kernels, also on sparse supports, against their public wrappers; m
+    # is the dimension, so one below the component count raises the length error
+    for name, kernel, wrapper in (
+        ("lambda_s", lambda: pair_lambda_s([px, py], m), lambda: lambda_s([x, y], m)),
+        ("lambda_s 1", lambda: pair_lambda_s([px], m), lambda: lambda_s([x], m)),
+        ("lambda_t", lambda: pair_lambda_t({1: px, 2: py}, {2: py, 3: px}, ((1, 2), (2, 3)), m),
+         lambda: lambda_t([x, y, ZERO], [ZERO, y, x], m)),
+        ("lambda_t 1", lambda: pair_lambda_t({1: px}, {1: py}, ((1,), (1,)), m),
+         lambda: lambda_t([x], [y], m)),
+        ("lambda_star", lambda: pair_lambda_star(px, py, px), lambda: lambda_star(x, y, x)),
+    ):
+        assert _result(kernel) == _result(wrapper), (name, x, y, m)
