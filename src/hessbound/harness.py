@@ -269,12 +269,11 @@ def read_corpus(directory: str) -> List[CorpusEntry]:
                     expr_lines.append(line)
         if n is None or domain_text is None or not expr_lines:
             raise InvalidArgument(f"{fname}: needs a vars: line, a domain comment and an expression")
-        entries.append(CorpusEntry(
-            name=fname[:-4],
-            n=n,
-            domain=parse_box(domain_text, n),
-            source=" ".join(expr_lines),
-        ))
+        try:
+            domain = parse_box(domain_text, n)
+        except (InvalidArgument, InvalidInterval) as err:
+            raise type(err)(f"{fname}: domain: {err}") from None
+        entries.append(CorpusEntry(name=fname[:-4], n=n, domain=domain, source=" ".join(expr_lines)))
     return entries
 
 

@@ -7,8 +7,10 @@ compared against:
   yielding an elementwise enclosure of the Hessian over a box.  It is a rule
   on the bound engines' walk (:func:`hessbound.bounds._walk`): values,
   gradients and r' come from their value pass, r'' from
-  :data:`hessbound.codelist.UNARY_RULES`, and each line carries its Hessian
-  as one float array of shape (2, n, n), the lower and upper endpoints;
+  :data:`hessbound.codelist.UNARY_RULES`.  A line carries its Hessian by the
+  size of its ``Codelist.blocks`` entry: none, the shared zero stack; one
+  variable p, the entry (p, p) as a ``(lo, hi)`` pair of the endpoint
+  kernels; more, a (2, n, n) float array of the lower and upper endpoints;
 * :func:`gershgorin_bounds` -- disc bounds from such an enclosure;
 * :func:`hertz_rohn_bounds` -- exact extremal eigenvalues of a symmetric
   interval matrix via signed vertex enumeration, with the vertex matrices
@@ -30,7 +32,7 @@ import numpy as np
 from .bounds import _ZERO, _walk
 from .codelist import UNARY_RULES, Codelist
 from .errors import DimensionTooLarge, DomainViolation, InvalidInterval, LengthMismatch, NotSymmetric
-from .interval import Box, Interval, Pair
+from .interval import Box, Interval, Pair, pair_add, pair_mul
 
 __all__ = [
     "SymIntervalMatrix",
@@ -47,8 +49,9 @@ __all__ = [
 # took 0.044 s at n = 12, 1.0 s at n = 16 and 27 s at n = 20 (the process
 # peaked at 57 MB resident).
 VERTEX_DIMENSION_LIMIT = 20
-# vertices per batched eigvalsh call: 4096 x n x n doubles, 13 MB at n = 20
-_VERTEX_CHUNK = 4096
+# vertices per batched eigvalsh call, which solves both sides of each: a
+# 2 x 2048 x n x n stack of doubles, 13 MB at n = 20
+_VERTEX_CHUNK = 2048
 
 
 def _symmetric(a: np.ndarray) -> bool:
@@ -92,17 +95,30 @@ class SymIntervalMatrix:
         return bool(np.all(self.lo - slack <= m) and np.all(m <= self.hi + slack))
 
 
-# -- interval Hessian propagation ----------------------------------------
+# -- interval Hessian propagation: the helpers take a pair or a stack -------
+
+_NAN = (math.nan, math.nan)
 
 
-def _scale(s: Pair, m: np.ndarray) -> np.ndarray:
-    """Elementwise product of the scalar interval s, a (lo, hi) pair, with a stack m.
+def _pair(kernel, x: Pair, y: Pair) -> Pair:
+    """``kernel(x, y)``, or a NaN pair where it overflows: as in a stack, the
+    check that ends the line raises, after any error of its unary rule."""
+    try:
+        return kernel(x, y)
+    except InvalidInterval:
+        return _NAN
+
+
+def _scale(s: Pair, m):
+    """Elementwise product of the scalar interval s, a (lo, hi) pair, with a pair or a stack m.
 
     Equals the four-product min/max rule under ==.  When s does not
     straddle 0 only the two products that can be extreme are formed (one
     when s is a point), since multiplying by a non-negative float is
     monotone and by a non-positive one antitone, also after rounding.
     """
+    if type(m) is tuple:
+        return _pair(pair_mul, s, m)
     lo, hi = s
     if lo >= 0.0 or hi <= 0.0:
         if hi <= 0.0:
@@ -122,12 +138,14 @@ def _scale(s: Pair, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Interval enclosure of the outer product a b^T of two (2, n) stacks.
+def _outer(a, b):
+    """Interval enclosure of the outer product a b^T of two (2, n) stacks, or of two pairs.
 
     ``_outer(b, a)`` equals ``_outer(a, b)`` transposed entry for entry: both
     take the min and max of the same four products.
     """
+    if type(a) is tuple:
+        return _pair(pair_mul, a, b)
     shape = (a.shape[1], b.shape[1])
     p = (a[:, None, :, None] * b[None, :, None, :]).reshape(4, *shape)
     out = np.empty((2, *shape))
@@ -136,15 +154,26 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dense(g, block) -> np.ndarray:
-    """The (2, b) stack of a sparse gradient's entries on a block, 0 off its support."""
-    return np.array([g.get(j, _ZERO) for j in block]).T
+def _plus(a, b):
+    """``a + b`` for two pairs or two stacks of one shape."""
+    return _pair(pair_add, a, b) if type(a) is tuple else a + b
+
+
+def _cross(a, b):
+    """The cross term a b^T + b a^T of a mul line, on its block."""
+    c = _outer(a, b)
+    return _plus(c, c if type(c) is tuple else c.transpose(0, 2, 1))
+
+
+def _dense(g, block):
+    """A sparse gradient on a block, 0 off its support: a pair, or the (2, b) stack."""
+    return g.get(block[0], _ZERO) if len(block) == 1 else np.array([g.get(j, _ZERO) for j in block]).T
 
 
 def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     """Elementwise enclosure of the Hessian of the codelist over the box.
 
-    Every array expression keeps the association order of the elementwise
+    Every expression keeps the association order of the elementwise
     Interval formulas, so each entry equals (==) the per-entry Interval
     result.  Raises :class:`InvalidInterval` when an entry overflows.
     """
@@ -153,9 +182,15 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     last_read = {ref: k for k, line in enumerate(cl.lines, start=1) for ref in (line.i, line.j)}
     at = {}  # block -> the index of its entries in a stack
 
-    def add(m, d, block):
-        """``m + d`` for d given on block x block; ``None`` is the zero stack."""
-        if len(block) == n:
+    def stack(m, ref):
+        """Line ref's Hessian m as a stack, where a larger block reads a pair or at the end."""
+        return add(None, np.reshape(m, (2, 1, 1)), cl.blocks[ref - 1]) if type(m) is tuple else m
+
+    def add(m, d, block=None):
+        """``m + d`` into m, for d on block x block (on all of m if block is None); ``None`` is zero."""
+        if type(d) is tuple:  # a one-variable block: m is a pair too
+            return d if m is None else _pair(pair_add, m, d)
+        if block is None or len(block) == n:
             return d if m is None else np.add(m, d, out=m)
         ix = at.get(block)
         if ix is None:
@@ -171,17 +206,17 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     def hessian(cl, k, line, ys, grads, firsts, memo, hs):
         block, mi = cl.blocks[k - 1], hs[line.i - 1]
         mj = None if line.j is None else hs[line.j - 1]
+        if len(block) > 1:  # the operands' pairs become stacks here
+            mi, mj = stack(mi, line.i), stack(mj, line.j)
         if not block:  # y_k is affine in x
             m = zero
         elif line.op == "add":
-            m = mj if mi is zero else mi if mj is zero else mi + mj
+            m = mj if mi is zero else mi if mj is zero else _plus(mi, mj)
         elif line.op == "mul":
             m = None if mi is zero else _scale(ys[line.j - 1], mi)
             if mj is not zero:
-                term = _scale(ys[line.i - 1], mj)
-                m = term if m is None else np.add(m, term, out=m)
-            cross = _outer(_dense(grads[line.i - 1], block), _dense(grads[line.j - 1], block))
-            m = add(m, cross + cross.transpose(0, 2, 1), block)
+                m = add(m, _scale(ys[line.i - 1], mj))
+            m = add(m, _cross(_dense(grads[line.i - 1], block), _dense(grads[line.j - 1], block)), block)
         elif (rule := UNARY_RULES[line.op]).first is None:  # r' = 1, r'' = 0
             m = mi
         else:
@@ -190,16 +225,17 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
                 g = _dense(grads[line.i - 1], block)
                 r2 = rule.second(ys[line.i - 1], ys[k - 1], line)
                 m = add(m, _scale(r2, _outer(g, g)), block)
-        # a stack shared with an operand has been checked already
-        if m is not mi and m is not mj and m is not zero and not np.isfinite(m).all():
+        # a carrier shared with an operand has been checked already; a pair is _NAN or finite
+        if m is not mi and m is not mj and m is not zero and not (
+                m is not _NAN if type(m) is tuple else np.isfinite(m).all()):
             raise InvalidInterval("non-finite gradient or Hessian enclosure")
-        for ref in (line.i, line.j):  # drop each stack after its last reader
+        for ref in (line.i, line.j):  # drop each carrier after its last reader
             if ref is not None and last_read[ref] == k:
                 hs[ref - 1] = None
         return m
 
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = _walk(cl, box, hessian, zero)[2][-1]
+        lo, hi = stack(_walk(cl, box, hessian, zero)[2][-1], len(cl.lines))
     # symmetrize away last-bit rounding asymmetry between mirrored entries
     return SymIntervalMatrix(np.minimum(lo, lo.T), np.maximum(hi, hi.T))
 
@@ -306,8 +342,8 @@ def hertz_rohn_bounds(mat: SymIntervalMatrix) -> Interval:
     Enumerates the 2^(n-1) sign patterns (first entry fixed positive) of
     the vertex matrices mid -+ diag(z) rad diag(z); the minimum smallest and
     maximum largest eigenvalue over these vertices are attained exactly.
-    The vertices are stacked _VERTEX_CHUNK at a time and solved with one
-    batched LAPACK call per chunk and side.
+    The vertices are stacked _VERTEX_CHUNK at a time, both sides together,
+    and solved with one batched LAPACK call per chunk.
     """
     n = mat.n
     if n > VERTEX_DIMENSION_LIMIT:
@@ -326,8 +362,11 @@ def hertz_rohn_bounds(mat: SymIntervalMatrix) -> Interval:
         z[:, 1:] -= 2.0 * ((bits[:, None] >> shifts) & 1)
         signed = z[:, :, None] * z[:, None, :]
         signed *= rad
-        lo = min(lo, float(np.linalg.eigvalsh(mid - signed)[:, 0].min()))
-        hi = max(hi, float(np.linalg.eigvalsh(mid + signed)[:, -1].max()))
+        vertices = np.stack((-signed, signed))
+        vertices += mid  # mid -+ signed; LAPACK solves each matrix on its own
+        w = np.linalg.eigvalsh(vertices)
+        lo = min(lo, float(w[0, :, 0].min()))
+        hi = max(hi, float(w[1, :, -1].max()))
     return Interval(lo, hi)
 
 

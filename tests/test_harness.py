@@ -347,6 +347,17 @@ def test_read_corpus_names_the_file_of_a_vars_line_that_is_not_a_number(tmp_path
             == "bad.txt: vars: 'two' is not a whole number")
 
 
+@pytest.mark.parametrize("domain,error,text", [
+    ("0,1", InvalidArgument, "f.txt: domain: box has 1 components, expected 2"),
+    ("0,1;1,0", InvalidInterval, "f.txt: domain: lo > hi in [1.0, 0.0]"),
+])
+def test_read_corpus_names_the_file_of_a_malformed_domain_line(tmp_path, domain, error, text):
+    (tmp_path / "f.txt").write_text(f"vars: 2\n# domain: {domain}\nx1*x2\n")
+    with pytest.raises(error) as info:
+        read_corpus(str(tmp_path))
+    assert str(info.value) == text
+
+
 def test_random_function_is_seed_deterministic_and_domain_safe():
     for s in (1, 2, 3):
         e1 = random_function(3, seed=s)

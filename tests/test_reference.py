@@ -183,6 +183,39 @@ def test_a_gradient_overflow_raises_the_engines_error():
     assert str(route.value) == str(engine.value) == "non-finite endpoints [inf, inf]"
 
 
+# A line carries its Hessian as a (lo, hi) pair when its block is one
+# variable, and as a stack when it is larger.  The rules are exact on these
+# boxes, so each result is the closed form.
+@pytest.mark.parametrize("src,n,bounds,lo,hi", [
+    # two pairs on different variables, added into a stack
+    ("x1^3 + x2^3", 2, [(1, 2), (3, 4)], [[6, 0], [0, 18]], [[12, 0], [0, 24]]),
+    # a pair read by a mul line whose block is larger
+    ("x1^2*x2", 2, [(1, 2), (3, 4)], [[6, 2], [2, 0]], [[8, 4], [4, 0]]),
+    # the last line is a pair, in three variables
+    ("x2^3 + 2*x2", 3, [(0, 1), (1, 2), (0, 1)],
+     [[0, 0, 0], [0, 6, 0], [0, 0, 0]], [[0, 0, 0], [0, 12, 0], [0, 0, 0]]),
+])
+def test_hessian_of_pairs_and_stacks_is_the_closed_form(src, n, bounds, lo, hi):
+    enc = interval_hessian(compile_expression(src, n), Box.from_bounds(bounds))
+    assert enc.lo.tolist() == lo and enc.hi.tolist() == hi
+
+
+@pytest.mark.parametrize("src,n,bounds,text", [
+    # line 4's r' (up to 1e160) times line 3's Hessian 2e150 overflows, and
+    # so does line 4's r'' = -(1/y)^2; as in a stack, the r'' error wins
+    ("ln(1e150*x1^2)", 1, [(1e-155, 2e-155)], "pow overflow on [2.5e+159, 1e+160]^2"),
+    # the one-variable block of line 4 overflows (2e400) before line 5 reads it
+    ("(1e200*x1)^2*x2 + x2", 2, [(1e-200, 2e-200), (1, 2)],
+     "non-finite gradient or Hessian enclosure"),
+])
+def test_a_hessian_overflow_in_a_pair_raises_at_the_end_of_its_line(src, n, bounds, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInterval) as info:
+            interval_hessian(compile_expression(src, n), Box.from_bounds(bounds))
+    assert str(info.value) == text
+
+
 # -- the array kernels of interval_hessian --------------------------------
 
 def _four_product(s, lo, hi):
@@ -253,9 +286,9 @@ def test_outer_of_swapped_factors_is_the_transpose(a, b):
 
 
 def test_hessian_drops_each_line_after_its_last_reader():
-    # 191 lines with a 64x64 (lo, hi) pair each: the peak was 8.8 MB while
-    # every line stayed alive, about 0.5 MB once each is freed after its
-    # last reader has run
+    # 191 lines: the peak was 8.8 MB while every line kept a 64x64 (lo, hi)
+    # pair of arrays alive, and 0.2 MB now that each is freed after its last
+    # reader has run and the 64 squares carry one-variable pairs
     n = 64
     cl = compile_expression(" + ".join(f"x{i}^2" for i in range(1, n + 1)), n)
     box = Box.from_bounds([(-1.0, 2.0)] * n)
@@ -268,7 +301,8 @@ def test_hessian_drops_each_line_after_its_last_reader():
         tracemalloc.stop()
     assert peak < 2e6
     assert np.array_equal(enc.lo, expected.lo) and np.array_equal(enc.hi, expected.hi)
-    assert np.array_equal(np.diag(enc.lo), np.full(n, 2.0))
+    # 64 one-variable pairs lifted into one matrix
+    assert np.array_equal(enc.lo, 2.0 * np.eye(n)) and np.array_equal(enc.hi, 2.0 * np.eye(n))
 
 
 # -- point Hessians -------------------------------------------------------
