@@ -26,7 +26,9 @@ reference route apply them from here; :class:`Rule` combines pairs too.
 :attr:`Codelist.point_function` is the codelist as one generated Python
 function of a real point, one source line per codelist line, compiled on
 first use and kept on the codelist (a pickled codelist is rebuilt from
-``n`` and ``lines`` and compiles its own).
+``n`` and ``lines`` and compiles its own).  :attr:`Codelist.block_index`,
+the flat index of each block in the interval Hessian's arrays, is kept the
+same way.
 """
 
 from __future__ import annotations
@@ -397,6 +399,29 @@ class Codelist:
         src.append(f"    return v{last}")
         exec(compile("\n".join(src), "<codelist point function>", "exec"), names)
         return names["point"]
+
+    @cached_property
+    def block_index(self) -> Mapping[Tuple[int, ...], object]:
+        """Where the blocks that a Hessian term is added on lie in a stack.
+
+        Maps each block of two or more, but not all n, variables on which
+        a mul line adds its cross term or a unary line its r'' term to the
+        flat numpy index of the block's entries in both layers of a
+        C-ordered (2, n, n) stack.  Built on the first use, by
+        :func:`hessbound.reference.interval_hessian`, and kept on the
+        codelist; a pickled codelist is rebuilt without it.
+        """
+        import numpy as np  # numpy is loaded with the reference module, which alone reads this
+
+        n = self.n
+        index = {}
+        for line, block in zip(self.lines, self.blocks):
+            if (1 < len(block) < n and block not in index and (
+                    line.op == "mul" or line.op in UNARY_OPS and line.op not in AFFINE_OPS)):
+                rows = np.array(block) - 1
+                flat = (rows[:, None] * n + rows).ravel()
+                index[block] = np.concatenate((flat, flat + n * n))
+        return MappingProxyType(index)
 
     def analyze(self) -> "Codelist":
         """Validate, then derive the index sets, supports, blocks, rules and

@@ -261,6 +261,8 @@ def read_corpus(directory: str) -> List[CorpusEntry]:
                     except ValueError:
                         raise InvalidArgument(
                             f"{fname}: vars: {text!r} is not a whole number") from None
+                    if n < 1:
+                        raise InvalidArgument(f"{fname}: vars: {n} must be at least 1")
                 elif line.startswith("#"):
                     body = line.lstrip("#").strip()
                     if body.lower().startswith("domain:"):
@@ -403,7 +405,11 @@ def run_compare(entries: Sequence[CorpusEntry], boxes_per_function: int = 100,
     evaluators = {"original": eval_original, "improved": eval_improved}
     result = CompareResult(eps=eps, seed=seed, boxes_per_function=boxes_per_function)
     for entry in entries:
-        cl = entry.compile()
+        try:
+            cl = entry.compile()
+        except HessboundError as err:  # name the entry; the type and attributes stay
+            err.args = (f"{entry.name}: {err}",)
+            raise
         box_seed = (seed * 1000003 + zlib.crc32(entry.name.encode())) & 0x7FFFFFFF
         for idx, box in enumerate(random_boxes(entry.domain, boxes_per_function, box_seed)):
             try:

@@ -10,7 +10,12 @@ compared against:
   :data:`hessbound.codelist.UNARY_RULES`.  A line carries its Hessian by the
   size of its ``Codelist.blocks`` entry: none, the shared zero stack; one
   variable p, the entry (p, p) as a ``(lo, hi)`` pair of the endpoint
-  kernels; more, a (2, n, n) float array of the lower and upper endpoints;
+  kernels; more, a (2, n, n) float array of the lower and upper endpoints.
+  No pair is lifted into a stack: a line with a larger block scales the pair
+  as a pair and adds it as the one entry (p, p) of its stack.  A block term
+  (a product's cross term, a unary line's r'' term) is added through the
+  flat index of its block, built on first use and cached on the codelist
+  (``Codelist.block_index``);
 * :func:`gershgorin_bounds` -- disc bounds from such an enclosure;
 * :func:`hertz_rohn_bounds` -- exact extremal eigenvalues of a symmetric
   interval matrix via signed vertex enumeration, with the vertex matrices
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import List, Tuple
 
 import numpy as np
@@ -154,20 +160,18 @@ def _outer(a, b):
     return out
 
 
-def _plus(a, b):
-    """``a + b`` for two pairs or two stacks of one shape."""
-    return _pair(pair_add, a, b) if type(a) is tuple else a + b
-
-
 def _cross(a, b):
     """The cross term a b^T + b a^T of a mul line, on its block."""
     c = _outer(a, b)
-    return _plus(c, c if type(c) is tuple else c.transpose(0, 2, 1))
+    return _pair(pair_add, c, c) if type(c) is tuple else c + c.transpose(0, 2, 1)
 
 
 def _dense(g, block):
     """A sparse gradient on a block, 0 off its support: a pair, or the (2, b) stack."""
-    return g.get(block[0], _ZERO) if len(block) == 1 else np.array([g.get(j, _ZERO) for j in block]).T
+    if len(block) == 1:
+        return g.get(block[0], _ZERO)
+    pairs = chain.from_iterable(map(g.get, block, repeat(_ZERO)))
+    return np.fromiter(pairs, float, 2 * len(block)).reshape(-1, 2).T
 
 
 def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
@@ -180,62 +184,94 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     n = cl.n
     zero = np.broadcast_to(0.0, (2, n, n))  # read-only, the stack of every line with an empty block
     last_read = {ref: k for k, line in enumerate(cl.lines, start=1) for ref in (line.i, line.j)}
-    at = {}  # block -> the index of its entries in a stack
+    blocks = cl.blocks
 
-    def stack(m, ref):
-        """Line ref's Hessian m as a stack, where a larger block reads a pair or at the end."""
-        return add(None, np.reshape(m, (2, 1, 1)), cl.blocks[ref - 1]) if type(m) is tuple else m
+    def total(terms, size, hs):
+        """The sum of s·H_ref over a line's operand terms (s, ref), s = None for 1, on a block
+        of ``size`` variables: None if every H_ref is zero, else a pair or a stack.
 
-    def add(m, d, block=None):
-        """``m + d`` into m, for d on block x block (on all of m if block is None); ``None`` is zero."""
+        The stacks are summed first; then each pair on a larger block is added as the
+        single entry (p, p) of its block (p,).  Two terms commute, so each entry is
+        term i plus term j, as in the elementwise formula.
+        """
+        m = None
+        own = False  # whether m is this line's own array, to be written into
+        pairs = []
+        for s, ref in terms:
+            h = hs[ref - 1]
+            if h is zero:
+                continue
+            if s is not None:
+                h = _scale(s, h)  # a new array, or a pair
+            if type(h) is tuple:
+                if size == 1:
+                    m = h if m is None else _pair(pair_add, m, h)
+                else:
+                    pairs.append((blocks[ref - 1][0] - 1, h))
+            elif m is None:
+                m, own = h, s is not None
+            elif own:
+                np.add(m, h, out=m)
+            else:
+                m, own = m + h, True
+        for p, h in pairs:
+            if m is None:
+                m = np.zeros((2, n, n))
+            elif not own:
+                m = m.copy()
+            own = True
+            m[0, p, p] += h[0]
+            m[1, p, p] += h[1]
+        return m
+
+    def add(m, d, block):
+        """``m + d`` for a term d on block x block; m is None (zero), a pair, or this line's own stack."""
         if type(d) is tuple:  # a one-variable block: m is a pair too
             return d if m is None else _pair(pair_add, m, d)
-        if block is None or len(block) == n:
+        if len(block) == n:
             return d if m is None else np.add(m, d, out=m)
-        ix = at.get(block)
-        if ix is None:
-            rows = np.array(block) - 1
-            ix = at[block] = slice(None), rows[:, None], rows
+        ix = cl.block_index[block]
         if m is None:
             m = np.zeros((2, n, n))
-            m[ix] = d
+            m.reshape(-1)[ix] = d.reshape(-1)
         else:
-            m[ix] += d
+            m.reshape(-1)[ix] += d.reshape(-1)  # m is C-ordered, so reshape gives a view
         return m
 
     def hessian(cl, k, line, ys, grads, firsts, memo, hs):
-        block, mi = cl.blocks[k - 1], hs[line.i - 1]
-        mj = None if line.j is None else hs[line.j - 1]
-        if len(block) > 1:  # the operands' pairs become stacks here
-            mi, mj = stack(mi, line.i), stack(mj, line.j)
+        block, i, j = blocks[k - 1], line.i, line.j
+        mi, mj = hs[i - 1], None if j is None else hs[j - 1]
         if not block:  # y_k is affine in x
             m = zero
         elif line.op == "add":
-            m = mj if mi is zero else mi if mj is zero else _plus(mi, mj)
+            m = total(((None, i), (None, j)), len(block), hs)
         elif line.op == "mul":
-            m = None if mi is zero else _scale(ys[line.j - 1], mi)
-            if mj is not zero:
-                m = add(m, _scale(ys[line.i - 1], mj))
-            m = add(m, _cross(_dense(grads[line.i - 1], block), _dense(grads[line.j - 1], block)), block)
+            m = total(((ys[j - 1], i), (ys[i - 1], j)), len(block), hs)
+            m = add(m, _cross(_dense(grads[i - 1], block), _dense(grads[j - 1], block)), block)
         elif (rule := UNARY_RULES[line.op]).first is None:  # r' = 1, r'' = 0
             m = mi
         else:
-            m = None if mi is zero else _scale(firsts[k], mi)
+            m = total(((firsts[k], i),), len(block), hs)
             if rule.second is not None:
-                g = _dense(grads[line.i - 1], block)
-                r2 = rule.second(ys[line.i - 1], ys[k - 1], line)
+                g = _dense(grads[i - 1], block)
+                r2 = rule.second(ys[i - 1], ys[k - 1], line)
                 m = add(m, _scale(r2, _outer(g, g)), block)
         # a carrier shared with an operand has been checked already; a pair is _NAN or finite
         if m is not mi and m is not mj and m is not zero and not (
                 m is not _NAN if type(m) is tuple else np.isfinite(m).all()):
             raise InvalidInterval("non-finite gradient or Hessian enclosure")
-        for ref in (line.i, line.j):  # drop each carrier after its last reader
+        for ref in (i, j):  # drop each carrier after its last reader
             if ref is not None and last_read[ref] == k:
                 hs[ref - 1] = None
         return m
 
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = stack(_walk(cl, box, hessian, zero)[2][-1], len(cl.lines))
+        m = _walk(cl, box, hessian, zero)[2][-1]
+    if type(m) is tuple:  # the last line's block is one variable p
+        p = blocks[-1][0] - 1
+        pair, m = m, np.zeros((2, n, n))
+        m[:, p, p] = pair
+    lo, hi = m
     # symmetrize away last-bit rounding asymmetry between mirrored entries
     return SymIntervalMatrix(np.minimum(lo, lo.T), np.maximum(hi, hi.T))
 

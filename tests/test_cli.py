@@ -122,6 +122,17 @@ def test_compare_malformed_corpus_file_is_one_error_line_naming_it(capsys, tmp_p
     assert err == "error: f.txt: vars: 'two' is not a whole number\n"
 
 
+@pytest.mark.parametrize("text,error", [
+    ("vars: 0\n# domain:\nx1\n", "f.txt: vars: 0 must be at least 1"),
+    ("vars: 1\n# domain: 0,1\nx2\n", "f: x2 with n=1"),
+])
+def test_compare_names_the_corpus_entry_it_cannot_read_or_compile(capsys, tmp_path, text, error):
+    (tmp_path / "f.txt").write_text(text)
+    code, out, err = run(capsys, "compare", "--corpus", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: {error}\n"
+
+
 def test_compare_stdout_table(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     write_corpus(str(corpus), [random_function(2, seed=7)])

@@ -11,12 +11,14 @@ import pytest
 from hessbound import (
     Box,
     DomainViolation,
+    ExpressionSyntaxError,
     HessboundError,
     Interval,
     InvalidArgument,
     InvalidInterval,
     LengthMismatch,
     PointOutsideBox,
+    UnknownVariable,
     compile_expression,
     eval_improved,
 )
@@ -347,6 +349,14 @@ def test_read_corpus_names_the_file_of_a_vars_line_that_is_not_a_number(tmp_path
             == "bad.txt: vars: 'two' is not a whole number")
 
 
+@pytest.mark.parametrize("count,domain", [("0", ""), ("-2", "0,1")])
+def test_read_corpus_names_the_file_of_a_vars_count_below_one(tmp_path, count, domain):
+    # rejected before the domain line is parsed against the count
+    (tmp_path / "f.txt").write_text(f"vars: {count}\n# domain: {domain}\nx1\n")
+    assert (_argument_error(lambda: read_corpus(str(tmp_path)))
+            == f"f.txt: vars: {count} must be at least 1")
+
+
 @pytest.mark.parametrize("domain,error,text", [
     ("0,1", InvalidArgument, "f.txt: domain: box has 1 components, expected 2"),
     ("0,1;1,0", InvalidInterval, "f.txt: domain: lo > hi in [1.0, 0.0]"),
@@ -436,6 +446,17 @@ def test_parse_box_names_a_malformed_component(text, match):
 
 def test_parse_box_rejects_the_wrong_component_count():
     assert _argument_error(lambda: parse_box("0,1", 2)) == "box has 1 components, expected 2"
+
+
+def test_run_compare_names_the_entry_whose_expression_fails_to_compile():
+    good = CorpusEntry("good", 1, Box.from_bounds([(0.0, 1.0)]), "x1^2")
+    with pytest.raises(UnknownVariable) as info:
+        run_compare([good, CorpusEntry("f", 1, Box.from_bounds([(0.0, 1.0)]), "x2")], 2)
+    assert str(info.value) == "f: x2 with n=1"
+    with pytest.raises(ExpressionSyntaxError) as info:
+        run_compare([CorpusEntry("g", 1, Box.from_bounds([(0.0, 1.0)]), "x1 +* 2")], 2)
+    assert str(info.value) == "g: syntax error at position 4: expected an atom"
+    assert info.value.position == 4
 
 
 def test_run_compare_skips_domain_violations():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -194,6 +195,21 @@ def test_a_gradient_overflow_raises_the_engines_error():
     # the last line is a pair, in three variables
     ("x2^3 + 2*x2", 3, [(0, 1), (1, 2), (0, 1)],
      [[0, 0, 0], [0, 6, 0], [0, 0, 0]], [[0, 0, 0], [0, 12, 0], [0, 0, 0]]),
+    # A line with a larger block scales a pair it reads as a pair and adds it
+    # as one entry of its own stack, or of a copy of the other operand's.
+    # An add of a stack and a pair, in either order:
+    ("x1*x2 + x1^3", 2, [(1, 2), (3, 4)], [[6, 1], [1, 0]], [[12, 1], [1, 0]]),
+    ("x1^3 + x1*x2", 2, [(1, 2), (3, 4)], [[6, 1], [1, 0]], [[12, 1], [1, 0]]),
+    # two pairs added onto a two-variable block of three variables
+    ("x3^2 + x1^3", 3, [(1, 2), (0, 1), (3, 4)],
+     [[6, 0, 0], [0, 0, 0], [0, 0, 2]], [[12, 0, 0], [0, 0, 0], [0, 0, 2]]),
+    # a mul of a pair and a stack: f11 = 2 x2 x3, f12 = 2 x1 x3, f13 = 2 x1 x2, f23 = x1^2
+    ("x1^2*(x2*x3)", 3, [(1, 2), (1, 2), (1, 2)],
+     [[2, 2, 2], [2, 0, 1], [2, 1, 0]], [[8, 8, 8], [8, 0, 4], [8, 4, 0]]),
+    # a mul of two pairs on x1 whose block is {1, 2}: f11 = 12 x1^2 + 2 x2, f12 = 2 x1
+    ("(x1^2 + x2)*x1^2", 2, [(1, 2), (3, 4)], [[18, 2], [2, 0]], [[56, 4], [4, 0]]),
+    # a unary line on a pair: f11 = 12 x1^2 + 4 x2, f12 = 4 x1, f22 = 2
+    ("(x1^2 + x2)^2", 2, [(1, 2), (3, 4)], [[24, 4], [4, 2]], [[64, 8], [8, 2]]),
 ])
 def test_hessian_of_pairs_and_stacks_is_the_closed_form(src, n, bounds, lo, hi):
     enc = interval_hessian(compile_expression(src, n), Box.from_bounds(bounds))
@@ -207,6 +223,13 @@ def test_hessian_of_pairs_and_stacks_is_the_closed_form(src, n, bounds, lo, hi):
     # the one-variable block of line 4 overflows (2e400) before line 5 reads it
     ("(1e200*x1)^2*x2 + x2", 2, [(1e-200, 2e-200), (1, 2)],
      "non-finite gradient or Hessian enclosure"),
+    # line 6's block is {1, 2}: y5 (up to 2e10) times line 4's pair 2e300 overflows
+    ("(1e150*x1)^2*(1e10*x2)", 2, [(1e-150, 2e-150), (1, 2)],
+     "non-finite gradient or Hessian enclosure"),
+    # line 6's block is {1, 2}: r' (up to 5e159) times line 5's pair 2e150
+    # overflows, and so does r'' = -(1/y)^2, whose error wins
+    ("ln(1e150*x1^2 + x2)", 2, [(1e-155, 2e-155), (1e-160, 2e-160)],
+     "pow overflow on [1.66667e+159, 5e+159]^2"),
 ])
 def test_a_hessian_overflow_in_a_pair_raises_at_the_end_of_its_line(src, n, bounds, text):
     with warnings.catch_warnings():
@@ -214,6 +237,17 @@ def test_a_hessian_overflow_in_a_pair_raises_at_the_end_of_its_line(src, n, boun
         with pytest.raises(InvalidInterval) as info:
             interval_hessian(compile_expression(src, n), Box.from_bounds(bounds))
     assert str(info.value) == text
+
+
+def test_a_codelist_pickles_after_a_hessian_call():
+    cl = compile_expression("x1*x2 + x3^2 + exp(x2*x3)", 4)
+    box = Box.from_bounds([(0, 1), (1, 2), (-1, 1), (2, 3)])
+    enc = interval_hessian(cl, box)
+    assert set(cl.block_index) == {(1, 2), (2, 3)}  # built by the call, kept on the codelist
+    copy = pickle.loads(pickle.dumps(cl))
+    assert copy == cl and "block_index" not in vars(copy)
+    again = interval_hessian(copy, box)
+    assert np.array_equal(again.lo, enc.lo) and np.array_equal(again.hi, enc.hi)
 
 
 # -- the array kernels of interval_hessian --------------------------------
