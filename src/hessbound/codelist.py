@@ -27,8 +27,9 @@ reference route apply them from here; :class:`Rule` combines pairs too.
 function of a real point, one source line per codelist line, compiled on
 first use and kept on the codelist (a pickled codelist is rebuilt from
 ``n`` and ``lines`` and compiles its own).  :attr:`Codelist.block_index`,
-the flat index of each block in the interval Hessian's arrays, is kept the
-same way.
+the flat index of each block in the interval Hessian's arrays, and
+:attr:`Codelist.last_read`, the last reader of each line, are kept the same
+way.
 """
 
 from __future__ import annotations
@@ -422,6 +423,17 @@ class Codelist:
                 flat = (rows[:, None] * n + rows).ravel()
                 index[block] = np.concatenate((flat, flat + n * n))
         return MappingProxyType(index)
+
+    @cached_property
+    def last_read(self) -> Mapping[int, int]:
+        """Maps each line that a later line reads to the last line reading it.
+
+        :func:`hessbound.reference.interval_hessian` drops a line's Hessian
+        after its last reader.  Built on the first use and kept on the
+        codelist, like :attr:`block_index`.
+        """
+        return MappingProxyType({ref: k for k, line in enumerate(self.lines, start=1)
+                                 for ref in (line.i, line.j) if ref is not None})
 
     def analyze(self) -> "Codelist":
         """Validate, then derive the index sets, supports, blocks, rules and

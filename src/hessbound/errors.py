@@ -4,6 +4,19 @@
 class HessboundError(Exception):
     """Base class for all errors raised by this package."""
 
+    def __reduce__(self):
+        # rebuilt from its args and attributes, not by calling __init__ again:
+        # the __init__ of DomainViolation, ExpressionSyntaxError and
+        # MalformedCodelist takes other arguments than the message it stores,
+        # and run_compare may have prefixed an entry name to that message
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    err = cls.__new__(cls, *args)
+    err.__dict__.update(state)
+    return err
+
 
 class InvalidInterval(HessboundError):
     """Endpoints are not finite or lo > hi."""

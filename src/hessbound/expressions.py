@@ -39,6 +39,11 @@ _FUNCTIONS = {
 # of 1000 with room for the caller's frames.
 MAX_NESTING = 150
 
+# Exponents, variable indices and number literals are written in these
+# digits only: str.isdigit() is true of '²' and '١' too, which int() and
+# float() either reject or read as 2 and 1.
+_DIGITS = frozenset("0123456789")
+
 
 class _Parser:
     """Recursive-descent parser for the expression grammar.
@@ -131,7 +136,7 @@ class _Parser:
 
     def natural(self) -> int:
         start = self.start()
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.error("expected a natural number")
@@ -149,13 +154,16 @@ class _Parser:
             if name in _FUNCTIONS:
                 return self.call(*_FUNCTIONS[name], self.group(), start)
             if name.startswith("x") and name[1:].isdigit():
+                for k, digit in enumerate(name[1:], start=start + 1):
+                    if digit not in _DIGITS:
+                        raise ExpressionSyntaxError(k, f"variable index digit {digit!r} is not one of 0-9")
                 index = int(name[1:])
                 if not 1 <= index <= self.n:
                     raise UnknownVariable(f"{name} with n={self.n}")
                 return index
             self.pos = start
             self.error(f"unknown identifier {name!r}")
-        if ch.isdigit() or ch == ".":
+        if ch in _DIGITS or ch == ".":
             return self.number()
         self.error("expected an atom")
 
@@ -173,15 +181,15 @@ class _Parser:
 
     def number(self) -> float:
         start = self.start()
-        while self.pos < len(self.src) and (self.src[self.pos].isdigit() or self.src[self.pos] == "."):
+        while self.pos < len(self.src) and (self.src[self.pos] in _DIGITS or self.src[self.pos] == "."):
             self.pos += 1
         if self.pos < len(self.src) and self.src[self.pos] in "eE":
             mark = self.pos
             self.pos += 1
             if self.pos < len(self.src) and self.src[self.pos] in "+-":
                 self.pos += 1
-            if self.pos < len(self.src) and self.src[self.pos].isdigit():
-                while self.pos < len(self.src) and self.src[self.pos].isdigit():
+            if self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
+                while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
                     self.pos += 1
             else:
                 self.pos = mark

@@ -17,6 +17,15 @@ call them directly, so that a value never becomes an object on their hot
 paths; a change to how an endpoint is computed (outward rounding, say) is
 made in the kernels alone.
 
+No kernel calls the builtin ``min`` or ``max``: each extreme is picked by a
+chain of ordered comparisons that copies the builtin's loop (start at the
+first candidate, replace it only when a later one compares strictly ``<``
+for the minimum or ``>`` for the maximum).  Ties between ``0.0`` and
+``-0.0``, and NaNs, therefore keep the element the builtin keeps, and the
+bits are those of ``min``/``max`` by construction.  In a chain that tracks
+both extremes at once a candidate below the running minimum cannot be above
+the running maximum, so it skips the second test.
+
 On top of the elementary rules this module provides the four operators used
 by the bound engine:
 
@@ -208,8 +217,22 @@ def pair_sub(x: Pair, y: Pair) -> Pair:
 
 def pair_mul(x: Pair, y: Pair) -> Pair:
     (a, b), (c, d) = x, y
-    p, q, r, s = a * c, a * d, b * c, b * d
-    lo, hi = min(p, q, r, s), max(p, q, r, s)
+    lo = hi = a * c
+    p = a * d
+    if p < lo:
+        lo = p
+    elif p > hi:
+        hi = p
+    p = b * c
+    if p < lo:
+        lo = p
+    elif p > hi:
+        hi = p
+    p = b * d
+    if p < lo:
+        lo = p
+    elif p > hi:
+        hi = p
     if not -_INF < lo <= hi < _INF:
         _reject(lo, hi)
     return lo, hi
@@ -265,7 +288,7 @@ def pair_pow(x: Pair, m: int) -> Pair:
     elif b < 0:  # m even
         lo, hi = b_m, a_m
     else:
-        lo, hi = 0.0, max(a_m, b_m)
+        lo, hi = 0.0, b_m if b_m > a_m else a_m
     if not -_INF < lo <= hi < _INF:
         _reject(lo, hi)
     return lo, hi
@@ -305,7 +328,8 @@ def pair_ln(x: Pair) -> Pair:
 def pair_zero_widen(x: Pair) -> Pair:
     """The smallest interval containing both x and 0."""
     a, b = x
-    lo, hi = min(a, 0.0), max(b, 0.0)
+    lo = 0.0 if 0.0 < a else a
+    hi = 0.0 if 0.0 > b else b
     if not -_INF < lo <= hi < _INF:
         _reject(lo, hi)
     return lo, hi
@@ -314,7 +338,8 @@ def pair_zero_widen(x: Pair) -> Pair:
 def pair_hull(x: Pair, y: Pair) -> Pair:
     """The interval hull of x and y."""
     (a, b), (c, d) = x, y
-    lo, hi = min(a, c), max(b, d)
+    lo = c if c < a else a
+    hi = d if d > b else b
     if not -_INF < lo <= hi < _INF:
         _reject(lo, hi)
     return lo, hi
@@ -326,7 +351,9 @@ def pair_hull(x: Pair, y: Pair) -> Pair:
 def _sum_sq_mag(a: Iterable[Pair]) -> float:
     s = 0.0
     for lo, hi in a:
-        s += max(lo * lo, hi * hi)
+        lo *= lo
+        hi *= hi
+        s += hi if hi > lo else lo
     return s
 
 
@@ -370,16 +397,14 @@ def pair_lambda_t(a: Mapping[int, Pair], b: Mapping[int, Pair],
     if n == 1:
         return pair_scale(pair_mul(*pairs[0]), 2.0) if pairs else (0.0, 0.0)
     lo, hi = -beta, beta
-    for (c, d), (e, f) in pairs:  # the endpoints of each pair product, summed
-        p, q, r, s = c * e, c * f, d * e, d * f
-        lo += min(p, q, r, s)
-        hi += max(p, q, r, s)
+    for u, v in pairs:  # an overflowing product raises its own error
+        low, high = pair_mul(u, v)
+        lo += low
+        hi += high
     if m < n:
         # a left-out pair adds +0.0, which turns a -0.0 lower end into +0.0
         lo += 0.0
     if not -_INF < lo <= hi < _INF:
-        for u, v in pairs:
-            pair_mul(u, v)  # raises the error of the first overflowing product
         _reject(lo, hi)
     return lo, hi
 
@@ -388,7 +413,8 @@ def pair_lambda_star(a: Pair, b: Pair, c: Pair) -> Pair:
     """λ* of the 2x2 symmetric matrices with diagonal entries in a and b and
     off-diagonal entry in c (see :func:`lambda_star`)."""
     (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi) = a, b, c
-    d = 4.0 * max(c_lo * c_lo, c_hi * c_hi)
+    p, q = c_lo * c_lo, c_hi * c_hi
+    d = 4.0 * (q if q > p else p)
     try:
         lo = 0.5 * (a_lo + b_lo - math.sqrt((a_lo - b_lo) ** 2 + d))
         hi = 0.5 * (a_hi + b_hi + math.sqrt((a_hi - b_hi) ** 2 + d))

@@ -183,7 +183,7 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     """
     n = cl.n
     zero = np.broadcast_to(0.0, (2, n, n))  # read-only, the stack of every line with an empty block
-    last_read = {ref: k for k, line in enumerate(cl.lines, start=1) for ref in (line.i, line.j)}
+    last_read = cl.last_read
     blocks = cl.blocks
 
     def total(terms, size, hs):

@@ -60,6 +60,24 @@ def test_parse_numbers():
     assert ops("x1 * 2.5e-1", 1) == (Line("mulByC", 1, c=0.25),)
 
 
+# str.isdigit() is true of superscripts and of other scripts' decimal digits,
+# which int() rejects ('²') or reads as ASCII ones ('١' is 1)
+@pytest.mark.parametrize("src,position,message", [
+    ("x1^²", 3, "expected a natural number"),
+    ("x1^٣", 3, "expected a natural number"),
+    ("x1^2²", 4, "trailing input"),
+    ("x١", 1, "variable index digit '١' is not one of 0-9"),
+    ("x1 + x1²", 7, "variable index digit '²' is not one of 0-9"),
+    ("٣*x1", 0, "expected an atom"),
+    ("x1 * 1e٣", 6, "trailing input"),
+])
+def test_digits_outside_ascii_are_syntax_errors(src, position, message):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        compile_expression(src, 2)
+    assert (err.value.position, str(err.value)) == (
+        position, f"syntax error at position {position}: {message}")
+
+
 # -- the closed alphabet and constant folds -------------------------------
 
 def test_normalize_removes_sub_div_neg():

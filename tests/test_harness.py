@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from hessbound import (
     eval_improved,
 )
 from hessbound.codelist import Codelist, Line
-from hessbound.errors import InconsistentInputs
+from hessbound.errors import InconsistentInputs, MalformedCodelist
 from hessbound.harness import (
     CorpusEntry,
     alpha_bb_eval,
@@ -457,6 +458,40 @@ def test_run_compare_names_the_entry_whose_expression_fails_to_compile():
         run_compare([CorpusEntry("g", 1, Box.from_bounds([(0.0, 1.0)]), "x1 +* 2")], 2)
     assert str(info.value) == "g: syntax error at position 4: expected an atom"
     assert info.value.position == 4
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# the errors whose __init__ does not take the message; every other one does
+_ERROR_ARGS = {
+    DomainViolation: ("recip", Interval(-1.0, 1.0), 2),
+    ExpressionSyntaxError: (3, "expected an atom"),
+    MalformedCodelist: (4, "var line after the variable prefix"),
+}
+
+
+@pytest.mark.parametrize("cls", [HessboundError, *_subclasses(HessboundError)],
+                         ids=lambda cls: cls.__name__)
+def test_every_error_pickles_with_its_type_text_and_attributes(cls):
+    err = cls(*_ERROR_ARGS.get(cls, ("some text",)))
+    for prefixed in (False, True):
+        if prefixed:  # as run_compare names the entry
+            err.args = (f"f: {err}",)
+        copy = pickle.loads(pickle.dumps(err))
+        assert type(copy) is cls
+        assert (str(copy), copy.args, vars(copy)) == (str(err), err.args, vars(err))
+
+
+def test_an_error_named_by_run_compare_pickles():
+    with pytest.raises(ExpressionSyntaxError) as info:
+        run_compare([CorpusEntry("g", 1, Box.from_bounds([(0.0, 1.0)]), "x1^²")], 2)
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert str(copy) == "g: syntax error at position 3: expected a natural number"
+    assert copy.position == 3
 
 
 def test_run_compare_skips_domain_violations():

@@ -493,6 +493,8 @@ sparse_components = st.one_of(edge_intervals(), st.sampled_from(
 # β = 0: the left-out pairs' +0.0 turns the lower end -0.0 into +0.0, then the +0.0 of n
 @example({1: ZERO}, {2: point(-1.0)}, 0)
 @example({1: point(-1.0)}, {2: Interval(-0.0, -0.0)}, 1)
+# β = 0: each term's products tie at -0.0 and 0.0, and the first, -0.0, is its minimum
+@example({1: Interval(-0.0, 0.0), 2: Interval(-0.0, 0.0)}, {1: ZERO, 2: ZERO}, 0)
 @given(st.dictionaries(st.integers(1, 6), sparse_components, max_size=6),
        st.dictionaries(st.integers(1, 6), sparse_components, max_size=6),
        st.integers(0, 2))
@@ -503,8 +505,9 @@ def test_lambda_t_on_supports_equals_the_listed_union(a, b, extra):
     union = sorted({*a, *b})
     n = max(len(union) + extra, 1)
     listed = [a.get(j, ZERO) for j in union], [b.get(j, ZERO) for j in union]
-    assert (_outcome_or_error(lambda: pair_lambda_t(pa, pb, supports, n))
-            == _outcome_or_error(lambda: lambda_t(*listed, n)))
+    want = _outcome_or_error(lambda: tuple(Interval(*_lambda_t(*listed, n))))
+    assert _outcome_or_error(lambda: pair_lambda_t(pa, pb, supports, n)) == want
+    assert _outcome_or_error(lambda: lambda_t(*listed, n)) == want
     if len(union) > 1:
         with pytest.raises(LengthMismatch, match=f"^{len(union)} components in dimension"):
             pair_lambda_t(pa, pb, supports, len(union) - 1)
@@ -560,6 +563,43 @@ def _products(x, y):
     return min(p), max(p)
 
 
+def _lambda_s(comps, n):
+    if n < len(comps):
+        raise LengthMismatch(f"{len(comps)} components in dimension {n}")
+    if n == 1:
+        return _pow(comps[0], 2) if comps else (0.0, 0.0)
+    return 0.0, sum_sq_mag(comps)
+
+
+def _lambda_t(a, b, n):
+    """λ_t of the components a and b, listed on the same indices."""
+    if n < len(a):
+        raise LengthMismatch(f"{len(a)} components in dimension {n}")
+    if n == 1:
+        p = Interval(*_products(a[0], b[0])) if a else ZERO
+        return 2.0 * p.lo, 2.0 * p.hi
+    beta = math.sqrt(sum_sq_mag(a) * sum_sq_mag(b))
+    lo, hi = -beta, beta
+    for u, v in zip(a, b):
+        p, q = _products(u, v)
+        lo, hi = lo + p, hi + q
+    if len(a) < n:
+        lo += 0.0
+    if not -math.inf < lo <= hi < math.inf:
+        for u, v in zip(a, b):
+            Interval(*_products(u, v))  # the error of the first overflowing product
+    return lo, hi
+
+
+def _lambda_star(a, b, c):
+    d = 4.0 * max(c.lo * c.lo, c.hi * c.hi)
+    try:
+        return (0.5 * (a.lo + b.lo - math.sqrt((a.lo - b.lo) ** 2 + d)),
+                0.5 * (a.hi + b.hi + math.sqrt((a.hi - b.hi) ** 2 + d)))
+    except OverflowError:
+        raise InvalidInterval(f"lambda_star overflow on {a}, {b}, {c}") from None
+
+
 # name: (kernel on pairs, operator on Intervals, endpoint formula)
 BINARY_KERNELS = {
     "add": (pair_add, lambda x, y: x + y, lambda x, y: (x.lo + y.lo, x.hi + y.hi)),
@@ -610,6 +650,9 @@ def kernel_intervals(draw):
 @example(point(-2.0), Interval(-0.0, 0.0), 0.0, 3)
 @example(Interval(1e155, 1e308), point(1e155), 1e300, 2)
 @example(Interval(709.0, 710.0), Interval(-1.0, 0.0), -1e308, 4)
+# -0.0 and 0.0 products tie at the maximum of a product: the chain keeps the
+# first, as max() does
+@example(Interval(-1.0, 0.0), Interval(0.0, 2.0), 0.0, 3)
 @given(kernel_intervals(), kernel_intervals(),
        st.one_of(kernel_floats, st.integers(-3, 3)), st.integers(0, 6))
 def test_kernels_equal_the_interval_operators_bit_for_bit(x, y, c, m):
@@ -627,15 +670,19 @@ def test_kernels_equal_the_interval_operators_bit_for_bit(x, y, c, m):
     for name, (kernel, operator, oracle) in CONSTANT_KERNELS.items():
         check(name, lambda: kernel(px, c), lambda: operator(x, c), lambda: oracle(x, c))
     check("pow", lambda: pair_pow(px, m), lambda: x.pow(m), lambda: _pow(x, m))
-    # the λ kernels, also on sparse supports, against their public wrappers; m
-    # is the dimension, so one below the component count raises the length error
-    for name, kernel, wrapper in (
-        ("lambda_s", lambda: pair_lambda_s([px, py], m), lambda: lambda_s([x, y], m)),
-        ("lambda_s 1", lambda: pair_lambda_s([px], m), lambda: lambda_s([x], m)),
+    # the λ kernels, also on sparse supports; m is the dimension, so one below
+    # the component count raises the length error
+    for name, kernel, wrapper, oracle in (
+        ("lambda_s", lambda: pair_lambda_s([px, py], m), lambda: lambda_s([x, y], m),
+         lambda: _lambda_s([x, y], m)),
+        ("lambda_s 1", lambda: pair_lambda_s([px], m), lambda: lambda_s([x], m),
+         lambda: _lambda_s([x], m)),
         ("lambda_t", lambda: pair_lambda_t({1: px, 2: py}, {2: py, 3: px}, ((1, 2), (2, 3)), m),
-         lambda: lambda_t([x, y, ZERO], [ZERO, y, x], m)),
+         lambda: lambda_t([x, y, ZERO], [ZERO, y, x], m),
+         lambda: _lambda_t([x, y, ZERO], [ZERO, y, x], m)),
         ("lambda_t 1", lambda: pair_lambda_t({1: px}, {1: py}, ((1,), (1,)), m),
-         lambda: lambda_t([x], [y], m)),
-        ("lambda_star", lambda: pair_lambda_star(px, py, px), lambda: lambda_star(x, y, x)),
+         lambda: lambda_t([x], [y], m), lambda: _lambda_t([x], [y], m)),
+        ("lambda_star", lambda: pair_lambda_star(px, py, px), lambda: lambda_star(x, y, x),
+         lambda: _lambda_star(x, y, x)),
     ):
-        assert _result(kernel) == _result(wrapper), (name, x, y, m)
+        check(name, kernel, wrapper, oracle)

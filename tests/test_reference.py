@@ -244,8 +244,10 @@ def test_a_codelist_pickles_after_a_hessian_call():
     box = Box.from_bounds([(0, 1), (1, 2), (-1, 1), (2, 3)])
     enc = interval_hessian(cl, box)
     assert set(cl.block_index) == {(1, 2), (2, 3)}  # built by the call, kept on the codelist
+    # x1*x2 (line 5) is read last by the first + (line 7), x4 by no line
+    assert cl.last_read[5] == 7 and 4 not in cl.last_read and "last_read" in vars(cl)
     copy = pickle.loads(pickle.dumps(cl))
-    assert copy == cl and "block_index" not in vars(copy)
+    assert copy == cl and "block_index" not in vars(copy) and "last_read" not in vars(copy)
     again = interval_hessian(copy, box)
     assert np.array_equal(again.lo, enc.lo) and np.array_equal(again.hi, enc.hi)
 
