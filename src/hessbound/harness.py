@@ -191,6 +191,8 @@ def random_boxes(domain: Box, count: int, seed: int) -> List[Box]:
     Each dimension gets two independent uniform draws, sorted; a dimension
     is redrawn while its width is below 1e-9 times the domain width.
     """
+    if count < 0:
+        raise InvalidArgument(f"box count {count} is below 0")
     rng = random.Random(seed)
     boxes: List[Box] = []
     for _ in range(count):
@@ -249,26 +251,31 @@ def read_corpus(directory: str) -> List[CorpusEntry]:
         n = None
         domain_text = None
         expr_lines: List[str] = []
-        with open(os.path.join(directory, fname), encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.lower().startswith("vars:"):
-                    text = line.split(":", 1)[1].strip()
-                    try:
-                        n = int(text)
-                    except ValueError:
-                        raise InvalidArgument(
-                            f"{fname}: vars: {text!r} is not a whole number") from None
-                    if n < 1:
-                        raise InvalidArgument(f"{fname}: vars: {n} must be at least 1")
-                elif line.startswith("#"):
-                    body = line.lstrip("#").strip()
-                    if body.lower().startswith("domain:"):
-                        domain_text = body.split(":", 1)[1]
-                else:
-                    expr_lines.append(line)
+        try:
+            with open(os.path.join(directory, fname), encoding="utf-8") as fh:
+                raw_lines = fh.readlines()
+        except UnicodeDecodeError as err:
+            raise InvalidArgument(
+                f"{fname}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+        for raw in raw_lines:
+            line = raw.strip()
+            if not line:
+                continue
+            if line.lower().startswith("vars:"):
+                text = line.split(":", 1)[1].strip()
+                try:
+                    n = int(text)
+                except ValueError:
+                    raise InvalidArgument(
+                        f"{fname}: vars: {text!r} is not a whole number") from None
+                if n < 1:
+                    raise InvalidArgument(f"{fname}: vars: {n} must be at least 1")
+            elif line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if body.lower().startswith("domain:"):
+                    domain_text = body.split(":", 1)[1]
+            else:
+                expr_lines.append(line)
         if n is None or domain_text is None or not expr_lines:
             raise InvalidArgument(f"{fname}: needs a vars: line, a domain comment and an expression")
         try:
@@ -402,6 +409,8 @@ def run_compare(entries: Sequence[CorpusEntry], boxes_per_function: int = 100,
     fail) are skipped with a reason; everything else is deterministic in
     (entries order, seed).
     """
+    if boxes_per_function < 0:
+        raise InvalidArgument(f"box count {boxes_per_function} is below 0")
     evaluators = {"original": eval_original, "improved": eval_improved}
     result = CompareResult(eps=eps, seed=seed, boxes_per_function=boxes_per_function)
     for entry in entries:

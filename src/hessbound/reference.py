@@ -8,14 +8,19 @@ compared against:
   on the bound engines' walk (:func:`hessbound.bounds._walk`): values,
   gradients and r' come from their value pass, r'' from
   :data:`hessbound.codelist.UNARY_RULES`.  A line carries its Hessian by the
-  size of its ``Codelist.blocks`` entry: none, the shared zero stack; one
+  size of its ``Codelist.blocks`` entry: none, ``None`` (zero); one
   variable p, the entry (p, p) as a ``(lo, hi)`` pair of the endpoint
   kernels; more, a (2, n, n) float array of the lower and upper endpoints.
-  No pair is lifted into a stack: a line with a larger block scales the pair
-  as a pair and adds it as the one entry (p, p) of its stack.  A block term
-  (a product's cross term, a unary line's r'' term) is added through the
-  flat index of its block, built on first use and cached on the codelist
-  (``Codelist.block_index``);
+  Zeros are built only for the final matrix, and a line's carrier is set to
+  ``None`` after its last reader.  No pair is lifted into a stack: a line
+  with a larger block scales the pair as a pair and adds it as the one
+  entry (p, p) of its stack.  A block term (a product's cross term, a unary
+  line's r'' term) is added through the flat index of its block, built on
+  first use and cached on the codelist (``Codelist.block_index``).  An
+  overflow in any Hessian entry raises :class:`InvalidInterval` at the
+  operation where it happens, in a pair kernel or a numpy stack alike,
+  whatever the caller's numpy error settings; an error of the line's own
+  r'' (``pow overflow``, ``sqrt r'' overflow``) comes first;
 * :func:`gershgorin_bounds` -- disc bounds from such an enclosure;
 * :func:`hertz_rohn_bounds` -- exact extremal eigenvalues of a symmetric
   interval matrix via signed vertex enumeration, with the vertex matrices
@@ -37,7 +42,14 @@ import numpy as np
 
 from .bounds import _ZERO, _walk
 from .codelist import UNARY_RULES, Codelist
-from .errors import DimensionTooLarge, DomainViolation, InvalidInterval, LengthMismatch, NotSymmetric
+from .errors import (
+    DimensionTooLarge,
+    DomainViolation,
+    InvalidArgument,
+    InvalidInterval,
+    LengthMismatch,
+    NotSymmetric,
+)
 from .interval import Box, Interval, Pair, pair_add, pair_mul
 
 __all__ = [
@@ -74,8 +86,11 @@ class SymIntervalMatrix:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
+        try:
+            lo = np.asarray(self.lo, dtype=float)
+            hi = np.asarray(self.hi, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise InvalidArgument(f"interval matrix entries are not real numbers: {err}") from None
         if lo.shape != hi.shape or lo.ndim != 2 or lo.shape[0] != lo.shape[1]:
             raise NotSymmetric(f"bad shapes {lo.shape} / {hi.shape}")
         if lo.shape[0] == 0:
@@ -102,18 +117,10 @@ class SymIntervalMatrix:
 
 
 # -- interval Hessian propagation: the helpers take a pair or a stack -------
-
-_NAN = (math.nan, math.nan)
-
-
-def _pair(kernel, x: Pair, y: Pair) -> Pair:
-    """``kernel(x, y)``, or a NaN pair where it overflows: as in a stack, the
-    check that ends the line raises, after any error of its unary rule."""
-    try:
-        return kernel(x, y)
-    except InvalidInterval:
-        return _NAN
-
+# Each helper raises where an endpoint overflows: a pair kernel raises
+# InvalidInterval, and a stack operation FloatingPointError, since
+# interval_hessian raises numpy's overflow and invalid errors and ignores
+# the others, whatever the caller's settings.
 
 def _scale(s: Pair, m):
     """Elementwise product of the scalar interval s, a (lo, hi) pair, with a pair or a stack m.
@@ -124,7 +131,7 @@ def _scale(s: Pair, m):
     monotone and by a non-positive one antitone, also after rounding.
     """
     if type(m) is tuple:
-        return _pair(pair_mul, s, m)
+        return pair_mul(s, m)
     lo, hi = s
     if lo >= 0.0 or hi <= 0.0:
         if hi <= 0.0:
@@ -151,7 +158,7 @@ def _outer(a, b):
     take the min and max of the same four products.
     """
     if type(a) is tuple:
-        return _pair(pair_mul, a, b)
+        return pair_mul(a, b)
     shape = (a.shape[1], b.shape[1])
     p = (a[:, None, :, None] * b[None, :, None, :]).reshape(4, *shape)
     out = np.empty((2, *shape))
@@ -163,7 +170,7 @@ def _outer(a, b):
 def _cross(a, b):
     """The cross term a b^T + b a^T of a mul line, on its block."""
     c = _outer(a, b)
-    return _pair(pair_add, c, c) if type(c) is tuple else c + c.transpose(0, 2, 1)
+    return pair_add(c, c) if type(c) is tuple else c + c.transpose(0, 2, 1)
 
 
 def _dense(g, block):
@@ -179,10 +186,11 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
 
     Every expression keeps the association order of the elementwise
     Interval formulas, so each entry equals (==) the per-entry Interval
-    result.  Raises :class:`InvalidInterval` when an entry overflows.
+    result.  Raises :class:`InvalidInterval` at the line where an entry
+    overflows, whatever numpy's error settings are; an error of that line's
+    r'' comes first.
     """
     n = cl.n
-    zero = np.broadcast_to(0.0, (2, n, n))  # read-only, the stack of every line with an empty block
     last_read = cl.last_read
     blocks = cl.blocks
 
@@ -199,13 +207,13 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
         pairs = []
         for s, ref in terms:
             h = hs[ref - 1]
-            if h is zero:
+            if h is None:
                 continue
             if s is not None:
                 h = _scale(s, h)  # a new array, or a pair
             if type(h) is tuple:
                 if size == 1:
-                    m = h if m is None else _pair(pair_add, m, h)
+                    m = h if m is None else pair_add(m, h)
                 else:
                     pairs.append((blocks[ref - 1][0] - 1, h))
             elif m is None:
@@ -227,7 +235,7 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     def add(m, d, block):
         """``m + d`` for a term d on block x block; m is None (zero), a pair, or this line's own stack."""
         if type(d) is tuple:  # a one-variable block: m is a pair too
-            return d if m is None else _pair(pair_add, m, d)
+            return d if m is None else pair_add(m, d)
         if len(block) == n:
             return d if m is None else np.add(m, d, out=m)
         ix = cl.block_index[block]
@@ -240,37 +248,35 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
 
     def hessian(cl, k, line, ys, grads, firsts, memo, hs):
         block, i, j = blocks[k - 1], line.i, line.j
-        mi, mj = hs[i - 1], None if j is None else hs[j - 1]
-        if not block:  # y_k is affine in x
-            m = zero
-        elif line.op == "add":
-            m = total(((None, i), (None, j)), len(block), hs)
-        elif line.op == "mul":
-            m = total(((ys[j - 1], i), (ys[i - 1], j)), len(block), hs)
-            m = add(m, _cross(_dense(grads[i - 1], block), _dense(grads[j - 1], block)), block)
-        elif (rule := UNARY_RULES[line.op]).first is None:  # r' = 1, r'' = 0
-            m = mi
-        else:
-            m = total(((firsts[k], i),), len(block), hs)
-            if rule.second is not None:
-                g = _dense(grads[i - 1], block)
-                r2 = rule.second(ys[i - 1], ys[k - 1], line)
-                m = add(m, _scale(r2, _outer(g, g)), block)
-        # a carrier shared with an operand has been checked already; a pair is _NAN or finite
-        if m is not mi and m is not mj and m is not zero and not (
-                m is not _NAN if type(m) is tuple else np.isfinite(m).all()):
-            raise InvalidInterval("non-finite gradient or Hessian enclosure")
+        rule = UNARY_RULES.get(line.op)  # r'' comes before the terms, so that its errors win
+        r2 = rule.second(ys[i - 1], ys[k - 1], line) if block and rule and rule.second else None
+        try:
+            if not block:  # y_k is affine in x
+                m = None
+            elif line.op == "add":
+                m = total(((None, i), (None, j)), len(block), hs)
+            elif line.op == "mul":
+                m = total(((ys[j - 1], i), (ys[i - 1], j)), len(block), hs)
+                m = add(m, _cross(_dense(grads[i - 1], block), _dense(grads[j - 1], block)), block)
+            else:  # firsts[k] is None where r' = 1: the operand's carrier itself
+                m = total(((firsts[k], i),), len(block), hs)
+                if r2 is not None:
+                    g = _dense(grads[i - 1], block)
+                    m = add(m, _scale(r2, _outer(g, g)), block)
+        except (InvalidInterval, FloatingPointError):
+            raise InvalidInterval("non-finite gradient or Hessian enclosure") from None
         for ref in (i, j):  # drop each carrier after its last reader
             if ref is not None and last_read[ref] == k:
                 hs[ref - 1] = None
         return m
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = _walk(cl, box, hessian, zero)[2][-1]
-    if type(m) is tuple:  # the last line's block is one variable p
-        p = blocks[-1][0] - 1
+    with np.errstate(all="ignore", over="raise", invalid="raise"):
+        m = _walk(cl, box, hessian, None)[2][-1]
+    if type(m) is not np.ndarray:  # zero, or the pair of the last line's one-variable block (p,)
         pair, m = m, np.zeros((2, n, n))
-        m[:, p, p] = pair
+        if pair is not None:
+            p = blocks[-1][0] - 1
+            m[:, p, p] = pair
     lo, hi = m
     # symmetrize away last-bit rounding asymmetry between mirrored entries
     return SymIntervalMatrix(np.minimum(lo, lo.T), np.maximum(hi, hi.T))
@@ -315,7 +321,12 @@ def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
 
     ``xs`` has shape (P, n); the result has shape (P, n, n).
     """
-    xs = np.asarray(xs, dtype=float)
+    try:
+        xs = np.asarray(xs, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise InvalidArgument(f"points are not real numbers: {err}") from None
+    if xs.ndim != 2:
+        raise InvalidArgument(f"points must be a (P, n) array, got shape {xs.shape}")
     P, n = xs.shape
     if n != cl.n:
         raise LengthMismatch(f"points of dimension {n} vs variable count {cl.n}")

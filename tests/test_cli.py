@@ -133,6 +133,17 @@ def test_compare_names_the_corpus_entry_it_cannot_read_or_compile(capsys, tmp_pa
     assert err == f"error: {error}\n"
 
 
+def test_compare_rejects_a_file_that_is_not_utf8_and_a_box_count_below_zero(capsys, tmp_path):
+    (tmp_path / "bad").mkdir()
+    (tmp_path / "bad" / "f.txt").write_bytes(b"vars: 1\n# domain: 0,1\n\xff\xfe x1\n")
+    code, out, err = run(capsys, "compare", "--corpus", str(tmp_path / "bad"))
+    assert (code, out, err) == (2, "", "error: f.txt: not UTF-8 text (invalid start byte at byte 22)\n")
+    write_corpus(str(tmp_path / "good"), [random_function(2, seed=7)])
+    code, out, err = run(capsys, "compare", "--corpus", str(tmp_path / "good"),
+                         "--boxes", "-3", "--format", "table")
+    assert (code, out, err) == (2, "", "error: box count -3 is below 0\n")
+
+
 def test_compare_stdout_table(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     write_corpus(str(corpus), [random_function(2, seed=7)])

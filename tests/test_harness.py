@@ -315,6 +315,18 @@ def test_random_boxes_deterministic_and_contained():
             assert d.width >= 1e-9 * dom.width
 
 
+def test_a_box_count_below_zero_is_an_invalid_argument():
+    domain = Box.from_bounds([(0, 1)])
+    entries = [CorpusEntry("f", 1, domain, "x1^2")]
+    assert _argument_error(lambda: random_boxes(domain, -3, seed=1)) == "box count -3 is below 0"
+    for chosen in (entries, []):
+        assert (_argument_error(lambda: run_compare(chosen, boxes_per_function=-1))
+                == "box count -1 is below 0")
+    assert random_boxes(domain, 0, seed=1) == []
+    empty = run_compare(entries, boxes_per_function=0)
+    assert empty.records == [] and empty.skips == []
+
+
 # -- corpus files ---------------------------------------------------------
 
 def test_corpus_round_trip(tmp_path):
@@ -356,6 +368,12 @@ def test_read_corpus_names_the_file_of_a_vars_count_below_one(tmp_path, count, d
     (tmp_path / "f.txt").write_text(f"vars: {count}\n# domain: {domain}\nx1\n")
     assert (_argument_error(lambda: read_corpus(str(tmp_path)))
             == f"f.txt: vars: {count} must be at least 1")
+
+
+def test_read_corpus_names_the_file_that_is_not_utf8_text(tmp_path):
+    (tmp_path / "f.txt").write_bytes(b"vars: 1\n# domain: 0,1\n\xff\xfe x1\n")
+    assert (_argument_error(lambda: read_corpus(str(tmp_path)))
+            == "f.txt: not UTF-8 text (invalid start byte at byte 22)")
 
 
 @pytest.mark.parametrize("domain,error,text", [

@@ -16,7 +16,9 @@ from hessbound import (
     DimensionTooLarge,
     DomainViolation,
     Interval,
+    InvalidArgument,
     InvalidInterval,
+    LengthMismatch,
     NotSymmetric,
     compile_expression,
     eval_original,
@@ -46,6 +48,11 @@ def test_sym_interval_matrix_validation():
         SymIntervalMatrix(np.ones((2, 2)), np.zeros((2, 2)))
     with pytest.raises(NotSymmetric):
         SymIntervalMatrix(np.zeros((2, 3)), np.ones((2, 3)))
+
+
+def test_sym_interval_matrix_rejects_entries_that_are_not_real_numbers():
+    with pytest.raises(InvalidArgument, match="^interval matrix entries are not real numbers: "):
+        SymIntervalMatrix([["a"]], [["b"]])
 
 
 def test_sym_interval_matrix_rejects_an_empty_matrix():
@@ -142,13 +149,44 @@ def test_hessian_matches_recorded_per_entry_interval_results():
                 case["source"]
 
 
-def test_hessian_overflow_is_invalid_interval():
+@pytest.mark.parametrize("src,n,bounds", [
     # the values stay in [1, 4]; the Hessian 2e400 does not fit a double
-    cl = compile_expression("(1e200*x1)^2", 1)
+    ("(1e200*x1)^2", 1, [(1e-200, 2e-200)]),
+    # line 6's r'' term on the block {1, 2} of 3 variables, added through the
+    # block's flat index: g g^T with g up to 2e200 overflows
+    ("(1e200*x1*x2)^2 + x3", 3, [(1e-200, 2e-200), (1, 2), (0, 1)]),
+    # the same term on a block of every variable, the whole stack
+    ("(1e200*x1*x2)^2", 2, [(1e-200, 2e-200), (1, 2)]),
+    # line 8 scales line 6's stack (up to 8e300) by y7 (up to 2e10)
+    ("(1e150*x1*x2)^2*(1e10*x3)", 3, [(1e-150, 2e-150), (1, 2), (1, 2)]),
+], ids=["pair", "block term", "whole stack", "scaled stack"])
+def test_hessian_overflow_is_invalid_interval(src, n, bounds):
+    cl = compile_expression(src, n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidInterval):
-            interval_hessian(cl, Box.from_bounds([(1e-200, 2e-200)]))
+        with pytest.raises(InvalidInterval) as info:
+            interval_hessian(cl, Box.from_bounds(bounds))
+    assert str(info.value) == "non-finite gradient or Hessian enclosure"
+
+
+def test_hessian_ignores_and_keeps_the_callers_numpy_error_settings():
+    def hexes(enc):
+        return [x.hex() for x in np.concatenate((enc.lo, enc.hi)).ravel().tolist()]
+
+    # line 6's cross term 1e-400 underflows to 0
+    cl = compile_expression("(1e-200*x1)*(1e-200*x2) + x3", 3)
+    overflowing = compile_expression("(1e200*x1*x2)^2", 2)
+    want = hexes(interval_hessian(cl, Box.from_bounds([(1, 2)] * 3)))
+    old = np.seterr(all="raise")
+    try:
+        settings = np.geterr()
+        assert hexes(interval_hessian(cl, Box.from_bounds([(1, 2)] * 3))) == want
+        assert np.geterr() == settings
+        with pytest.raises(InvalidInterval, match="non-finite gradient or Hessian enclosure"):
+            interval_hessian(overflowing, Box.from_bounds([(1e-200, 2e-200), (1, 2)]))
+        assert np.geterr() == settings
+    finally:
+        np.seterr(**old)
 
 
 def test_hessian_of_affine_line_ignores_overflowing_outer_product():
@@ -354,6 +392,16 @@ def test_point_hessians_name_the_line_of_a_sampled_domain_violation(src, kind, l
     with pytest.raises(DomainViolation) as info:
         point_hessians(cl, [[1.0, 1.0], [0.0, 2.0]])
     assert (info.value.kind, info.value.line) == (kind, line)
+
+
+def test_point_hessians_reject_points_that_are_not_a_p_by_n_array():
+    cl = compile_expression("x1*x2", 2)
+    with pytest.raises(InvalidArgument, match=r"^points must be a \(P, n\) array, got shape \(2,\)$"):
+        point_hessians(cl, [1.0, 2.0])  # one point, not a batch of one
+    with pytest.raises(InvalidArgument, match="^points are not real numbers: "):
+        point_hessians(cl, [["a", "b"]])
+    with pytest.raises(LengthMismatch):
+        point_hessians(cl, [[1.0, 2.0, 3.0]])
 
 
 def test_point_hessians_match_analytic():
