@@ -45,7 +45,6 @@ from .interval import (
     Interval,
     Pair,
     pair_add,
-    pair_add_const,
     pair_exp,
     pair_hull,
     pair_ln,
@@ -54,8 +53,6 @@ from .interval import (
     pair_recip,
     pair_scale,
     pair_sqrt,
-    pair_sub,
-    pair_zero_widen,
 )
 
 __all__ = ["Line", "Codelist", "Rule", "UnaryRule", "UNARY_RULES"]
@@ -125,7 +122,8 @@ UNARY_RULES = {
         first=lambda yi, yk, line: pair_scale(pair_pow(yk, 2), -1.0),
         second=lambda yi, yk, line: pair_scale(pair_pow(yk, 3), 2.0),
         lam=lambda yi, yk, line, ls, lam:
-            pair_mul(pair_pow(yk, 2), pair_sub(pair_mul(pair_scale(yk, 2.0), ls), lam)),
+            pair_mul(pair_pow(yk, 2),
+                     pair_add(pair_mul(pair_scale(yk, 2.0), ls), pair_scale(lam, -1.0))),
         ops=3, second_ops=3, lam_ops=4),
     "sqrt": UnaryRule(
         value=_sqrt,
@@ -146,10 +144,10 @@ UNARY_RULES = {
         first=lambda yi, yk, line: pair_recip(yi),
         second=lambda yi, yk, line: pair_scale(pair_pow(pair_recip(yi), 2), -1.0),
         lam=lambda yi, yk, line, ls, lam:
-            pair_mul(ri := pair_recip(yi), pair_sub(lam, pair_mul(ri, ls))),
+            pair_mul(ri := pair_recip(yi), pair_add(lam, pair_scale(pair_mul(ri, ls), -1.0))),
         ops=2, second_ops=4, lam_ops=4),
     "addC": UnaryRule(
-        value=lambda yi, line: pair_add_const(yi, line.c),
+        value=lambda yi, line: pair_add(yi, (line.c, line.c)),
         first=None,
         second=None,
         lam=lambda yi, yk, line, ls, lam: lam,
@@ -215,7 +213,7 @@ def term(kind: str, lam: Pair, factor: Optional[Pair] = None) -> Optional[Pair]:
     if kind == ABSENT:
         return None
     if kind == WIDENED:
-        lam = pair_zero_widen(lam)
+        lam = pair_hull(lam, (0.0, 0.0))
     return lam if factor is None else pair_mul(factor, lam)
 
 
@@ -271,10 +269,10 @@ class Rule:
             return (0.0, 0.0) if out is None else out
         b = term(self.j, lam_j, yi)
         if self.combine == WIDENED_SUM:
-            return pair_add(lt, pair_zero_widen(pair_add(a, b)))
+            return pair_add(lt, pair_hull(pair_add(a, b), (0.0, 0.0)))
         h = pair_hull(a, b)
         if self.combine == WIDENED_HULL:
-            h = pair_zero_widen(h)
+            h = pair_hull(h, (0.0, 0.0))
         return h if lt is None else pair_add(lt, h)
 
 

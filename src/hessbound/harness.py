@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import random
 import zlib
@@ -185,14 +186,24 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
 
 # -- box sampling ---------------------------------------------------------
 
+def _box_count(count) -> int:
+    """``count`` as an int, or :class:`InvalidArgument` unless it is an integer of 0 or more."""
+    try:
+        count = operator.index(count)  # numpy integers pass, floats and strings do not
+    except TypeError:
+        raise InvalidArgument(f"box count {count!r} is not an integer") from None
+    if count < 0:
+        raise InvalidArgument(f"box count {count} is below 0")
+    return count
+
+
 def random_boxes(domain: Box, count: int, seed: int) -> List[Box]:
     """Deterministic sample of sub-boxes of ``domain``.
 
     Each dimension gets two independent uniform draws, sorted; a dimension
     is redrawn while its width is below 1e-9 times the domain width.
     """
-    if count < 0:
-        raise InvalidArgument(f"box count {count} is below 0")
+    count = _box_count(count)
     rng = random.Random(seed)
     boxes: List[Box] = []
     for _ in range(count):
@@ -409,8 +420,7 @@ def run_compare(entries: Sequence[CorpusEntry], boxes_per_function: int = 100,
     fail) are skipped with a reason; everything else is deterministic in
     (entries order, seed).
     """
-    if boxes_per_function < 0:
-        raise InvalidArgument(f"box count {boxes_per_function} is below 0")
+    boxes_per_function = _box_count(boxes_per_function)
     evaluators = {"original": eval_original, "improved": eval_improved}
     result = CompareResult(eps=eps, seed=seed, boxes_per_function=boxes_per_function)
     for entry in entries:

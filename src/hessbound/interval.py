@@ -4,10 +4,9 @@ Intervals are closed, bounded subsets [lo, hi] of the reals.  All
 operations return the exact image interval in round-to-nearest double
 precision; no directed rounding is performed.
 
-The endpoint kernels (``pair_add``, ``pair_sub``, ``pair_mul``,
-``pair_scale``, ``pair_add_const``, ``pair_recip``, ``pair_pow``,
-``pair_sqrt``, ``pair_exp``, ``pair_ln``, ``pair_zero_widen``, ``pair_hull``
-and the spectral ``pair_lambda_s``, ``pair_lambda_t`` and
+The twelve endpoint kernels (``pair_add``, ``pair_mul``, ``pair_scale``,
+``pair_recip``, ``pair_pow``, ``pair_sqrt``, ``pair_exp``, ``pair_ln``,
+``pair_hull`` and the spectral ``pair_lambda_s``, ``pair_lambda_t`` and
 ``pair_lambda_star``) are the one home of the endpoint formulas.  Each takes
 and returns intervals as ``(lo, hi)`` pairs of floats, runs the validity
 check of :class:`Interval` on its result and raises the errors of the
@@ -15,7 +14,9 @@ interval operation.  The :class:`Interval` operators and the public
 functions below wrap them, and the bound engines and the unary rule table
 call them directly, so that a value never becomes an object on their hot
 paths; a change to how an endpoint is computed (outward rounding, say) is
-made in the kernels alone.
+made in the kernels alone.  Every interval sum is ``pair_add``: x - y is
+x + (-1)·y, the same bits in IEEE 754, and x + c is x + [c, c].  Every
+hull is ``pair_hull``: the zero widening is the hull with [0, 0].
 
 No kernel calls the builtin ``min`` or ``max``: each extreme is picked by a
 chain of ordered comparisons that copies the builtin's loop (start at the
@@ -99,7 +100,7 @@ class Interval:
         return _interval(*pair_scale((self.lo, self.hi), -1.0))
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return _interval(*pair_sub((self.lo, self.hi), (other.lo, other.hi)))
+        return _interval(*pair_add((self.lo, self.hi), pair_scale((other.lo, other.hi), -1.0)))
 
     def recip(self) -> "Interval":
         return _interval(*pair_recip((self.lo, self.hi)))
@@ -121,7 +122,7 @@ class Interval:
         return _interval(*pair_ln((self.lo, self.hi)))
 
     def add_const(self, c: float) -> "Interval":
-        return _interval(*pair_add_const((self.lo, self.hi), c))
+        return _interval(*pair_add((self.lo, self.hi), (c, c)))
 
     def scale(self, c: float) -> "Interval":
         return _interval(*pair_scale((self.lo, self.hi), c))
@@ -207,14 +208,6 @@ def pair_add(x: Pair, y: Pair) -> Pair:
     return lo, hi
 
 
-def pair_sub(x: Pair, y: Pair) -> Pair:
-    (a, b), (c, d) = x, y
-    lo, hi = a - d, b - c
-    if not -_INF < lo <= hi < _INF:
-        _reject(lo, hi)
-    return lo, hi
-
-
 def pair_mul(x: Pair, y: Pair) -> Pair:
     (a, b), (c, d) = x, y
     lo = hi = a * c
@@ -242,15 +235,6 @@ def pair_scale(x: Pair, c: float) -> Pair:
     """``c·x`` for a real c."""
     a, b = x
     lo, hi = (c * a, c * b) if c >= 0 else (c * b, c * a)
-    if not -_INF < lo <= hi < _INF:
-        _reject(lo, hi)
-    return lo, hi
-
-
-def pair_add_const(x: Pair, c: float) -> Pair:
-    """``x + c`` for a real c."""
-    a, b = x
-    lo, hi = a + c, b + c
     if not -_INF < lo <= hi < _INF:
         _reject(lo, hi)
     return lo, hi
@@ -320,16 +304,6 @@ def pair_ln(x: Pair) -> Pair:
     if a <= 0.0:
         raise DomainViolation("ln", Interval(a, b))
     lo, hi = math.log(a), math.log(b)
-    if not -_INF < lo <= hi < _INF:
-        _reject(lo, hi)
-    return lo, hi
-
-
-def pair_zero_widen(x: Pair) -> Pair:
-    """The smallest interval containing both x and 0."""
-    a, b = x
-    lo = 0.0 if 0.0 < a else a
-    hi = 0.0 if 0.0 > b else b
     if not -_INF < lo <= hi < _INF:
         _reject(lo, hi)
     return lo, hi
@@ -520,4 +494,4 @@ def lambda_star(a: Interval, b: Interval, c: Interval) -> Interval:
 
 def zero_widen(a: Interval) -> Interval:
     """Smallest interval containing both [a] and 0."""
-    return _interval(*pair_zero_widen((a.lo, a.hi)))
+    return _interval(*pair_hull((a.lo, a.hi), (0.0, 0.0)))

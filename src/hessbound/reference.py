@@ -11,12 +11,12 @@ compared against:
   size of its ``Codelist.blocks`` entry: none, ``None`` (zero); one
   variable p, the entry (p, p) as a ``(lo, hi)`` pair of the endpoint
   kernels; more, a (2, n, n) float array of the lower and upper endpoints.
-  Zeros are built only for the final matrix, and a line's carrier is set to
-  ``None`` after its last reader.  No pair is lifted into a stack: a line
-  with a larger block scales the pair as a pair and adds it as the one
-  entry (p, p) of its stack.  A block term (a product's cross term, a unary
-  line's r'' term) is added through the flat index of its block, built on
-  first use and cached on the codelist (``Codelist.block_index``).  An
+  One loop adds each of a line's terms: its operands' carriers, scaled, then
+  a product's cross term or a unary line's r'' term on the line's block,
+  through that block's flat index (``Codelist.block_index``).  A stack is
+  taken before a pair, and a pair is never lifted: on a larger block it is
+  the one entry (p, p) added into the line's stack.  No carrier is written
+  into by a later line, and each is ``None`` after its last reader.  An
   overflow in any Hessian entry raises :class:`InvalidInterval` at the
   operation where it happens, in a pair kernel or a numpy stack alike,
   whatever the caller's numpy error settings; an error of the line's own
@@ -95,10 +95,10 @@ class SymIntervalMatrix:
             raise NotSymmetric(f"bad shapes {lo.shape} / {hi.shape}")
         if lo.shape[0] == 0:
             raise NotSymmetric("an interval matrix needs at least one row")
-        if not (_symmetric(lo) and _symmetric(hi)):
-            raise NotSymmetric("endpoint matrices must be symmetric")
         if np.any(lo > hi) or not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise NotSymmetric("entries must be finite intervals with lo <= hi")
+        if not (_symmetric(lo) and _symmetric(hi)):
+            raise NotSymmetric("endpoint matrices must be symmetric")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -194,75 +194,56 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     last_read = cl.last_read
     blocks = cl.blocks
 
-    def total(terms, size, hs):
-        """The sum of s·H_ref over a line's operand terms (s, ref), s = None for 1, on a block
-        of ``size`` variables: None if every H_ref is zero, else a pair or a stack.
-
-        The stacks are summed first; then each pair on a larger block is added as the
-        single entry (p, p) of its block (p,).  Two terms commute, so each entry is
-        term i plus term j, as in the elementwise formula.
-        """
-        m = None
-        own = False  # whether m is this line's own array, to be written into
-        pairs = []
-        for s, ref in terms:
-            h = hs[ref - 1]
-            if h is None:
-                continue
-            if s is not None:
-                h = _scale(s, h)  # a new array, or a pair
-            if type(h) is tuple:
-                if size == 1:
-                    m = h if m is None else pair_add(m, h)
-                else:
-                    pairs.append((blocks[ref - 1][0] - 1, h))
-            elif m is None:
-                m, own = h, s is not None
-            elif own:
-                np.add(m, h, out=m)
-            else:
-                m, own = m + h, True
-        for p, h in pairs:
-            if m is None:
-                m = np.zeros((2, n, n))
-            elif not own:
-                m = m.copy()
-            own = True
-            m[0, p, p] += h[0]
-            m[1, p, p] += h[1]
-        return m
-
-    def add(m, d, block):
-        """``m + d`` for a term d on block x block; m is None (zero), a pair, or this line's own stack."""
-        if type(d) is tuple:  # a one-variable block: m is a pair too
-            return d if m is None else pair_add(m, d)
-        if len(block) == n:
-            return d if m is None else np.add(m, d, out=m)
-        ix = cl.block_index[block]
-        if m is None:
-            m = np.zeros((2, n, n))
-            m.reshape(-1)[ix] = d.reshape(-1)
-        else:
-            m.reshape(-1)[ix] += d.reshape(-1)  # m is C-ordered, so reshape gives a view
-        return m
-
     def hessian(cl, k, line, ys, grads, firsts, memo, hs):
         block, i, j = blocks[k - 1], line.i, line.j
+        if not block:  # y_k is affine in x, and so are its operands: no carrier to read
+            return None
         rule = UNARY_RULES.get(line.op)  # r'' comes before the terms, so that its errors win
-        r2 = rule.second(ys[i - 1], ys[k - 1], line) if block and rule and rule.second else None
+        r2 = rule.second(ys[i - 1], ys[k - 1], line) if rule and rule.second else None
+        m, own = None, False  # the sum: None (zero), a pair or a stack; own: a stack of this line's
         try:
-            if not block:  # y_k is affine in x
-                m = None
-            elif line.op == "add":
-                m = total(((None, i), (None, j)), len(block), hs)
-            elif line.op == "mul":
-                m = total(((ys[j - 1], i), (ys[i - 1], j)), len(block), hs)
-                m = add(m, _cross(_dense(grads[i - 1], block), _dense(grads[j - 1], block)), block)
-            else:  # firsts[k] is None where r' = 1: the operand's carrier itself
-                m = total(((firsts[k], i),), len(block), hs)
+            # terms (s, H, H's block) for s·H, s = None for 1: the operands, then the block term
+            if line.op in ("add", "mul"):
+                mul = line.op == "mul"
+                terms = [(ys[j - 1] if mul else None, hs[i - 1], blocks[i - 1]),
+                         (ys[i - 1] if mul else None, hs[j - 1], blocks[j - 1])]
+                if type(hs[i - 1]) is tuple:  # a stack before a pair: a stack added to
+                    terms.reverse()  # the zeros that a pair starts would turn -0.0 into 0.0
+                if mul:
+                    g = _cross(_dense(grads[i - 1], block), _dense(grads[j - 1], block))
+                    terms.append((None, g, block))
+            else:  # firsts[k] is None where r' = 1
+                terms = [(firsts[k], hs[i - 1], blocks[i - 1])]
                 if r2 is not None:
                     g = _dense(grads[i - 1], block)
-                    m = add(m, _scale(r2, _outer(g, g)), block)
+                    terms.append((None, _scale(r2, _outer(g, g)), block))
+            for s, h, b in terms:
+                if h is None:
+                    continue
+                if s is not None:
+                    h = _scale(s, h)  # a new stack, or a pair
+                if len(block) == 1:  # every term is a pair
+                    m = h if m is None else pair_add(m, h)
+                elif type(h) is tuple:  # an operand's entry (p, p), added into this line's stack
+                    if m is None:
+                        m = np.zeros((2, n, n))
+                    elif not own:
+                        m = m.copy()
+                    own, p = True, b[0] - 1
+                    m[0, p, p] += h[0]
+                    m[1, p, p] += h[1]
+                elif h.shape[1] == n:  # a whole stack
+                    if m is None:
+                        m, own = h, s is not None
+                    elif own:
+                        np.add(m, h, out=m)
+                    else:
+                        m, own = m + h, True
+                elif m is None:  # a term on a smaller block: assigned into zeros, not added
+                    m, own = np.zeros((2, n, n)), True
+                    m.reshape(-1)[cl.block_index[block]] = h.reshape(-1)
+                else:  # m comes from a scaled operand, so it is this line's own C-ordered stack
+                    m.reshape(-1)[cl.block_index[block]] += h.reshape(-1)
         except (InvalidInterval, FloatingPointError):
             raise InvalidInterval("non-finite gradient or Hessian enclosure") from None
         for ref in (i, j):  # drop each carrier after its last reader

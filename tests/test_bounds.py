@@ -26,7 +26,12 @@ from hessbound import (
 )
 from hessbound.codelist import UNARY_RULES
 from hessbound.harness import codelist_value, random_boxes, random_function
-from hessbound.reference import SymIntervalMatrix, interval_hessian, point_hessians
+from hessbound.reference import (
+    SymIntervalMatrix,
+    gershgorin_bounds,
+    interval_hessian,
+    point_hessians,
+)
 
 from helpers import fd_gradient, grid_points, sampled_eigs
 
@@ -178,6 +183,26 @@ def test_bounds_contain_sampled_hessian_eigenvalues(idx):
         assert res.eigen.lo - slack <= eigs.min(), (entry.source, res)
         assert eigs.max() <= res.eigen.hi + slack, (entry.source, res)
 
+
+
+def test_every_product_rule_is_sound_on_the_engine_fixture():
+    # random_function fires 3 of the 17 product rules; the recorded fixture
+    # fires all of them (criteria 4 and 5 on every rule)
+    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    fired = set()
+    for case in cases:
+        cl = compile_expression(case["source"], case["n"])
+        box = Box(Interval(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"])
+        fired |= {(r.i, r.j, r.combine) for r in cl.rules if r is not None and r.op == "mul"}
+        eigs = sampled_eigs(cl, box, per_dim=5 if case["n"] <= 4 else 3)
+        slack = 1e-7 * (1 + np.abs(eigs).max())
+        orig, impr = eval_original(cl, box).eigen, eval_improved(cl, box).eigen
+        gersh = gershgorin_bounds(interval_hessian(cl, box))
+        for lam in (orig, impr, gersh):
+            assert lam.lo - slack <= eigs.min() and eigs.max() <= lam.hi + slack, \
+                (case["source"], lam)
+        assert orig.encloses(impr, slack=1e-12), (case["source"], orig, impr)
+    assert len(fired) == 17
 
 @pytest.mark.parametrize("idx", range(0, len(CASES), 5))
 def test_value_and_gradient_enclose_sampled_truth(idx):

@@ -327,6 +327,24 @@ def test_a_box_count_below_zero_is_an_invalid_argument():
     assert empty.records == [] and empty.skips == []
 
 
+@pytest.mark.parametrize("count,text", [
+    (2.5, "box count 2.5 is not an integer"),
+    ("3", "box count '3' is not an integer"),
+    (None, "box count None is not an integer"),
+], ids=["float", "str", "None"])
+def test_a_box_count_that_is_not_an_integer_is_an_invalid_argument(count, text):
+    entries = [CorpusEntry("f", 1, Box.from_bounds([(0, 1)]), "x1^2")]
+    assert _argument_error(lambda: random_boxes(entries[0].domain, count, seed=1)) == text
+    assert _argument_error(lambda: run_compare(entries, boxes_per_function=count)) == text
+
+
+def test_a_numpy_integer_box_count_is_accepted():
+    domain = Box.from_bounds([(0, 1)])
+    assert random_boxes(domain, np.int64(2), seed=1) == random_boxes(domain, 2, seed=1)
+    result = run_compare([CorpusEntry("f", 1, domain, "x1^2")], boxes_per_function=np.int64(2))
+    assert type(result.boxes_per_function) is int and len(result.records) == 4
+
+
 # -- corpus files ---------------------------------------------------------
 
 def test_corpus_round_trip(tmp_path):

@@ -30,7 +30,6 @@ from hessbound import (
 from hessbound.bounds import _grad_scale
 from hessbound.interval import (
     pair_add,
-    pair_add_const,
     pair_exp,
     pair_hull,
     pair_lambda_s,
@@ -42,8 +41,6 @@ from hessbound.interval import (
     pair_recip,
     pair_scale,
     pair_sqrt,
-    pair_sub,
-    pair_zero_widen,
 )
 
 
@@ -603,7 +600,8 @@ def _lambda_star(a, b, c):
 # name: (kernel on pairs, operator on Intervals, endpoint formula)
 BINARY_KERNELS = {
     "add": (pair_add, lambda x, y: x + y, lambda x, y: (x.lo + y.lo, x.hi + y.hi)),
-    "sub": (pair_sub, lambda x, y: x - y, lambda x, y: (x.lo - y.hi, x.hi - y.lo)),
+    "sub": (lambda x, y: pair_add(x, pair_scale(y, -1.0)), lambda x, y: x - y,
+            lambda x, y: (x.lo - y.hi, x.hi - y.lo)),
     "mul": (pair_mul, lambda x, y: x * y, _products),
     "hull": (pair_hull, hull, lambda x, y: (min(x.lo, y.lo), max(x.hi, y.hi))),
 }
@@ -612,13 +610,15 @@ UNARY_KERNELS = {
     "sqrt": (pair_sqrt, Interval.sqrt, _sqrt),
     "exp": (pair_exp, Interval.exp, _exp),
     "ln": (pair_ln, Interval.ln, _ln),
-    "zero_widen": (pair_zero_widen, zero_widen, lambda x: (min(x.lo, 0.0), max(x.hi, 0.0))),
+    "zero_widen": (lambda x: pair_hull(x, (0.0, 0.0)), zero_widen,
+                   lambda x: (min(x.lo, 0.0), max(x.hi, 0.0))),
     "neg": (lambda x: pair_scale(x, -1.0), lambda x: -x, lambda x: (-x.hi, -x.lo)),
 }
 CONSTANT_KERNELS = {
     "scale": (pair_scale, Interval.scale,
               lambda x, c: (c * x.lo, c * x.hi) if c >= 0 else (c * x.hi, c * x.lo)),
-    "add_const": (pair_add_const, Interval.add_const, lambda x, c: (x.lo + c, x.hi + c)),
+    "add_const": (lambda x, c: pair_add(x, (c, c)), Interval.add_const,
+                  lambda x, c: (x.lo + c, x.hi + c)),
 }
 
 

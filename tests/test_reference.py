@@ -70,15 +70,18 @@ def test_sym_interval_matrix_accepts_exact_and_allclose_symmetry():
         assert m.lo.tolist() == lo.tolist()
 
 
-@pytest.mark.parametrize("lo", [
-    np.array([[0.0, 1.0], [0.5, 0.0]]),
-    np.array([[0.0, math.nan], [math.nan, 0.0]]),
-])
-def test_sym_interval_matrix_rejects_asymmetric_and_nan(lo):
-    with pytest.raises(NotSymmetric, match="endpoint matrices must be symmetric"):
-        SymIntervalMatrix(lo, np.ones((2, 2)))
-    with pytest.raises(NotSymmetric, match="endpoint matrices must be symmetric"):
-        SymIntervalMatrix(np.zeros((2, 2)) - 1.0, lo)
+# a NaN is named as such, not as an asymmetry (NaN != NaN); None converts to NaN
+@pytest.mark.parametrize("lo,text", [
+    (np.array([[0.0, 1.0], [0.5, 0.0]]), "endpoint matrices must be symmetric"),
+    (np.array([[0.0, math.nan], [math.nan, 0.0]]), "entries must be finite intervals with lo <= hi"),
+    ([[None]], "entries must be finite intervals with lo <= hi"),
+], ids=["lo0", "lo1", "lo2"])
+def test_sym_interval_matrix_rejects_asymmetric_and_nan(lo, text):
+    n = len(lo)
+    with pytest.raises(NotSymmetric, match=f"^{text}$"):
+        SymIntervalMatrix(lo, np.ones((n, n)))
+    with pytest.raises(NotSymmetric, match=f"^{text}$"):
+        SymIntervalMatrix(np.zeros((n, n)) - 1.0, lo)
 
 
 def test_mid_rad():
@@ -253,6 +256,32 @@ def test_hessian_of_pairs_and_stacks_is_the_closed_form(src, n, bounds, lo, hi):
     enc = interval_hessian(compile_expression(src, n), Box.from_bounds(bounds))
     assert enc.lo.tolist() == lo and enc.hi.tolist() == hi
 
+
+
+# A stack is taken before a pair, whatever the operand order, so the order
+# of the terms in the source changes no bit, the sign of a zero included.
+@pytest.mark.parametrize("src,swapped,n", [
+    ("x1^2 + x2*x3", "x2*x3 + x1^2", 3),
+    ("(x1^2)*(x2*x3)", "(x2*x3)*(x1^2)", 3),
+    ("exp(x1) + x2*x3 + x4^2", "x4^2 + x2*x3 + exp(x1)", 4),
+    ("(x1 + x2^2)*(x3 - x1)", "(x3 - x1)*(x1 + x2^2)", 3),
+    # -(x2*x3) holds -0.0 off its block; zeros started by the pair would make it 0.0
+    ("x1^2 - x2*x3", "-(x2*x3) + x1^2", 4),
+])
+def test_hessian_is_the_same_with_the_operands_swapped(src, swapped, n):
+    for bounds in ((-1, 2), (0.5, 1.5), (-2, -1)):
+        box = Box.from_bounds([bounds] * n)
+        a, b = (interval_hessian(compile_expression(f, n), box) for f in (src, swapped))
+        assert ([v.hex() for v in (*a.lo.ravel(), *a.hi.ravel())]
+                == [v.hex() for v in (*b.lo.ravel(), *b.hi.ravel())]), bounds
+
+
+def test_a_block_term_keeps_the_sign_of_its_zeros():
+    # the cross term of (-x1)*x2 on its block {1, 2} is -0.0 at (1, 1), as
+    # (-1)·0 + 0·(-1) is entry by entry; it is assigned into the line's stack,
+    # since adding it to zeros would make that entry 0.0
+    enc = interval_hessian(compile_expression("(-x1)*x2", 3), Box.from_bounds([(1, 2)] * 3))
+    assert (enc.lo[0, 0].hex(), enc.hi[0, 0].hex()) == ("-0x0.0p+0", "-0x0.0p+0")
 
 @pytest.mark.parametrize("src,n,bounds,text", [
     # line 4's r' (up to 1e160) times line 3's Hessian 2e150 overflows, and
