@@ -45,12 +45,13 @@ as the first engine on the box computed them; the other engine reads them
 The value pass does not raise on a line: it records the first failing line
 and its error and stops.  The second pass applies its rule to the lines
 before that one, so an earlier rule error still wins, and then raises the
-recorded error afresh, a :class:`DomainViolation` with its line number; the
-errors and their order are those of a single walk.
+recorded error afresh with `` at codelist line k`` appended to its text and
+``line`` set to k; the errors and their order are those of a single walk.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -220,7 +221,7 @@ def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
     the box's λ memo (see :func:`_lam_t`) and the results ``out`` of earlier
     lines (``seed`` on a var line; a rule may drop one no later line reads).
     The lines before a failing one come first, so an earlier rule error
-    wins; then the failure is raised afresh.
+    wins; then the failure is raised afresh, naming its line.
     """
     global _last
     if not isinstance(box, Box):
@@ -243,9 +244,9 @@ def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
     if failure is None:
         return ys, grads, out
     k, err = failure
-    if isinstance(err, DomainViolation):
-        raise DomainViolation(err.kind, err.interval, line=k) from None
-    raise type(err)(*err.args) from None
+    err = copy.copy(err)  # the slot keeps the recorded error for the next walk on the box
+    err.args, err.line = (f"{err} at codelist line {k}",), k
+    raise err from None
 
 
 # λ_t of a mul line and λ_s of a nonaffine unary line act on the line's

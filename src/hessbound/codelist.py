@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Mapping, Optional, Tuple
 
 from .errors import DomainViolation, InvalidInterval, MalformedCodelist
 from .interval import (
@@ -332,7 +332,8 @@ class Codelist:
     op_counts: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lines", tuple(self.lines))
+        if isinstance(self.lines, Iterable):  # validate rejects anything else
+            object.__setattr__(self, "lines", tuple(self.lines))
         self.analyze()
 
     def __len__(self) -> int:
@@ -347,7 +348,11 @@ class Codelist:
         """Check structural invariants; raises MalformedCodelist."""
         n = self.n
         _check_variable_count(n)
+        if type(self.lines) is not tuple:
+            raise MalformedCodelist(0, "lines must be a sequence of Line entries")
         for k, line in enumerate(self.lines, start=1):
+            if not isinstance(line, Line):
+                raise MalformedCodelist(k, f"not a Line: {line!r}")
             if k <= n:
                 if line.op != "var":
                     raise MalformedCodelist(k, "first n lines must be var lines")

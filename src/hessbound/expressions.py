@@ -13,8 +13,8 @@ is either the number of the line that computes it or a folded constant.
 
 A new unary operation (e.g. ``sin``) needs one ``_FUNCTIONS`` entry here,
 its ``UNARY_RULES`` row and ``_POINT_EXPR`` template in
-:mod:`hessbound.codelist`, and its float rule in ``reference._POINT_RULES``
-(plus a ``reference._POINT_DOMAINS`` entry if its domain is restricted).
+:mod:`hessbound.codelist`, and its float rule row, with its domain test if
+its domain is restricted, in ``reference._POINT_RULES``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .codelist import Codelist, Line, _check_variable_count
-from .errors import ConstantExpression, ExpressionSyntaxError, UnknownVariable
+from .errors import ConstantExpression, ExpressionSyntaxError, InvalidArgument, UnknownVariable
 
 __all__ = ["compile_expression"]
 
@@ -274,7 +274,8 @@ class _Parser:
 def compile_expression(source: str, n: int) -> Codelist:
     """Parse ``source`` over variables x1..xn into an analysed codelist.
 
-    Raises :class:`MalformedCodelist` unless ``n`` is an integer >= 1,
+    Raises :class:`InvalidArgument` unless ``source`` is a string,
+    :class:`MalformedCodelist` unless ``n`` is an integer >= 1,
     :class:`ExpressionSyntaxError` for bad text, nesting deeper than
     :data:`MAX_NESTING` or a constant fold or literal that is undefined or
     overflows, :class:`UnknownVariable` for a variable outside x1..xn and
@@ -282,6 +283,8 @@ def compile_expression(source: str, n: int) -> Codelist:
     constant, since every codelist line must trace back to a variable.
     No common subexpressions are merged.
     """
+    if not isinstance(source, str):
+        raise InvalidArgument(f"expression source must be a string, got {type(source).__name__}")
     _check_variable_count(n)
     parser = _Parser(source, n)
     root = parser.parse()

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import eval_improved, eval_original
-from .codelist import Codelist
+from .codelist import Codelist, _check_variable_count
 from .errors import (
     DomainViolation,
     HessboundError,
@@ -316,8 +316,10 @@ def random_function(n: int, seed: int, *, require_mul: bool = False) -> CorpusEn
     Builds the expression bottom-up from the variable pool, guarding every
     step with an interval evaluation over the domain so that reciprocal,
     sqrt and ln arguments stay clear of their singularities and exp never
-    overflows.
+    overflows.  Raises :class:`MalformedCodelist` unless ``n`` is an
+    integer >= 1, as :func:`compile_expression` does.
     """
+    _check_variable_count(n)
     rng = random.Random(seed)
     domain = Box(Interval(round(rng.uniform(0.2, 0.8), 3),
                           round(rng.uniform(1.0, 2.0), 3)) for _ in range(n))

@@ -28,7 +28,10 @@ compared against:
 * :func:`sym_eigen_range` -- eigenvalue range of one symmetric matrix;
 * :func:`point_hessians` -- exact real Hessians at a batch of points, used
   as a sampling oracle; it has its own float rules, so sampling checks the
-  interval rules rather than repeating them.
+  interval rules rather than repeating them.  Their table has the shape of
+  ``UNARY_RULES``, ``None`` marking r' = 1 and r'' = 0: an affine line
+  passes its operand's gradient and Hessian on (``addC``) or scales them by
+  its constant (``mulByC``), and forms no r'' g gᵀ term.
 """
 
 from __future__ import annotations
@@ -186,9 +189,9 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
 
     Every expression keeps the association order of the elementwise
     Interval formulas, so each entry equals (==) the per-entry Interval
-    result.  Raises :class:`InvalidInterval` at the line where an entry
-    overflows, whatever numpy's error settings are; an error of that line's
-    r'' comes first.
+    result.  It is exactly symmetric, as c + cᵀ and g gᵀ are.  Raises
+    :class:`InvalidInterval` at the line where an entry overflows, whatever
+    numpy's error settings are; an error of that line's r'' comes first.
     """
     n = cl.n
     last_read = cl.last_read
@@ -258,49 +261,42 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
         if pair is not None:
             p = blocks[-1][0] - 1
             m[:, p, p] = pair
-    lo, hi = m
-    # symmetrize away last-bit rounding asymmetry between mirrored entries
-    return SymIntervalMatrix(np.minimum(lo, lo.T), np.maximum(hi, hi.T))
+    return SymIntervalMatrix(*m)
 
 
-# Real-point (value, r', r'') of each unary op, on arrays of sampled operand
-# values.  These are written apart from codelist.UNARY_RULES on purpose:
-# point_hessians is the oracle the interval rules are checked against.
+# point_hessians' rules (value, r', r'', domain) of each unary op on arrays of
+# sampled operand values, written apart from UNARY_RULES so that the oracle
+# does not repeat them; domain is None or (kind, test of values outside it, text)
 _POINT_RULES = {
     "powNat": (lambda y, line: y ** line.m,
                lambda y, yk, line: line.m * y ** (line.m - 1),
-               lambda y, yk, line: line.m * (line.m - 1) * y ** (line.m - 2)),
+               lambda y, yk, line: line.m * (line.m - 1) * y ** (line.m - 2),
+               None),
     "oneOver": (lambda y, line: 1.0 / y,
                 lambda y, yk, line: -yk * yk,
-                lambda y, yk, line: 2.0 * yk ** 3),
+                lambda y, yk, line: 2.0 * yk ** 3,
+                ("recip", lambda y: y == 0.0, "0 in sampled values")),
     "sqrt": (lambda y, line: np.sqrt(y),
              lambda y, yk, line: 0.5 / yk,
-             lambda y, yk, line: -0.25 / yk ** 3),
+             lambda y, yk, line: -0.25 / yk ** 3,
+             ("sqrt", lambda y: y <= 0.0, "non-positive sampled values")),
     "exp": (lambda y, line: np.exp(y),
             lambda y, yk, line: yk,
-            lambda y, yk, line: yk),
+            lambda y, yk, line: yk,
+            None),
     "ln": (lambda y, line: np.log(y),
            lambda y, yk, line: 1.0 / y,
-           lambda y, yk, line: -1.0 / y ** 2),
-    "addC": (lambda y, line: y + line.c,
-             lambda y, yk, line: np.ones(y.shape),
-             lambda y, yk, line: np.zeros(y.shape)),
-    "mulByC": (lambda y, line: y * line.c,
-               lambda y, yk, line: np.full(y.shape, line.c),
-               lambda y, yk, line: np.zeros(y.shape)),
-}
-# (kind, test for sampled operand values outside the domain, description)
-_POINT_DOMAINS = {
-    "oneOver": ("recip", lambda y: y == 0.0, "0 in sampled values"),
-    "sqrt": ("sqrt", lambda y: y <= 0.0, "non-positive sampled values"),
-    "ln": ("ln", lambda y: y <= 0.0, "non-positive sampled values"),
+           lambda y, yk, line: -1.0 / y ** 2,
+           ("ln", lambda y: y <= 0.0, "non-positive sampled values")),
+    "addC": (lambda y, line: y + line.c, None, None, None),
+    "mulByC": (lambda y, line: y * line.c, lambda y, yk, line: line.c, None, None),
 }
 
 
 def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
     """Real Hessians at a batch of points.
 
-    ``xs`` has shape (P, n); the result has shape (P, n, n).
+    ``xs`` has shape (P, n) and finite entries; the result has shape (P, n, n).
     """
     try:
         xs = np.asarray(xs, dtype=float)
@@ -311,6 +307,8 @@ def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
     P, n = xs.shape
     if n != cl.n:
         raise LengthMismatch(f"points of dimension {n} vs variable count {cl.n}")
+    if not np.isfinite(xs).all():
+        raise InvalidArgument("points must have finite coordinates")
     ys: List[np.ndarray] = []
     gs: List[np.ndarray] = []
     hs: List[np.ndarray] = []
@@ -337,18 +335,19 @@ def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
                       + yi[:, None, None] * hs[line.j - 1]
                       + cross + cross.transpose(0, 2, 1))
             continue
-        yi = ys[line.i - 1]
-        domain = _POINT_DOMAINS.get(line.op)
+        yi, gi, h = ys[line.i - 1], gs[line.i - 1], hs[line.i - 1]
+        value, first, second, domain = _POINT_RULES[line.op]
         if domain is not None and np.any(domain[1](yi)):
             raise DomainViolation(domain[0], domain[2], line=k)
-        value, first, second = _POINT_RULES[line.op]
-        yk = value(yi, line)
-        r1, r2 = first(yi, yk, line), second(yi, yk, line)
-        gi = gs[line.i - 1]
+        yk, gk = value(yi, line), gi
+        if first is not None:  # r' per point as a column, or mulByC's constant
+            r1 = np.reshape(first(yi, yk, line), (-1, 1))
+            gk, h = r1 * gi, r1[:, :, None] * h
+        if second is not None:
+            h = second(yi, yk, line)[:, None, None] * np.einsum("pa,pb->pab", gi, gi) + h
         ys.append(yk)
-        gs.append(r1[:, None] * gi)
-        outer = np.einsum("pa,pb->pab", gi, gi)
-        hs.append(r2[:, None, None] * outer + r1[:, None, None] * hs[line.i - 1])
+        gs.append(gk)
+        hs.append(h)
     return hs[-1]
 
 

@@ -111,10 +111,12 @@ def test_domain_violation_carries_line_number():
 
 @pytest.mark.parametrize("source,n,lo,hi,message", [
     # finite values, gradient entries past the float range: a scaled entry
-    # (a point factor and an interval factor) and a summed one
-    ("(1e160*x1)^2", 1, 1e-10, 2e-10, "non-finite endpoints [inf, inf]"),
-    ("1e300*(1e10*x1)", 1, 1e-10, 2e-10, "non-finite endpoints [inf, inf]"),
-    ("1e308*x1 + 1e308*x1", 1, 1e-10, 2e-10, "non-finite endpoints [inf, inf]"),
+    # (a point factor and an interval factor) and a summed one, each named by
+    # the line of the value pass that finds it
+    ("(1e160*x1)^2", 1, 1e-10, 2e-10, "non-finite endpoints [inf, inf] at codelist line 3"),
+    ("1e300*(1e10*x1)", 1, 1e-10, 2e-10, "non-finite endpoints [inf, inf] at codelist line 3"),
+    ("1e308*x1 + 1e308*x1", 1, 1e-10, 2e-10,
+     "non-finite endpoints [inf, inf] at codelist line 4"),
     # finite gradients whose λ_t / λ* bound overflows
     ("exp(x1)*(1e200*x2) + (1e200*x1)*exp(x2)", 2, 1e-200, 2e-200,
      "non-finite endpoints [-inf, inf]"),
@@ -375,8 +377,9 @@ def _outcome(apply, cl, box):
 
 # (source, n, box, outcome of eval_original, of eval_improved): overflow and
 # domain errors raised from (lo, hi) pairs name their operands as intervals,
-# with the text of the interval operators
-_POW_OVERFLOW = ("InvalidInterval", "pow overflow on [1, 5.22147e+173]^2", None)
+# with the text of the interval operators; one that the value pass finds also
+# names its line
+_POW_OVERFLOW = ("InvalidInterval", "pow overflow on [1, 5.22147e+173]^2 at codelist line 3", 3)
 _RECIP = ("DomainViolation", "recip undefined on [-1, 1] at codelist line 2", 2)
 ERROR_CASES = [
     # only the improved engine takes the 2x2 rule; the original one's λ_t overflows

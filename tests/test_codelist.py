@@ -70,6 +70,17 @@ def test_construction_rejects_operands_of_the_wrong_type(bad):
         Codelist(n=1, lines=(Line("var"), bad))
 
 
+@pytest.mark.parametrize("n,lines,message", [
+    (2, [Line("var"), Line("var"), "x"], "line 3: not a Line: 'x'"),
+    (1, None, "line 0: lines must be a sequence of Line entries"),
+    (1, 5, "line 0: lines must be a sequence of Line entries"),
+], ids=["str-line", "no-lines", "int-lines"])
+def test_construction_rejects_lines_that_are_not_line_entries(n, lines, message):
+    with pytest.raises(MalformedCodelist) as info:
+        Codelist(n, lines)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("n", [1.5, True])
 def test_construction_rejects_a_variable_count_that_is_not_an_integer(n):
     with pytest.raises(MalformedCodelist, match="variable count"):
@@ -249,6 +260,10 @@ def test_rule_table_defines_the_unary_vocabulary():
     # template and the oracle's float rule
     assert {op for op, _, _ in _FUNCTIONS.values()} <= UNARY_OPS
     assert UNARY_OPS <= set(_POINT_EXPR) and UNARY_OPS <= set(_POINT_RULES)
+    # the oracle's rows mark r' = 1 and r'' = 0 where the interval rows do
+    for op, rule in UNARY_RULES.items():
+        _, first, second, _ = _POINT_RULES[op]
+        assert (first is None, second is None) == (rule.first is None, rule.second is None), op
 
 
 @pytest.mark.parametrize("line,closed,xs", CLOSED_FORMS,

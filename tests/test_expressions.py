@@ -14,6 +14,7 @@ from hessbound import (
     ConstantExpression,
     ExpressionSyntaxError,
     HessboundError,
+    InvalidArgument,
     Line,
     MalformedCodelist,
     UnknownVariable,
@@ -138,6 +139,12 @@ def test_undefined_constant_fold_is_a_syntax_error(src, position, message):
     with pytest.raises(ExpressionSyntaxError) as info:
         compile_expression(src, 1)
     assert str(info.value) == f"syntax error at position {position}: {message}"
+
+
+@pytest.mark.parametrize("source", [123, None, b"x1"])
+def test_source_must_be_a_string(source):
+    with pytest.raises(InvalidArgument, match="^expression source must be a string, got "):
+        compile_expression(source, 1)
 
 
 @pytest.mark.parametrize("n", [2.0, True, 0])

@@ -415,6 +415,13 @@ def test_random_function_is_seed_deterministic_and_domain_safe():
             codelist_value(cl, x)  # no domain error anywhere on the grid
 
 
+@pytest.mark.parametrize("n", [2.5, 0, True])
+def test_random_function_rejects_a_variable_count_as_compile_expression_does(n):
+    with pytest.raises(MalformedCodelist) as info:
+        random_function(n, seed=1)
+    assert str(info.value) == "line 0: variable count must be an integer >= 1"
+
+
 def test_random_function_require_mul():
     for s in range(20):
         entry = random_function(2, seed=s, require_mul=True)

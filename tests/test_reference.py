@@ -222,7 +222,9 @@ def test_a_gradient_overflow_raises_the_engines_error():
         eval_original(cl, Box.from_bounds(bounds))
     with pytest.raises(InvalidInterval) as route:
         interval_hessian(cl, Box.from_bounds(bounds))
-    assert str(route.value) == str(engine.value) == "non-finite endpoints [inf, inf]"
+    assert str(route.value) == str(engine.value) == (
+        "non-finite endpoints [inf, inf] at codelist line 3")
+    assert route.value.line == engine.value.line == 3
 
 
 # A line carries its Hessian as a (lo, hi) pair when its block is one
@@ -431,6 +433,25 @@ def test_point_hessians_reject_points_that_are_not_a_p_by_n_array():
         point_hessians(cl, [["a", "b"]])
     with pytest.raises(LengthMismatch):
         point_hessians(cl, [[1.0, 2.0, 3.0]])
+
+
+def test_point_hessians_reject_points_that_are_not_finite():
+    cl = compile_expression("x1*x2 + exp(x1)", 2)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidArgument, match="^points must have finite coordinates$"):
+            point_hessians(cl, [[1.0, 2.0], [bad, 1.0]])
+
+
+@pytest.mark.parametrize("src,n,point,want", [
+    # r'' = 0 on an affine line: no 0·g gᵀ term, which would be 0·inf here
+    ("1e200*x1 + 1", 1, [1.0], [[0.0]]),
+    ("(1e200*x1 + 1)*x2", 2, [1.0, 1.0], [[0.0, 1e200], [1e200, 0.0]]),
+])
+def test_point_hessians_form_no_term_of_an_affine_line_with_r2_zero(src, n, point, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = point_hessians(compile_expression(src, n), [point])
+    assert H.tolist() == [want]
 
 
 def test_point_hessians_match_analytic():
