@@ -26,21 +26,21 @@ reference route apply them from here; :class:`Rule` combines pairs too.
 :attr:`Codelist.point_function` is the codelist as one generated Python
 function of a real point, one source line per codelist line, compiled on
 first use and kept on the codelist (a pickled codelist is rebuilt from
-``n`` and ``lines`` and compiles its own).  :attr:`Codelist.block_index`,
-the flat index of each block in the interval Hessian's arrays, and
-:attr:`Codelist.last_read`, the last reader of each line, are kept the same
-way.
+``n`` and ``lines`` and compiles its own); it raises the package's errors
+itself.  :attr:`Codelist.block_index`, the flat index of each block in the
+interval Hessian's arrays, and :attr:`Codelist.last_read`, the last reader
+of each line, are kept the same way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Tuple
 
-from .errors import DomainViolation, InvalidInterval, MalformedCodelist
+from .errors import DomainViolation, InvalidInterval, LengthMismatch, MalformedCodelist
 from .interval import (
     Interval,
     Pair,
@@ -177,6 +177,27 @@ _POINT_EXPR = {
     "addC": "v{i} + c{k}",
     "mulByC": "v{i} * c{k}",
 }
+
+
+def _point_error(lines, x, vals, err) -> Exception:
+    """The package's error for the exception ``err`` of a point function's
+    line, or for a non-finite value if ``err`` is ``None``; ``vals`` are the
+    function's locals, and its source line k + 3 computes codelist line k."""
+    if err is None:  # name the first line whose value is not finite
+        k = next(k for k in range(1, len(lines) + 1) if not math.isfinite(vals[f"v{k}"]))
+        text = f"non-finite value {vals[f'v{k}']!r} from {lines[k - 1].op}"
+    else:
+        k = err.__traceback__.tb_lineno - 3  # the point function's own frame
+        line = lines[k - 1]
+        if line.op == "var":  # float() of the component failed
+            return InvalidInterval(f"point component {k} is {x[k - 1]!r}, not a number")
+        arg = vals[f"v{line.i}"]
+        if not isinstance(err, OverflowError):
+            return DomainViolation("recip" if line.op == "oneOver" else line.op, arg, line=k)
+        text = f"{line.op} overflow on {arg!r}"
+    out = InvalidInterval(f"{text} at codelist line {k}")
+    out.line = k
+    return out
 
 
 @dataclass(frozen=True)
@@ -379,17 +400,19 @@ class Codelist:
     def point_function(self) -> Callable:
         """The codelist as one Python function ``point(x)`` of a real point.
 
-        Its source is generated and compiled on first use.  Source line
-        k + 1 computes the local ``v<k>`` of codelist line k, the var lines
-        as ``float(x[k - 1])``; so an error raised on a line names it by its
-        traceback line number, and the frame's locals hold every value
-        computed before it.  The function returns ``v<N>`` of the last line;
-        if that value is not finite (a float overflow to inf, or inf - inf,
-        raises nothing) it raises ``FloatingPointError`` instead.
+        Its source is generated and compiled on first use; source line k + 3
+        computes the local ``v<k>`` of codelist line k, a var line as
+        ``float(x[k - 1])``.  It returns ``v<N>`` of the last line, or raises
+        :class:`LengthMismatch`, :class:`DomainViolation` or
+        :class:`InvalidInterval`, with ``line`` set to the codelist line it
+        names.  An overflow to inf raises nothing, so it checks at the end
+        the lines no later line reads and the operands of ``exp`` and
+        ``oneOver`` (which map inf to 0), and names the first non-finite line.
         """
-        names = {"exp": math.exp, "log": math.log, "sqrt": math.sqrt,
-                 "isfinite": math.isfinite}
-        src = ["def point(x):"]
+        names = {"exp": math.exp, "log": math.log, "sqrt": math.sqrt, "isfinite": math.isfinite,
+                 "LengthMismatch": LengthMismatch, "fail": partial(_point_error, self.lines)}
+        src = ["def point(x):", f"    if len(x) != {self.n}: raise LengthMismatch(f'point of "
+               f"length {{len(x)}} vs codelist of n={self.n}')", "    try:"]
         for k, line in enumerate(self.lines, start=1):
             if line.op == "var":
                 expr = f"float(x[{k - 1}])"
@@ -397,10 +420,15 @@ class Codelist:
                 expr = _POINT_EXPR[line.op].format(i=line.i, j=line.j, m=line.m, k=k)
                 if line.op in AFFINE_OPS:
                     names[f"c{k}"] = line.c
-            src.append(f"    v{k} = {expr}")
+            src.append(f"        v{k} = {expr}")
         last = len(self.lines)
-        src.append(f"    if not isfinite(v{last}): raise FloatingPointError")
-        src.append(f"    return v{last}")
+        checks = " and ".join(f"isfinite(v{k})" for k in sorted(
+            {k for k in range(1, last + 1) if k not in self.last_read}
+            | {line.i for line in self.lines if line.op in ("exp", "oneOver")}))
+        src += ["    except (ArithmeticError, TypeError, ValueError) as err:",
+                "        raise fail(x, locals(), err) from None",
+                f"    if {checks}: return v{last}",
+                "    raise fail(x, locals(), None)"]
         exec(compile("\n".join(src), "<codelist point function>", "exec"), names)
         return names["point"]
 

@@ -12,9 +12,9 @@ quality class per bound side:
 
 "as good as" is decided by a scale-free deviation measure with a relative
 tolerance eps.  The module also hosts real-point evaluation, which runs
-a codelist's generated ``point_function`` and names the line an error
-came from, the alpha-BB convex underestimator built on it, and a seeded
-random-function generator used to build corpora.
+a codelist's generated ``point_function``, the alpha-BB convex
+underestimator built on it, and a seeded random-function generator used
+to build corpora.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .bounds import eval_improved, eval_original
 from .codelist import Codelist, _check_variable_count
 from .errors import (
-    DomainViolation,
     HessboundError,
     InconsistentInputs,
     InvalidArgument,
@@ -112,37 +111,9 @@ def classify(tested: Interval, gersh: Interval, vertex: Interval,
 # -- point evaluation and the convex underestimator ----------------------
 
 def codelist_value(cl: Codelist, x: Sequence[float]) -> float:
-    """Evaluate the codelist at a real point through ``cl.point_function``.
-
-    Raises :class:`LengthMismatch` when x does not have n components,
-    :class:`InvalidInterval` when a component is not a number, a line
-    overflows or the value is not finite, and :class:`DomainViolation` (with
-    the line number) when a line leaves its domain, e.g. ``ln`` of a
-    negative value.  The failing line is the point function's traceback
-    line, the operand value and the first non-finite value are read from
-    its frame's locals.
-    """
-    if len(x) != cl.n:
-        raise LengthMismatch(f"point of length {len(x)} vs codelist of n={cl.n}")
-    point = cl.point_function
-    try:
-        return point(x)
-    except (OverflowError, ValueError, TypeError, ZeroDivisionError, FloatingPointError) as err:
-        tb = err.__traceback__.tb_next  # the point function's own frame
-        vals = tb.tb_frame.f_locals
-        if isinstance(err, FloatingPointError):
-            k = next(k for k in range(1, len(cl.lines) + 1)
-                     if not math.isfinite(vals[f"v{k}"]))
-            raise InvalidInterval(f"non-finite value {vals[f'v{k}']!r} from "
-                                  f"{cl.lines[k - 1].op} at codelist line {k}") from None
-        k = tb.tb_lineno - 1  # source line 1 is the def line
-        line = cl.lines[k - 1]
-        if line.op == "var":  # float() of the component failed
-            raise InvalidInterval(f"point component {k} is {x[k - 1]!r}, not a number") from None
-        arg = vals[f"v{line.i}"]
-        if isinstance(err, OverflowError):
-            raise InvalidInterval(f"{line.op} overflow on {arg!r} at codelist line {k}") from None
-        raise DomainViolation("recip" if line.op == "oneOver" else line.op, arg, line=k) from None
+    """The codelist's value at a real point: ``cl.point_function(x)``, which
+    raises only the package's errors."""
+    return cl.point_function(x)
 
 
 def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],

@@ -439,7 +439,7 @@ class Box:
     def contains_point(self, x: Sequence[float], slack: float = 0.0) -> bool:
         if len(x) != len(self.dims):
             raise LengthMismatch(f"point of length {len(x)} vs box of length {len(self)}")
-        # Interval.contains, inlined: this runs once per point evaluation
+        # Interval.contains, inlined
         return all(d.lo - slack <= v <= d.hi + slack for d, v in zip(self.dims, x))
 
     def midpoint(self) -> Tuple[float, ...]:

@@ -31,7 +31,9 @@ compared against:
   interval rules rather than repeating them.  Their table has the shape of
   ``UNARY_RULES``, ``None`` marking r' = 1 and r'' = 0: an affine line
   passes its operand's gradient and Hessian on (``addC``) or scales them by
-  its constant (``mulByC``), and forms no r'' g gᵀ term.
+  its constant (``mulByC``), and forms no r'' g gᵀ term.  Like
+  :func:`interval_hessian` it raises :class:`InvalidInterval` at the line
+  where a float overflows.
 """
 
 from __future__ import annotations
@@ -233,8 +235,7 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
                     elif not own:
                         m = m.copy()
                     own, p = True, b[0] - 1
-                    m[0, p, p] += h[0]
-                    m[1, p, p] += h[1]
+                    m[0, p, p], m[1, p, p] = pair_add((m[0, p, p], m[1, p, p]), h)
                 elif h.shape[1] == n:  # a whole stack
                     if m is None:
                         m, own = h, s is not None
@@ -297,6 +298,8 @@ def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
     """Real Hessians at a batch of points.
 
     ``xs`` has shape (P, n) and finite entries; the result has shape (P, n, n).
+    A float overflow raises :class:`InvalidInterval` naming its codelist line,
+    whatever numpy's error settings are.
     """
     try:
         xs = np.asarray(xs, dtype=float)
@@ -312,42 +315,49 @@ def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
     ys: List[np.ndarray] = []
     gs: List[np.ndarray] = []
     hs: List[np.ndarray] = []
-    for k, line in enumerate(cl.lines, start=1):
-        if line.op == "var":
-            ys.append(xs[:, k - 1])
-            g = np.zeros((P, n))
-            g[:, k - 1] = 1.0
-            gs.append(g)
-            hs.append(np.zeros((P, n, n)))
-            continue
-        if line.op == "add":
-            ys.append(ys[line.i - 1] + ys[line.j - 1])
-            gs.append(gs[line.i - 1] + gs[line.j - 1])
-            hs.append(hs[line.i - 1] + hs[line.j - 1])
-            continue
-        if line.op == "mul":
-            yi, yj = ys[line.i - 1], ys[line.j - 1]
-            gi, gj = gs[line.i - 1], gs[line.j - 1]
-            ys.append(yi * yj)
-            gs.append(yj[:, None] * gi + yi[:, None] * gj)
-            cross = np.einsum("pa,pb->pab", gi, gj)
-            hs.append(yj[:, None, None] * hs[line.i - 1]
-                      + yi[:, None, None] * hs[line.j - 1]
-                      + cross + cross.transpose(0, 2, 1))
-            continue
-        yi, gi, h = ys[line.i - 1], gs[line.i - 1], hs[line.i - 1]
-        value, first, second, domain = _POINT_RULES[line.op]
-        if domain is not None and np.any(domain[1](yi)):
-            raise DomainViolation(domain[0], domain[2], line=k)
-        yk, gk = value(yi, line), gi
-        if first is not None:  # r' per point as a column, or mulByC's constant
-            r1 = np.reshape(first(yi, yk, line), (-1, 1))
-            gk, h = r1 * gi, r1[:, :, None] * h
-        if second is not None:
-            h = second(yi, yk, line)[:, None, None] * np.einsum("pa,pb->pab", gi, gi) + h
-        ys.append(yk)
-        gs.append(gk)
-        hs.append(h)
+    # overflows and divisions by an underflowed 0 raise at their line (einsum would not)
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            for k, line in enumerate(cl.lines, start=1):
+                if line.op == "var":
+                    ys.append(xs[:, k - 1])
+                    g = np.zeros((P, n))
+                    g[:, k - 1] = 1.0
+                    gs.append(g)
+                    hs.append(np.zeros((P, n, n)))
+                    continue
+                if line.op == "add":
+                    ys.append(ys[line.i - 1] + ys[line.j - 1])
+                    gs.append(gs[line.i - 1] + gs[line.j - 1])
+                    hs.append(hs[line.i - 1] + hs[line.j - 1])
+                    continue
+                if line.op == "mul":
+                    yi, yj = ys[line.i - 1], ys[line.j - 1]
+                    gi, gj = gs[line.i - 1], gs[line.j - 1]
+                    ys.append(yi * yj)
+                    gs.append(yj[:, None] * gi + yi[:, None] * gj)
+                    cross = gi[:, :, None] * gj[:, None, :]
+                    hs.append(yj[:, None, None] * hs[line.i - 1]
+                              + yi[:, None, None] * hs[line.j - 1]
+                              + cross + cross.transpose(0, 2, 1))
+                    continue
+                yi, gi, h = ys[line.i - 1], gs[line.i - 1], hs[line.i - 1]
+                value, first, second, domain = _POINT_RULES[line.op]
+                if domain is not None and np.any(domain[1](yi)):
+                    raise DomainViolation(domain[0], domain[2], line=k)
+                yk, gk = value(yi, line), gi
+                if first is not None:  # r' per point as a column, or mulByC's constant
+                    r1 = np.reshape(first(yi, yk, line), (-1, 1))
+                    gk, h = r1 * gi, r1[:, :, None] * h
+                if second is not None:
+                    h = second(yi, yk, line)[:, None, None] * (gi[:, :, None] * gi[:, None, :]) + h
+                ys.append(yk)
+                gs.append(gk)
+                hs.append(h)
+    except FloatingPointError:
+        err = InvalidInterval(f"non-finite point Hessian at codelist line {k}")
+        err.line = k
+        raise err from None
     return hs[-1]
 
 

@@ -4,10 +4,12 @@ import json
 import math
 import pickle
 import random
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hessbound import (
     Box,
@@ -292,6 +294,83 @@ def test_codelist_value_rejects_a_point_of_the_wrong_length(x):
     cl = compile_expression("x1 * x2", 2)
     with pytest.raises(LengthMismatch, match=f"point of length {len(x)} vs codelist of n=2"):
         codelist_value(cl, x)
+
+
+@pytest.mark.parametrize("source,text", [
+    # 1/inf and exp(-inf) are 0: the value is finite after the overflow
+    ("1e308/(x1*1e308*10)", "non-finite value inf from mulByC at codelist line 3"),
+    ("exp(-1e308*x1*10)", "non-finite value -inf from mulByC at codelist line 3"),
+])
+def test_an_overflow_that_exp_or_one_over_turns_finite_is_invalid_interval(source, text):
+    cl = compile_expression(source, 1)
+    box = Box.from_bounds([(0.5, 1.0)])
+    for evaluate in (cl.point_function, partial(codelist_value, cl),
+                     lambda x: alpha_bb_eval(cl, box, x, lam_lo=-1.0)):
+        with pytest.raises(InvalidInterval) as info:
+            evaluate([1.0])
+        assert (str(info.value), info.value.line) == (text, 3)
+
+
+def test_a_non_finite_component_that_no_line_reads_is_invalid_interval():
+    cl = compile_expression("exp(x1)*exp(x1)", 2)  # x2 is read by no line
+    with pytest.raises(InvalidInterval) as info:
+        codelist_value(cl, (1.0, math.inf))
+    assert str(info.value) == "non-finite value inf from var at codelist line 2"
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize("cl,x,error,line", [
+    (compile_expression("x1*x2", 2), (1e200, 1e200), InvalidInterval, 3),
+    (compile_expression("exp(x1)", 1), (1000.0,), InvalidInterval, 2),
+    (compile_expression("x1 + ln(x2 - 1)", 2), (0.0, 0.5), DomainViolation, 4),
+    (deep_codelist("powNat", Line("addC", i=31, c=1e3), m=200), (0.75, 0.25), InvalidInterval, 33),
+])
+def test_every_point_error_naming_a_codelist_line_carries_it(cl, x, error, line):
+    with pytest.raises(error, match=f"at codelist line {line}$") as info:
+        codelist_value(cl, x)
+    assert info.value.line == line
+
+
+def test_the_point_function_raises_the_package_errors_itself():
+    with pytest.raises(DomainViolation) as info:
+        compile_expression("1/x1", 1).point_function((0.0,))
+    assert (str(info.value), info.value.line) == ("recip undefined on 0.0 at codelist line 2", 2)
+    with pytest.raises(LengthMismatch, match=r"^point of length 1 vs codelist of n=2$"):
+        compile_expression("x1*x2", 2).point_function((1.0,))
+
+
+SEED_CASES = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+ODD_COMPONENTS = (0.0, -0.0, -1.0, 1e300, -1e300, math.inf, -math.inf, math.nan, None, "a")
+
+
+@cache
+def seed_codelist(index):
+    return compile_expression(SEED_CASES[index]["source"], SEED_CASES[index]["n"])
+
+
+@st.composite
+def seed_points(draw):
+    """An engine seed case and a point: box components mixed with odd ones,
+    at the right length, one short or one too long."""
+    index = draw(st.integers(0, len(SEED_CASES) - 1))
+    x = draw(st.tuples(*(
+        st.one_of(st.floats(float.fromhex(lo), float.fromhex(hi)), st.sampled_from(ODD_COMPONENTS))
+        for lo, hi in SEED_CASES[index]["box"])))
+    return index, (x + (0.5,))[:draw(st.sampled_from((len(x), len(x) - 1, len(x) + 1)))]
+
+
+@given(seed_points())
+def test_only_package_errors_leave_real_point_evaluation(case):
+    index, x = case
+    cl = seed_codelist(index)
+    for evaluate in (cl.point_function, partial(codelist_value, cl)):
+        try:
+            value = evaluate(x)
+        except HessboundError:
+            continue
+        assert len(x) == cl.n
+        values = walk(cl, x)  # a value only where every line's value is finite
+        assert all(map(math.isfinite, values)) and value.hex() == values[-1].hex()
 
 
 def test_alpha_bb_names_a_malformed_point_component():

@@ -454,6 +454,26 @@ def test_point_hessians_form_no_term_of_an_affine_line_with_r2_zero(src, n, poin
     assert H.tolist() == [want]
 
 
+@pytest.mark.parametrize("src,n,point,line", [
+    ("exp(1000*x1)", 1, [1.0], 3),
+    ("(1e200*x1)*(1e200*x2)", 2, [1.0, 1.0], 5),
+    # the outer product of two gradients overflows, and nothing else does
+    ("(1e160*x1)*(1e160*x2)", 2, [1e-200, 1e-200], 5),
+    ("exp(1e160*x1)", 1, [1e-200], 3),
+    # r'' = -1/(4 y^3) with y^3 underflowed to 0
+    ("sqrt(x1)", 1, [1e-300], 2),
+])
+@pytest.mark.parametrize("caller_settings", [{}, {"all": "ignore"}, {"all": "raise"}])
+def test_point_hessians_raise_a_float_overflow_at_its_line(src, n, point, line, caller_settings):
+    cl = compile_expression(src, n)
+    with warnings.catch_warnings(), np.errstate(**caller_settings):
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInterval) as info:
+            point_hessians(cl, [[0.5] * n, point])
+    assert str(info.value) == f"non-finite point Hessian at codelist line {line}"
+    assert info.value.line == line
+
+
 def test_point_hessians_match_analytic():
     cl = compile_expression("x1^2 + x2*exp(x2)", 2)
     H = point_hessians(cl, [[0.3, 0.7]])[0]
