@@ -38,9 +38,10 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .errors import DomainViolation, InvalidInterval, LengthMismatch, MalformedCodelist
+from .errors import (DomainViolation, InvalidArgument, InvalidInterval, LengthMismatch,
+                     MalformedCodelist)
 from .interval import (
     Interval,
     Pair,
@@ -177,6 +178,16 @@ _POINT_EXPR = {
     "addC": "v{i} + c{k}",
     "mulByC": "v{i} * c{k}",
 }
+
+
+def _point_length(x) -> int:
+    """``len(x)``, or :class:`InvalidArgument` unless ``x`` is a sequence or a 1-D array."""
+    # tuples and lists first: an isinstance test against the Sequence ABC costs
+    # several times as much as a type test
+    if (type(x) is tuple or type(x) is list or isinstance(x, Sequence)
+            or getattr(x, "ndim", None) == 1):
+        return len(x)
+    raise InvalidArgument(f"a point must be a sequence or a 1-D array, got {type(x).__name__}")
 
 
 def _point_error(lines, x, vals, err) -> Exception:
@@ -403,15 +414,17 @@ class Codelist:
         Its source is generated and compiled on first use; source line k + 3
         computes the local ``v<k>`` of codelist line k, a var line as
         ``float(x[k - 1])``.  It returns ``v<N>`` of the last line, or raises
-        :class:`LengthMismatch`, :class:`DomainViolation` or
-        :class:`InvalidInterval`, with ``line`` set to the codelist line it
+        :class:`InvalidArgument` unless ``x`` is a sequence or a 1-D array,
+        :class:`LengthMismatch`, or :class:`DomainViolation` or
+        :class:`InvalidInterval` with ``line`` set to the codelist line it
         names.  An overflow to inf raises nothing, so it checks at the end
         the lines no later line reads and the operands of ``exp`` and
         ``oneOver`` (which map inf to 0), and names the first non-finite line.
         """
         names = {"exp": math.exp, "log": math.log, "sqrt": math.sqrt, "isfinite": math.isfinite,
-                 "LengthMismatch": LengthMismatch, "fail": partial(_point_error, self.lines)}
-        src = ["def point(x):", f"    if len(x) != {self.n}: raise LengthMismatch(f'point of "
+                 "LengthMismatch": LengthMismatch, "fail": partial(_point_error, self.lines),
+                 "point_length": _point_length}
+        src = ["def point(x):", f"    if point_length(x) != {self.n}: raise LengthMismatch(f'point of "
                f"length {{len(x)}} vs codelist of n={self.n}')", "    try:"]
         for k, line in enumerate(self.lines, start=1):
             if line.op == "var":

@@ -1,8 +1,9 @@
 """Expression parsing straight into the straight-line codelist IR.
 
 The textual grammar accepts subtraction, division, unary minus and numeric
-literals for convenience.  The parser appends one codelist line per
-operation as it reads the source, in the closed operation alphabet
+literals for convenience.  The source is lexed once into a token list, and
+a recursive-descent parser over it appends one codelist line per operation
+as it reads the tokens, in the closed operation alphabet
 
     var, add, mul, powNat (m >= 2), oneOver, sqrt, exp, ln, addC, mulByC
 
@@ -20,6 +21,7 @@ its domain is restricted, in ``reference._POINT_RULES``.
 from __future__ import annotations
 
 import math
+import re
 
 from .codelist import Codelist, Line, _check_variable_count
 from .errors import ConstantExpression, ExpressionSyntaxError, InvalidArgument, UnknownVariable
@@ -34,21 +36,28 @@ _FUNCTIONS = {
     "ln": ("ln", math.log, "Ln"),
 }
 
-# Deepest nesting of parentheses and function calls.  Each level costs four
-# parser frames, so this stays well inside Python's default recursion limit
-# of 1000 with room for the caller's frames.
+# Deepest nesting of parentheses and function calls.  Each level costs five
+# parser frames (atom, group, expr, term, factor), so this stays well inside
+# Python's default recursion limit of 1000 with room for the caller's frames.
 MAX_NESTING = 150
 
-# Exponents, variable indices and number literals are written in these
-# digits only: str.isdigit() is true of '²' and '١' too, which int() and
-# float() either reject or read as 2 and 1.
-_DIGITS = frozenset("0123456789")
+# A token after its leading whitespace: a number literal, a name (letters
+# and digits of any script: [^\W_] is str.isalnum()) or any other character.
+# With \s as str.isspace(), these tiles cover the source up to its trailing
+# whitespace.  Exponents, variable indices and number literals are written
+# in ASCII digits only: str.isdigit() is true of '²' and '١' too, which
+# int() and float() either reject or read as 2 and 1.
+_TOKEN = re.compile(r"\s*([0-9.]+(?:[eE][+-]?[0-9]+)?|[^\W_]+|\S)")
+_SPACE = re.compile(r"\s*")
+_NATURAL = re.compile(r"[0-9]*")
 
 
 class _Parser:
-    """Recursive-descent parser for the expression grammar.
+    """Recursive-descent parser over the source's tokens, ``tokens[i]`` next.
 
-    Precedence (loosest to tightest): + - ; * / ; unary - ; ^ .
+    Precedence (loosest to tightest): + - ; * / ; unary - ; ^ .  The token
+    list ends in ``""``; a start is a token index, whose source position is
+    computed from the tiles before it only when an error is raised.
 
     Operations are emitted in post-order, left to right, through the
     builders at the end of the class; an operand is the ``int`` number of
@@ -63,71 +72,65 @@ class _Parser:
     def __init__(self, source: str, n: int):
         self.src = source
         self.n = n
-        self.pos = 0
+        self.tokens = _TOKEN.findall(source) + [""]
+        self.i = 0
         self.depth = 0  # open parentheses and calls
         self.lines = [Line(op="var")] * n
-        self.undefined = None  # the first undefined constant fold
+        self.undefined = None  # (message, start) of the first undefined constant fold
 
-    def error(self, message: str):
-        raise ExpressionSyntaxError(self.pos, message)
+    def position(self, k: int) -> int:
+        """The source position of token ``k``."""
+        pos = 0
+        for token in self.tokens[:k]:
+            pos = _SPACE.match(self.src, pos).end() + len(token)
+        return _SPACE.match(self.src, pos).end()
 
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
+    def error(self, message: str, k=None):
+        """Raise a syntax error at token ``k``, by default the next one."""
+        raise ExpressionSyntaxError(self.position(self.i if k is None else k), message)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def eat(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
+    def eat(self, token: str):
+        if self.tokens[self.i] != token:
+            self.error(f"expected {token!r}")
+        self.i += 1
 
     def parse(self):
         operand = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.src):
+        if self.tokens[self.i]:
             self.error("trailing input")
         if self.undefined is not None:
-            raise self.undefined
+            self.error(*self.undefined)
         return operand
 
-    def start(self) -> int:
-        """The position of the next token."""
-        self.skip_ws()
-        return self.pos
-
     def expr(self):
-        start = self.start()
+        start = self.i
         node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
+        while (op := self.tokens[self.i]) == "+" or op == "-":
+            self.i += 1
             rhs = self.term()
             node = self.add(node, rhs if op == "+" else self.neg(rhs), start)
         return node
 
     def term(self):
-        start = self.start()
+        start = self.i
         node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.peek()
-            self.pos += 1
+        while (op := self.tokens[self.i]) == "*" or op == "/":
+            self.i += 1
             rhs = self.factor()
             node = self.mul(node, rhs if op == "*" else self.recip(rhs, start), start)
         return node
 
     def factor(self):
+        tokens = self.tokens
         negations = 0
-        while self.peek() == "-":
-            self.pos += 1
+        while tokens[self.i] == "-":
+            self.i += 1
             negations += 1
-        mark, start = len(self.lines), self.pos  # peek() skipped the whitespace
+        mark, start = len(self.lines), self.i
         node = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            if self.peek() == "-":
+        if tokens[self.i] == "^":
+            self.i += 1
+            if tokens[self.i] == "-":
                 self.error("exponent must be a natural number")
             node = self.power(node, self.natural(), mark, start)
         for _ in range(negations):
@@ -135,35 +138,44 @@ class _Parser:
         return node
 
     def natural(self) -> int:
-        start = self.start()
-        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
+        """The leading digits of the next token; the rest of a number token
+        such as ``2.5`` or ``2e3`` is split off as the token after them."""
+        k, token = self.i, self.tokens[self.i]
+        digits = _NATURAL.match(token).group()
+        if not digits:
             self.error("expected a natural number")
-        return int(self.src[start:self.pos])
+        if digits != token:
+            self.tokens[k:k + 1] = [digits, token[len(digits):]]
+        self.i += 1
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            self.error(f"exponent of {len(digits)} digits is too long", k)
 
     def atom(self):
-        ch = self.peek()
-        if ch == "(":
+        k, token = self.i, self.tokens[self.i]
+        if token == "(":
             return self.group()
-        if ch.isalpha():
-            start = self.pos
-            while self.pos < len(self.src) and self.src[self.pos].isalnum():
-                self.pos += 1
-            name = self.src[start:self.pos]
-            if name in _FUNCTIONS:
-                return self.call(*_FUNCTIONS[name], self.group(), start)
-            if name.startswith("x") and name[1:].isdigit():
-                for k, digit in enumerate(name[1:], start=start + 1):
-                    if digit not in _DIGITS:
-                        raise ExpressionSyntaxError(k, f"variable index digit {digit!r} is not one of 0-9")
-                index = int(name[1:])
-                if not 1 <= index <= self.n:
-                    raise UnknownVariable(f"{name} with n={self.n}")
-                return index
-            self.pos = start
-            self.error(f"unknown identifier {name!r}")
-        if ch in _DIGITS or ch == ".":
+        if token[:1].isalpha():
+            self.i += 1
+            if token in _FUNCTIONS:
+                return self.call(*_FUNCTIONS[token], self.group(), k)
+            digits = token[1:]
+            if token[0] != "x" or not digits.isdigit():
+                self.error(f"unknown identifier {token!r}", k)
+            if not digits.isascii():
+                o = next(o for o, digit in enumerate(digits) if not digit.isascii())
+                raise ExpressionSyntaxError(
+                    self.position(k) + 1 + o, f"variable index digit {digits[o]!r} is not one of 0-9")
+            try:
+                index = int(digits)
+            except ValueError:  # more digits than int() converts
+                raise UnknownVariable(
+                    f"a variable index of {len(digits)} digits with n={self.n}") from None
+            if not 1 <= index <= self.n:
+                raise UnknownVariable(f"{token} with n={self.n}")
+            return index
+        if token and token[0] in "0123456789.":
             return self.number()
         self.error("expected an atom")
 
@@ -171,8 +183,7 @@ class _Parser:
         """``( expr )``, raising at the ``(`` that opens one level too many."""
         self.eat("(")
         if self.depth == MAX_NESTING:
-            raise ExpressionSyntaxError(
-                self.pos - 1, f"parentheses and calls nested deeper than {MAX_NESTING}")
+            self.error(f"parentheses and calls nested deeper than {MAX_NESTING}", self.i - 1)
         self.depth += 1
         node = self.expr()
         self.eat(")")
@@ -180,31 +191,19 @@ class _Parser:
         return node
 
     def number(self) -> float:
-        start = self.start()
-        while self.pos < len(self.src) and (self.src[self.pos] in _DIGITS or self.src[self.pos] == "."):
-            self.pos += 1
-        if self.pos < len(self.src) and self.src[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(self.src) and self.src[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
-                while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
-                    self.pos += 1
-            else:
-                self.pos = mark
-        text = self.src[start:self.pos]
+        k, text = self.i, self.tokens[self.i]
+        self.i += 1
         try:
             value = float(text)
         except ValueError:
-            self.error(f"bad number literal {text!r}")
+            self.error(f"bad number literal {text!r}", k)
         if math.isfinite(value):
             return value
-        return self.fail(f"number literal {text} overflows", start)
+        return self.fail(f"number literal {text} overflows", k)
 
     # -- builders: each emits its operation as one codelist line and returns
     # the line's number, or folds constant operands into a float; ``start``
-    # is where the folded subexpression starts in the source
+    # is the token the folded subexpression starts at
 
     def emit(self, op: str, i: int, j=None, c=None, m=None) -> int:
         self.lines.append(Line(op, i, j, c, m))
@@ -213,7 +212,7 @@ class _Parser:
     def fail(self, message: str, start: int) -> float:
         """Remember an undefined fold; its NaN placeholder folds on silently."""
         if self.undefined is None:
-            self.undefined = ExpressionSyntaxError(start, message)
+            self.undefined = (message, start)
         return math.nan
 
     def folded(self, value: float, start: int, label: str, *operands: float) -> float:

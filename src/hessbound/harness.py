@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import eval_improved, eval_original
-from .codelist import Codelist, _check_variable_count
+from .codelist import Codelist, _check_variable_count, _point_length
 from .errors import (
     HessboundError,
     InconsistentInputs,
@@ -126,10 +126,11 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
     factor pair (lo_i - x_i)(hi_i - x_i) is <= 0 inside the box, so the
     shift vanishes at every vertex and is <= 0 inside the box, which makes
     the result an underestimator of the function.  Raises
+    :class:`InvalidArgument` unless x is a sequence or a 1-D array, and
     :class:`InvalidInterval` when a component of x is not a number or the
     shifted value is not finite.
     """
-    if len(x) != len(box):
+    if _point_length(x) != len(box):
         raise LengthMismatch(f"point of length {len(x)} vs box of length {len(box)}")
     # containment and the sum of (lo_i - x_i)(hi_i - x_i), in one left-to-right
     # loop of plain float additions (sum() is compensated from Python 3.12)

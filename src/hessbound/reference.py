@@ -315,7 +315,8 @@ def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
     ys: List[np.ndarray] = []
     gs: List[np.ndarray] = []
     hs: List[np.ndarray] = []
-    # overflows and divisions by an underflowed 0 raise at their line (einsum would not)
+    # overflows and divisions by an underflowed 0 raise at their line (einsum would
+    # not), as does a powNat exponent that does not convert to a float
     try:
         with np.errstate(all="raise", under="ignore"):
             for k, line in enumerate(cl.lines, start=1):
@@ -354,7 +355,7 @@ def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
                 ys.append(yk)
                 gs.append(gk)
                 hs.append(h)
-    except FloatingPointError:
+    except (FloatingPointError, OverflowError):
         err = InvalidInterval(f"non-finite point Hessian at codelist line {k}")
         err.line = k
         raise err from None

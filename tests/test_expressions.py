@@ -1,5 +1,6 @@
 """Parsing expression text straight into codelist lines."""
 
+import ast
 import json
 import math
 import random
@@ -77,6 +78,30 @@ def test_digits_outside_ascii_are_syntax_errors(src, position, message):
         compile_expression(src, 2)
     assert (err.value.position, str(err.value)) == (
         position, f"syntax error at position {position}: {message}")
+
+
+@pytest.mark.parametrize("src,position,literal", [
+    ("x1 + 1..2", 5, "1..2"),
+    ("x1 + .", 5, "."),
+    (".", 0, "."),
+    ("x1*(2 + 3.4.5e2)", 8, "3.4.5e2"),
+    ("x1 +\t..e-1", 5, "..e-1"),
+])
+def test_a_bad_number_literal_is_reported_at_its_start(src, position, literal):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        compile_expression(src, 1)
+    assert (err.value.position, str(err.value)) == (
+        position, f"syntax error at position {position}: bad number literal {literal!r}")
+
+
+def test_digit_runs_that_int_refuses_are_package_errors():
+    # int() converts at most 4300 digits by default and raises ValueError past that
+    with pytest.raises(ExpressionSyntaxError) as err:
+        compile_expression("x1 ^ " + "9" * 5000, 2)
+    assert str(err.value) == "syntax error at position 5: exponent of 5000 digits is too long"
+    with pytest.raises(UnknownVariable) as err:
+        compile_expression("x2 + x" + "1" * 5000, 2)
+    assert str(err.value) == "a variable index of 5000 digits with n=2"
 
 
 # -- the closed alphabet and constant folds -------------------------------
@@ -231,6 +256,32 @@ def test_compile_matches_the_recorded_codelists():
             continue
         got = [[l.op, l.i, l.j, None if l.c is None else l.c.hex(), l.m] for l in cl.lines]
         assert case.get("lines") == got, case["source"]
+
+
+def test_parse_outcomes_match_the_recorded_fuzz_corpus():
+    """Every line (op, refs, constant as float.hex, exponent) or error (type,
+    position and text) as recorded from the earlier character-scanning parser,
+    on a seeded fuzz corpus and harness.random_function sources.  That parser
+    reported a bad number literal at its end; it is reported at its start now."""
+    cases = json.loads((Path(__file__).parent / "data" / "parse_seed.json").read_text())
+    assert len(cases) == 2060
+    moved = 0
+    for case in cases:
+        try:
+            lines = compile_expression(case["source"], case["n"]).lines[case["n"]:]
+        except HessboundError as err:
+            kind, position, text = case.get("error")
+            if "bad number literal" in text:
+                literal = text.split("bad number literal ", 1)[1]
+                position -= len(ast.literal_eval(literal))
+                text = f"syntax error at position {position}: bad number literal {literal}"
+                moved += 1
+            assert [type(err).__name__, getattr(err, "position", None), str(err)] == [
+                kind, position, text], case["source"]
+            continue
+        got = [[l.op, l.i, l.j, None if l.c is None else l.c.hex(), l.m] for l in lines]
+        assert case.get("lines") == got, case["source"]
+    assert moved == 56
 
 
 # -- round-trip evaluation ------------------------------------------------

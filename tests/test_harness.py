@@ -373,6 +373,25 @@ def test_only_package_errors_leave_real_point_evaluation(case):
         assert all(map(math.isfinite, values)) and value.hex() == values[-1].hex()
 
 
+@pytest.mark.parametrize("x", [5, None, {0.5, 1.0}, {0: 0.5, 2: 1.0}, {0: 0.5, 1: 1.0},
+                               np.float64(0.5), np.array([[0.5, 1.0]])])
+def test_a_point_that_is_not_a_sequence_is_an_invalid_argument(x):
+    cl = compile_expression("x1 * x2", 2)
+    box = Box.from_bounds([(0.0, 1.0), (0.0, 2.0)])
+    text = f"^a point must be a sequence or a 1-D array, got {type(x).__name__}$"
+    for evaluate in (cl.point_function, partial(codelist_value, cl),
+                     lambda x: alpha_bb_eval(cl, box, x, -1.0)):
+        with pytest.raises(InvalidArgument, match=text):
+            evaluate(x)
+
+
+@pytest.mark.parametrize("x", [[0.5, 1.0], (0.5, 1.0), np.array([0.5, 1.0])])
+def test_lists_tuples_and_1d_arrays_are_points(x):
+    cl = compile_expression("x1 * x2", 2)
+    box = Box.from_bounds([(0.0, 1.0), (0.0, 2.0)])
+    assert cl.point_function(x) == codelist_value(cl, x) == alpha_bb_eval(cl, box, x, 0.0) == 0.5
+
+
 def test_alpha_bb_names_a_malformed_point_component():
     cl = compile_expression("x1 * x2", 2)
     box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])

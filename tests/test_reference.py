@@ -462,6 +462,8 @@ def test_point_hessians_form_no_term_of_an_affine_line_with_r2_zero(src, n, poin
     ("exp(1e160*x1)", 1, [1e-200], 3),
     # r'' = -1/(4 y^3) with y^3 underflowed to 0
     ("sqrt(x1)", 1, [1e-300], 2),
+    # an exponent of 10^400 - 1 does not convert to a float
+    pytest.param("x1^" + "9" * 400 + " + x2", 2, [0.7, 0.5], 3, id="x1^(10^400-1) + x2"),
 ])
 @pytest.mark.parametrize("caller_settings", [{}, {"all": "ignore"}, {"all": "raise"}])
 def test_point_hessians_raise_a_float_overflow_at_its_line(src, n, point, line, caller_settings):
