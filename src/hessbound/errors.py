@@ -1,8 +1,21 @@
 """Exception types shared across the package."""
 
+import re
+
+# a run of more than 40 non-space characters, such as a digit run or a name
+# quoted from user input; the package's own words are far shorter
+_LONG_RUN = re.compile(r"\S{41,}")
+
 
 class HessboundError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Its text keeps the first and last 16 characters of each long run, so a
+    message that quotes user input stays short; a cut text is not cut again.
+    """
+
+    def __str__(self):
+        return _LONG_RUN.sub(lambda run: f"{run[0][:16]}...{run[0][-16:]}", super().__str__())
 
     def __reduce__(self):
         # rebuilt from its args and attributes, not by calling __init__ again:

@@ -332,8 +332,6 @@ def random_function(n: int, seed: int, *, require_mul: bool = False) -> CorpusEn
     budget = _EXTRA_OPS + len(pool)
     while len(pool) > 1 or steps < budget:
         steps += 1
-        if steps > 10 * budget:
-            break
         if len(pool) > 1 and (rng.random() < 0.6 or steps >= budget):
             (e1, v1) = pool.pop()
             (e2, v2) = pool.pop()

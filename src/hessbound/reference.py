@@ -18,14 +18,15 @@ compared against:
   the one entry (p, p) added into the line's stack.  No carrier is written
   into by a later line, and each is ``None`` after its last reader.  An
   overflow in any Hessian entry raises :class:`InvalidInterval` at the
-  operation where it happens, in a pair kernel or a numpy stack alike,
-  whatever the caller's numpy error settings; an error of the line's own
-  r'' (``pow overflow``, ``sqrt r'' overflow``) comes first;
+  operation where it happens, in a pair kernel or a numpy stack alike; an
+  error of the line's own r'' (``pow overflow``, ``sqrt r'' overflow``)
+  comes first;
 * :func:`gershgorin_bounds` -- disc bounds from such an enclosure;
 * :func:`hertz_rohn_bounds` -- exact extremal eigenvalues of a symmetric
   interval matrix via signed vertex enumeration, with the vertex matrices
   solved in stacked batches by LAPACK (``numpy.linalg.eigvalsh``);
-* :func:`sym_eigen_range` -- eigenvalue range of one symmetric matrix;
+* :func:`sym_eigen_range` -- eigenvalue range of one symmetric matrix,
+  checked as a :class:`SymIntervalMatrix` is;
 * :func:`point_hessians` -- exact real Hessians at a batch of points, used
   as a sampling oracle; it has its own float rules, so sampling checks the
   interval rules rather than repeating them.  Their table has the shape of
@@ -34,6 +35,9 @@ compared against:
   its constant (``mulByC``), and forms no r'' g gᵀ term.  Like
   :func:`interval_hessian` it raises :class:`InvalidInterval` at the line
   where a float overflows.
+
+Each array routine runs under numpy's error setting ``_FLOAT_ERRORS``, not the caller's:
+overflows raise, and Gershgorin and Hertz-Rohn report them as :class:`InvalidInterval`.
 """
 
 from __future__ import annotations
@@ -75,6 +79,8 @@ VERTEX_DIMENSION_LIMIT = 20
 # vertices per batched eigvalsh call, which solves both sides of each: a
 # 2 x 2048 x n x n stack of doubles, 13 MB at n = 20
 _VERTEX_CHUNK = 2048
+# numpy's errors in each array routine: overflow and invalid raise, underflow rounds
+_FLOAT_ERRORS = {"all": "raise", "under": "ignore"}
 
 
 def _symmetric(a: np.ndarray) -> bool:
@@ -94,7 +100,7 @@ class SymIntervalMatrix:
         try:
             lo = np.asarray(self.lo, dtype=float)
             hi = np.asarray(self.hi, dtype=float)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise InvalidArgument(f"interval matrix entries are not real numbers: {err}") from None
         if lo.shape != hi.shape or lo.ndim != 2 or lo.shape[0] != lo.shape[1]:
             raise NotSymmetric(f"bad shapes {lo.shape} / {hi.shape}")
@@ -115,7 +121,7 @@ class SymIntervalMatrix:
         return Interval(self.lo[i, j], self.hi[i, j])
 
     def mid_rad(self) -> Tuple[np.ndarray, np.ndarray]:
-        return 0.5 * (self.lo + self.hi), 0.5 * (self.hi - self.lo)
+        return 0.5 * self.lo + 0.5 * self.hi, 0.5 * self.hi - 0.5 * self.lo
 
     def contains_matrix(self, m: np.ndarray, slack: float = 0.0) -> bool:
         return bool(np.all(self.lo - slack <= m) and np.all(m <= self.hi + slack))
@@ -124,8 +130,7 @@ class SymIntervalMatrix:
 # -- interval Hessian propagation: the helpers take a pair or a stack -------
 # Each helper raises where an endpoint overflows: a pair kernel raises
 # InvalidInterval, and a stack operation FloatingPointError, since
-# interval_hessian raises numpy's overflow and invalid errors and ignores
-# the others, whatever the caller's settings.
+# interval_hessian runs under _FLOAT_ERRORS.
 
 def _scale(s: Pair, m):
     """Elementwise product of the scalar interval s, a (lo, hi) pair, with a pair or a stack m.
@@ -192,8 +197,8 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     Every expression keeps the association order of the elementwise
     Interval formulas, so each entry equals (==) the per-entry Interval
     result.  It is exactly symmetric, as c + cᵀ and g gᵀ are.  Raises
-    :class:`InvalidInterval` at the line where an entry overflows, whatever
-    numpy's error settings are; an error of that line's r'' comes first.
+    :class:`InvalidInterval` at the line where an entry overflows; an error
+    of that line's r'' comes first.
     """
     n = cl.n
     last_read = cl.last_read
@@ -255,7 +260,7 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
                 hs[ref - 1] = None
         return m
 
-    with np.errstate(all="ignore", over="raise", invalid="raise"):
+    with np.errstate(**_FLOAT_ERRORS):
         m = _walk(cl, box, hessian, None)[2][-1]
     if type(m) is not np.ndarray:  # zero, or the pair of the last line's one-variable block (p,)
         pair, m = m, np.zeros((2, n, n))
@@ -298,8 +303,7 @@ def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
     """Real Hessians at a batch of points.
 
     ``xs`` has shape (P, n) and finite entries; the result has shape (P, n, n).
-    A float overflow raises :class:`InvalidInterval` naming its codelist line,
-    whatever numpy's error settings are.
+    A float overflow raises :class:`InvalidInterval` naming its codelist line.
     """
     try:
         xs = np.asarray(xs, dtype=float)
@@ -318,7 +322,7 @@ def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
     # overflows and divisions by an underflowed 0 raise at their line (einsum would
     # not), as does a powNat exponent that does not convert to a float
     try:
-        with np.errstate(all="raise", under="ignore"):
+        with np.errstate(**_FLOAT_ERRORS):
             for k, line in enumerate(cl.lines, start=1):
                 if line.op == "var":
                     ys.append(xs[:, k - 1])
@@ -366,11 +370,14 @@ def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
 
 def gershgorin_bounds(mat: SymIntervalMatrix) -> Interval:
     """Disc-based eigenvalue bounds for a symmetric interval matrix."""
-    n = mat.n
-    mags = np.maximum(np.abs(mat.lo), np.abs(mat.hi))
-    off = mags.sum(axis=1) - np.diag(mags)
-    lo = float(np.min(np.diag(mat.lo) - off))
-    hi = float(np.max(np.diag(mat.hi) + off))
+    try:
+        with np.errstate(**_FLOAT_ERRORS):
+            mags = np.maximum(np.abs(mat.lo), np.abs(mat.hi))
+            off = mags.sum(axis=1) - np.diag(mags)
+            lo = float(np.min(np.diag(mat.lo) - off))
+            hi = float(np.max(np.diag(mat.hi) + off))
+    except FloatingPointError:
+        raise InvalidInterval("non-finite Gershgorin disc") from None
     return Interval(lo, hi)
 
 
@@ -386,38 +393,34 @@ def hertz_rohn_bounds(mat: SymIntervalMatrix) -> Interval:
     n = mat.n
     if n > VERTEX_DIMENSION_LIMIT:
         raise DimensionTooLarge(f"vertex enumeration limited to n <= {VERTEX_DIMENSION_LIMIT}, got {n}")
-    mid, rad = mat.mid_rad()
-    # the enclosure need only be allclose-symmetric; make each vertex exactly so
-    mid = 0.5 * (mid + mid.T)
-    rad = 0.5 * (rad + rad.T)
     shifts = np.arange(n - 1)
     count = 1 << (n - 1)
-    lo = math.inf
-    hi = -math.inf
-    for start in range(0, count, _VERTEX_CHUNK):
-        bits = np.arange(start, min(start + _VERTEX_CHUNK, count))
-        z = np.ones((bits.size, n))
-        z[:, 1:] -= 2.0 * ((bits[:, None] >> shifts) & 1)
-        signed = z[:, :, None] * z[:, None, :]
-        signed *= rad
-        vertices = np.stack((-signed, signed))
-        vertices += mid  # mid -+ signed; LAPACK solves each matrix on its own
-        w = np.linalg.eigvalsh(vertices)
-        lo = min(lo, float(w[0, :, 0].min()))
-        hi = max(hi, float(w[1, :, -1].max()))
+    lo, hi = math.inf, -math.inf
+    try:
+        with np.errstate(**_FLOAT_ERRORS):
+            mid, rad = mat.mid_rad()
+            # make each vertex exactly symmetric: the enclosure need only be allclose so
+            mid = 0.5 * mid + 0.5 * mid.T
+            rad = 0.5 * rad + 0.5 * rad.T
+            for start in range(0, count, _VERTEX_CHUNK):
+                bits = np.arange(start, min(start + _VERTEX_CHUNK, count))
+                z = np.ones((bits.size, n))
+                z[:, 1:] -= 2.0 * ((bits[:, None] >> shifts) & 1)
+                signed = z[:, :, None] * z[:, None, :]
+                signed *= rad
+                vertices = np.stack((-signed, signed))
+                vertices += mid  # mid -+ signed; LAPACK solves each matrix on its own
+                w = np.linalg.eigvalsh(vertices)
+                lo = min(lo, float(w[0, :, 0].min()))
+                hi = max(hi, float(w[1, :, -1].max()))
+    except FloatingPointError:
+        raise InvalidInterval("non-finite Hertz-Rohn vertex") from None
     return Interval(lo, hi)
 
 
 def sym_eigen_range(m: np.ndarray) -> Interval:
-    """Smallest and largest eigenvalue of one symmetric matrix (LAPACK)."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-    scale = np.linalg.norm(a)
-    if not np.allclose(a, a.T, atol=max(scale, 1.0) * 1e-12):
-        raise NotSymmetric("matrix is not symmetric")
-    if a.shape[0] == 1:
-        v = float(a[0, 0])
-        return Interval(v, v)
-    w = np.linalg.eigvalsh(0.5 * (a + a.T))
+    """Eigenvalue range of one symmetric matrix (LAPACK), checked as a SymIntervalMatrix is."""
+    a = SymIntervalMatrix(m, m).lo
+    with np.errstate(**_FLOAT_ERRORS):
+        w = np.linalg.eigvalsh(0.5 * a + 0.5 * a.T)
     return Interval(float(w[0]), float(w[-1]))

@@ -164,6 +164,18 @@ def test_underestimate_json(capsys):
     assert abs(data["value"]) < 1e-12
 
 
+def test_underestimate_text(capsys):
+    code, out, err = run(capsys, "underestimate", "--inline", "x1*x2",
+                         "--vars", "2", "--box", "0,1;0,1", "--at", "0.5,0.5")
+    assert (code, out, err) == (0, "eigenLower: -1\nvalue:      0\n", "")
+
+
+def test_underestimate_point_of_the_wrong_length(capsys):
+    code, out, err = run(capsys, "underestimate", "--inline", "x1*x2",
+                         "--vars", "2", "--box", "0,1;0,1", "--at", "0.5")
+    assert (code, out, err) == (2, "", "error: point has 1 components, expected 2\n")
+
+
 def test_underestimate_malformed_point_names_its_component(capsys):
     code, out, err = run(capsys, "underestimate", "--inline", "x1*x2",
                          "--vars", "2", "--box", "0,1;0,1", "--at", "a,1")

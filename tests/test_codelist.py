@@ -395,6 +395,11 @@ def test_index_sets_and_blocks_are_consistent():
         assert [tuple(sorted(g)) for g in grads] == list(cl.supports[:len(grads)])
 
 
+def test_len_is_the_line_count():
+    cl = compile_expression("x1*x2 + exp(x1)", 2)
+    assert len(cl) == len(cl.lines) == 5
+
+
 def test_codelist_pickles_before_and_after_a_point_evaluation():
     cl = compile_expression("x1*x2 + exp(x1) + 1.5*sqrt(x2)", 2)
     box = Box.from_bounds([(0.5, 1.0), (1.0, 2.0)])

@@ -136,6 +136,12 @@ def test_alpha_bb_rejects_outside_point():
         alpha_bb_eval(cl, box, (2.0, 0.5))
 
 
+def test_alpha_bb_rejects_a_point_of_the_wrong_length():
+    cl = compile_expression("x1*x2", 2)
+    with pytest.raises(LengthMismatch, match="^point of length 1 vs box of length 2$"):
+        alpha_bb_eval(cl, Box.from_bounds([(0, 1), (0, 1)]), (0.5,))
+
+
 @pytest.mark.parametrize("source,bounds,x", [
     ("exp(x1)", (0, 1000), 1000.0),
     ("x1^3", (0, 1e150), 1e150),
@@ -466,6 +472,13 @@ def _argument_error(call) -> str:
     return str(info.value)
 
 
+def test_read_corpus_reads_only_txt_files_and_skips_blank_lines(tmp_path):
+    (tmp_path / "notes.md").write_text("not a corpus file\n")
+    (tmp_path / "f.txt").write_text("\nvars: 2\n\n# domain: 0,1;0,2\n  \nx1*x2\n\n+ x2\n")
+    assert read_corpus(str(tmp_path)) == [
+        CorpusEntry("f", 2, Box.from_bounds([(0, 1), (0, 2)]), "x1*x2 + x2")]
+
+
 def test_read_corpus_rejects_incomplete_file(tmp_path):
     (tmp_path / "bad.txt").write_text("x1 + x2\n")
     assert (_argument_error(lambda: read_corpus(str(tmp_path)))
@@ -627,6 +640,35 @@ def test_every_error_pickles_with_its_type_text_and_attributes(cls):
         assert (str(copy), copy.args, vars(copy)) == (str(err), err.args, vars(err))
 
 
+# inputs whose error quotes a run of thousands of characters: (call, type, position or line)
+_LONG_INPUT_ERRORS = {
+    "variable index": (lambda: compile_expression("x" + "1" * 4000, 2), UnknownVariable, None),
+    "overflowing literal": (lambda: compile_expression("x1 + 1" + "0" * 4000 + "*x1", 2),
+                            ExpressionSyntaxError, 5),
+    "identifier": (lambda: compile_expression("y" * 5000, 1), ExpressionSyntaxError, 0),
+    "bad literal": (lambda: compile_expression("x1 + 1." + "1" * 5000 + ".", 1),
+                    ExpressionSyntaxError, 5),
+    "pow exponent": (lambda: eval_improved(compile_expression("x1^" + "9" * 400 + " + x2", 2),
+                                           Box.from_bounds([(0.5, 0.9), (0.1, 1.0)])),
+                     InvalidInterval, 3),
+    "point component": (lambda: codelist_value(compile_expression("x1", 1), [10 ** 4000]),
+                        InvalidInterval, None),
+    "box component": (lambda: parse_box("1," + "9" * 5000 + "x", 1), InvalidArgument, None),
+}
+
+
+@pytest.mark.parametrize("case", _LONG_INPUT_ERRORS)
+def test_an_error_quoting_a_long_input_has_a_short_text(case):
+    call, kind, where = _LONG_INPUT_ERRORS[case]
+    with pytest.raises(kind) as info:
+        call()
+    err, text = info.value, str(info.value)
+    assert getattr(err, "position" if kind is ExpressionSyntaxError else "line", None) == where
+    assert len(text) <= 200 and "..." in text
+    err.args = (text,)  # as run_compare names an entry: a cut text is not cut again
+    assert str(err) == text
+
+
 def test_an_error_named_by_run_compare_pickles():
     with pytest.raises(ExpressionSyntaxError) as info:
         run_compare([CorpusEntry("g", 1, Box.from_bounds([(0.0, 1.0)]), "x1^²")], 2)
@@ -651,6 +693,7 @@ def test_run_compare_skips_overflow():
     assert not res.records and len(res.skips) == 5
     for s in res.skips:
         assert s.reason.startswith("InvalidInterval")
+    assert emit_report(res, "table").endswith("\nskipped boxes: 5\n")
 
 
 def test_run_compare_matches_recorded_records_and_skips():

@@ -3,6 +3,7 @@ package calls through; otherwise its per-layer metrics silently read 0."""
 
 import importlib.util
 import pickle
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,15 @@ def test_results_compare_by_their_fields_gradient_included():
     other = Box([res.gradient[0], Interval(0.0, 0.0)])
     assert bounds.EvalResult(res.value, other, res.eigen, res.method, res.op_count) != res
     assert pickle.loads(pickle.dumps(res)) == res
+
+
+def test_a_result_is_frozen_and_unequal_to_other_types():
+    res = bounds.eval_original(compile_expression("x1*x2", 2), Box.from_bounds([(0, 1), (0, 1)]))
+    with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'eigen'$"):
+        res.eigen = Interval(0.0, 0.0)
+    with pytest.raises(FrozenInstanceError, match="^cannot delete field 'value'$"):
+        del res.value
+    assert (res == (res.value, res.gradient, res.eigen, res.method, res.op_count)) is False
 
 
 def test_engines_call_the_lambda_operators_through_the_module(monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -15,16 +16,18 @@ from hessbound import (
     Box,
     DimensionTooLarge,
     DomainViolation,
+    HessboundError,
     Interval,
     InvalidArgument,
     InvalidInterval,
     LengthMismatch,
     NotSymmetric,
     compile_expression,
+    eval_improved,
     eval_original,
 )
 from hessbound import reference
-from hessbound.harness import random_boxes, random_function
+from hessbound.harness import CorpusEntry, random_boxes, random_function, run_compare
 from hessbound.reference import (
     SymIntervalMatrix,
     gershgorin_bounds,
@@ -616,3 +619,88 @@ def test_sym_eigen_range_matches_numpy_randomized():
 def test_sym_eigen_range_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         sym_eigen_range(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# -- the references under the caller's strictest settings ------------------
+# Each reference routine sets numpy's error handling itself, so a caller who
+# turns warnings into errors, or has numpy raise on every float event, sees
+# the same result or a package error, never a RuntimeWarning or a bare
+# FloatingPointError.
+
+@pytest.fixture(params=["warnings", "numpy"])
+def strict(request):
+    with warnings.catch_warnings(), np.errstate(all="raise" if request.param == "numpy" else "warn"):
+        warnings.simplefilter("error")
+        yield
+
+
+# every Hessian entry is finite (at most 5e307), and a row sum of them is not
+GERSHGORIN_OVERFLOW = ("5e307*x1*(x2 + x3 + x4 + x5)", Box.from_bounds([(0, 1)] + [(0, 0.1)] * 4))
+# y'' = 1.6e308 on the whole box: lo + hi would overflow in a midpoint
+MIDPOINT_OVERFLOW = ("8e307*x1^2", Box.from_bounds([(0, 1e-100)]))
+# its midpoints and radii underflow to subnormals
+SUBNORMAL = SymIntervalMatrix([[3e-308, 1e-310], [1e-310, 5e-324]],
+                              [[5e-308, 1e-310], [1e-310, 1e-323]])
+
+
+def test_gershgorin_overflow_is_an_invalid_interval(strict):
+    src, box = GERSHGORIN_OVERFLOW
+    enc = interval_hessian(compile_expression(src, 5), box)
+    assert np.isfinite(enc.hi).all() and enc.hi.max() == 5e307
+    with pytest.raises(InvalidInterval, match="^non-finite Gershgorin disc$"):
+        gershgorin_bounds(enc)
+
+
+def test_hertz_rohn_midpoint_does_not_overflow(strict):
+    src, box = MIDPOINT_OVERFLOW
+    cl = compile_expression(src, 1)
+    enc = interval_hessian(cl, box)
+    want = Interval(1.6e308, 1.6e308)
+    assert hertz_rohn_bounds(enc) == gershgorin_bounds(enc) == want
+    assert eval_original(cl, box).eigen == eval_improved(cl, box).eigen == want
+    mid, rad = enc.mid_rad()
+    assert mid.tolist() == [[1.6e308]] and rad.tolist() == [[0.0]]
+
+
+def test_hertz_rohn_vertex_past_the_float_range_is_an_invalid_interval(strict):
+    # mid + rad rounds one unit above the largest float, hi
+    m = SymIntervalMatrix([[1.2055769063657978e308]], [[np.finfo(float).max]])
+    with pytest.raises(InvalidInterval, match="^non-finite Hertz-Rohn vertex$"):
+        hertz_rohn_bounds(m)
+
+
+def test_hertz_rohn_underflow_keeps_the_result(strict):
+    with np.errstate(all="ignore"):
+        want = hertz_rohn_bounds(SUBNORMAL)
+    assert hertz_rohn_bounds(SUBNORMAL).hi.hex() == want.hi.hex()
+    assert hertz_rohn_bounds(SUBNORMAL).lo.hex() == want.lo.hex()
+    g = gershgorin_bounds(SUBNORMAL)
+    assert g.lo <= want.lo and want.hi <= g.hi
+
+
+@pytest.mark.parametrize("m", [
+    np.zeros((0, 0)),
+    np.zeros((2, 3)),
+    [["a"]],
+    [[10 ** 400]],
+    [[math.nan]],
+    [[math.inf, 0.0], [0.0, 1.0]],
+    [[0.0, 1.0], [0.5, 0.0]],
+], ids=["empty", "2x3", "string", "huge int", "nan", "inf", "asymmetric"])
+def test_sym_eigen_range_raises_the_errors_of_sym_interval_matrix(m, strict):
+    with pytest.raises(HessboundError) as want:
+        SymIntervalMatrix(m, m)
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        sym_eigen_range(m)
+
+
+def test_sym_eigen_range_of_a_large_matrix(strict):
+    assert sym_eigen_range([[1e308, 0.0], [0.0, 1.0]]) == Interval(1.0, 1e308)
+
+
+def test_run_compare_skips_a_gershgorin_overflow(strict):
+    src, box = GERSHGORIN_OVERFLOW
+    # the Hessian is constant, so every sub-box overflows row 1's disc
+    result = run_compare([CorpusEntry("wide", 5, box, src)], boxes_per_function=3)
+    assert result.records == []
+    assert [s.reason for s in result.skips] == ["InvalidInterval: non-finite Gershgorin disc"] * 3
