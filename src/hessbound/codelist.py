@@ -41,7 +41,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (DomainViolation, InvalidArgument, InvalidInterval, LengthMismatch,
-                     MalformedCodelist)
+                     MalformedCodelist, shown)
 from .interval import (
     Interval,
     Pair,
@@ -201,7 +201,7 @@ def _point_error(lines, x, vals, err) -> Exception:
         k = err.__traceback__.tb_lineno - 3  # the point function's own frame
         line = lines[k - 1]
         if line.op == "var":  # float() of the component failed
-            return InvalidInterval(f"point component {k} is {x[k - 1]!r}, not a number")
+            return InvalidInterval(f"point component {k} is {shown(x[k - 1])}, not a number")
         arg = vals[f"v{line.i}"]
         if not isinstance(err, OverflowError):
             return DomainViolation("recip" if line.op == "oneOver" else line.op, arg, line=k)

@@ -7,6 +7,14 @@ import re
 _LONG_RUN = re.compile(r"\S{41,}")
 
 
+def shown(value) -> str:
+    """``repr(value)``, or a placeholder for an int past repr's 4300 digits, also in a container."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
+
+
 class HessboundError(Exception):
     """Base class for all errors raised by this package.
 

@@ -37,6 +37,7 @@ from .errors import (
     InvalidInterval,
     LengthMismatch,
     PointOutsideBox,
+    shown,
 )
 from .expressions import compile_expression
 from .interval import Box, Interval
@@ -136,14 +137,13 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
     # loop of plain float additions (sum() is compensated from Python 3.12)
     s = 0.0
     try:
-        for d, xi in zip(box.dims, x):
+        for k, (d, xi) in enumerate(zip(box.dims, x), start=1):
             lo, hi = d.lo, d.hi
             if not lo - 1e-12 <= xi <= hi + 1e-12:
-                raise PointOutsideBox(f"{tuple(x)} is not in {box}")
+                raise PointOutsideBox(f"{shown(tuple(x))} is not in {box}")
             s += (lo - xi) * (hi - xi)
-    except TypeError:  # xi is the first component that is not a number
-        k = next(k for k, v in enumerate(x, start=1) if v is xi)
-        raise InvalidInterval(f"point component {k} is {xi!r}, not a number") from None
+    except TypeError:  # xi, component k, is the first that is not a number
+        raise InvalidInterval(f"point component {k} is {shown(xi)}, not a number") from None
     if lam_lo is None:
         lam_lo = eval_improved(cl, box).eigen.lo
     val = codelist_value(cl, x)

@@ -136,6 +136,12 @@ def test_alpha_bb_rejects_outside_point():
         alpha_bb_eval(cl, box, (2.0, 0.5))
 
 
+def test_alpha_bb_rejects_an_outside_int_too_long_to_print():
+    box = Box.from_bounds([(0, 1)])
+    with pytest.raises(PointOutsideBox, match=r"^<tuple too long to show> is not in "):
+        alpha_bb_eval(compile_expression("x1", 1), box, [10 ** 5000])
+
+
 def test_alpha_bb_rejects_a_point_of_the_wrong_length():
     cl = compile_expression("x1*x2", 2)
     with pytest.raises(LengthMismatch, match="^point of length 1 vs box of length 2$"):
@@ -293,6 +299,13 @@ def test_codelist_value_reraises_a_malformed_point():
         codelist_value(cl, (1.0, "a"))
     with pytest.raises(InvalidInterval, match=r"^point component 2 is None, not a number$"):
         codelist_value(cl, (1.0, None))
+
+
+def test_codelist_value_names_an_int_too_long_to_print():
+    # repr of an int over Python's 4300-digit limit raises ValueError itself
+    text = r"^point component 1 is <int too long to show>, not a number$"
+    with pytest.raises(InvalidInterval, match=text):
+        codelist_value(compile_expression("x1", 1), [10 ** 5000])
 
 
 @pytest.mark.parametrize("x", [(1.0,), (1.0, 2.0, 3.0)])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from hessbound import (
     Box,
@@ -541,6 +541,36 @@ def _random_sym_interval(rng, n):
     return SymIntervalMatrix(np.minimum(a, b), np.maximum(a, b))
 
 
+# LAPACK's syevd returns the entry of a 1 x 1 matrix itself.  It solves a
+# larger diagonal matrix exactly, too, unless its largest magnitude lies
+# outside [2^-484.5, 2^484.5] (about [1.4e-146, 7.1e145]): it then scales the
+# matrix by a factor that rounds.  So a 1 x 1 matrix takes any finite
+# endpoints, subnormals and the largest floats among them, and a larger one
+# endpoints of at most 1e145, with one of at least 1e-145 in each endpoint
+# matrix (the diagonal of a vertex).
+_MAX = np.finfo(float).max
+
+
+@st.composite
+def _diagonal_ends(draw):
+    n = draw(st.integers(1, 4))
+    bound = _MAX if n == 1 else 1e145
+    ends = st.floats(-bound, bound)
+    lo, hi = zip(*(sorted(draw(st.tuples(ends, ends))) for _ in range(n)))
+    assume(n == 1 or min(max(map(abs, lo)), max(map(abs, hi))) >= 1e-145)
+    return list(lo), list(hi)
+
+
+@given(_diagonal_ends())
+@example(([5e-324], [1.5e-323]))  # mid + rad was 2e-323
+@example(([1.2055769063657978e308], [_MAX]))  # mid + rad overflowed
+@example(([5e-324, 1.0], [1.5e-323, 2.0]))  # mid - rad was 0
+def test_hertz_rohn_of_a_diagonal_interval_matrix_is_its_diagonal_hull(ends):
+    lo, hi = ends
+    m = SymIntervalMatrix(np.diag(lo), np.diag(hi))
+    assert hertz_rohn_bounds(m) == Interval(min(lo), max(hi))
+
+
 def test_hertz_rohn_chunking_does_not_change_the_result(monkeypatch):
     rng = np.random.default_rng(41)
     mats = [_random_sym_interval(rng, n) for n in range(2, 7) for _ in range(4)]
@@ -621,8 +651,14 @@ def test_sym_eigen_range_rejects_asymmetric():
         sym_eigen_range(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_sym_eigen_range_solves_the_matrix_as_given():
+    # 0.5 * 5e-324 + 0.5 * 5e-324 would be 0
+    assert sym_eigen_range([[5e-324]]) == Interval(5e-324, 5e-324)
+
+
 # -- the references under the caller's strictest settings ------------------
-# Each reference routine sets numpy's error handling itself, so a caller who
+# Each reference routine sets numpy's error handling itself, or leaves its only
+# float arithmetic to eigvalsh, which sets its own, so a caller who
 # turns warnings into errors, or has numpy raise on every float event, sees
 # the same result or a package error, never a RuntimeWarning or a bare
 # FloatingPointError.
@@ -638,7 +674,7 @@ def strict(request):
 GERSHGORIN_OVERFLOW = ("5e307*x1*(x2 + x3 + x4 + x5)", Box.from_bounds([(0, 1)] + [(0, 0.1)] * 4))
 # y'' = 1.6e308 on the whole box: lo + hi would overflow in a midpoint
 MIDPOINT_OVERFLOW = ("8e307*x1^2", Box.from_bounds([(0, 1e-100)]))
-# its midpoints and radii underflow to subnormals
+# subnormal endpoints, whose midpoints and radii would underflow
 SUBNORMAL = SymIntervalMatrix([[3e-308, 1e-310], [1e-310, 5e-324]],
                               [[5e-308, 1e-310], [1e-310, 1e-323]])
 
@@ -662,11 +698,10 @@ def test_hertz_rohn_midpoint_does_not_overflow(strict):
     assert mid.tolist() == [[1.6e308]] and rad.tolist() == [[0.0]]
 
 
-def test_hertz_rohn_vertex_past_the_float_range_is_an_invalid_interval(strict):
-    # mid + rad rounds one unit above the largest float, hi
-    m = SymIntervalMatrix([[1.2055769063657978e308]], [[np.finfo(float).max]])
-    with pytest.raises(InvalidInterval, match="^non-finite Hertz-Rohn vertex$"):
-        hertz_rohn_bounds(m)
+def test_hertz_rohn_vertex_next_to_the_largest_float_is_exact(strict):
+    # mid + rad would round one unit above hi, the largest float; a vertex takes hi itself
+    m = SymIntervalMatrix([[1.2055769063657978e308]], [[_MAX]])
+    assert hertz_rohn_bounds(m) == Interval(1.2055769063657978e308, _MAX)
 
 
 def test_hertz_rohn_underflow_keeps_the_result(strict):
@@ -686,12 +721,20 @@ def test_hertz_rohn_underflow_keeps_the_result(strict):
     [[math.nan]],
     [[math.inf, 0.0], [0.0, 1.0]],
     [[0.0, 1.0], [0.5, 0.0]],
-], ids=["empty", "2x3", "string", "huge int", "nan", "inf", "asymmetric"])
+    [[0.0, 1e308], [-1e308, 0.0]],
+], ids=["empty", "2x3", "string", "huge int", "nan", "inf", "asymmetric",
+        "asymmetry past the float range"])
 def test_sym_eigen_range_raises_the_errors_of_sym_interval_matrix(m, strict):
     with pytest.raises(HessboundError) as want:
         SymIntervalMatrix(m, m)
     with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
         sym_eigen_range(m)
+
+
+def test_an_asymmetry_past_the_float_range_is_not_symmetric(strict):
+    # lo - lo.T overflows inside np.allclose
+    with pytest.raises(NotSymmetric, match="^endpoint matrices must be symmetric$"):
+        SymIntervalMatrix([[0.0, 1e308], [-1e308, 0.0]], [[0.0, 1e308], [1e308, 0.0]])
 
 
 def test_sym_eigen_range_of_a_large_matrix(strict):
