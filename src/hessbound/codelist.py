@@ -201,7 +201,8 @@ def _point_error(lines, x, vals, err) -> Exception:
         k = err.__traceback__.tb_lineno - 3  # the point function's own frame
         line = lines[k - 1]
         if line.op == "var":  # float() of the component failed
-            return InvalidInterval(f"point component {k} is {shown(x[k - 1])}, not a number")
+            why = "too large for a float" if isinstance(err, OverflowError) else "not a number"
+            return InvalidInterval(f"point component {k} is {shown(x[k - 1])}, {why}")
         arg = vals[f"v{line.i}"]
         if not isinstance(err, OverflowError):
             return DomainViolation("recip" if line.op == "oneOver" else line.op, arg, line=k)

@@ -15,6 +15,11 @@ tolerance eps.  The module also hosts real-point evaluation, which runs
 a codelist's generated ``point_function``, the alpha-BB convex
 underestimator built on it, and a seeded random-function generator used
 to build corpora.
+
+The underestimator keeps the endpoints of the last box it was asked about,
+with its containment slack added, in a one-entry slot keyed by the identity
+of ``box.dims``: points on one ``Box`` object read them once, and a call on
+a new ``Box`` object pays about a microsecond to read them again.
 """
 
 from __future__ import annotations
@@ -117,6 +122,15 @@ def codelist_value(cl: Codelist, x: Sequence[float]) -> float:
     return cl.point_function(x)
 
 
+# The box that alpha_bb_eval last prepared: (box components, ends), with
+# (lo - 1e-12, hi + 1e-12, lo, hi) in ends for each component.  It is reused
+# only for the same component tuple, compared with ``is``, as the engines reuse
+# their last value pass; the strong reference keeps the id from being recycled
+# while the slot holds it.  The slot is one tuple, read and replaced whole, so
+# threads that share it at worst prepare a box again.
+_last_box = None
+
+
 def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
                   lam_lo: Optional[float] = None) -> float:
     """Convex underestimator value at x.
@@ -127,29 +141,52 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
     factor pair (lo_i - x_i)(hi_i - x_i) is <= 0 inside the box, so the
     shift vanishes at every vertex and is <= 0 inside the box, which makes
     the result an underestimator of the function.  Raises
-    :class:`InvalidArgument` unless x is a sequence or a 1-D array, and
-    :class:`InvalidInterval` when a component of x is not a number or the
-    shifted value is not finite.
+    :class:`InvalidArgument` unless x is a sequence or a 1-D array and
+    lam_lo a real number, and :class:`InvalidInterval` when a component of
+    x is not a number or the shifted value is not finite.
+
+    The endpoints of the box, with the containment slack of 1e-12 added,
+    are read once per box: the module keeps those of the last box, keyed by
+    the identity of ``box.dims``.  A run of points on one ``Box`` object
+    reads them once; each call on a new ``Box`` object, even one equal to
+    the last, reads them again, which costs about a microsecond.
     """
-    if _point_length(x) != len(box):
-        raise LengthMismatch(f"point of length {len(x)} vs box of length {len(box)}")
+    global _last_box
+    length, dims = _point_length(x), box.dims
+    if length != len(dims):
+        raise LengthMismatch(f"point of length {length} vs box of length {len(dims)}")
+    last = _last_box
+    if last is not None and last[0] is dims:
+        ends = last[1]
+    else:
+        ends = [(d.lo - 1e-12, d.hi + 1e-12, d.lo, d.hi) for d in dims]
+        _last_box = dims, ends
     # containment and the sum of (lo_i - x_i)(hi_i - x_i), in one left-to-right
     # loop of plain float additions (sum() is compensated from Python 3.12)
     s = 0.0
     try:
-        for k, (d, xi) in enumerate(zip(box.dims, x), start=1):
-            lo, hi = d.lo, d.hi
-            if not lo - 1e-12 <= xi <= hi + 1e-12:
+        for (a, b, lo, hi), xi in zip(ends, x):
+            if not a <= xi <= b:
                 raise PointOutsideBox(f"{shown(tuple(x))} is not in {box}")
             s += (lo - xi) * (hi - xi)
-    except TypeError:  # xi, component k, is the first that is not a number
-        raise InvalidInterval(f"point component {k} is {shown(xi)}, not a number") from None
+    except TypeError:  # a component is not a number: name the first one
+        for k, ((a, b, lo, hi), xi) in enumerate(zip(ends, x), start=1):
+            try:  # what the loop computes; a Decimal compares, but does not subtract
+                a <= xi <= b and (lo - xi) * (hi - xi)
+            except TypeError:
+                raise InvalidInterval(f"point component {k} is {shown(xi)}, not a number") from None
+        raise
     if lam_lo is None:
         lam_lo = eval_improved(cl, box).eigen.lo
     val = codelist_value(cl, x)
-    if lam_lo >= 0.0:
-        return val
-    shift = -0.5 * lam_lo * s
+    try:
+        if lam_lo >= 0.0:
+            return val
+        shift = -0.5 * lam_lo * s
+    except TypeError:
+        raise InvalidArgument(f"lam_lo {shown(lam_lo)} is not a number") from None
+    except OverflowError:  # an int below -(largest float): -0.5 * lam_lo is inf
+        shift = math.inf * s
     shifted = val + shift
     if not math.isfinite(shifted):
         raise InvalidInterval(f"non-finite alpha-BB shift {shift!r} of the value {val!r}")

@@ -4,6 +4,8 @@ import json
 import math
 import pickle
 import random
+import re
+from decimal import Decimal
 from functools import cache, partial
 from pathlib import Path
 
@@ -303,9 +305,15 @@ def test_codelist_value_reraises_a_malformed_point():
 
 def test_codelist_value_names_an_int_too_long_to_print():
     # repr of an int over Python's 4300-digit limit raises ValueError itself
-    text = r"^point component 1 is <int too long to show>, not a number$"
+    text = r"^point component 1 is <int too long to show>, too large for a float$"
     with pytest.raises(InvalidInterval, match=text):
         codelist_value(compile_expression("x1", 1), [10 ** 5000])
+
+
+def test_codelist_value_names_an_int_too_large_for_a_float():
+    text = r"^point component 1 is 1000000000000000\.\.\.000000000000000, too large for a float$"
+    with pytest.raises(InvalidInterval, match=text):
+        codelist_value(compile_expression("x1", 1), [10 ** 400])
 
 
 @pytest.mark.parametrize("x", [(1.0,), (1.0, 2.0, 3.0)])
@@ -416,6 +424,79 @@ def test_alpha_bb_names_a_malformed_point_component():
     box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
     with pytest.raises(InvalidInterval, match=r"^point component 2 is 'a', not a number$"):
         alpha_bb_eval(cl, box, (0.5, "a"), -1.0)
+    # a Decimal passes the containment test but cannot be subtracted from a float
+    text = r"^point component 2 is Decimal\('0\.5'\), not a number$"
+    with pytest.raises(InvalidInterval, match=text):
+        alpha_bb_eval(cl, box, (0.5, Decimal("0.5")), -1.0)
+    # an outside component before a malformed one is reported first
+    with pytest.raises(PointOutsideBox, match=r"^\(2\.0, 'a'\) is not in "):
+        alpha_bb_eval(cl, box, (2.0, "a"), -1.0)
+
+
+def alpha_bb_loop(cl, box, x, lam_lo):
+    """The underestimator as a plain loop over the box's components, which
+    reads every endpoint at every point."""
+    s = 0.0
+    for d, xi in zip(box.dims, x):
+        assert d.lo - 1e-12 <= xi <= d.hi + 1e-12
+        s += (d.lo - xi) * (d.hi - xi)
+    if lam_lo is None:
+        lam_lo = eval_improved(cl, box).eigen.lo
+    val = codelist_value(cl, x)
+    return val if lam_lo >= 0.0 else val + -0.5 * lam_lo * s
+
+
+def test_alpha_bb_equals_a_loop_over_the_box_on_each_box_in_turn():
+    cl = compile_expression("x1*x2*x3 + x1^2 - 3*x2*x3 + exp(x3)", 3)
+    a = Box.from_bounds([(-1.5, 2.0), (-0.25, 3.0), (-2.0, 0.5)])
+    b = random_boxes(a, 1, seed=5)[0]
+    rng = random.Random(17)
+
+    def component(d):
+        ints = range(math.ceil(d.lo), math.floor(d.hi) + 1)
+        return rng.choice([rng.uniform(d.lo, d.hi), d.lo, d.hi]
+                          + ([rng.choice(ints)] if ints else [])
+                          + ([-0.0] if d.lo <= 0.0 <= d.hi else []))
+
+    compared = 0
+    for box in (a, b, a, Box(a.dims)):
+        lam = eval_improved(cl, box).eigen.lo
+        assert lam < 0.0
+        for _ in range(40):
+            x = [component(d) for d in box.dims]
+            for point in (tuple(x), x, np.array(x, dtype=float)):
+                for lam_lo in (None, lam, 0.0):
+                    got = alpha_bb_eval(cl, box, point, lam_lo)
+                    want = alpha_bb_loop(cl, box, point, lam_lo)
+                    assert got == want and repr(got) == repr(want), (box, point, lam_lo)
+                    compared += 1
+    assert compared == 4 * 40 * 3 * 3
+
+
+@pytest.mark.parametrize("lam_lo", ["a", 1j])
+def test_alpha_bb_rejects_a_lam_lo_that_is_not_a_number(lam_lo):
+    cl = compile_expression("x1 * x2", 2)
+    box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
+    with pytest.raises(InvalidArgument, match=rf"^lam_lo {re.escape(repr(lam_lo))} is not a number$"):
+        alpha_bb_eval(cl, box, (0.5, 0.5), lam_lo)
+    # checked where it is first used: the point's own errors come first
+    with pytest.raises(PointOutsideBox):
+        alpha_bb_eval(cl, box, (2.0, 0.5), lam_lo)
+    with pytest.raises(DomainViolation):
+        alpha_bb_eval(compile_expression("1/x1", 1), Box.from_bounds([(0, 1)]), (0.0,), lam_lo)
+
+
+def test_alpha_bb_shift_by_an_int_lam_lo_below_the_float_range_is_not_finite():
+    cl = compile_expression("x1 * x2", 2)
+    box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
+    with pytest.raises(InvalidInterval, match=r"^non-finite alpha-BB shift -inf of the value 0\.25$"):
+        alpha_bb_eval(cl, box, (0.5, 0.5), -10 ** 400)
+
+
+def test_alpha_bb_with_an_int_lam_lo_above_the_float_range_is_the_function():
+    cl = compile_expression("x1 * x2", 2)
+    box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
+    assert alpha_bb_eval(cl, box, (0.5, 0.5), 10 ** 400) == 0.25
 
 
 # -- box sampling ---------------------------------------------------------
