@@ -52,8 +52,8 @@ recorded error afresh with `` at codelist line k`` appended to its text and
 from __future__ import annotations
 
 import copy
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from .codelist import UNARY_RULES, Codelist, term
 from .errors import DomainViolation, HessboundError, LengthMismatch
@@ -74,7 +74,6 @@ __all__ = [
 
 SparseGrad = Dict[int, Pair]
 _ZERO, _ONE = (0.0, 0.0), (1.0, 1.0)
-_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -86,58 +85,29 @@ class LineState:
     lam: Interval
 
 
+@dataclass(frozen=True)
 class EvalResult:
-    """An engine's result on a box: ``value``, ``gradient``, ``eigen``,
-    ``method`` and ``op_count``.
+    """An engine's result on a box.
 
-    Immutable, and compared and shown field by field like a frozen
-    dataclass.  The engines keep the gradient as sparse endpoint pairs and
-    build its :class:`Box` on the first read of ``gradient``.
+    The engines keep the gradient as sparse endpoint pairs and build its
+    :class:`Box` on the first read of ``gradient``.
     """
 
-    __slots__ = ("value", "eigen", "method", "op_count", "_gradient", "_sparse")
-
-    def __init__(self, value: Interval, gradient: Optional[Box], eigen: Interval, method: str,
-                 op_count: int, *, _sparse: Optional[Tuple[SparseGrad, int]] = None):
-        # an engine passes no gradient but its sparse form, (gradient, n)
-        _set(self, "value", value)
-        _set(self, "_gradient", gradient)
-        _set(self, "_sparse", _sparse)
-        _set(self, "eigen", eigen)
-        _set(self, "method", method)
-        _set(self, "op_count", op_count)
-
-    @property
-    def gradient(self) -> Box:
-        g = self._gradient
-        if g is None:
-            g = _full(*self._sparse)
-            _set(self, "_gradient", g)
-            _set(self, "_sparse", None)
-        return g
-
-    def _fields(self) -> tuple:
-        return self.value, self.gradient, self.eigen, self.method, self.op_count
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
+    value: Interval
+    gradient: Box
+    eigen: Interval
+    method: str
+    op_count: int
 
     __hash__ = None
 
-    def __repr__(self) -> str:
-        return ("EvalResult(value={!r}, gradient={!r}, eigen={!r}, method={!r}, "
-                "op_count={!r})".format(*self._fields()))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return EvalResult, self._fields()
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: an engine's
+        # gradient before its first read, built from (sparse gradient, n)
+        sparse = self.__dict__.get("_sparse") if name == "gradient" else None
+        if sparse is None:
+            raise AttributeError(f"'EvalResult' object has no attribute {name!r}")
+        return self.__dict__.setdefault("gradient", _full(*sparse))
 
 
 def lift_reduced(lam_dagger: Interval, linear_set, n: int) -> Interval:
@@ -328,8 +298,10 @@ def _lam_improved(cl: Codelist, k: int, line, ys, grads, firsts, memo, lams) -> 
 # -- public entry points: Intervals are built here -------------------------
 
 def _result(cl: Codelist, ys, grads, eigen: Interval, method: str) -> EvalResult:
-    return EvalResult(_interval(*ys[-1]), None, eigen, method, cl.op_counts[method],
-                      _sparse=(grads[-1], cl.n))
+    res = object.__new__(EvalResult)  # no __init__: the gradient Box waits for its first read
+    res.__dict__.update(value=_interval(*ys[-1]), eigen=eigen, method=method,
+                        op_count=cl.op_counts[method], _sparse=(grads[-1], cl.n))
+    return res
 
 
 def eval_original(cl: Codelist, box: Box) -> EvalResult:

@@ -15,7 +15,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .bounds import eval_improved, eval_original
+from .bounds import _full, _walk, eval_improved, eval_original
 from .errors import HessboundError
 from .harness import (
     DEFAULT_EPS,
@@ -25,7 +25,7 @@ from .harness import (
     read_corpus,
     run_compare,
 )
-from .interval import Interval
+from .interval import Interval, _interval
 from .expressions import compile_expression
 from .reference import gershgorin_bounds, hertz_rohn_bounds, interval_hessian
 
@@ -76,10 +76,10 @@ def _cmd_eval(args) -> int:
     else:
         enc = interval_hessian(cl, box)
         eigen = gershgorin_bounds(enc) if args.method == "gershgorin" else hertz_rohn_bounds(enc)
-        # value and gradient from the original engine; no operation count
-        # is kept for the interval-Hessian route
-        res = eval_original(cl, box)
-        value, gradient, ops = res.value, res.gradient, None
+        # value and gradient from the value pass that interval_hessian ran, with
+        # no engine's λ rule; no operation count is kept for this route
+        ys, grads, _ = _walk(cl, box, lambda *args: None)
+        value, gradient, ops = _interval(*ys[-1]), _full(grads[-1], cl.n), None
     if args.json:
         print(json.dumps({
             "method": args.method,

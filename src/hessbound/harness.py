@@ -140,10 +140,12 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
     smallest Hessian eigenvalue lam_lo over the box is negative.  Each
     factor pair (lo_i - x_i)(hi_i - x_i) is <= 0 inside the box, so the
     shift vanishes at every vertex and is <= 0 inside the box, which makes
-    the result an underestimator of the function.  Raises
-    :class:`InvalidArgument` unless x is a sequence or a 1-D array and
-    lam_lo a real number, and :class:`InvalidInterval` when a component of
-    x is not a number or the shifted value is not finite.
+    the result an underestimator of the function.  ``box`` is a
+    :class:`Box`, or a list or tuple of Intervals, as the engines take.
+    Raises :class:`InvalidArgument` unless x is a sequence or a 1-D array
+    and lam_lo a real number (a numpy array of one or more dimensions is
+    not), and :class:`InvalidInterval` when a component of x is not a
+    number or the shifted value is not finite.
 
     The endpoints of the box, with the containment slack of 1e-12 added,
     are read once per box: the module keeps those of the last box, keyed by
@@ -152,7 +154,12 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
     the last, reads them again, which costs about a microsecond.
     """
     global _last_box
-    length, dims = _point_length(x), box.dims
+    length = _point_length(x)
+    try:
+        dims = box.dims
+    except AttributeError:  # a list or tuple of Intervals, as the engines take
+        box = Box(box)
+        dims = box.dims
     if length != len(dims):
         raise LengthMismatch(f"point of length {length} vs box of length {len(dims)}")
     last = _last_box
@@ -179,6 +186,8 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
     if lam_lo is None:
         lam_lo = eval_improved(cl, box).eigen.lo
     val = codelist_value(cl, x)
+    if type(lam_lo) is not float and getattr(lam_lo, "ndim", 0):  # a numpy array of numbers
+        raise InvalidArgument(f"lam_lo {shown(lam_lo)} is not a number")
     try:
         if lam_lo >= 0.0:
             return val

@@ -58,6 +58,23 @@ def test_eval_all_methods(capsys, method, lo, hi, ops):
     assert f"opCount:  {'n/a' if ops is None else ops}\n" in out
 
 
+@pytest.mark.parametrize("method", ["gershgorin", "hertzrohn"])
+def test_eval_interval_hessian_methods_run_no_engine(capsys, method):
+    # both engines' λ bounds overflow here (λ_t and λ*), the interval Hessian's does not
+    args = ("eval", "--inline", "(1e100*x1)*(1e100*x2)", "--vars", "2", "--box", "0,1;0,1",
+            "--method", method)
+    code, out, err = run(capsys, *args, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"method": method, "value": [0.0, 1e200],
+                               "gradient": [[0.0, 1e200], [0.0, 1e200]],
+                               "eigen": [-1e200, 1e200], "opCount": None}
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and "eigen:    [-1e+200, 1e+200]\nopCount:  n/a\n" in out
+    for engine in ("original", "improved"):
+        code, _, err = run(capsys, *args[:-1], engine)
+        assert (code, err) == (2, "error: non-finite endpoints [-inf, inf]\n")
+
+
 def test_eval_from_file(capsys, tmp_path):
     f = tmp_path / "fn.txt"
     f.write_text("x1*x2\n")

@@ -473,7 +473,9 @@ def test_alpha_bb_equals_a_loop_over_the_box_on_each_box_in_turn():
     assert compared == 4 * 40 * 3 * 3
 
 
-@pytest.mark.parametrize("lam_lo", ["a", 1j])
+@pytest.mark.parametrize("lam_lo", ["a", 1j, np.array([-1.0]), np.array([-1.0, 2.0]),
+                                    np.full((2, 2), -1.0)],
+                         ids=["a", "1j", "array of 1", "array of 2", "2x2 array"])
 def test_alpha_bb_rejects_a_lam_lo_that_is_not_a_number(lam_lo):
     cl = compile_expression("x1 * x2", 2)
     box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
@@ -497,6 +499,27 @@ def test_alpha_bb_with_an_int_lam_lo_above_the_float_range_is_the_function():
     cl = compile_expression("x1 * x2", 2)
     box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
     assert alpha_bb_eval(cl, box, (0.5, 0.5), 10 ** 400) == 0.25
+
+
+def test_alpha_bb_takes_a_numpy_scalar_lam_lo():
+    cl = compile_expression("x1 * x2", 2)
+    box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
+    want = alpha_bb_eval(cl, box, (0.25, 0.5), -1.0)
+    for lam_lo in (np.float64(-1.0), np.array(-1.0)):
+        got = alpha_bb_eval(cl, box, (0.25, 0.5), lam_lo)
+        assert type(got) is np.float64 and got == want == -0.09375
+
+
+@pytest.mark.parametrize("lam_lo", [-1.0, None])
+def test_alpha_bb_takes_a_list_or_tuple_of_intervals(lam_lo):
+    cl = compile_expression("x1 * x2", 2)
+    dims = [Interval(0.0, 1.0), Interval(0.0, 1.0)]
+    for box in (dims, tuple(dims)):
+        assert alpha_bb_eval(cl, box, (0.25, 0.5), lam_lo) == -0.09375
+        with pytest.raises(PointOutsideBox, match=r"^\(2\.0, 0\.5\) is not in Box\(\[0, 1\] x \[0, 1\]\)$"):
+            alpha_bb_eval(cl, box, (2.0, 0.5), lam_lo)
+    with pytest.raises(InvalidInterval, match="^a box is built from Interval components, got 5$"):
+        alpha_bb_eval(cl, 5, (0.25, 0.5), lam_lo)
 
 
 # -- box sampling ---------------------------------------------------------

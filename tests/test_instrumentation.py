@@ -1,8 +1,12 @@
 """The names the span tracer of ``perfbench`` wraps must stay the ones the
 package calls through; otherwise its per-layer metrics silently read 0."""
 
+import copy
 import importlib.util
 import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -104,6 +108,41 @@ def test_a_result_is_frozen_and_unequal_to_other_types():
     with pytest.raises(FrozenInstanceError, match="^cannot delete field 'value'$"):
         del res.value
     assert (res == (res.value, res.gradient, res.eigen, res.method, res.op_count)) is False
+    with pytest.raises(TypeError, match="^unhashable type: 'EvalResult'$"):
+        hash(res)
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_result_whose_gradient_was_never_read_copies(duplicate):
+    cl = compile_expression("x1*x2 + exp(x1)", 2)
+    box = Box.from_bounds([(0.5, 1.0), (0.0, 2.0)])
+    res = bounds.eval_improved(cl, box)
+    dup = duplicate(res)  # before the first read of either gradient
+    assert dup == res and repr(dup) == repr(res)
+
+
+@pytest.fixture
+def frequent_thread_switches():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def test_threads_that_read_the_gradient_first_all_get_the_box(frequent_thread_switches):
+    cl = compile_expression("x1*x2 + x3*x4 + exp(x5*x6) + (x7 + x8)^2", 8)
+    box = Box.from_bounds([(0.5, 1.0)] * 8)
+    with ThreadPoolExecutor(4) as pool:
+        for _ in range(200):
+            res, start = bounds.eval_original(cl, box), threading.Barrier(4)
+
+            def read():
+                start.wait()
+                return res.gradient
+
+            got = [f.result() for f in [pool.submit(read) for _ in range(4)]]
+            assert all(g is res.gradient for g in got) and len(res.gradient) == 8
 
 
 def test_engines_call_the_lambda_operators_through_the_module(monkeypatch):
