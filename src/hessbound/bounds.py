@@ -42,11 +42,12 @@ as the first engine on the box computed them; the other engine reads them
 (see :func:`_lam_t`).  λ_t gets the operands' sparse gradients with their
 ``Codelist.supports``, so its sums run over the nonzero entries only.
 
-The value pass does not raise on a line: it records the first failing line
-and its error and stops.  The second pass applies its rule to the lines
-before that one, so an earlier rule error still wins, and then raises the
-recorded error afresh with `` at codelist line k`` appended to its text and
-``line`` set to k; the errors and their order are those of a single walk.
+Both passes name the line that fails: the error is raised with
+`` at codelist line k`` appended to its text and ``line`` set to k.  The
+value pass does not raise on a line: it records the first failing line and
+its error and stops.  The second pass applies its rule to the lines before
+that one, so an earlier rule error still wins, and then raises the recorded
+error afresh; the errors and their order are those of a single walk.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .codelist import UNARY_RULES, Codelist, term
-from .errors import DomainViolation, HessboundError, LengthMismatch
-from .interval import Box, Interval, Pair, ZERO, _interval, pair_add, pair_mul, zero_widen
+from .errors import HessboundError, LengthMismatch
+from .interval import Box, Interval, Pair, ZERO, pair_add, pair_mul, zero_widen
 # the engines call the λ kernels by these module names, which tracers and tests wrap
 from .interval import pair_lambda_s as lambda_s, pair_lambda_star as lambda_star
 from .interval import pair_lambda_t as lambda_t
@@ -134,7 +135,7 @@ def _grad_scale(g: SparseGrad, f: Pair) -> SparseGrad:
 
 
 def _full(g: SparseGrad, n: int) -> Box:
-    return Box(_interval(*g[j]) if j in g else ZERO for j in range(1, n + 1))
+    return Box(Interval(*g[j]) if j in g else ZERO for j in range(1, n + 1))
 
 
 # The last value pass: (codelist, box components, ys, grads, firsts, failure,
@@ -191,7 +192,7 @@ def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
     the box's λ memo (see :func:`_lam_t`) and the results ``out`` of earlier
     lines (``seed`` on a var line; a rule may drop one no later line reads).
     The lines before a failing one come first, so an earlier rule error
-    wins; then the failure is raised afresh, naming its line.
+    wins; an error of either pass is raised naming its line.
     """
     global _last
     if not isinstance(box, Box):
@@ -209,7 +210,7 @@ def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
     try:
         for k, line in enumerate(cl.lines[n:stop], start=n + 1):
             out.append(rule(cl, k, line, ys, grads, firsts, memo, out))
-    except DomainViolation as err:
+    except HessboundError as err:
         failure = k, err
     if failure is None:
         return ys, grads, out
@@ -299,7 +300,7 @@ def _lam_improved(cl: Codelist, k: int, line, ys, grads, firsts, memo, lams) -> 
 
 def _result(cl: Codelist, ys, grads, eigen: Interval, method: str) -> EvalResult:
     res = object.__new__(EvalResult)  # no __init__: the gradient Box waits for its first read
-    res.__dict__.update(value=_interval(*ys[-1]), eigen=eigen, method=method,
+    res.__dict__.update(value=Interval(*ys[-1]), eigen=eigen, method=method,
                         op_count=cl.op_counts[method], _sparse=(grads[-1], cl.n))
     return res
 
@@ -307,19 +308,19 @@ def _result(cl: Codelist, ys, grads, eigen: Interval, method: str) -> EvalResult
 def eval_original(cl: Codelist, box: Box) -> EvalResult:
     """Direct eigenvalue bounds, ignoring sparsity."""
     ys, grads, lams = _walk(cl, box, _lam_original)
-    return _result(cl, ys, grads, _interval(*lams[-1]), "original")
+    return _result(cl, ys, grads, Interval(*lams[-1]), "original")
 
 
 def eval_improved(cl: Codelist, box: Box) -> EvalResult:
     """Sparsity-aware eigenvalue bounds (never wider than the original)."""
     ys, grads, lams = _walk(cl, box, _lam_improved)
-    eigen = lift_reduced(_interval(*lams[-1]), cl.linear[len(cl.lines) - 1], cl.n)
+    eigen = lift_reduced(Interval(*lams[-1]), cl.linear[len(cl.lines) - 1], cl.n)
     return _result(cl, ys, grads, eigen, "improved")
 
 
 def _trace(cl: Codelist, box: Box, lam_rule) -> List[LineState]:
     ys, grads, lams = _walk(cl, box, lam_rule)
-    return [LineState(_interval(*y), _full(g, cl.n), _interval(*lam))
+    return [LineState(Interval(*y), _full(g, cl.n), Interval(*lam))
             for y, g, lam in zip(ys, grads, lams)]
 
 

@@ -25,7 +25,7 @@ from .harness import (
     read_corpus,
     run_compare,
 )
-from .interval import Interval, _interval
+from .interval import Interval
 from .expressions import compile_expression
 from .reference import gershgorin_bounds, hertz_rohn_bounds, interval_hessian
 
@@ -79,7 +79,7 @@ def _cmd_eval(args) -> int:
         # value and gradient from the value pass that interval_hessian ran, with
         # no engine's λ rule; no operation count is kept for this route
         ys, grads, _ = _walk(cl, box, lambda *args: None)
-        value, gradient, ops = _interval(*ys[-1]), _full(grads[-1], cl.n), None
+        value, gradient, ops = Interval(*ys[-1]), _full(grads[-1], cl.n), None
     if args.json:
         print(json.dumps({
             "method": args.method,

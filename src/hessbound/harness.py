@@ -86,14 +86,22 @@ def _approx(a: float, b: float, eps: float) -> bool:
     return abs(dev(a, b)) <= eps
 
 
+def _check_eps(eps: float) -> None:
+    """:class:`InvalidArgument` unless the tolerance ``eps`` is finite and 0 or more."""
+    if not 0.0 <= eps < math.inf:
+        raise InvalidArgument(f"comparison tolerance {eps!r} is not a finite number of 0 or more")
+
+
 def classify(tested: Interval, gersh: Interval, vertex: Interval,
              eps: float = DEFAULT_EPS) -> Tuple[int, int]:
     """Quality classes (lower side, upper side) of the tested bounds.
 
     The vertex-enumeration interval is exact for the interval-Hessian
     relaxation, so it must sit inside the Gershgorin interval; if it does
-    not (beyond eps), the inputs are inconsistent.
+    not (beyond eps), the inputs are inconsistent.  ``eps`` is finite and 0
+    or more.
     """
+    _check_eps(eps)
     if _greater(gersh.lo, vertex.lo, eps) or _greater(vertex.hi, gersh.hi, eps):
         raise InconsistentInputs(
             f"vertex bounds {vertex} are not within Gershgorin bounds {gersh}")
@@ -439,6 +447,7 @@ def run_compare(entries: Sequence[CorpusEntry], boxes_per_function: int = 100,
     (entries order, seed).
     """
     boxes_per_function = _box_count(boxes_per_function)
+    _check_eps(eps)
     evaluators = {"original": eval_original, "improved": eval_improved}
     result = CompareResult(eps=eps, seed=seed, boxes_per_function=boxes_per_function)
     for entry in entries:

@@ -11,12 +11,13 @@ The twelve endpoint kernels (``pair_add``, ``pair_mul``, ``pair_scale``,
 and returns intervals as ``(lo, hi)`` pairs of floats, runs the validity
 check of :class:`Interval` on its result and raises the errors of the
 interval operation.  The :class:`Interval` operators and the public
-functions below wrap them, and the bound engines and the unary rule table
-call them directly, so that a value never becomes an object on their hot
-paths; a change to how an endpoint is computed (outward rounding, say) is
-made in the kernels alone.  Every interval sum is ``pair_add``: x - y is
-x + (-1)·y, the same bits in IEEE 754, and x + c is x + [c, c].  Every
-hull is ``pair_hull``: the zero widening is the hull with [0, 0].
+functions below wrap them, each building its result with the ``Interval``
+constructor; the bound engines and the unary rule table call them directly,
+so that a value never becomes an object on their hot paths.  A change to
+how an endpoint is computed (outward rounding, say) is made in the kernels
+alone.  Every interval sum is ``pair_add``: x - y is x + (-1)·y, the same
+bits in IEEE 754, and x + c is x + [c, c].  Every hull is ``pair_hull``:
+the zero widening is the hull with [0, 0].
 
 No kernel calls the builtin ``min`` or ``max``: each extreme is picked by a
 chain of ordered comparisons that copies the builtin's loop (start at the
@@ -91,41 +92,41 @@ class Interval:
     # -- elementary arithmetic, by the endpoint kernels below ---------------
 
     def __add__(self, other: "Interval") -> "Interval":
-        return _interval(*pair_add((self.lo, self.hi), (other.lo, other.hi)))
+        return Interval(*pair_add((self.lo, self.hi), (other.lo, other.hi)))
 
     def __mul__(self, other: "Interval") -> "Interval":
-        return _interval(*pair_mul((self.lo, self.hi), (other.lo, other.hi)))
+        return Interval(*pair_mul((self.lo, self.hi), (other.lo, other.hi)))
 
     def __neg__(self) -> "Interval":
-        return _interval(*pair_scale((self.lo, self.hi), -1.0))
+        return Interval(*pair_scale((self.lo, self.hi), -1.0))
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return _interval(*pair_add((self.lo, self.hi), pair_scale((other.lo, other.hi), -1.0)))
+        return Interval(*pair_add((self.lo, self.hi), pair_scale((other.lo, other.hi), -1.0)))
 
     def recip(self) -> "Interval":
-        return _interval(*pair_recip((self.lo, self.hi)))
+        return Interval(*pair_recip((self.lo, self.hi)))
 
     def pow(self, m: int) -> "Interval":
         if m == 0:
             return ONE
         if m == 1:
             return self
-        return _interval(*pair_pow((self.lo, self.hi), m))
+        return Interval(*pair_pow((self.lo, self.hi), m))
 
     def sqrt(self) -> "Interval":
-        return _interval(*pair_sqrt((self.lo, self.hi)))
+        return Interval(*pair_sqrt((self.lo, self.hi)))
 
     def exp(self) -> "Interval":
-        return _interval(*pair_exp((self.lo, self.hi)))
+        return Interval(*pair_exp((self.lo, self.hi)))
 
     def ln(self) -> "Interval":
-        return _interval(*pair_ln((self.lo, self.hi)))
+        return Interval(*pair_ln((self.lo, self.hi)))
 
     def add_const(self, c: float) -> "Interval":
-        return _interval(*pair_add((self.lo, self.hi), (c, c)))
+        return Interval(*pair_add((self.lo, self.hi), (c, c)))
 
     def scale(self, c: float) -> "Interval":
-        return _interval(*pair_scale((self.lo, self.hi), c))
+        return Interval(*pair_scale((self.lo, self.hi), c))
 
     # -- predicates and helpers ------------------------------------------
 
@@ -149,9 +150,6 @@ class Interval:
 
 
 _INF = math.inf
-_new = object.__new__
-_set_lo = Interval.lo.__set__
-_set_hi = Interval.hi.__set__
 
 
 def _endpoint(x) -> float:
@@ -169,27 +167,12 @@ def _reject(lo: float, hi: float):
     raise InvalidInterval(f"lo > hi in [{lo}, {hi}]")
 
 
-def _interval(lo: float, hi: float) -> Interval:
-    """``Interval(lo, hi)`` without the dataclass ``__init__`` frame.
-
-    Every operator builds its result here.  The endpoints are stored
-    through the slots, and ``__post_init__`` is still looked up on the
-    class and called, so the result is validated (and counted by anything
-    that wraps ``Interval.__post_init__``) as if the constructor had run.
-    """
-    iv = _new(Interval)
-    _set_lo(iv, lo)
-    _set_hi(iv, hi)
-    iv.__post_init__()
-    return iv
-
-
 ZERO = Interval(0.0, 0.0)
 ONE = Interval(1.0, 1.0)
 
 
 def point(x: float) -> Interval:
-    return _interval(x, x)
+    return Interval(x, x)
 
 
 # -- endpoint kernels (see the module docstring) ----------------------------
@@ -356,11 +339,7 @@ def pair_lambda_t(a: Mapping[int, Pair], b: Mapping[int, Pair],
     β = 0 (and in one dimension) the cross sum runs over the union.
     """
     sa, sb = supports
-    # the pairs on the shared indices, ascending, from the shorter support
-    if len(sb) < len(sa):
-        pairs = [(a[j], b[j]) for j in sb if j in a]
-    else:
-        pairs = [(a[j], b[j]) for j in sa if j in b]
+    pairs = [(a[j], b[j]) for j in sa if j in b]  # on the shared indices, ascending
     m = len(sa) + len(sb) - len(pairs)
     if n < m:
         raise LengthMismatch(f"{m} components in dimension {n}")
@@ -462,7 +441,7 @@ def lambda_s(a: Sequence[Interval], n: Optional[int] = None) -> Interval:
     dimension this is the exact square; otherwise the spectrum is
     {0 (multiple), |v|^2}, bounded by [0, sum of squared magnitudes].
     """
-    return _interval(*pair_lambda_s(a, len(a) if n is None else n))
+    return Interval(*pair_lambda_s(a, len(a) if n is None else n))
 
 
 def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = None) -> Interval:
@@ -477,21 +456,21 @@ def lambda_t(a: Sequence[Interval], b: Sequence[Interval], n: Optional[int] = No
     if len(a) != len(b):
         raise LengthMismatch(f"boxes of length {len(a)} and {len(b)}")
     full = range(len(a))
-    return _interval(*pair_lambda_t(dict(zip(full, a)), dict(zip(full, b)), (full, full),
-                                    len(a) if n is None else n))
+    return Interval(*pair_lambda_t(dict(zip(full, a)), dict(zip(full, b)), (full, full),
+                                   len(a) if n is None else n))
 
 
 def hull(a: Interval, b: Interval) -> Interval:
     """Interval hull of two intervals: the paper's λ_r."""
-    return _interval(*pair_hull((a.lo, a.hi), (b.lo, b.hi)))
+    return Interval(*pair_hull((a.lo, a.hi), (b.lo, b.hi)))
 
 
 def lambda_star(a: Interval, b: Interval, c: Interval) -> Interval:
     """Tight eigenvalue bounds for 2x2 symmetric matrices with diagonal
     entries in [a], [b] and off-diagonal entry in [c]."""
-    return _interval(*pair_lambda_star(a, b, c))
+    return Interval(*pair_lambda_star(a, b, c))
 
 
 def zero_widen(a: Interval) -> Interval:
     """Smallest interval containing both [a] and 0."""
-    return _interval(*pair_hull((a.lo, a.hi), (0.0, 0.0)))
+    return Interval(*pair_hull((a.lo, a.hi), (0.0, 0.0)))

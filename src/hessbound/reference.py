@@ -200,8 +200,8 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     Every expression keeps the association order of the elementwise
     Interval formulas, so each entry equals (==) the per-entry Interval
     result.  It is exactly symmetric, as c + cᵀ and g gᵀ are.  Raises
-    :class:`InvalidInterval` at the line where an entry overflows; an error
-    of that line's r'' comes first.
+    :class:`InvalidInterval` at the line where an entry overflows, naming
+    that line; an error of that line's r'' comes first.
     """
     n = cl.n
     last_read = cl.last_read
@@ -213,7 +213,7 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
             return None
         rule = UNARY_RULES.get(line.op)  # r'' comes before the terms, so that its errors win
         r2 = rule.second(ys[i - 1], ys[k - 1], line) if rule and rule.second else None
-        m, own = None, False  # the sum: None (zero), a pair or a stack; own: a stack of this line's
+        m = None  # the sum: None (zero), a pair or a stack
         try:
             # terms (s, H, H's block) for s·H, s = None for 1: the operands, then the block term
             if line.op in ("add", "mul"):
@@ -237,24 +237,16 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
                     h = _scale(s, h)  # a new stack, or a pair
                 if len(block) == 1:  # every term is a pair
                     m = h if m is None else pair_add(m, h)
-                elif type(h) is tuple:  # an operand's entry (p, p), added into this line's stack
-                    if m is None:
-                        m = np.zeros((2, n, n))
-                    elif not own:
-                        m = m.copy()
-                    own, p = True, b[0] - 1
+                elif type(h) is tuple:  # an operand's entry (p, p), added into a new stack
+                    m = np.zeros((2, n, n)) if m is None else m.copy()
+                    p = b[0] - 1
                     m[0, p, p], m[1, p, p] = pair_add((m[0, p, p], m[1, p, p]), h)
                 elif h.shape[1] == n:  # a whole stack
-                    if m is None:
-                        m, own = h, s is not None
-                    elif own:
-                        np.add(m, h, out=m)
-                    else:
-                        m, own = m + h, True
+                    m = h if m is None else m + h
                 elif m is None:  # a term on a smaller block: assigned into zeros, not added
-                    m, own = np.zeros((2, n, n)), True
+                    m = np.zeros((2, n, n))
                     m.reshape(-1)[cl.block_index[block]] = h.reshape(-1)
-                else:  # m comes from a scaled operand, so it is this line's own C-ordered stack
+                else:  # m comes from a scaled operand, so it is a new C-ordered stack
                     m.reshape(-1)[cl.block_index[block]] += h.reshape(-1)
         except (InvalidInterval, FloatingPointError):
             raise InvalidInterval("non-finite gradient or Hessian enclosure") from None

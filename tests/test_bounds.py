@@ -119,7 +119,7 @@ def test_domain_violation_carries_line_number():
      "non-finite endpoints [inf, inf] at codelist line 4"),
     # finite gradients whose λ_t / λ* bound overflows
     ("exp(x1)*(1e200*x2) + (1e200*x1)*exp(x2)", 2, 1e-200, 2e-200,
-     "non-finite endpoints [-inf, inf]"),
+     "non-finite endpoints [-inf, inf] at codelist line 5"),
 ])
 @pytest.mark.parametrize("engine", [eval_original, eval_improved])
 def test_gradient_overflow_with_a_finite_value_is_invalid(engine, source, n, lo, hi, message):
@@ -326,7 +326,8 @@ def test_an_earlier_lambda_error_wins_over_a_later_value_error():
         for engine in engines:
             with pytest.raises(InvalidInterval) as info:
                 engine(cl, box)
-            assert str(info.value) == "non-finite endpoints [-inf, inf]"
+            assert str(info.value) == "non-finite endpoints [-inf, inf] at codelist line 5"
+            assert info.value.line == 5
 
 
 def test_sqrt_curvature_that_overflows_is_an_invalid_interval():
@@ -384,9 +385,9 @@ _RECIP = ("DomainViolation", "recip undefined on [-1, 1] at codelist line 2", 2)
 ERROR_CASES = [
     # only the improved engine takes the 2x2 rule; the original one's λ_t overflows
     ("exp(exp(x1))*exp(x2)", 2, [(4, 5.5), (100, 105)],
-     ("InvalidInterval", "non-finite endpoints [-inf, inf]", None),
+     ("InvalidInterval", "non-finite endpoints [-inf, inf] at codelist line 6", 6),
      ("InvalidInterval", "lambda_star overflow on [4.20109e+70, 4.44925e+156], "
-      "[1.38396e+67, 7.40076e+151], [7.55616e+68, 1.81091e+154]", None)),
+      "[1.38396e+67, 7.40076e+151], [7.55616e+68, 1.81091e+154] at codelist line 6", 6)),
     ("exp(x1)^2", 1, [(0, 400)], _POW_OVERFLOW, _POW_OVERFLOW),
     ("1/x1 + exp(x1)", 1, [(-1, 1)], _RECIP, _RECIP),
 ]
@@ -406,6 +407,19 @@ def test_error_texts_are_those_of_the_interval_operators(source, n, bounds, orig
             with pytest.raises(DomainViolation) as info:
                 engine(cl, box)
             assert type(info.value.interval) is Interval
+
+
+def test_an_overflow_of_the_lambda_pass_names_its_line():
+    # the values and gradients fit a double; line 5's λ_t (and λ*) overflows
+    cl = compile_expression("(1e100*x1)*(1e100*x2)", 2)
+    want = ("InvalidInterval", "non-finite endpoints [-inf, inf] at codelist line 5", 5)
+    for route in (eval_original, eval_improved, trace_original, trace_improved):
+        assert _outcome(route, cl, Box.from_bounds([(0, 1)] * 2)) == want, route.__name__
+    for pair in ((eval_original, eval_improved), (trace_original, trace_improved)):
+        for first, then in (pair, pair[::-1]):
+            box = Box.from_bounds([(0, 1)] * 2)
+            assert _outcome(first, cl, box) == want
+            assert _outcome(then, cl, box) == want, (first.__name__, then.__name__)
 
 
 ROUTES = (eval_original, eval_improved, trace_original, trace_improved, interval_hessian)
@@ -469,11 +483,11 @@ SHARING_CASES = [
      _ZERO_HEX, _ZERO_HEX),
     # λ_t overflows: a shared pair product, then β alone
     ("(1e160*x1)*(1e160*x1 + x2) + x3", 3, [(1e-100, 2e-100), (1.0, 2.0), (0.0, 1.0)],
-     ("InvalidInterval", "non-finite endpoints [inf, inf]"),
-     ("InvalidInterval", "non-finite endpoints [inf, inf]")),
+     ("InvalidInterval", "non-finite endpoints [inf, inf] at codelist line 7"),
+     ("InvalidInterval", "non-finite endpoints [inf, inf] at codelist line 7")),
     ("(1e100*x1 + 1e100*x2)*(1e100*x2 + 1e100*x3) + x4", 4, [(1.0, 2.0)] * 3 + [(0.0, 1.0)],
-     ("InvalidInterval", "non-finite endpoints [-inf, inf]"),
-     ("InvalidInterval", "non-finite endpoints [-inf, inf]")),
+     ("InvalidInterval", "non-finite endpoints [-inf, inf] at codelist line 11"),
+     ("InvalidInterval", "non-finite endpoints [-inf, inf] at codelist line 11")),
 ]
 
 

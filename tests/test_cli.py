@@ -70,9 +70,9 @@ def test_eval_interval_hessian_methods_run_no_engine(capsys, method):
                                "eigen": [-1e200, 1e200], "opCount": None}
     code, out, _ = run(capsys, *args)
     assert code == 0 and "eigen:    [-1e+200, 1e+200]\nopCount:  n/a\n" in out
-    for engine in ("original", "improved"):
+    for engine in ("original", "improved"):  # each names the line whose λ overflows
         code, _, err = run(capsys, *args[:-1], engine)
-        assert (code, err) == (2, "error: non-finite endpoints [-inf, inf]\n")
+        assert (code, err) == (2, "error: non-finite endpoints [-inf, inf] at codelist line 5\n")
 
 
 def test_eval_from_file(capsys, tmp_path):
@@ -159,6 +159,15 @@ def test_compare_rejects_a_file_that_is_not_utf8_and_a_box_count_below_zero(caps
     code, out, err = run(capsys, "compare", "--corpus", str(tmp_path / "good"),
                          "--boxes", "-3", "--format", "table")
     assert (code, out, err) == (2, "", "error: box count -3 is below 0\n")
+
+
+@pytest.mark.parametrize("eps", ["-1", "nan"])
+def test_compare_rejects_a_negative_or_nan_tolerance(capsys, tmp_path, eps):
+    write_corpus(str(tmp_path), [random_function(2, seed=7)])
+    code, out, err = run(capsys, "compare", "--corpus", str(tmp_path), "--boxes", "3",
+                         f"--eps={eps}")
+    assert (code, out, err) == (
+        2, "", f"error: comparison tolerance {float(eps)!r} is not a finite number of 0 or more\n")
 
 
 def test_compare_stdout_table(capsys, tmp_path):

@@ -92,6 +92,17 @@ def test_classify_eps_tolerance():
     t = Interval(-5 - 1e-9, 5 + 1e-9)
     assert classify(t, G, H, eps=1e-6) == (4, 4)
     assert classify(t, G, H, eps=1e-12) == (3, 3)
+    assert classify(t, G, H, eps=0) == (3, 3)
+
+
+@pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_a_comparison_tolerance_that_is_negative_or_not_finite_is_an_invalid_argument(eps):
+    text = f"comparison tolerance {eps!r} is not a finite number of 0 or more"
+    assert _argument_error(lambda: classify(Interval(-7, 7), G, H, eps=eps)) == text
+    entries = [CorpusEntry("f", 2, Box.from_bounds([(0.5, 1), (0.5, 1.5)]), "x1*x2 + exp(x1)")]
+    for chosen in (entries, []):
+        assert _argument_error(lambda: run_compare(chosen, boxes_per_function=3, eps=eps)) == text
+    assert len(run_compare(entries, boxes_per_function=3, eps=0).records) == 6
 
 
 def test_classify_monotone_in_eps():

@@ -155,24 +155,25 @@ def test_hessian_matches_recorded_per_entry_interval_results():
                 case["source"]
 
 
-@pytest.mark.parametrize("src,n,bounds", [
-    # the values stay in [1, 4]; the Hessian 2e400 does not fit a double
-    ("(1e200*x1)^2", 1, [(1e-200, 2e-200)]),
+@pytest.mark.parametrize("src,n,bounds,line", [
+    # the values stay in [1, 4]; line 3's Hessian 2e400 does not fit a double
+    ("(1e200*x1)^2", 1, [(1e-200, 2e-200)], 3),
     # line 6's r'' term on the block {1, 2} of 3 variables, added through the
     # block's flat index: g g^T with g up to 2e200 overflows
-    ("(1e200*x1*x2)^2 + x3", 3, [(1e-200, 2e-200), (1, 2), (0, 1)]),
+    ("(1e200*x1*x2)^2 + x3", 3, [(1e-200, 2e-200), (1, 2), (0, 1)], 6),
     # the same term on a block of every variable, the whole stack
-    ("(1e200*x1*x2)^2", 2, [(1e-200, 2e-200), (1, 2)]),
+    ("(1e200*x1*x2)^2", 2, [(1e-200, 2e-200), (1, 2)], 5),
     # line 8 scales line 6's stack (up to 8e300) by y7 (up to 2e10)
-    ("(1e150*x1*x2)^2*(1e10*x3)", 3, [(1e-150, 2e-150), (1, 2), (1, 2)]),
+    ("(1e150*x1*x2)^2*(1e10*x3)", 3, [(1e-150, 2e-150), (1, 2), (1, 2)], 8),
 ], ids=["pair", "block term", "whole stack", "scaled stack"])
-def test_hessian_overflow_is_invalid_interval(src, n, bounds):
+def test_hessian_overflow_is_invalid_interval(src, n, bounds, line):
     cl = compile_expression(src, n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInterval) as info:
             interval_hessian(cl, Box.from_bounds(bounds))
-    assert str(info.value) == "non-finite gradient or Hessian enclosure"
+    assert str(info.value) == f"non-finite gradient or Hessian enclosure at codelist line {line}"
+    assert info.value.line == line
 
 
 def test_hessian_ignores_and_keeps_the_callers_numpy_error_settings():
@@ -213,7 +214,8 @@ def test_a_hessian_overflow_wins_over_a_later_domain_violation():
     for box in (Box.from_bounds(bounds), box):  # afresh, then on the engine's value pass
         with pytest.raises(InvalidInterval) as info:
             interval_hessian(cl, box)
-        assert str(info.value) == "non-finite gradient or Hessian enclosure"
+        assert str(info.value) == "non-finite gradient or Hessian enclosure at codelist line 4"
+        assert info.value.line == 4
 
 
 def test_a_gradient_overflow_raises_the_engines_error():
@@ -291,17 +293,18 @@ def test_a_block_term_keeps_the_sign_of_its_zeros():
 @pytest.mark.parametrize("src,n,bounds,text", [
     # line 4's r' (up to 1e160) times line 3's Hessian 2e150 overflows, and
     # so does line 4's r'' = -(1/y)^2; as in a stack, the r'' error wins
-    ("ln(1e150*x1^2)", 1, [(1e-155, 2e-155)], "pow overflow on [2.5e+159, 1e+160]^2"),
+    ("ln(1e150*x1^2)", 1, [(1e-155, 2e-155)],
+     "pow overflow on [2.5e+159, 1e+160]^2 at codelist line 4"),
     # the one-variable block of line 4 overflows (2e400) before line 5 reads it
     ("(1e200*x1)^2*x2 + x2", 2, [(1e-200, 2e-200), (1, 2)],
-     "non-finite gradient or Hessian enclosure"),
+     "non-finite gradient or Hessian enclosure at codelist line 4"),
     # line 6's block is {1, 2}: y5 (up to 2e10) times line 4's pair 2e300 overflows
     ("(1e150*x1)^2*(1e10*x2)", 2, [(1e-150, 2e-150), (1, 2)],
-     "non-finite gradient or Hessian enclosure"),
+     "non-finite gradient or Hessian enclosure at codelist line 6"),
     # line 6's block is {1, 2}: r' (up to 5e159) times line 5's pair 2e150
     # overflows, and so does r'' = -(1/y)^2, whose error wins
     ("ln(1e150*x1^2 + x2)", 2, [(1e-155, 2e-155), (1e-160, 2e-160)],
-     "pow overflow on [1.66667e+159, 5e+159]^2"),
+     "pow overflow on [1.66667e+159, 5e+159]^2 at codelist line 6"),
 ])
 def test_a_hessian_overflow_in_a_pair_raises_at_the_end_of_its_line(src, n, bounds, text):
     with warnings.catch_warnings():
