@@ -48,6 +48,19 @@ value pass does not raise on a line: it records the first failing line and
 its error and stops.  The second pass applies its rule to the lines before
 that one, so an earlier rule error still wins, and then raises the recorded
 error afresh; the errors and their order are those of a single walk.
+
+A codelist walked on many boxes is compiled (see :func:`_generate`): after
+``_COMPILE_AFTER`` interpreted value passes its value pass is generated as
+straight-line Python source and compiled, and so is each engine's rule pass
+on its first use after that.  The compiled passes are kept in the
+codelist's ``__dict__``, which a pickled codelist does not carry, with the
+count of passes before them.  They make the interpreter's kernel and helper
+calls in its order, so the bits, the memo and the calls a wrapper of
+``bounds.lambda_t`` sees are the same, and both traces use them.  A
+compiled pass runs the success path only: when it raises, the interpreter
+walks that box again and raises its error, naming the line (so a λ kernel
+before the failing line is called twice).  The interval-Hessian rule stays
+interpreted and reads the compiled value pass through the slot.
 """
 
 from __future__ import annotations
@@ -56,9 +69,10 @@ import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .codelist import UNARY_RULES, Codelist, term
+from .codelist import (ABSENT, SUM, UNARY_RULES, WIDENED, WIDENED_HULL, WIDENED_SUM, Codelist,
+                       term)
 from .errors import HessboundError, LengthMismatch
-from .interval import Box, Interval, Pair, ZERO, pair_add, pair_mul, zero_widen
+from .interval import Box, Interval, Pair, ZERO, pair_add, pair_hull, pair_mul, zero_widen
 # the engines call the λ kernels by these module names, which tracers and tests wrap
 from .interval import pair_lambda_s as lambda_s, pair_lambda_star as lambda_star
 from .interval import pair_lambda_t as lambda_t
@@ -182,17 +196,37 @@ def _values(cl: Codelist, box: Box) -> tuple:
     return ys, grads, firsts, None
 
 
+def _value_pass(cl: Codelist, box: Box) -> tuple:
+    """:func:`_values`' result, from the codelist's compiled value pass once
+    it has had ``_COMPILE_AFTER`` interpreted ones (see :func:`_generate`)."""
+    passes = cl.__dict__
+    values = passes.get("_values")
+    if values is None:
+        count = passes["_value_passes"] = passes.get("_value_passes", 0) + 1
+        if count <= _COMPILE_AFTER:
+            return _values(cl, box)
+        values = passes.setdefault("_values", _generate(_values_source(cl)))
+    if len(box) == cl.n:  # else _values raises the LengthMismatch
+        try:
+            return values(box.dims)
+        except HessboundError:
+            pass  # _values records the failing line and its error
+    return _values(cl, box)
+
+
 def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
     """Lists of the values, sparse gradients and rule results of every line.
 
     ``box`` is a :class:`Box`, or anything ``Box`` builds one from.  The
-    first two lists come from :func:`_values`, or from the slot when the
+    first two lists come from :func:`_value_pass`, or from the slot when the
     previous pass was on this codelist and box.  ``rule(cl, k, line, ys,
     grads, firsts, memo, out)`` gives operation line k's result from those,
     the box's λ memo (see :func:`_lam_t`) and the results ``out`` of earlier
     lines (``seed`` on a var line; a rule may drop one no later line reads).
-    The lines before a failing one come first, so an earlier rule error
-    wins; an error of either pass is raised naming its line.
+    An engine's rule runs as the codelist's compiled pass once its value
+    pass is compiled.  The lines before a failing one come first, so an
+    earlier rule error wins; an error of either pass is raised naming its
+    line.
     """
     global _last
     if not isinstance(box, Box):
@@ -201,9 +235,16 @@ def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
     if last is not None and last[0] is cl and last[1] is dims:
         ys, grads, firsts, failure, memo = last[2:]
     else:
-        ys, grads, firsts, failure = _values(cl, box)
+        ys, grads, firsts, failure = _value_pass(cl, box)
         memo = {}
         _last = cl, dims, ys, grads, firsts, failure, memo
+    if failure is None and "_values" in cl.__dict__ and rule in _LINE_SOURCES:
+        lam = cl.__dict__.get(rule.__name__) or cl.__dict__.setdefault(
+            rule.__name__, _generate(_lam_source(cl, rule)))
+        try:
+            return ys, grads, lam(cl, ys, grads, memo)
+        except HessboundError:
+            pass  # the rule loop below raises the error, naming its line
     n = cl.n
     out = [seed] * n
     stop = len(cl.lines) if failure is None else failure[0] - 1
@@ -294,6 +335,153 @@ def _lam_improved(cl: Codelist, k: int, line, ys, grads, firsts, memo, lams) -> 
     if lam is None:
         return pair_mul(unary.second(yi, yk, line), ls)
     return unary.lam(yi, yk, line, ls, lam)
+
+
+# -- the compiled tier (see the module docstring) ---------------------------
+#
+# Each line's op, ``UNARY_RULES`` row and ``Codelist.rules`` entry are
+# resolved when the source is generated.  The generated code runs in this
+# module's namespace, so it looks up ``lambda_star``, as ``_lam_t`` and
+# ``_lam_s`` look up ``lambda_t`` and ``lambda_s``, on every call.
+
+# Interpreted value passes before a codelist's value pass is compiled; each
+# engine's rule pass follows on its first use after that.  Generating and
+# compiling the three passes took 2.0 ms (20 lines) to 11.3 ms (135 lines) per
+# codelist, the time of 15 to 33 interpreted walks of both engines on one box
+# (the benchmark's engine_boxes and dense_gershgorin codelists, n = 4..48;
+# Python 3.11, 2 vCPUs), so compiling costs at most about a tenth of the
+# interpreted time spent before it.
+_COMPILE_AFTER = 300
+
+
+def _generate(source: tuple):
+    """The function that ``source``, ``(signature, body lines, names)``,
+    defines: ``names`` maps each name the body reads besides this module's
+    to its value."""
+    signature, body, names = source
+    name = signature.partition("(")[0]
+    src = "\n".join([f"def make({', '.join(names)}):", f"    def {signature}:",
+                     *(f"        {line}" for line in body), f"    return {name}"])
+    scope: dict = {}
+    exec(compile(src, f"<codelist {name} pass>", "exec"), globals(), scope)
+    return scope["make"](**names)
+
+
+def _values_source(cl: Codelist) -> tuple:
+    """:func:`_values` without its failure handling, as ``values(dims)``."""
+    names, firsts = {}, []
+    body = ["".join(f"d{k}, " for k in range(1, cl.n + 1)) + "= dims"]
+    for k, line in enumerate(cl.lines, start=1):
+        i, j = line.i, line.j
+        if line.op == "var":
+            body.append(f"y{k} = d{k}.lo, d{k}.hi; g{k} = {{{k}: _ONE}}")
+        elif line.op == "add":
+            body.append(f"y{k} = pair_add(y{i}, y{j}); g{k} = _grad_add(g{i}, g{j})")
+        elif line.op == "mul":
+            body.append(f"y{k} = pair_mul(y{i}, y{j}); "
+                        f"g{k} = _grad_add(_grad_scale(g{i}, y{j}), _grad_scale(g{j}, y{i}))")
+        else:
+            unary = UNARY_RULES[line.op]
+            names[f"L{k}"], names[f"V{k}"] = line, unary.value
+            if unary.first is None:
+                firsts.append(f"{k}: None")
+                body.append(f"y{k} = V{k}(y{i}, L{k}); g{k} = dict(g{i})")
+            else:
+                names[f"F{k}"] = unary.first
+                firsts.append(f"{k}: f{k}")
+                body.append(f"y{k} = V{k}(y{i}, L{k}); f{k} = F{k}(y{i}, y{k}, L{k}); "
+                            f"g{k} = _grad_scale(g{i}, f{k})")
+    every = range(1, len(cl.lines) + 1)
+    body.append(f"return [{', '.join(f'y{k}' for k in every)}], "
+                f"[{', '.join(f'g{k}' for k in every)}], {{{', '.join(firsts)}}}, None")
+    return "values(dims)", body, names
+
+
+def _lam_source(cl: Codelist, rule) -> tuple:
+    """The interpreted ``rule`` as a pass ``lam(cl, ys, grads, memo)``: its
+    line k is ``_LINE_SOURCES[rule](cl, k, line, lam, names)``, where
+    ``lam(r)`` is line r's bound."""
+    n, names, line_source = cl.n, {}, _LINE_SOURCES[rule]
+    every = range(1, len(cl.lines) + 1)
+    body = ["".join(f"y{k}, " for k in every) + "= ys"]
+    lam = lambda r: f"l{r}" if r > n else "_ZERO"
+    body += [line_source(cl, k, line, lam, names)
+             for k, line in enumerate(cl.lines[n:], start=n + 1)]
+    body.append(f"return [{', '.join(map(lam, every))}]")
+    return "lam(cl, ys, grads, memo)", body, names
+
+
+def _original_line(cl: Codelist, k: int, line, lam, names) -> str:
+    """:func:`_lam_original` on line k, as source."""
+    i, j = line.i, line.j
+    if line.op == "add":
+        return f"l{k} = pair_add({lam(i)}, {lam(j)})"
+    names[f"L{k}"] = line
+    if line.op == "mul":
+        return (f"l{k} = pair_add(pair_add(pair_mul(y{j}, {lam(i)}), pair_mul(y{i}, {lam(j)})), "
+                f"_lam_t(cl, {k}, L{k}, grads, memo, {cl.n}))")
+    unary = UNARY_RULES[line.op]
+    names[f"M{k}"] = unary.lam
+    ls = "None" if unary.second is None else f"_lam_s(cl, {k}, L{k}, grads, memo, {cl.n})"
+    return f"l{k} = M{k}(y{i}, y{k}, L{k}, {ls}, {lam(i)})"
+
+
+def _term_source(kind: str, lam: str, factor: Optional[str] = None) -> Optional[str]:
+    """:func:`term` as source."""
+    if kind == ABSENT:
+        return None
+    if kind == WIDENED:
+        lam = f"pair_hull({lam}, _ZERO)"
+    return lam if factor is None else f"pair_mul({factor}, {lam})"
+
+
+def _apply_source(rule, lt: Optional[str], lam_i: str, lam_j: str,
+                  yi: Optional[str] = None, yj: Optional[str] = None) -> str:
+    """:meth:`Rule.apply` as source, with the same calls in the same order."""
+    a, b = _term_source(rule.i, lam_i, yj), _term_source(rule.j, lam_j, yi)
+    if rule.combine == SUM:
+        out = None
+        for x in (lt, a, b):
+            if x is not None:
+                out = x if out is None else f"pair_add({out}, {x})"
+        return out or "_ZERO"
+    if rule.combine == WIDENED_SUM:
+        return f"pair_add({lt}, pair_hull(pair_add({a}, {b}), _ZERO))"
+    h = f"pair_hull({a}, {b})"
+    if rule.combine == WIDENED_HULL:
+        h = f"pair_hull({h}, _ZERO)"
+    return h if lt is None else f"pair_add({lt}, {h})"
+
+
+def _improved_line(cl: Codelist, k: int, line, lam, names) -> str:
+    """:func:`_lam_improved` on line k, as source."""
+    rule, i, j, size = cl.rules[k - 1], line.i, line.j, len(cl.blocks[k - 1])
+    if line.op == "add":
+        return f"l{k} = {_apply_source(rule, None, lam(i), lam(j))}"
+    if line.op == "mul":
+        if rule.cross is not None:
+            a = _term_source(rule.i, lam(i), f"y{j}") or "_ZERO"
+            b = _term_source(rule.j, lam(j), f"y{i}") or "_ZERO"
+            p, q = rule.cross
+            return (f"l{k} = lambda_star({a}, {b}, pair_mul(grads[{i - 1}].get({p}, _ZERO), "
+                    f"grads[{j - 1}].get({q}, _ZERO)))")
+        names[f"L{k}"] = line
+        lt = f"_lam_t(cl, {k}, L{k}, grads, memo, {size})"
+        return f"l{k} = {_apply_source(rule, lt, lam(i), lam(j), f'y{i}', f'y{j}')}"
+    unary = UNARY_RULES[line.op]
+    names[f"L{k}"], names[f"M{k}"] = line, unary.lam
+    t = _term_source(rule.i, lam(i))
+    if unary.second is None:
+        return f"l{k} = " + ("_ZERO" if t is None else f"M{k}(y{i}, y{k}, L{k}, None, {t})")
+    ls = f"_lam_s(cl, {k}, L{k}, grads, memo, {size})"
+    if t is None:
+        names[f"S{k}"] = unary.second
+        return f"s = {ls}; l{k} = pair_mul(S{k}(y{i}, y{k}, L{k}), s)"
+    return f"t = {t}; l{k} = M{k}(y{i}, y{k}, L{k}, {ls}, t)"
+
+
+# the rules whose passes are compiled, and the source of one line of each
+_LINE_SOURCES = {_lam_original: _original_line, _lam_improved: _improved_line}
 
 
 # -- public entry points: Intervals are built here -------------------------

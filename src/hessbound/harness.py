@@ -88,7 +88,11 @@ def _approx(a: float, b: float, eps: float) -> bool:
 
 def _check_eps(eps: float) -> None:
     """:class:`InvalidArgument` unless the tolerance ``eps`` is finite and 0 or more."""
-    if not 0.0 <= eps < math.inf:
+    try:
+        valid = bool(0.0 <= eps < math.inf)
+    except (TypeError, ValueError):  # not a number, or an array of them
+        valid = False
+    if not valid:
         raise InvalidArgument(f"comparison tolerance {eps!r} is not a finite number of 0 or more")
 
 
@@ -227,9 +231,14 @@ def random_boxes(domain: Box, count: int, seed: int) -> List[Box]:
     """Deterministic sample of sub-boxes of ``domain``.
 
     Each dimension gets two independent uniform draws, sorted; a dimension
-    is redrawn while its width is below 1e-9 times the domain width.
+    is redrawn while its width is below 1e-9 times the domain width.  A
+    domain component wider than the largest float is an
+    :class:`InvalidArgument`: every draw on it would be inf.
     """
     count = _box_count(count)
+    for i, d in enumerate(domain, start=1):
+        if not d.width < math.inf:
+            raise InvalidArgument(f"domain component {i} {d} is wider than the largest float")
     rng = random.Random(seed)
     boxes: List[Box] = []
     for _ in range(count):
@@ -448,16 +457,21 @@ def run_compare(entries: Sequence[CorpusEntry], boxes_per_function: int = 100,
     """
     boxes_per_function = _box_count(boxes_per_function)
     _check_eps(eps)
+    try:
+        seed = operator.index(seed)  # numpy integers pass, floats and strings do not
+    except TypeError:
+        raise InvalidArgument(f"seed {seed!r} is not an integer") from None
     evaluators = {"original": eval_original, "improved": eval_improved}
     result = CompareResult(eps=eps, seed=seed, boxes_per_function=boxes_per_function)
     for entry in entries:
+        box_seed = (seed * 1000003 + zlib.crc32(entry.name.encode())) & 0x7FFFFFFF
         try:
             cl = entry.compile()
+            boxes = random_boxes(entry.domain, boxes_per_function, box_seed)
         except HessboundError as err:  # name the entry; the type and attributes stay
             err.args = (f"{entry.name}: {err}",)
             raise
-        box_seed = (seed * 1000003 + zlib.crc32(entry.name.encode())) & 0x7FFFFFFF
-        for idx, box in enumerate(random_boxes(entry.domain, boxes_per_function, box_seed)):
+        for idx, box in enumerate(boxes):
             try:
                 enc = interval_hessian(cl, box)
                 gersh = gershgorin_bounds(enc)

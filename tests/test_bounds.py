@@ -3,14 +3,17 @@
 import dataclasses
 import json
 import math
+import pickle
 import random
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hessbound.bounds
 from hessbound import (
     Box,
     DomainViolation,
@@ -548,3 +551,97 @@ def test_threads_alternating_boxes_on_one_codelist_get_fresh_box_results():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not wrong
+
+
+# -- the compiled tier: the fixture-driven cases again, with every codelist's
+# passes compiled from its first walk on ----------------------------------
+
+@pytest.fixture
+def compiled(monkeypatch):
+    monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", 0)
+
+
+def test_compiled_engines_match_recorded_results(compiled):
+    test_engines_match_recorded_results()
+
+
+def test_compiled_routes_equal_on_the_engine_fixture_and_on_the_unit_box(compiled):
+    test_an_engine_after_another_on_the_same_box_equals_it_on_a_fresh_box()
+
+
+def test_compiled_every_product_rule_is_sound_on_the_engine_fixture(compiled):
+    test_every_product_rule_is_sound_on_the_engine_fixture()
+
+
+@pytest.mark.parametrize("source,n,bounds,original,improved", ERROR_CASES,
+                         ids=[c[0] for c in ERROR_CASES])
+def test_compiled_error_texts_are_those_of_the_interval_operators(compiled, source, n, bounds,
+                                                                  original, improved):
+    test_error_texts_are_those_of_the_interval_operators(source, n, bounds, original, improved)
+
+
+@pytest.mark.parametrize("source,n,bounds,original,improved", SHARING_CASES,
+                         ids=[c[0] for c in SHARING_CASES])
+def test_compiled_shared_lambda_terms_give_each_engine_its_fresh_box_bits(
+        compiled, source, n, bounds, original, improved):
+    test_shared_lambda_terms_give_each_engine_its_fresh_box_bits(source, n, bounds, original,
+                                                                 improved)
+
+
+_PASSES = ("_value_passes", "_values", "_lam_original", "_lam_improved")
+
+
+def test_a_pickled_codelist_drops_its_compiled_passes_and_its_counter(compiled):
+    cl = compile_expression("x1*x2 + exp(x1)*x3", 3)
+    box = Box.from_bounds([(0, 1), (1, 2), (-1, 1)])
+    want = [_outcome(route, cl, box) for route in (eval_original, eval_improved)]
+    assert all(name in cl.__dict__ for name in _PASSES)
+    again = pickle.loads(pickle.dumps(cl))
+    assert again == cl and not any(name in again.__dict__ for name in _PASSES)
+    assert [_outcome(route, again, box) for route in (eval_original, eval_improved)] == want
+
+
+def test_one_codelist_gives_the_same_results_before_and_after_it_crosses_the_switch(monkeypatch):
+    case = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())[-1]
+    cl = compile_expression(case["source"], case["n"])
+    boxes = [[(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]],
+             [(-1.0, 1.0)] * case["n"], [(0.5, 2.0)] * case["n"], [(-2.0, -0.5)] * case["n"]]
+
+    def outcomes():
+        return [_outcome(route, cl, Box.from_bounds(bounds)) for bounds in boxes
+                for route in (eval_original, eval_improved, trace_original, trace_improved,
+                              interval_hessian)]
+
+    # one value pass per route and box: 20, all interpreted, then 20 compiled
+    monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", 20)
+    before = outcomes()
+    assert "_values" not in cl.__dict__
+    assert outcomes() == before
+    assert all(name in cl.__dict__ for name in _PASSES[1:])
+
+
+def test_a_wrapped_lambda_kernel_counts_the_same_calls_in_both_tiers(monkeypatch):
+    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    calls = Counter()
+
+    def counted(name, kernel):
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapper
+
+    for name in ("lambda_s", "lambda_t", "lambda_star"):
+        monkeypatch.setattr(hessbound.bounds, name,
+                            counted(name, getattr(hessbound.bounds, name)))
+    counts = []
+    for after in (10**9, 0):
+        monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
+        calls.clear()
+        for case in cases:
+            cl = compile_expression(case["source"], case["n"])
+            box = Box(Interval(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"])
+            for route in (eval_original, eval_improved, trace_improved, trace_original):
+                route(cl, box)
+            assert ("_lam_original" in cl.__dict__) == (after == 0)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] and set(counts[0]) == {"lambda_s", "lambda_t", "lambda_star"}

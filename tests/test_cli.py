@@ -142,6 +142,9 @@ def test_compare_malformed_corpus_file_is_one_error_line_naming_it(capsys, tmp_p
 @pytest.mark.parametrize("text,error", [
     ("vars: 0\n# domain:\nx1\n", "f.txt: vars: 0 must be at least 1"),
     ("vars: 1\n# domain: 0,1\nx2\n", "f: x2 with n=1"),
+    # every draw on a domain wider than the largest float would be inf
+    ("vars: 1\n# domain: -1e308,1e308\nx1^2\n",
+     "f: domain component 1 [-1e+308, 1e+308] is wider than the largest float"),
 ])
 def test_compare_names_the_corpus_entry_it_cannot_read_or_compile(capsys, tmp_path, text, error):
     (tmp_path / "f.txt").write_text(text)

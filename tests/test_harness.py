@@ -95,7 +95,8 @@ def test_classify_eps_tolerance():
     assert classify(t, G, H, eps=0) == (3, 3)
 
 
-@pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf, "1e-6", None, np.array([1e-6] * 2)],
+                         ids=["negative", "nan", "inf", "str", "None", "array"])
 def test_a_comparison_tolerance_that_is_negative_or_not_finite_is_an_invalid_argument(eps):
     text = f"comparison tolerance {eps!r} is not a finite number of 0 or more"
     assert _argument_error(lambda: classify(Interval(-7, 7), G, H, eps=eps)) == text
@@ -575,6 +576,28 @@ def test_a_numpy_integer_box_count_is_accepted():
     assert random_boxes(domain, np.int64(2), seed=1) == random_boxes(domain, 2, seed=1)
     result = run_compare([CorpusEntry("f", 1, domain, "x1^2")], boxes_per_function=np.int64(2))
     assert type(result.boxes_per_function) is int and len(result.records) == 4
+
+
+@pytest.mark.parametrize("seed", [1.5, "1", None], ids=["float", "str", "None"])
+def test_a_compare_seed_that_is_not_an_integer_is_an_invalid_argument(seed):
+    entries = [CorpusEntry("f", 1, Box.from_bounds([(0, 1)]), "x1^2")]
+    for chosen in (entries, []):
+        assert (_argument_error(lambda: run_compare(chosen, boxes_per_function=1, seed=seed))
+                == f"seed {seed!r} is not an integer")
+    result = run_compare(entries, boxes_per_function=2, seed=np.int64(3))
+    assert type(result.seed) is int and result == run_compare(entries, boxes_per_function=2, seed=3)
+
+
+def test_a_domain_wider_than_the_largest_float_is_refused_before_any_draw():
+    # every draw on [-1e308, 1e308] is inf, so the redraw loop never ended
+    domain = Box([Interval(0, 1), Interval(-1e308, 1e308)])
+    text = "domain component 2 [-1e+308, 1e+308] is wider than the largest float"
+    assert _argument_error(lambda: random_boxes(domain, 3, seed=1)) == text
+    entry = CorpusEntry("wide", 2, domain, "x1*x2")
+    assert _argument_error(lambda: run_compare([entry], boxes_per_function=3)) == f"wide: {text}"
+    # a finite width is sampled, however wide
+    for box in random_boxes(Box([Interval(-8e307, 8e307)]), 5, seed=2):
+        assert -8e307 <= box[0].lo <= box[0].hi <= 8e307
 
 
 # -- corpus files ---------------------------------------------------------
