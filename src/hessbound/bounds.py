@@ -22,8 +22,7 @@ line's value, r' and eigenvalue bound, and each gradient entry -- is a
 arithmetic, bit for bit, with the same validity check and errors.  A sparse
 gradient maps a variable index to its entry, so the work scales with the
 structurally nonzero entries.  Every unary line takes its value, r' and
-curvature rules from :data:`hessbound.codelist.UNARY_RULES`; only ``add``
-and ``mul`` values and gradients are written out here.  Intervals are
+curvature rules from :data:`hessbound.codelist.UNARY_RULES`.  Intervals are
 built only at the edge, where a public function hands one out: an
 :class:`EvalResult`'s value and eigen bound (and its gradient :class:`Box`,
 on first read), the input of :func:`lift_reduced` and the
@@ -49,28 +48,40 @@ its error and stops.  The second pass applies its rule to the lines before
 that one, so an earlier rule error still wins, and then raises the recorded
 error afresh; the errors and their order are those of a single walk.
 
+Each rule is written once, as the source template of a line shape (see
+:func:`_template`): the value pass of each op, the original engine's λ pass
+of each op, and the improved engine's λ pass of each op and ``Rule``.  The
+interpreter runs one function per shape (:data:`_shapes`), compiled from
+its template on first use and kept for the process; it reads the line's
+operands from the walk's lists by index and its ``UNARY_RULES`` row when
+it runs.
+
 A codelist walked on many boxes is compiled (see :func:`_generate`): after
 ``_COMPILE_AFTER`` interpreted value passes its value pass is generated as
-straight-line Python source and compiled, and so is each engine's rule pass
-on its first use after that.  The compiled passes are kept in the
-codelist's ``__dict__``, which a pickled codelist does not carry, with the
-count of passes before them.  They make the interpreter's kernel and helper
-calls in its order, so the bits, the memo and the calls a wrapper of
-``bounds.lambda_t`` sees are the same, and both traces use them.  A
-compiled pass runs the success path only: when it raises, the interpreter
-walks that box again and raises its error, naming the line (so a λ kernel
-before the failing line is called twice).  The interval-Hessian rule stays
-interpreted and reads the compiled value pass through the slot.
+straight-line Python source, the same templates filled with the codelist's
+locals and literals, one statement per line, and compiled; so is each
+engine's rule pass on its first use after that.  The compiled passes are
+kept in the codelist's ``__dict__``, which a pickled codelist does not
+carry, with the count of passes before them; they bind each line's
+``UNARY_RULES`` row when they are generated.  Being the interpreter's
+templates, they make its kernel and helper calls in its order, so the bits,
+the memo and the calls a wrapper of ``bounds.lambda_t`` sees are the same,
+and both traces use them.  A compiled pass runs the success path only: when
+it raises, the interpreter walks that box again and raises its error,
+naming the line (so a λ kernel before the failing line is called twice).
+The interval-Hessian rule stays interpreted and reads the compiled value
+pass through the slot.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from string import Template
 from typing import Dict, List, Optional
 
-from .codelist import (ABSENT, SUM, UNARY_RULES, WIDENED, WIDENED_HULL, WIDENED_SUM, Codelist,
-                       term)
+from .codelist import (ABSENT, STAR, SUM, UNARY_RULES, WIDENED, WIDENED_HULL, WIDENED_SUM,
+                       Codelist)
 from .errors import HessboundError, LengthMismatch
 from .interval import Box, Interval, Pair, ZERO, pair_add, pair_hull, pair_mul, zero_widen
 # the engines call the λ kernels by these module names, which tracers and tests wrap
@@ -165,8 +176,9 @@ _last = None
 def _values(cl: Codelist, box: Box) -> tuple:
     """The values and sparse gradients of every line, r' by line number, and the first failure.
 
-    The pass does not raise on a line: it stops at the first one that fails
-    and returns ``(k, error)`` as the failure (``None`` when every line
+    Each line runs its shape's function (see :data:`_shapes`).  The pass
+    does not raise on a line: it stops at the first one that fails and
+    returns ``(k, error)`` as the failure (``None`` when every line
     succeeds), so that the second pass can raise it in the walk's order.
     """
     n = cl.n
@@ -177,18 +189,7 @@ def _values(cl: Codelist, box: Box) -> tuple:
     firsts: Dict[int, Optional[Pair]] = {}
     try:
         for k, line in enumerate(cl.lines[n:], start=n + 1):
-            yi, gi = ys[line.i - 1], grads[line.i - 1]
-            if line.op == "add":
-                yk, gk = pair_add(yi, ys[line.j - 1]), _grad_add(gi, grads[line.j - 1])
-            elif line.op == "mul":
-                yj = ys[line.j - 1]
-                yk = pair_mul(yi, yj)
-                gk = _grad_add(_grad_scale(gi, yj), _grad_scale(grads[line.j - 1], yi))
-            else:
-                rule = UNARY_RULES[line.op]
-                yk = rule.value(yi, line)
-                firsts[k] = first = None if rule.first is None else rule.first(yi, yk, line)
-                gk = dict(gi) if first is None else _grad_scale(gi, first)
+            yk, gk = _shapes["_values", line.op](k, line, ys, grads, firsts)
             ys.append(yk)
             grads.append(gk)
     except HessboundError as err:
@@ -238,9 +239,10 @@ def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
         ys, grads, firsts, failure = _value_pass(cl, box)
         memo = {}
         _last = cl, dims, ys, grads, firsts, failure, memo
-    if failure is None and "_values" in cl.__dict__ and rule in _LINE_SOURCES:
-        lam = cl.__dict__.get(rule.__name__) or cl.__dict__.setdefault(
-            rule.__name__, _generate(_lam_source(cl, rule)))
+    if failure is None and "_values" in cl.__dict__ and rule in (_lam_original, _lam_improved):
+        name = rule.__name__
+        lam = cl.__dict__.get(name) or cl.__dict__.setdefault(
+            name, _generate(_lam_source(cl, name)))
         try:
             return ys, grads, lam(cl, ys, grads, memo)
         except HessboundError:
@@ -298,51 +300,142 @@ def _lam_s(cl: Codelist, k: int, line, grads, memo, n: int) -> Pair:
 
 def _lam_original(cl: Codelist, k: int, line, ys, grads, firsts, memo, lams) -> Pair:
     """Eigenvalue rule of the original method: λ acts on all n variables."""
-    lam_i, yi = lams[line.i - 1], ys[line.i - 1]
-    if line.op == "add":
-        return pair_add(lam_i, lams[line.j - 1])
-    if line.op == "mul":
-        return pair_add(pair_add(pair_mul(ys[line.j - 1], lam_i), pair_mul(yi, lams[line.j - 1])),
-                        _lam_t(cl, k, line, grads, memo, cl.n))
-    rule = UNARY_RULES[line.op]
-    ls = None if rule.second is None else _lam_s(cl, k, line, grads, memo, cl.n)
-    return rule.lam(yi, ys[k - 1], line, ls, lam_i)
+    return _shapes["_lam_original", line.op](cl, k, line, ys, grads, memo, lams)
 
 
 def _lam_improved(cl: Codelist, k: int, line, ys, grads, firsts, memo, lams) -> Pair:
     """Eigenvalue rule of the sparsity-aware method: the line's
     ``Codelist.rules`` entry, λ acting on its block only."""
     rule = cl.rules[k - 1]
-    lam_i, yi = lams[line.i - 1], ys[line.i - 1]
-    if line.op == "add":
-        return rule.apply(None, lam_i, lams[line.j - 1])
-    if line.op == "mul":
-        yj, lam_j = ys[line.j - 1], lams[line.j - 1]
-        if rule.cross is not None:  # the 2x2 rule: λ* and the cross product
-            a, b = term(rule.i, lam_i, yj), term(rule.j, lam_j, yi)
-            p, q = rule.cross
-            return lambda_star(_ZERO if a is None else a, _ZERO if b is None else b,
-                               pair_mul(grads[line.i - 1].get(p, _ZERO),
-                                        grads[line.j - 1].get(q, _ZERO)))
-        lt = _lam_t(cl, k, line, grads, memo, len(cl.blocks[k - 1]))
-        return rule.apply(lt, lam_i, lam_j, yi, yj)
-    unary = UNARY_RULES[line.op]
-    yk = ys[k - 1]
-    lam = term(rule.i, lam_i)  # None when the argument block vanishes entirely
-    if unary.second is None:  # affine: L_k = L_i and r'' = 0
-        return _ZERO if lam is None else unary.lam(yi, yk, line, None, lam)
-    ls = _lam_s(cl, k, line, grads, memo, len(cl.blocks[k - 1]))
-    if lam is None:
-        return pair_mul(unary.second(yi, yk, line), ls)
-    return unary.lam(yi, yk, line, ls, lam)
+    return _shapes["_lam_improved", line.op, rule.i, rule.j, rule.combine](
+        cl, k, line, ys, grads, memo, lams)
+
+
+# -- line shapes: the one formula of each rule ------------------------------
+#
+# A line shape is one pass on one kind of line: the value pass (``_values``)
+# or the original engine's λ pass (``_lam_original``) of an op, or the
+# improved engine's λ pass (``_lam_improved``) of an op and its Rule's terms
+# and combination.  Its template is the source of that line, with
+# ``string.Template`` placeholders that each tier fills:
+#
+#   $k, $line          the line's number and its Line;
+#   $yi, $yj, $y       the operands' values and the line's own;
+#   $gi, $gj, $g, $f   the sparse gradients, and r' of a unary line;
+#   $li, $lj, $l       the operands' eigenvalue bounds and the line's own;
+#   $n, $size          the dimension of the original engine and of the line's block;
+#   $p, $q             the cross of a 2x2 rule;
+#   $value, $first, $second, $lam   the functions of the line's UNARY_RULES row.
+#
+# A value template assigns $y, $g and $f, a λ template $l; both call the
+# kernels and helpers in the order the rule is written.  The code runs in
+# this module's namespace, so it looks up ``lambda_star``, as ``_lam_t`` and
+# ``_lam_s`` look up ``lambda_t`` and ``lambda_s``, on every call.
+
+_ROW = ("value", "first", "second", "lam")
+
+
+def _template(name: str, op: str, i: str = ABSENT, j: str = ABSENT,
+              combine: str = SUM) -> Template:
+    """The template of pass ``name`` on an ``op`` line; ``i``, ``j`` and
+    ``combine`` are the line's :class:`~hessbound.codelist.Rule` in the
+    improved pass (the 2x2 rule's cross is ``$p, $q``)."""
+    row = UNARY_RULES.get(op)
+    if name == "_values":
+        if op == "add":
+            src = "$y = pair_add($yi, $yj); $g = _grad_add($gi, $gj)"
+        elif op == "mul":
+            src = ("$y = pair_mul($yi, $yj); "
+                   "$g = _grad_add(_grad_scale($gi, $yj), _grad_scale($gj, $yi))")
+        elif row.first is None:  # r' = 1
+            src = "$y = $value($yi, $line); $f = None; $g = dict($gi)"
+        else:
+            src = "$y = $value($yi, $line); $f = $first($yi, $y, $line); $g = _grad_scale($gi, $f)"
+    elif name == "_lam_original":
+        if op == "add":
+            src = "$l = pair_add($li, $lj)"
+        elif op == "mul":
+            src = ("$l = pair_add(pair_add(pair_mul($yj, $li), pair_mul($yi, $lj)), "
+                   "_lam_t(cl, $k, $line, grads, memo, $n))")
+        else:
+            ls = "None" if row.second is None else "_lam_s(cl, $k, $line, grads, memo, $n)"
+            src = f"$l = $lam($yi, $y, $line, {ls}, $li)"
+    else:
+        def term(kind, lam, factor=None):  # an operand's term (see Rule)
+            if kind == ABSENT:
+                return None
+            if kind == WIDENED:
+                lam = f"pair_hull({lam}, _ZERO)"
+            return lam if factor is None else f"pair_mul({factor}, {lam})"
+
+        if row is not None:  # a unary line: its operand's term is i
+            t = term(i, "$li")
+            ls = "_lam_s(cl, $k, $line, grads, memo, $size)"
+            if row.second is None:  # affine: L_k = L_i and r'' = 0
+                src = "$l = " + ("_ZERO" if t is None else f"$lam($yi, $y, $line, None, {t})")
+            elif t is None:  # the argument block vanishes entirely
+                src = f"s = {ls}; $l = pair_mul($second($yi, $y, $line), s)"
+            else:
+                src = f"t = {t}; $l = $lam($yi, $y, $line, {ls}, t)"
+            return Template(src)
+        scaled = op == "mul"
+        a, b = term(i, "$li", "$yj" if scaled else None), term(j, "$lj", "$yi" if scaled else None)
+        lt = "_lam_t(cl, $k, $line, grads, memo, $size)" if scaled else None
+        if combine == STAR:
+            out = (f"lambda_star({a or '_ZERO'}, {b or '_ZERO'}, "
+                   "pair_mul($gi.get($p, _ZERO), $gj.get($q, _ZERO)))")
+        elif combine == SUM:
+            out = None
+            for x in (lt, a, b):
+                if x is not None:
+                    out = x if out is None else f"pair_add({out}, {x})"
+            out = out or "_ZERO"
+        elif combine == WIDENED_SUM:
+            out = f"pair_add({lt}, pair_hull(pair_add({a}, {b}), _ZERO))"
+        else:
+            out = f"pair_hull({a}, {b})"
+            if combine == WIDENED_HULL:
+                out = f"pair_hull({out}, _ZERO)"
+            if lt is not None:
+                out = f"pair_add({lt}, {out})"
+        src = f"$l = {out}"
+    return Template(src)
+
+
+# The interpreter's fill: each placeholder read from the walk's lists by
+# index.  The row is looked up when the line runs, so a UNARY_RULES row
+# replaced after its shape was compiled takes effect on the next walk.
+_INTERPRETED = {
+    "k": "k", "line": "line", "n": "cl.n", "size": "len(cl.blocks[k - 1])",
+    "yi": "ys[line.i - 1]", "yj": "ys[line.j - 1]", "y": "ys[k - 1]",
+    "gi": "grads[line.i - 1]", "gj": "grads[line.j - 1]", "g": "g", "f": "firsts[k]",
+    "li": "lams[line.i - 1]", "lj": "lams[line.j - 1]", "l": "l",
+    "p": "cl.rules[k - 1].cross[0]", "q": "cl.rules[k - 1].cross[1]",
+    **{attr: f"UNARY_RULES[line.op].{attr}" for attr in _ROW},
+}
+
+
+class _Shapes(dict):
+    """The interpreter's function of each line shape, keyed ``(name, op)``,
+    or ``(name, op, i, j, combine)`` in the improved pass: compiled from its
+    template on first use and kept for the process.  A value shape is
+    ``shape(k, line, ys, grads, firsts)``, giving line k's value and
+    gradient; a λ shape is ``shape(cl, k, line, ys, grads, memo, lams)``."""
+
+    def __missing__(self, key):
+        if key[0] == "_values":
+            signature, body = "shape(k, line, ys, grads, firsts)", "return y, g"
+            line = _template(*key).substitute(_INTERPRETED, y="y")
+        else:
+            signature, body = "shape(cl, k, line, ys, grads, memo, lams)", "return l"
+            line = _template(*key).substitute(_INTERPRETED)
+        return self.setdefault(key, _generate((signature, [line, body], {})))
+
+
+_shapes = _Shapes()
 
 
 # -- the compiled tier (see the module docstring) ---------------------------
-#
-# Each line's op, ``UNARY_RULES`` row and ``Codelist.rules`` entry are
-# resolved when the source is generated.  The generated code runs in this
-# module's namespace, so it looks up ``lambda_star``, as ``_lam_t`` and
-# ``_lam_s`` look up ``lambda_t`` and ``lambda_s``, on every call.
 
 # Interpreted value passes before a codelist's value pass is compiled; each
 # engine's rule pass follows on its first use after that.  Generating and
@@ -367,121 +460,47 @@ def _generate(source: tuple):
     return scope["make"](**names)
 
 
+def _lines(cl: Codelist, name: str, names: dict) -> List[str]:
+    """Pass ``name`` on cl's operation lines, as source: each line's template
+    filled with the codelist's locals (``y5``, ``g5``, ``l5``) and literals.
+    The Line and row functions that line k's template reads are bound in
+    ``names`` as ``line5``, ``lam5`` and so on."""
+    n, out = cl.n, []
+    for k, line in enumerate(cl.lines[n:], start=n + 1):
+        i, j, rule, row = line.i, line.j, cl.rules[k - 1], UNARY_RULES.get(line.op)
+        key = (line.op, rule.i, rule.j, rule.combine) if name == "_lam_improved" else (line.op,)
+        template = _template(name, *key)
+        bound = {"line": line, **{attr: getattr(row, attr) for attr in _ROW if row is not None}}
+        names.update({f"{attr}{k}": value for attr, value in bound.items()
+                      if f"${attr}" in template.template})
+        p, q = rule.cross or (None, None)
+        out.append(template.substitute(
+            {attr: f"{attr}{k}" for attr in bound}, k=k, n=n, size=len(cl.blocks[k - 1]),
+            yi=f"y{i}", yj=f"y{j}", y=f"y{k}", gi=f"g{i}", gj=f"g{j}", g=f"g{k}", f=f"f{k}",
+            li=f"l{i}" if i > n else "_ZERO", lj=f"l{j}" if j and j > n else "_ZERO",
+            l=f"l{k}", p=p, q=q))
+    return out
+
+
 def _values_source(cl: Codelist) -> tuple:
     """:func:`_values` without its failure handling, as ``values(dims)``."""
-    names, firsts = {}, []
-    body = ["".join(f"d{k}, " for k in range(1, cl.n + 1)) + "= dims"]
-    for k, line in enumerate(cl.lines, start=1):
-        i, j = line.i, line.j
-        if line.op == "var":
-            body.append(f"y{k} = d{k}.lo, d{k}.hi; g{k} = {{{k}: _ONE}}")
-        elif line.op == "add":
-            body.append(f"y{k} = pair_add(y{i}, y{j}); g{k} = _grad_add(g{i}, g{j})")
-        elif line.op == "mul":
-            body.append(f"y{k} = pair_mul(y{i}, y{j}); "
-                        f"g{k} = _grad_add(_grad_scale(g{i}, y{j}), _grad_scale(g{j}, y{i}))")
-        else:
-            unary = UNARY_RULES[line.op]
-            names[f"L{k}"], names[f"V{k}"] = line, unary.value
-            if unary.first is None:
-                firsts.append(f"{k}: None")
-                body.append(f"y{k} = V{k}(y{i}, L{k}); g{k} = dict(g{i})")
-            else:
-                names[f"F{k}"] = unary.first
-                firsts.append(f"{k}: f{k}")
-                body.append(f"y{k} = V{k}(y{i}, L{k}); f{k} = F{k}(y{i}, y{k}, L{k}); "
-                            f"g{k} = _grad_scale(g{i}, f{k})")
-    every = range(1, len(cl.lines) + 1)
+    n, names, every = cl.n, {}, range(1, len(cl.lines) + 1)
+    body = ["".join(f"d{k}, " for k in range(1, n + 1)) + "= dims",
+            *(f"y{k} = d{k}.lo, d{k}.hi; g{k} = {{{k}: _ONE}}" for k in range(1, n + 1)),
+            *_lines(cl, "_values", names)]
+    firsts = ", ".join(f"{k}: f{k}" for k in every if cl.lines[k - 1].op in UNARY_RULES)
     body.append(f"return [{', '.join(f'y{k}' for k in every)}], "
-                f"[{', '.join(f'g{k}' for k in every)}], {{{', '.join(firsts)}}}, None")
+                f"[{', '.join(f'g{k}' for k in every)}], {{{firsts}}}, None")
     return "values(dims)", body, names
 
 
-def _lam_source(cl: Codelist, rule) -> tuple:
-    """The interpreted ``rule`` as a pass ``lam(cl, ys, grads, memo)``: its
-    line k is ``_LINE_SOURCES[rule](cl, k, line, lam, names)``, where
-    ``lam(r)`` is line r's bound."""
-    n, names, line_source = cl.n, {}, _LINE_SOURCES[rule]
-    every = range(1, len(cl.lines) + 1)
-    body = ["".join(f"y{k}, " for k in every) + "= ys"]
-    lam = lambda r: f"l{r}" if r > n else "_ZERO"
-    body += [line_source(cl, k, line, lam, names)
-             for k, line in enumerate(cl.lines[n:], start=n + 1)]
-    body.append(f"return [{', '.join(map(lam, every))}]")
+def _lam_source(cl: Codelist, name: str) -> tuple:
+    """The interpreted engine rule ``name`` as a pass ``lam(cl, ys, grads, memo)``."""
+    n, names, every = cl.n, {}, range(1, len(cl.lines) + 1)
+    body = ["".join(f"y{k}, " for k in every) + "= ys",
+            "".join(f"g{k}, " for k in every) + "= grads", *_lines(cl, name, names),
+            f"return [{', '.join(f'l{k}' if k > n else '_ZERO' for k in every)}]"]
     return "lam(cl, ys, grads, memo)", body, names
-
-
-def _original_line(cl: Codelist, k: int, line, lam, names) -> str:
-    """:func:`_lam_original` on line k, as source."""
-    i, j = line.i, line.j
-    if line.op == "add":
-        return f"l{k} = pair_add({lam(i)}, {lam(j)})"
-    names[f"L{k}"] = line
-    if line.op == "mul":
-        return (f"l{k} = pair_add(pair_add(pair_mul(y{j}, {lam(i)}), pair_mul(y{i}, {lam(j)})), "
-                f"_lam_t(cl, {k}, L{k}, grads, memo, {cl.n}))")
-    unary = UNARY_RULES[line.op]
-    names[f"M{k}"] = unary.lam
-    ls = "None" if unary.second is None else f"_lam_s(cl, {k}, L{k}, grads, memo, {cl.n})"
-    return f"l{k} = M{k}(y{i}, y{k}, L{k}, {ls}, {lam(i)})"
-
-
-def _term_source(kind: str, lam: str, factor: Optional[str] = None) -> Optional[str]:
-    """:func:`term` as source."""
-    if kind == ABSENT:
-        return None
-    if kind == WIDENED:
-        lam = f"pair_hull({lam}, _ZERO)"
-    return lam if factor is None else f"pair_mul({factor}, {lam})"
-
-
-def _apply_source(rule, lt: Optional[str], lam_i: str, lam_j: str,
-                  yi: Optional[str] = None, yj: Optional[str] = None) -> str:
-    """:meth:`Rule.apply` as source, with the same calls in the same order."""
-    a, b = _term_source(rule.i, lam_i, yj), _term_source(rule.j, lam_j, yi)
-    if rule.combine == SUM:
-        out = None
-        for x in (lt, a, b):
-            if x is not None:
-                out = x if out is None else f"pair_add({out}, {x})"
-        return out or "_ZERO"
-    if rule.combine == WIDENED_SUM:
-        return f"pair_add({lt}, pair_hull(pair_add({a}, {b}), _ZERO))"
-    h = f"pair_hull({a}, {b})"
-    if rule.combine == WIDENED_HULL:
-        h = f"pair_hull({h}, _ZERO)"
-    return h if lt is None else f"pair_add({lt}, {h})"
-
-
-def _improved_line(cl: Codelist, k: int, line, lam, names) -> str:
-    """:func:`_lam_improved` on line k, as source."""
-    rule, i, j, size = cl.rules[k - 1], line.i, line.j, len(cl.blocks[k - 1])
-    if line.op == "add":
-        return f"l{k} = {_apply_source(rule, None, lam(i), lam(j))}"
-    if line.op == "mul":
-        if rule.cross is not None:
-            a = _term_source(rule.i, lam(i), f"y{j}") or "_ZERO"
-            b = _term_source(rule.j, lam(j), f"y{i}") or "_ZERO"
-            p, q = rule.cross
-            return (f"l{k} = lambda_star({a}, {b}, pair_mul(grads[{i - 1}].get({p}, _ZERO), "
-                    f"grads[{j - 1}].get({q}, _ZERO)))")
-        names[f"L{k}"] = line
-        lt = f"_lam_t(cl, {k}, L{k}, grads, memo, {size})"
-        return f"l{k} = {_apply_source(rule, lt, lam(i), lam(j), f'y{i}', f'y{j}')}"
-    unary = UNARY_RULES[line.op]
-    names[f"L{k}"], names[f"M{k}"] = line, unary.lam
-    t = _term_source(rule.i, lam(i))
-    if unary.second is None:
-        return f"l{k} = " + ("_ZERO" if t is None else f"M{k}(y{i}, y{k}, L{k}, None, {t})")
-    ls = f"_lam_s(cl, {k}, L{k}, grads, memo, {size})"
-    if t is None:
-        names[f"S{k}"] = unary.second
-        return f"s = {ls}; l{k} = pair_mul(S{k}(y{i}, y{k}, L{k}), s)"
-    return f"t = {t}; l{k} = M{k}(y{i}, y{k}, L{k}, {ls}, t)"
-
-
-# the rules whose passes are compiled, and the source of one line of each
-_LINE_SOURCES = {_lam_original: _original_line, _lam_improved: _improved_line}
 
 
 # -- public entry points: Intervals are built here -------------------------

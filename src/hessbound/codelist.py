@@ -21,7 +21,8 @@ fixed by the operation structure alone, not by the box it is evaluated over.
 :data:`UNARY_RULES` holds the interval rules of every unary operation
 y_k = r(y_i): its value, r', r'' and the factored curvature rule, on
 ``(lo, hi)`` float pairs.  Both bound engines and the interval-Hessian
-reference route apply them from here; :class:`Rule` combines pairs too.
+reference route apply them from here; a :class:`Rule` is data, which the
+engines' line templates in :mod:`hessbound.bounds` apply.
 
 :attr:`Codelist.point_function` is the codelist as one generated Python
 function of a real point, one source line per codelist line, compiled on
@@ -47,7 +48,6 @@ from .interval import (
     Pair,
     pair_add,
     pair_exp,
-    pair_hull,
     pair_ln,
     pair_mul,
     pair_pow,
@@ -240,28 +240,14 @@ ABSENT, EXACT, WIDENED = "absent", "exact", "widened"
 SUM, WIDENED_SUM, HULL, WIDENED_HULL, STAR = "sum", "widened sum", "hull", "widened hull", "2x2"
 
 
-def term(kind: str, lam: Pair, factor: Optional[Pair] = None) -> Optional[Pair]:
-    """An operand's term in a rule: ``factor·lam``, ``lam`` zero-widened
-    first if ``kind`` is WIDENED; ``None`` if it is ABSENT."""
-    if kind == ABSENT:
-        return None
-    if kind == WIDENED:
-        lam = pair_hull(lam, (0.0, 0.0))
-    return lam if factor is None else pair_mul(factor, lam)
-
-
-def _plus(x: Optional[Pair], y: Optional[Pair]) -> Optional[Pair]:
-    return y if x is None else x if y is None else pair_add(x, y)
-
-
 @dataclass(frozen=True)
 class Rule:
     """Sparsity rule of one codelist line, chosen once by :meth:`Codelist.analyze`.
 
     ``op`` is ``"add"``, ``"mul"`` or ``"unary"``.  Each
-    operand x enters as a :func:`term`: ABSENT when L_x holds every
-    variable, else its bound λ_x, EXACT or WIDENED (zero_widen(λ_x)), and
-    on a mul line scaled by the other operand's value.  A binary line
+    operand x enters as a term: ABSENT when L_x holds every variable, else
+    its bound λ_x, EXACT or WIDENED (zero_widen(λ_x)), and on a mul line
+    scaled by the other operand's value.  A binary line
     combines λ_t over its block, if it has one, with the terms a and b:
 
     * SUM -- ``(λ_t + a) + b``, absent terms left out, 0 if nothing is left;
@@ -271,7 +257,9 @@ class Rule:
       ``cross == (p, q)``, absent terms as 0.
 
     A unary line uses ``i`` only.  Every rule but a 2x2 one is one object
-    shared by all lines that take it.
+    shared by all lines that take it.  The rule is data: the engines'
+    source template of each (op, i, j, combine) applies it
+    (``hessbound.bounds._template``).
     """
 
     op: str
@@ -288,25 +276,6 @@ class Rule:
             return self.i
         cross = "" if self.cross is None else " {},{}".format(*self.cross)
         return f"{self.i}/{self.j} {self.combine}{cross}"
-
-    def apply(self, lt: Optional[Pair], lam_i: Pair, lam_j: Pair,
-              yi: Optional[Pair] = None, yj: Optional[Pair] = None) -> Pair:
-        """A binary line's bound from its λ_t bound ``lt`` (``None`` on an add
-        line) and its operands' bounds; on a mul line the terms are scaled by
-        ``yj`` and ``yi``.  All are ``(lo, hi)`` pairs.  Evaluated in the
-        order the formula is written.  The 2x2 rule is the engine's: it needs
-        the gradients."""
-        a = term(self.i, lam_i, yj)
-        if self.combine == SUM:
-            out = _plus(_plus(lt, a), term(self.j, lam_j, yi))
-            return (0.0, 0.0) if out is None else out
-        b = term(self.j, lam_j, yi)
-        if self.combine == WIDENED_SUM:
-            return pair_add(lt, pair_hull(pair_add(a, b), (0.0, 0.0)))
-        h = pair_hull(a, b)
-        if self.combine == WIDENED_HULL:
-            h = pair_hull(h, (0.0, 0.0))
-        return h if lt is None else pair_add(lt, h)
 
 
 _shared_rule = cache(Rule)  # one object per (op, i, j, combine)

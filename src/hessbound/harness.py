@@ -233,9 +233,13 @@ def random_boxes(domain: Box, count: int, seed: int) -> List[Box]:
     Each dimension gets two independent uniform draws, sorted; a dimension
     is redrawn while its width is below 1e-9 times the domain width.  A
     domain component wider than the largest float is an
-    :class:`InvalidArgument`: every draw on it would be inf.
+    :class:`InvalidArgument`: every draw on it would be inf.  So is a
+    ``seed`` that :class:`random.Random` does not take.
     """
     count = _box_count(count)
+    if seed is not None and not isinstance(seed, (int, float, str, bytes, bytearray)):
+        raise InvalidArgument(f"seed {shown(seed)} is not None, an int, a float, a str, "
+                              "bytes or a bytearray")
     for i, d in enumerate(domain, start=1):
         if not d.width < math.inf:
             raise InvalidArgument(f"domain component {i} {d} is wider than the largest float")

@@ -1,6 +1,7 @@
 """Eigenvalue bound engines: golden values, soundness, tightening."""
 
 import dataclasses
+import itertools
 import json
 import math
 import pickle
@@ -27,7 +28,8 @@ from hessbound import (
     trace_improved,
     trace_original,
 )
-from hessbound.codelist import UNARY_RULES
+from hessbound.codelist import (ABSENT, EXACT, STAR, UNARY_RULES, WIDENED, Codelist, Line,
+                                _binary_rule, _shared_rule)
 from hessbound.harness import codelist_value, random_boxes, random_function
 from hessbound.reference import (
     SymIntervalMatrix,
@@ -645,3 +647,74 @@ def test_a_wrapped_lambda_kernel_counts_the_same_calls_in_both_tiers(monkeypatch
             assert ("_lam_original" in cl.__dict__) == (after == 0)
         counts.append(dict(calls))
     assert counts[0] == counts[1] and set(counts[0]) == {"lambda_s", "lambda_t", "lambda_star"}
+
+
+@pytest.mark.parametrize("after", [10**9, 0], ids=["interpreted", "compiled"])
+def test_a_unary_row_replaced_after_both_engines_walked_its_op_is_called_on_the_next_walk(
+        monkeypatch, after):
+    monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
+    source, bounds = "x1 + exp(x1*x2)", [(0.5, 1.0), (0.0, 1.0)]
+    cl = compile_expression(source, 2)
+    routes = (eval_original, eval_improved)
+    box = Box.from_bounds(bounds)
+    want = [_outcome(route, cl, box) for route in routes]
+    calls = Counter()
+
+    def counted(name, rule):
+        def wrapper(*args):
+            calls[name] += 1
+            return rule(*args)
+        return wrapper
+
+    row = UNARY_RULES["exp"]
+    monkeypatch.setitem(UNARY_RULES, "exp", dataclasses.replace(
+        row, **{name: counted(name, getattr(row, name)) for name in ("value", "first", "lam")}))
+    # the same codelist on the interpreter; a new one in the compiled tier,
+    # whose passes bind the rows when they are generated
+    again = cl if after else compile_expression(source, 2)
+    box = Box.from_bounds(bounds)  # a new box: the value pass runs again
+    assert [_outcome(route, again, box) for route in routes] == want
+    assert calls == {"value": 1, "first": 1, "lam": 2}
+
+
+def _every_assignable_shape():
+    """(n, line, rule): every Rule ``_binary_rule`` gives over all index sets of
+    n <= 3 variables, on an add and a mul line, and each term kind on each unary op."""
+    out = set()
+    for n in (1, 2, 3):
+        full = frozenset(range(1, n + 1))
+        sets = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(full, r)]
+        for op in ("add", "mul"):
+            for ii, li, ij, lj in itertools.product(sets, repeat=4):
+                lk = li & lj if op == "add" else ii & ij
+                out.add((n, Line(op, 1, n), _binary_rule(op, ii, li, ij, lj, lk, full)))
+        for op in UNARY_RULES:
+            for kind in (ABSENT, EXACT, WIDENED):
+                out.add((n, Line(op, 1, c=1.5, m=2), _shared_rule("unary", kind)))
+    return sorted(out, key=repr)
+
+
+def test_every_shape_the_analysis_can_assign_compiles_in_both_tiers(monkeypatch):
+    shapes = hessbound.bounds._shapes
+    cases = []
+    for n, line, rule in _every_assignable_shape():
+        cl = Codelist(n, [Line("var")] * n + [line])
+        object.__setattr__(cl, "rules", cl.rules[:-1] + (rule,))  # the shape under test
+        cases.append((cl, Box.from_bounds([(0.5, 2.0)] * n)))
+
+    def outcomes(after):
+        monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
+        return [[_outcome(route, cl, Box(box)) for route in (eval_original, eval_improved)]
+                for cl, box in cases]
+
+    interpreted = outcomes(10**9)
+    assert all(len(got) == 5 for case in interpreted for got in case)  # no error
+    assert outcomes(0) == interpreted
+    assert all(name in cl.__dict__ for cl, _ in cases for name in _PASSES)
+    # one function per shape, whichever codelist or cross it came from
+    before = dict(shapes)
+    assert outcomes(10**9) == interpreted
+    assert shapes.keys() == before.keys() and all(shapes[key] is before[key] for key in before)
+    crosses = {cl.rules[-1].cross for cl, _ in cases if cl.rules[-1].combine == STAR}
+    assert len(crosses) > 1
+    assert len([key for key in shapes if key[0] == "_lam_improved" and key[-1] == STAR]) <= 4

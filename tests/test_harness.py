@@ -588,6 +588,17 @@ def test_a_compare_seed_that_is_not_an_integer_is_an_invalid_argument(seed):
     assert type(result.seed) is int and result == run_compare(entries, boxes_per_function=2, seed=3)
 
 
+def test_a_sampling_seed_random_does_not_take_is_an_invalid_argument():
+    # random.Random raised a bare TypeError (or, before Python 3.11, hashed a tuple)
+    domain = Box.from_bounds([(0, 1)])
+    for seed in ([1], (1,), {1: 2}):
+        assert (_argument_error(lambda: random_boxes(domain, 2, seed=seed))
+                == f"seed {seed!r} is not None, an int, a float, a str, bytes or a bytearray")
+    for seed in (None, 1, True, 1.5, "1", b"1", bytearray(b"1")):
+        assert len(random_boxes(domain, 2, seed=seed)) == 2
+    assert random_boxes(domain, 2, seed="1") == random_boxes(domain, 2, seed="1")
+
+
 def test_a_domain_wider_than_the_largest_float_is_refused_before_any_draw():
     # every draw on [-1e308, 1e308] is inf, so the redraw loop never ended
     domain = Box([Interval(0, 1), Interval(-1e308, 1e308)])
