@@ -60,23 +60,26 @@ A codelist walked on many boxes is compiled (see :func:`_generate`): after
 ``_COMPILE_AFTER`` interpreted value passes its value pass is generated as
 straight-line Python source, the same templates filled with the codelist's
 locals and literals, one statement per line, and compiled; so is each
-engine's rule pass on its first use after that.  The compiled passes are
+rule pass of :data:`_PASS_SOURCES` on its first use after that: each
+engine's, and the interval-Hessian rule of :mod:`hessbound.reference`,
+which writes its own templates.  The compiled passes are
 kept in the codelist's ``__dict__``, which a pickled codelist does not
 carry, with the count of passes before them; they bind each line's
 ``UNARY_RULES`` row when they are generated.  Being the interpreter's
 templates, they make its kernel and helper calls in its order, so the bits,
 the memo and the calls a wrapper of ``bounds.lambda_t`` sees are the same,
 and both traces use them.  A compiled pass runs the success path only: when
-it raises, the interpreter walks that box again and raises its error,
-naming the line (so a λ kernel before the failing line is called twice).
-The interval-Hessian rule stays interpreted and reads the compiled value
-pass through the slot.
+it raises a :class:`HessboundError` or (in the interval Hessian's numpy
+arrays) a ``FloatingPointError``, the interpreter walks that box again and
+raises its error, naming the line (so a kernel before the failing line is
+called twice).
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import partial
 from string import Template
 from typing import Dict, List, Optional
 
@@ -224,10 +227,10 @@ def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
     grads, firsts, memo, out)`` gives operation line k's result from those,
     the box's λ memo (see :func:`_lam_t`) and the results ``out`` of earlier
     lines (``seed`` on a var line; a rule may drop one no later line reads).
-    An engine's rule runs as the codelist's compiled pass once its value
-    pass is compiled.  The lines before a failing one come first, so an
-    earlier rule error wins; an error of either pass is raised naming its
-    line.
+    A rule with an entry in :data:`_PASS_SOURCES` runs as the codelist's
+    compiled pass once its value pass is compiled.  The lines before a
+    failing one come first, so an earlier rule error wins; an error of
+    either pass is raised naming its line.
     """
     global _last
     if not isinstance(box, Box):
@@ -239,13 +242,13 @@ def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
         ys, grads, firsts, failure = _value_pass(cl, box)
         memo = {}
         _last = cl, dims, ys, grads, firsts, failure, memo
-    if failure is None and "_values" in cl.__dict__ and rule in (_lam_original, _lam_improved):
+    if failure is None and "_values" in cl.__dict__ and rule in _PASS_SOURCES:
         name = rule.__name__
-        lam = cl.__dict__.get(name) or cl.__dict__.setdefault(
-            name, _generate(_lam_source(cl, name)))
+        compiled = cl.__dict__.get(name) or cl.__dict__.setdefault(
+            name, _generate(_PASS_SOURCES[rule](cl)))
         try:
-            return ys, grads, lam(cl, ys, grads, memo)
-        except HessboundError:
+            return ys, grads, compiled(cl, ys, grads, firsts, memo)
+        except (HessboundError, FloatingPointError):
             pass  # the rule loop below raises the error, naming its line
     n = cl.n
     out = [seed] * n
@@ -495,12 +498,26 @@ def _values_source(cl: Codelist) -> tuple:
 
 
 def _lam_source(cl: Codelist, name: str) -> tuple:
-    """The interpreted engine rule ``name`` as a pass ``lam(cl, ys, grads, memo)``."""
+    """The interpreted engine rule ``name`` as a pass ``lam(cl, ys, grads, firsts, memo)``."""
     n, names, every = cl.n, {}, range(1, len(cl.lines) + 1)
-    body = ["".join(f"y{k}, " for k in every) + "= ys",
-            "".join(f"g{k}, " for k in every) + "= grads", *_lines(cl, name, names),
+    body = [*_unpack(cl), *_lines(cl, name, names),
             f"return [{', '.join(f'l{k}' if k > n else '_ZERO' for k in every)}]"]
-    return "lam(cl, ys, grads, memo)", body, names
+    return "lam(cl, ys, grads, firsts, memo)", body, names
+
+
+def _unpack(cl: Codelist) -> List[str]:
+    """A rule pass's first lines: the walk's values and gradients as locals ``y5``, ``g5``."""
+    every = range(1, len(cl.lines) + 1)
+    return ["".join(f"y{k}, " for k in every) + "= ys",
+            "".join(f"g{k}, " for k in every) + "= grads"]
+
+
+# The source of each rule's compiled pass, ``(cl) -> (signature, body, names)``,
+# by rule (see _walk): the engines' here, and the interval-Hessian rule's,
+# which hessbound.reference adds.  A compiled pass takes ``(cl, ys, grads,
+# firsts, memo)`` and gives the list of the rule's results on every line.
+_PASS_SOURCES = {rule: partial(_lam_source, name=rule.__name__)
+                 for rule in (_lam_original, _lam_improved)}
 
 
 # -- public entry points: Intervals are built here -------------------------

@@ -103,8 +103,11 @@ def classify(tested: Interval, gersh: Interval, vertex: Interval,
     The vertex-enumeration interval is exact for the interval-Hessian
     relaxation, so it must sit inside the Gershgorin interval; if it does
     not (beyond eps), the inputs are inconsistent.  ``eps`` is finite and 0
-    or more.
+    or more.  Each bound is an :class:`Interval`, else :class:`InvalidArgument`.
     """
+    for name, bound in ("tested", tested), ("gersh", gersh), ("vertex", vertex):
+        if not isinstance(bound, Interval):
+            raise InvalidArgument(f"{name} bound {shown(bound)} is not an Interval")
     _check_eps(eps)
     if _greater(gersh.lo, vertex.lo, eps) or _greater(vertex.hi, gersh.hi, eps):
         raise InconsistentInputs(
@@ -234,12 +237,15 @@ def random_boxes(domain: Box, count: int, seed: int) -> List[Box]:
     is redrawn while its width is below 1e-9 times the domain width.  A
     domain component wider than the largest float is an
     :class:`InvalidArgument`: every draw on it would be inf.  So is a
-    ``seed`` that :class:`random.Random` does not take.
+    ``seed`` that :class:`random.Random` does not take.  ``domain`` is a
+    :class:`Box`, or anything ``Box`` builds one from.
     """
     count = _box_count(count)
     if seed is not None and not isinstance(seed, (int, float, str, bytes, bytearray)):
         raise InvalidArgument(f"seed {shown(seed)} is not None, an int, a float, a str, "
                               "bytes or a bytearray")
+    if not isinstance(domain, Box):
+        domain = Box(domain)
     for i, d in enumerate(domain, start=1):
         if not d.width < math.inf:
             raise InvalidArgument(f"domain component {i} {d} is wider than the largest float")

@@ -11,16 +11,20 @@ compared against:
   size of its ``Codelist.blocks`` entry: none, ``None`` (zero); one
   variable p, the entry (p, p) as a ``(lo, hi)`` pair of the endpoint
   kernels; more, a (2, n, n) float array of the lower and upper endpoints.
-  One loop adds each of a line's terms: its operands' carriers, scaled, then
-  a product's cross term or a unary line's r'' term on the line's block,
-  through that block's flat index (``Codelist.block_index``).  A stack is
-  taken before a pair, and a pair is never lifted: on a larger block it is
-  the one entry (p, p) added into the line's stack.  No carrier is written
-  into by a later line, and each is ``None`` after its last reader.  An
-  overflow in any Hessian entry raises :class:`InvalidInterval` at the
-  operation where it happens, in a pair kernel or a numpy stack alike; an
-  error of the line's own r'' (``pow overflow``, ``sqrt r'' overflow``)
-  comes first;
+  A line adds its operands' carriers, scaled, then a product's cross term or
+  a unary line's r'' term on the line's block, through that block's flat
+  index (``Codelist.block_index``).  A stack is taken before a pair, and a
+  pair is never lifted: on a larger block it is the one entry (p, p) added
+  into the line's stack.  So the carrier kinds fix every branch of a line's
+  rule but a scaling's sign test, and the rule is written once, as a
+  ``string.Template`` per line shape (:func:`_hessian_template`), which
+  both tiers of the walk fill: the interpreter runs one function per shape,
+  and a codelist walked on many boxes gets a compiled pass, as the engines
+  do.  No carrier is written into by a later line, and each is ``None``
+  after its last reader.  An overflow in any Hessian entry raises
+  :class:`InvalidInterval` at the line where it happens, in a pair kernel
+  or a numpy stack alike; an error of the line's own r'' (``pow
+  overflow``, ``sqrt r'' overflow``) comes first;
 * :func:`gershgorin_bounds` -- disc bounds from such an enclosure;
 * :func:`hertz_rohn_bounds` -- exact extremal eigenvalues of a symmetric
   interval matrix via signed vertex enumeration, each vertex picked from the
@@ -44,12 +48,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, repeat
+from string import Template
 from typing import List, Tuple
 
 import numpy as np
 
-from .bounds import _ZERO, _walk
+from .bounds import _INTERPRETED as _INTERPRETED_LINE
+from .bounds import _PASS_SOURCES, _ZERO, _generate, _unpack, _walk
 from .codelist import UNARY_RULES, Codelist
 from .errors import (
     DimensionTooLarge,
@@ -59,7 +66,7 @@ from .errors import (
     LengthMismatch,
     NotSymmetric,
 )
-from .interval import Box, Interval, Pair, pair_add, pair_mul
+from .interval import Box, Interval, Pair, pair_add
 
 __all__ = [
     "SymIntervalMatrix",
@@ -130,21 +137,19 @@ class SymIntervalMatrix:
         return bool(np.all(self.lo - slack <= m) and np.all(m <= self.hi + slack))
 
 
-# -- interval Hessian propagation: the helpers take a pair or a stack -------
-# Each helper raises where an endpoint overflows: a pair kernel raises
-# InvalidInterval, and a stack operation FloatingPointError, since
-# interval_hessian runs under _FLOAT_ERRORS.
+# -- interval Hessian propagation: the stack helpers -----------------------
+# Each raises FloatingPointError where an endpoint overflows, since
+# interval_hessian runs under _FLOAT_ERRORS; a pair is scaled and added by
+# the pair kernels, which raise InvalidInterval.
 
-def _scale(s: Pair, m):
-    """Elementwise product of the scalar interval s, a (lo, hi) pair, with a pair or a stack m.
+def _scale(s: Pair, m: np.ndarray) -> np.ndarray:
+    """Elementwise product of the scalar interval s, a (lo, hi) pair, with a stack m.
 
     Equals the four-product min/max rule under ==.  When s does not
     straddle 0 only the two products that can be extreme are formed (one
     when s is a point), since multiplying by a non-negative float is
     monotone and by a non-positive one antitone, also after rounding.
     """
-    if type(m) is tuple:
-        return pair_mul(s, m)
     lo, hi = s
     if lo >= 0.0 or hi <= 0.0:
         if hi <= 0.0:
@@ -164,14 +169,12 @@ def _scale(s: Pair, m):
     return out
 
 
-def _outer(a, b):
-    """Interval enclosure of the outer product a b^T of two (2, n) stacks, or of two pairs.
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Interval enclosure of the outer product a b^T of two (2, n) stacks.
 
     ``_outer(b, a)`` equals ``_outer(a, b)`` transposed entry for entry: both
     take the min and max of the same four products.
     """
-    if type(a) is tuple:
-        return pair_mul(a, b)
     shape = (a.shape[1], b.shape[1])
     p = (a[:, None, :, None] * b[None, :, None, :]).reshape(4, *shape)
     out = np.empty((2, *shape))
@@ -180,18 +183,171 @@ def _outer(a, b):
     return out
 
 
-def _cross(a, b):
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The cross term a b^T + b a^T of a mul line, on its block."""
     c = _outer(a, b)
-    return pair_add(c, c) if type(c) is tuple else c + c.transpose(0, 2, 1)
+    return c + c.transpose(0, 2, 1)
 
 
-def _dense(g, block):
-    """A sparse gradient on a block, 0 off its support: a pair, or the (2, b) stack."""
-    if len(block) == 1:
-        return g.get(block[0], _ZERO)
+def _dense(g, block) -> np.ndarray:
+    """A sparse gradient on a block of two or more variables, 0 off its
+    support: the (2, b) stack."""
     pairs = chain.from_iterable(map(g.get, block, repeat(_ZERO)))
     return np.fromiter(pairs, float, 2 * len(block)).reshape(-1, 2).T
+
+
+def _put(m: np.ndarray, p: int, t: Pair) -> None:
+    """Add the pair t into the entry (p, p) of the stack m."""
+    m[0, p, p], m[1, p, p] = pair_add((m[0, p, p], m[1, p, p]), t)
+
+
+# -- the interval-Hessian rule: one template per line shape ----------------
+#
+# A line's carrier kind is 0 (None), 1 (a pair) or 2 (a stack), by the size
+# of its block (see the module docstring).  The template of a shape (see
+# _hessian_template) takes the placeholders of bounds._template ($yi, $y,
+# $gi, $f, $line, $second, $n, ...) and these:
+#
+#   $hi, $hj, $h     the operands' carriers and the line's own;
+#   $block, $index   the line's block and its flat index (Codelist.block_index);
+#   $v               the variable of a one-variable block;
+#   $pi, $pj         the stack row of an operand's one-variable block.
+#
+# The interpreter fills them with indexing expressions (_INTERPRETED) and
+# runs one function per shape (_hessian_shape); the compiled tier fills them
+# with the codelist's locals and literals (_hessian_source).
+
+# the names the Hessian templates read besides the bounds module's
+_NAMES = {"np": np, "_scale": _scale, "_outer": _outer, "_cross": _cross, "_dense": _dense,
+          "_put": _put, "InvalidInterval": InvalidInterval}
+_INTERPRETED = {
+    **_INTERPRETED_LINE, "h": "h", "hi": "hs[line.i - 1]", "hj": "hs[line.j - 1]",
+    "block": "cl.blocks[k - 1]", "index": "cl.block_index[cl.blocks[k - 1]]",
+    "v": "cl.blocks[k - 1][0]", "pi": "cl.blocks[line.i - 1][0] - 1",
+    "pj": "cl.blocks[line.j - 1][0] - 1",
+}
+
+
+def _shape(cl: Codelist, k: int, line) -> tuple:
+    """The shape of operation line k: its op, the carrier kinds of its
+    operands and its own, and whether its block spans all n variables."""
+    blocks, j = cl.blocks, line.j
+    size, ki, kj = len(blocks[k - 1]), len(blocks[line.i - 1]), j and len(blocks[j - 1])
+    return (line.op, ki if ki < 2 else 2, kj if j is None or kj < 2 else 2,
+            size if size < 2 else 2, size == cl.n)
+
+
+def _hessian_template(op: str, ki: int, kj, kk: int, whole: bool) -> tuple:
+    """The rule on a line of the shape ``(op, ki, kj, kk, whole)``: the
+    statement of its r'' (``None`` on a binary or an affine line), whose
+    errors come first, and a Template of its terms, which assign $h.
+
+    The line's block term (a product's cross term or a unary line's r''
+    term) is formed first; then its operands' terms, scaled, and the block
+    term are added in that order.
+    """
+    if not kk:  # y_k is affine in x, and so are its operands: no carrier to read
+        return None, Template("$h = None")
+    row, head, block = UNARY_RULES.get(op), None, None
+    if row is None:
+        mul = op == "mul"
+        terms = [("$yj" if mul else None, "$hi", ki, "$pi"),
+                 ("$yi" if mul else None, "$hj", kj, "$pj")]
+        if ki == 1:  # a stack before a pair: a stack added to the zeros
+            terms.reverse()  # that a pair starts would turn -0.0 into 0.0
+        if mul:
+            block = ("c = pair_mul($gi.get($v, _ZERO), $gj.get($v, _ZERO)); c = pair_add(c, c)"
+                     if kk == 1 else "c = _cross(_dense($gi, $block), _dense($gj, $block))")
+    else:  # scaled by r', unless r' = 1
+        terms = [(None if row.first is None else "$f", "$hi", ki, "$pi")]
+        if row.second is not None:
+            head = Template("r = $second($yi, $y, $line)")
+            block = ("d = $gi.get($v, _ZERO); c = pair_mul(r, pair_mul(d, d))" if kk == 1
+                     else "d = _dense($gi, $block); c = _scale(r, _outer(d, d))")
+    src, started = [], False
+    if block is not None:  # the block term, added last; kind 3: a stack on a smaller block
+        src.append(block)
+        terms.append((None, "c", 1 if kk == 1 else 2 if whole else 3, None))
+    for s, h, kind, pivot in terms:
+        if not kind:
+            continue
+        if s is not None:  # a new pair or stack
+            h = f"pair_mul({s}, {h})" if kind == 1 else f"_scale({s}, {h})"
+        if kk == 1:  # every term is a pair
+            src.append(f"$h = pair_add($h, {h})" if started else f"$h = {h}")
+        elif kind == 1:  # an operand's entry (p, p), added into a new stack
+            new = "$h.copy()" if started else "np.zeros((2, $n, $n))"
+            src.append(f"$h = {new}; _put($h, {pivot}, {h})")
+        elif kind == 2:  # a whole stack
+            src.append(f"$h = $h + {h}" if started else f"$h = {h}")
+        elif started:  # through its index: $h is a new C-ordered stack, from a scaled operand
+            src.append(f"$h.reshape(-1)[$index] += {h}.reshape(-1)")
+        else:  # assigned into zeros, not added, which keeps the sign of its zeros
+            src.append(f"$h = np.zeros((2, $n, $n)); $h.reshape(-1)[$index] = {h}.reshape(-1)")
+        started = True
+    return head, Template("; ".join(src))
+
+
+@cache
+def _hessian_shape(key: tuple):
+    """The interpreter's function of a line shape, ``shape(cl, k, line, ys,
+    grads, firsts, hs)``, giving line k's carrier: compiled from its
+    template on first use and kept for the process.  It raises an overflow
+    of its terms as :class:`InvalidInterval`."""
+    head, terms = _hessian_template(*key)
+    body = [] if head is None else [head.substitute(_INTERPRETED)]
+    body += ["try:", "    " + terms.substitute(_INTERPRETED),
+             "except (InvalidInterval, FloatingPointError):",
+             "    raise InvalidInterval('non-finite gradient or Hessian enclosure') from None",
+             "return h"]
+    return _generate(("shape(cl, k, line, ys, grads, firsts, hs)", body, _NAMES))
+
+
+def _hessian(cl: Codelist, k: int, line, ys, grads, firsts, memo, hs):
+    """The interval-Hessian rule on :func:`hessbound.bounds._walk`: line k's
+    carrier from its shape's function, each operand's carrier dropped after
+    its last reader."""
+    if not cl.blocks[k - 1]:  # kind 0, and so are its operands: nothing to add or drop
+        return None
+    h = _hessian_shape(_shape(cl, k, line))(cl, k, line, ys, grads, firsts, hs)
+    i, j, last_read = line.i, line.j, cl.last_read
+    if last_read[i] == k:
+        hs[i - 1] = None
+    if j is not None and last_read[j] == k:
+        hs[j - 1] = None
+    return h
+
+
+def _hessian_source(cl: Codelist) -> tuple:
+    """The rule as a compiled pass (see ``bounds._PASS_SOURCES``): each line's
+    templates filled with the codelist's locals (``h5`` for line 5's
+    carrier) and literals, with its Line, r'' and block index bound as
+    ``line5``, ``second5`` and ``index5``; each carrier is set to ``None``
+    after its last reader.  It runs the success path only."""
+    n, blocks, last_read = cl.n, cl.blocks, cl.last_read
+    names, body = dict(_NAMES), _unpack(cl)
+    for k, line in enumerate(cl.lines[n:], start=n + 1):
+        i, j, block = line.i, line.j, blocks[k - 1]
+        templates = [t for t in _hessian_template(*_shape(cl, k, line)) if t is not None]
+        text = " ".join(t.template for t in templates)
+        if "$line" in text:
+            names[f"line{k}"], names[f"second{k}"] = line, UNARY_RULES[line.op].second
+        if "$index" in text:
+            names[f"index{k}"] = cl.block_index[block]
+        pivots = [blocks[r - 1][0] - 1 if r and len(blocks[r - 1]) == 1 else None for r in (i, j)]
+        fill = dict(yi=f"y{i}", yj=f"y{j}", y=f"y{k}", gi=f"g{i}", gj=f"g{j}", hi=f"h{i}",
+                    hj=f"h{j}", h=f"h{k}", f=f"firsts[{k}]", line=f"line{k}",
+                    second=f"second{k}", index=f"index{k}", n=n, block=block,
+                    v=block[0] if block else None, pi=pivots[0], pj=pivots[1])
+        drops = [f"h{ref} = None" for ref in dict.fromkeys((i, j))
+                 if ref is not None and ref > n and blocks[ref - 1] and last_read[ref] == k]
+        body.append("; ".join([*(t.substitute(fill) for t in templates), *drops]))
+    every = range(1, len(cl.lines) + 1)
+    body.append(f"return [{', '.join(f'h{k}' if k > n else 'None' for k in every)}]")
+    return "hessian(cl, ys, grads, firsts, memo)", body, names
+
+
+_PASS_SOURCES[_hessian] = _hessian_source
 
 
 def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
@@ -203,64 +359,13 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     :class:`InvalidInterval` at the line where an entry overflows, naming
     that line; an error of that line's r'' comes first.
     """
-    n = cl.n
-    last_read = cl.last_read
-    blocks = cl.blocks
-
-    def hessian(cl, k, line, ys, grads, firsts, memo, hs):
-        block, i, j = blocks[k - 1], line.i, line.j
-        if not block:  # y_k is affine in x, and so are its operands: no carrier to read
-            return None
-        rule = UNARY_RULES.get(line.op)  # r'' comes before the terms, so that its errors win
-        r2 = rule.second(ys[i - 1], ys[k - 1], line) if rule and rule.second else None
-        m = None  # the sum: None (zero), a pair or a stack
-        try:
-            # terms (s, H, H's block) for s·H, s = None for 1: the operands, then the block term
-            if line.op in ("add", "mul"):
-                mul = line.op == "mul"
-                terms = [(ys[j - 1] if mul else None, hs[i - 1], blocks[i - 1]),
-                         (ys[i - 1] if mul else None, hs[j - 1], blocks[j - 1])]
-                if type(hs[i - 1]) is tuple:  # a stack before a pair: a stack added to
-                    terms.reverse()  # the zeros that a pair starts would turn -0.0 into 0.0
-                if mul:
-                    g = _cross(_dense(grads[i - 1], block), _dense(grads[j - 1], block))
-                    terms.append((None, g, block))
-            else:  # firsts[k] is None where r' = 1
-                terms = [(firsts[k], hs[i - 1], blocks[i - 1])]
-                if r2 is not None:
-                    g = _dense(grads[i - 1], block)
-                    terms.append((None, _scale(r2, _outer(g, g)), block))
-            for s, h, b in terms:
-                if h is None:
-                    continue
-                if s is not None:
-                    h = _scale(s, h)  # a new stack, or a pair
-                if len(block) == 1:  # every term is a pair
-                    m = h if m is None else pair_add(m, h)
-                elif type(h) is tuple:  # an operand's entry (p, p), added into a new stack
-                    m = np.zeros((2, n, n)) if m is None else m.copy()
-                    p = b[0] - 1
-                    m[0, p, p], m[1, p, p] = pair_add((m[0, p, p], m[1, p, p]), h)
-                elif h.shape[1] == n:  # a whole stack
-                    m = h if m is None else m + h
-                elif m is None:  # a term on a smaller block: assigned into zeros, not added
-                    m = np.zeros((2, n, n))
-                    m.reshape(-1)[cl.block_index[block]] = h.reshape(-1)
-                else:  # m comes from a scaled operand, so it is a new C-ordered stack
-                    m.reshape(-1)[cl.block_index[block]] += h.reshape(-1)
-        except (InvalidInterval, FloatingPointError):
-            raise InvalidInterval("non-finite gradient or Hessian enclosure") from None
-        for ref in (i, j):  # drop each carrier after its last reader
-            if ref is not None and last_read[ref] == k:
-                hs[ref - 1] = None
-        return m
-
     with np.errstate(**_FLOAT_ERRORS):
-        m = _walk(cl, box, hessian, None)[2][-1]
+        m = _walk(cl, box, _hessian, None)[2][-1]
     if type(m) is not np.ndarray:  # zero, or the pair of the last line's one-variable block (p,)
+        n = cl.n
         pair, m = m, np.zeros((2, n, n))
         if pair is not None:
-            p = blocks[-1][0] - 1
+            p = cl.blocks[-1][0] - 1
             m[:, p, p] = pair
     return SymIntervalMatrix(*m)
 
@@ -363,8 +468,15 @@ def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
 
 # -- eigenvalue bounds from interval matrices ----------------------------
 
+def _check_matrix(mat) -> None:
+    """:class:`InvalidArgument` unless ``mat`` is a :class:`SymIntervalMatrix`."""
+    if not isinstance(mat, SymIntervalMatrix):
+        raise InvalidArgument(f"expected a SymIntervalMatrix, got {type(mat).__name__}")
+
+
 def gershgorin_bounds(mat: SymIntervalMatrix) -> Interval:
     """Disc-based eigenvalue bounds for a symmetric interval matrix."""
+    _check_matrix(mat)
     try:
         with np.errstate(**_FLOAT_ERRORS):
             mags = np.maximum(np.abs(mat.lo), np.abs(mat.hi))
@@ -384,6 +496,7 @@ def hertz_rohn_bounds(mat: SymIntervalMatrix) -> Interval:
     are exact.  One batched ``eigvalsh`` call per _VERTEX_CHUNK vertices solves both sides;
     it reads the lower triangle (``UPLO='L'``) of an enclosure that is only allclose-symmetric.
     """
+    _check_matrix(mat)
     n = mat.n
     if n > VERTEX_DIMENSION_LIMIT:
         raise DimensionTooLarge(f"vertex enumeration limited to n <= {VERTEX_DIMENSION_LIMIT}, got {n}")

@@ -603,6 +603,34 @@ def test_a_pickled_codelist_drops_its_compiled_passes_and_its_counter(compiled):
     assert [_outcome(route, again, box) for route in (eval_original, eval_improved)] == want
 
 
+def test_a_pickled_codelist_drops_its_compiled_hessian_pass(compiled):
+    cl = compile_expression("x1*x2 + exp(x1)*x3", 3)
+    box = Box.from_bounds([(0, 1), (1, 2), (-1, 1)])
+    routes = (eval_original, eval_improved, interval_hessian)
+    want = [_outcome(route, cl, box) for route in routes]
+    assert all(name in vars(cl) for name in (*_PASSES, "_hessian"))
+    again = pickle.loads(pickle.dumps(cl))
+    assert again == cl and not any(name in vars(again) for name in (*_PASSES, "_hessian"))
+    assert [_outcome(route, again, box) for route in routes] == want
+
+
+def test_interval_hessian_is_the_same_in_both_tiers_on_the_engine_fixture_and_on_the_unit_box(
+        monkeypatch):
+    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    boxes = [(case, bounds) for case in cases
+             for bounds in ([(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]],
+                            [(-1.0, 1.0)] * case["n"])]
+    tiers = []
+    for after in (10**9, 0):
+        monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
+        codelists = [compile_expression(case["source"], case["n"]) for case, _ in boxes]
+        tiers.append([_outcome(interval_hessian, cl, Box.from_bounds(bounds))
+                      for cl, (_, bounds) in zip(codelists, boxes)])
+        assert any("_hessian" in vars(cl) for cl in codelists) == (after == 0)
+    assert tiers[0] == tiers[1]
+    assert any(isinstance(got[0], str) for got in tiers[0])  # errors too
+
+
 def test_one_codelist_gives_the_same_results_before_and_after_it_crosses_the_switch(monkeypatch):
     case = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())[-1]
     cl = compile_expression(case["source"], case["n"])

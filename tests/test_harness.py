@@ -106,6 +106,15 @@ def test_a_comparison_tolerance_that_is_negative_or_not_finite_is_an_invalid_arg
     assert len(run_compare(entries, boxes_per_function=3, eps=0).records) == 6
 
 
+def test_a_bound_that_is_not_an_interval_is_an_invalid_argument():
+    # classify read .lo of each bound: None raised a bare AttributeError
+    assert _argument_error(lambda: classify(None, G, H)) == "tested bound None is not an Interval"
+    assert (_argument_error(lambda: classify(Interval(0, 1), None, Interval(0, 1)))
+            == "gersh bound None is not an Interval")
+    assert (_argument_error(lambda: classify(Interval(-7, 7), G, (-5, 5)))
+            == "vertex bound (-5, 5) is not an Interval")
+
+
 def test_classify_monotone_in_eps():
     # growing eps can only move extreme classes toward the middle ones
     t = Interval(-5.001, 5.001)
@@ -586,6 +595,20 @@ def test_a_compare_seed_that_is_not_an_integer_is_an_invalid_argument(seed):
                 == f"seed {seed!r} is not an integer")
     result = run_compare(entries, boxes_per_function=2, seed=np.int64(3))
     assert type(result.seed) is int and result == run_compare(entries, boxes_per_function=2, seed=3)
+
+
+def test_a_domain_that_is_not_a_box_is_an_invalid_interval():
+    # random_boxes read d.width of each component: tuples and str raised a bare
+    # AttributeError, an int and None a bare TypeError
+    for domain, text in (([(0, 1)], "box component 1 is not an Interval: (0, 1)"),
+                         ("ab", "box component 1 is not an Interval: 'a'"),
+                         (5, "a box is built from Interval components, got 5"),
+                         (None, "a box is built from Interval components, got None")):
+        with pytest.raises(InvalidInterval) as info:
+            random_boxes(domain, 1, seed=1)
+        assert str(info.value) == text
+    intervals = [Interval(0, 1), Interval(-1, 2)]
+    assert random_boxes(intervals, 3, seed=1) == random_boxes(Box(intervals), 3, seed=1)
 
 
 def test_a_sampling_seed_random_does_not_take_is_an_invalid_argument():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+import hessbound.bounds
 from hessbound import (
     Box,
     DimensionTooLarge,
@@ -416,6 +417,47 @@ def test_hessian_drops_each_line_after_its_last_reader():
     assert np.array_equal(enc.lo, 2.0 * np.eye(n)) and np.array_equal(enc.hi, 2.0 * np.eye(n))
 
 
+# -- the compiled Hessian pass: the cases above again, with every codelist's
+# passes compiled from its first walk -------------------------------------
+
+@pytest.fixture
+def compiled(monkeypatch):
+    monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", 0)
+
+
+def test_compiled_hessian_matches_recorded_per_entry_interval_results(compiled):
+    test_hessian_matches_recorded_per_entry_interval_results()
+
+
+@pytest.mark.parametrize("src,n,bounds,text,line", [
+    # a pair kernel's InvalidInterval
+    ("(1e200*x1)^2", 1, [(1e-200, 2e-200)],
+     "non-finite gradient or Hessian enclosure at codelist line 3", 3),
+    # numpy's FloatingPointError in a stack
+    ("(1e200*x1*x2)^2 + x3", 3, [(1e-200, 2e-200), (1, 2), (0, 1)],
+     "non-finite gradient or Hessian enclosure at codelist line 6", 6),
+    # the line's r'' overflows as well as its terms, and its error wins
+    ("ln(1e150*x1^2)", 1, [(1e-155, 2e-155)],
+     "pow overflow on [2.5e+159, 1e+160]^2 at codelist line 4", 4),
+    ("ln(1e150*x1^2 + x2)", 2, [(1e-155, 2e-155), (1e-160, 2e-160)],
+     "pow overflow on [1.66667e+159, 5e+159]^2 at codelist line 6", 6),
+], ids=["pair", "stack", "r'' of a pair", "r'' of a stack"])
+def test_a_compiled_hessian_pass_that_fails_raises_the_interpreters_error(compiled, src, n,
+                                                                         bounds, text, line):
+    cl = compile_expression(src, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):  # the pass is generated on the first walk and kept
+            with pytest.raises(InvalidInterval) as info:
+                interval_hessian(cl, Box.from_bounds(bounds))
+            assert str(info.value) == text and info.value.line == line
+    assert "_hessian" in vars(cl)
+
+
+def test_compiled_hessian_drops_each_line_after_its_last_reader(compiled):
+    test_hessian_drops_each_line_after_its_last_reader()
+
+
 # -- point Hessians -------------------------------------------------------
 
 @pytest.mark.parametrize("src,kind,line", [
@@ -515,6 +557,16 @@ def test_gershgorin_uses_entry_magnitudes():
                           np.array([[1.0, 0.5], [0.5, 1.0]]))
     g = gershgorin_bounds(m)
     assert g.lo == -1.0 and g.hi == 3.0
+
+
+@pytest.mark.parametrize("method", [gershgorin_bounds, hertz_rohn_bounds])
+@pytest.mark.parametrize("mat", [[[1.0, 0.0], [0.0, 1.0]], np.eye(2), None],
+                         ids=["list", "ndarray", "None"])
+def test_a_matrix_bound_of_anything_but_a_sym_interval_matrix_is_an_invalid_argument(method, mat):
+    # both read mat.lo or mat.n: each leaked a bare AttributeError
+    with pytest.raises(InvalidArgument) as info:
+        method(mat)
+    assert str(info.value) == f"expected a SymIntervalMatrix, got {type(mat).__name__}"
 
 
 # -- vertex enumeration ---------------------------------------------------
