@@ -48,31 +48,30 @@ its error and stops.  The second pass applies its rule to the lines before
 that one, so an earlier rule error still wins, and then raises the recorded
 error afresh; the errors and their order are those of a single walk.
 
-Each rule is written once, as the source template of a line shape (see
-:func:`_template`): the value pass of each op, the original engine's λ pass
-of each op, and the improved engine's λ pass of each op and ``Rule``.  The
-interpreter runs one function per shape (:data:`_shapes`), compiled from
-its template on first use and kept for the process; it reads the line's
-operands from the walk's lists by index and its ``UNARY_RULES`` row when
-it runs.
+Each pass is written once, as a source template per line shape, in one
+table (:data:`_PASSES`): the value pass, both engines' λ passes (see
+:func:`_template`) and the interval-Hessian rule, which
+:mod:`hessbound.reference` adds.  The interpreter runs one function per
+shape (:data:`_shapes`), compiled from its template on first use and kept
+for the process; it reads the line's operands from the walk's lists by
+index and its ``UNARY_RULES`` row when it runs.
 
 A codelist walked on many boxes is compiled (see :func:`_generate`): after
 ``_COMPILE_AFTER`` interpreted value passes its value pass is generated as
 straight-line Python source, the same templates filled with the codelist's
-locals and literals, one statement per line, and compiled; so is each
-rule pass of :data:`_PASS_SOURCES` on its first use after that: each
-engine's, and the interval-Hessian rule of :mod:`hessbound.reference`,
-which writes its own templates.  The compiled passes are
-kept in the codelist's ``__dict__``, which a pickled codelist does not
-carry, with the count of passes before them; they bind each line's
-``UNARY_RULES`` row when they are generated.  Being the interpreter's
-templates, they make its kernel and helper calls in its order, so the bits,
-the memo and the calls a wrapper of ``bounds.lambda_t`` sees are the same,
-and both traces use them.  A compiled pass runs the success path only: when
-it raises a :class:`HessboundError` or (in the interval Hessian's numpy
-arrays) a ``FloatingPointError``, the interpreter walks that box again and
-raises its error, naming the line (so a kernel before the failing line is
-called twice).
+locals and literals, one statement per line (:func:`_lines`), and compiled;
+so is each rule pass of the table on its first use after that.  The
+compiled passes are kept in the codelist's ``__dict__`` under their names,
+which a pickled codelist does not carry, with the count of passes before
+them; they bind each line's ``UNARY_RULES`` row when they are generated.
+Being the interpreter's templates, they make its kernel and helper calls
+in its order, so the bits, the memo and the calls a wrapper of
+``bounds.lambda_t`` sees are the same, and both traces use them.  A
+compiled pass runs the success path only: when it raises a
+:class:`HessboundError` or (in the interval Hessian's numpy arrays) a
+``FloatingPointError``, the interpreter walks that box again and raises its
+error, naming the line (so a kernel before the failing line is called
+twice).
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ from typing import Dict, List, Optional
 
 from .codelist import (ABSENT, STAR, SUM, UNARY_RULES, WIDENED, WIDENED_HULL, WIDENED_SUM,
                        Codelist)
-from .errors import HessboundError, LengthMismatch
+from .errors import HessboundError, InvalidArgument, InvalidInterval, LengthMismatch
 from .interval import Box, Interval, Pair, ZERO, pair_add, pair_hull, pair_mul, zero_widen
 # the engines call the λ kernels by these module names, which tracers and tests wrap
 from .interval import pair_lambda_s as lambda_s, pair_lambda_star as lambda_star
@@ -221,18 +220,21 @@ def _value_pass(cl: Codelist, box: Box) -> tuple:
 def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
     """Lists of the values, sparse gradients and rule results of every line.
 
-    ``box`` is a :class:`Box`, or anything ``Box`` builds one from.  The
+    ``cl`` is a :class:`Codelist`, else :class:`InvalidArgument` is
+    raised; ``box`` is a :class:`Box`, or anything ``Box`` builds one from.  The
     first two lists come from :func:`_value_pass`, or from the slot when the
     previous pass was on this codelist and box.  ``rule(cl, k, line, ys,
     grads, firsts, memo, out)`` gives operation line k's result from those,
     the box's λ memo (see :func:`_lam_t`) and the results ``out`` of earlier
     lines (``seed`` on a var line; a rule may drop one no later line reads).
-    A rule with an entry in :data:`_PASS_SOURCES` runs as the codelist's
-    compiled pass once its value pass is compiled.  The lines before a
+    A rule named in :data:`_PASSES` runs as the codelist's compiled pass
+    once its value pass is compiled.  The lines before a
     failing one come first, so an earlier rule error wins; an error of
     either pass is raised naming its line.
     """
     global _last
+    if not isinstance(cl, Codelist):
+        raise InvalidArgument(f"expected a Codelist, got {type(cl).__name__}")
     if not isinstance(box, Box):
         box = Box(box)
     last, dims = _last, box.dims
@@ -242,16 +244,15 @@ def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
         ys, grads, firsts, failure = _value_pass(cl, box)
         memo = {}
         _last = cl, dims, ys, grads, firsts, failure, memo
-    if failure is None and "_values" in cl.__dict__ and rule in _PASS_SOURCES:
-        name = rule.__name__
+    n, name = cl.n, rule.__name__
+    out = [seed] * n
+    if failure is None and "_values" in cl.__dict__ and name in _PASSES:
         compiled = cl.__dict__.get(name) or cl.__dict__.setdefault(
-            name, _generate(_PASS_SOURCES[rule](cl)))
+            name, _generate(_rule_source(cl, name)))
         try:
-            return ys, grads, compiled(cl, ys, grads, firsts, memo)
+            return ys, grads, compiled(cl, ys, grads, firsts, memo, out)
         except (HessboundError, FloatingPointError):
             pass  # the rule loop below raises the error, naming its line
-    n = cl.n
-    out = [seed] * n
     stop = len(cl.lines) if failure is None else failure[0] - 1
     try:
         for k, line in enumerate(cl.lines[n:stop], start=n + 1):
@@ -303,7 +304,7 @@ def _lam_s(cl: Codelist, k: int, line, grads, memo, n: int) -> Pair:
 
 def _lam_original(cl: Codelist, k: int, line, ys, grads, firsts, memo, lams) -> Pair:
     """Eigenvalue rule of the original method: λ acts on all n variables."""
-    return _shapes["_lam_original", line.op](cl, k, line, ys, grads, memo, lams)
+    return _shapes["_lam_original", line.op](cl, k, line, ys, grads, firsts, memo, lams)
 
 
 def _lam_improved(cl: Codelist, k: int, line, ys, grads, firsts, memo, lams) -> Pair:
@@ -311,37 +312,44 @@ def _lam_improved(cl: Codelist, k: int, line, ys, grads, firsts, memo, lams) -> 
     ``Codelist.rules`` entry, λ acting on its block only."""
     rule = cl.rules[k - 1]
     return _shapes["_lam_improved", line.op, rule.i, rule.j, rule.combine](
-        cl, k, line, ys, grads, memo, lams)
+        cl, k, line, ys, grads, firsts, memo, lams)
 
 
 # -- line shapes: the one formula of each rule ------------------------------
 #
-# A line shape is one pass on one kind of line: the value pass (``_values``)
-# or the original engine's λ pass (``_lam_original``) of an op, or the
-# improved engine's λ pass (``_lam_improved``) of an op and its Rule's terms
-# and combination.  Its template is the source of that line, with
-# ``string.Template`` placeholders that each tier fills:
+# A line shape is one pass of :data:`_PASSES` on one kind of line, as the
+# pass's key tells it: the op of a value or original λ line, the op and Rule
+# of an improved λ line, the op and carrier kinds of an interval-Hessian
+# line.  Its template is the source of that line, with ``string.Template``
+# placeholders that each tier fills:
 #
 #   $k, $line          the line's number and its Line;
 #   $yi, $yj, $y       the operands' values and the line's own;
 #   $gi, $gj, $g, $f   the sparse gradients, and r' of a unary line;
-#   $li, $lj, $l       the operands' eigenvalue bounds and the line's own;
+#   $li, $lj, $l       the operands' results of the pass and the line's own;
 #   $n, $size          the dimension of the original engine and of the line's block;
 #   $p, $q             the cross of a 2x2 rule;
-#   $value, $first, $second, $lam   the functions of the line's UNARY_RULES row.
+#   $block, $index     the line's block and its flat index (Codelist.block_index);
+#   $v                 the variable of a one-variable block;
+#   $pi, $pj           the stack row of an operand's one-variable block;
+#   $value, $first, $second, $lam   the functions of the line's UNARY_RULES row;
+#   ${try}, $except    around statements whose overflow the interpreter raises as
+#                      InvalidInterval('non-finite gradient or Hessian enclosure');
+#   $drop              sets each operand's result to None after its last reader.
 #
-# A value template assigns $y, $g and $f, a λ template $l; both call the
+# A value template assigns $y, $g and $f, a rule template $l; both call the
 # kernels and helpers in the order the rule is written.  The code runs in
-# this module's namespace, so it looks up ``lambda_star``, as ``_lam_t`` and
-# ``_lam_s`` look up ``lambda_t`` and ``lambda_s``, on every call.
+# this module's namespace, with the names of the pass's table entry, so it
+# looks up ``lambda_star``, as ``_lam_t`` and ``_lam_s`` look up ``lambda_t``
+# and ``lambda_s``, on every call.
 
 _ROW = ("value", "first", "second", "lam")
 
 
 def _template(name: str, op: str, i: str = ABSENT, j: str = ABSENT,
               combine: str = SUM) -> Template:
-    """The template of pass ``name`` on an ``op`` line; ``i``, ``j`` and
-    ``combine`` are the line's :class:`~hessbound.codelist.Rule` in the
+    """The template of engine pass ``name`` on an ``op`` line; ``i``, ``j``
+    and ``combine`` are the line's :class:`~hessbound.codelist.Rule` in the
     improved pass (the 2x2 rule's cross is ``$p, $q``)."""
     row = UNARY_RULES.get(op)
     if name == "_values":
@@ -405,34 +413,58 @@ def _template(name: str, op: str, i: str = ABSENT, j: str = ABSENT,
     return Template(src)
 
 
+def _rule_key(cl: Codelist, k: int, line) -> tuple:
+    rule = cl.rules[k - 1]
+    return line.op, rule.i, rule.j, rule.combine
+
+
+# Every pass by name, ``(key, template, names)``: the value pass and each
+# rule of _walk, named as its function is.  ``key(cl, k, line)`` is the
+# shape of operation line k, ``template(*key)`` that shape's Template and
+# ``names`` the names its source reads besides this module's.
+# hessbound.reference adds the interval-Hessian rule.
+_PASSES = {
+    "_values": (lambda cl, k, line: (line.op,), partial(_template, "_values"), {}),
+    "_lam_original": (lambda cl, k, line: (line.op,), partial(_template, "_lam_original"), {}),
+    "_lam_improved": (_rule_key, partial(_template, "_lam_improved"), {}),
+}
+
 # The interpreter's fill: each placeholder read from the walk's lists by
 # index.  The row is looked up when the line runs, so a UNARY_RULES row
-# replaced after its shape was compiled takes effect on the next walk.
+# replaced after its shape was compiled takes effect on the next walk.  The
+# interpreted rule drops its operands' results itself.
 _INTERPRETED = {
     "k": "k", "line": "line", "n": "cl.n", "size": "len(cl.blocks[k - 1])",
     "yi": "ys[line.i - 1]", "yj": "ys[line.j - 1]", "y": "ys[k - 1]",
     "gi": "grads[line.i - 1]", "gj": "grads[line.j - 1]", "g": "g", "f": "firsts[k]",
-    "li": "lams[line.i - 1]", "lj": "lams[line.j - 1]", "l": "l",
+    "li": "out[line.i - 1]", "lj": "out[line.j - 1]", "l": "l",
     "p": "cl.rules[k - 1].cross[0]", "q": "cl.rules[k - 1].cross[1]",
+    "block": "cl.blocks[k - 1]", "index": "cl.block_index[cl.blocks[k - 1]]",
+    "v": "cl.blocks[k - 1][0]", "pi": "cl.blocks[line.i - 1][0] - 1",
+    "pj": "cl.blocks[line.j - 1][0] - 1", "drop": "", "try": "\ntry: ",
+    "except": ("\nexcept (InvalidInterval, FloatingPointError): "
+               "raise InvalidInterval('non-finite gradient or Hessian enclosure') from None"),
     **{attr: f"UNARY_RULES[line.op].{attr}" for attr in _ROW},
 }
 
 
 class _Shapes(dict):
-    """The interpreter's function of each line shape, keyed ``(name, op)``,
-    or ``(name, op, i, j, combine)`` in the improved pass: compiled from its
-    template on first use and kept for the process.  A value shape is
-    ``shape(k, line, ys, grads, firsts)``, giving line k's value and
-    gradient; a λ shape is ``shape(cl, k, line, ys, grads, memo, lams)``."""
+    """The interpreter's function of each line shape, keyed ``(name, *key)``
+    by its pass (see :data:`_PASSES`): compiled from its template on first
+    use and kept for the process.  A value shape is ``shape(k, line, ys,
+    grads, firsts)``, giving line k's value and gradient; a rule shape is
+    ``shape(cl, k, line, ys, grads, firsts, memo, out)``, giving its result."""
 
     def __missing__(self, key):
-        if key[0] == "_values":
+        name, *shape = key
+        _, template, names = _PASSES[name]
+        if name == "_values":
             signature, body = "shape(k, line, ys, grads, firsts)", "return y, g"
-            line = _template(*key).substitute(_INTERPRETED, y="y")
+            src = template(*shape).substitute(_INTERPRETED, y="y")
         else:
-            signature, body = "shape(cl, k, line, ys, grads, memo, lams)", "return l"
-            line = _template(*key).substitute(_INTERPRETED)
-        return self.setdefault(key, _generate((signature, [line, body], {})))
+            signature, body = "shape(cl, k, line, ys, grads, firsts, memo, out)", "return l"
+            src = template(*shape).substitute(_INTERPRETED)
+        return self.setdefault(key, _generate((signature, [*src.split("\n"), body], names)))
 
 
 _shapes = _Shapes()
@@ -441,8 +473,8 @@ _shapes = _Shapes()
 # -- the compiled tier (see the module docstring) ---------------------------
 
 # Interpreted value passes before a codelist's value pass is compiled; each
-# engine's rule pass follows on its first use after that.  Generating and
-# compiling the three passes took 2.0 ms (20 lines) to 11.3 ms (135 lines) per
+# rule pass of _PASSES follows on its first use after that.  Generating and
+# compiling the value and engine passes took 2.0 ms (20 lines) to 11.3 ms (135 lines) per
 # codelist, the time of 15 to 33 interpreted walks of both engines on one box
 # (the benchmark's engine_boxes and dense_gershgorin codelists, n = 4..48;
 # Python 3.11, 2 vCPUs), so compiling costs at most about a tenth of the
@@ -465,59 +497,55 @@ def _generate(source: tuple):
 
 def _lines(cl: Codelist, name: str, names: dict) -> List[str]:
     """Pass ``name`` on cl's operation lines, as source: each line's template
-    filled with the codelist's locals (``y5``, ``g5``, ``l5``) and literals.
-    The Line and row functions that line k's template reads are bound in
-    ``names`` as ``line5``, ``lam5`` and so on."""
-    n, out = cl.n, []
+    filled with the codelist's locals (``y5``, ``g5``, ``l5``), ``firsts``
+    and literals.  The Line, block index and row functions that line k's
+    template reads are bound in ``names`` as ``line5``, ``index5``,
+    ``lam5`` and so on; its ``$drop`` sets each operand's local to None
+    after its last reader."""
+    key, template, _ = _PASSES[name]
+    n, blocks, out, bound = cl.n, cl.blocks, [], ("line", "index", *_ROW)
     for k, line in enumerate(cl.lines[n:], start=n + 1):
-        i, j, rule, row = line.i, line.j, cl.rules[k - 1], UNARY_RULES.get(line.op)
-        key = (line.op, rule.i, rule.j, rule.combine) if name == "_lam_improved" else (line.op,)
-        template = _template(name, *key)
-        bound = {"line": line, **{attr: getattr(row, attr) for attr in _ROW if row is not None}}
-        names.update({f"{attr}{k}": value for attr, value in bound.items()
-                      if f"${attr}" in template.template})
+        i, j, block, rule = line.i, line.j, blocks[k - 1], cl.rules[k - 1]
+        shape = template(*key(cl, k, line))
+        text = shape.template
+        for attr in bound:
+            if f"${attr}" in text:
+                names[f"{attr}{k}"] = (line if attr == "line" else cl.block_index[block]
+                                       if attr == "index" else getattr(UNARY_RULES[line.op], attr))
+        drop = "" if "$drop" not in text else "".join(
+            f"; l{r} = None" for r in dict.fromkeys((i, j))
+            if r is not None and r > n and cl.last_read[r] == k)
         p, q = rule.cross or (None, None)
-        out.append(template.substitute(
-            {attr: f"{attr}{k}" for attr in bound}, k=k, n=n, size=len(cl.blocks[k - 1]),
-            yi=f"y{i}", yj=f"y{j}", y=f"y{k}", gi=f"g{i}", gj=f"g{j}", g=f"g{k}", f=f"f{k}",
+        pi, pj = (blocks[r - 1][0] - 1 if r and len(blocks[r - 1]) == 1 else None for r in (i, j))
+        out.append(shape.substitute(
+            {"try": "", "except": "", **{attr: f"{attr}{k}" for attr in bound}},
+            k=k, n=n, size=len(block), block=block, v=block[0] if block else None,
+            yi=f"y{i}", yj=f"y{j}", y=f"y{k}", gi=f"g{i}", gj=f"g{j}", g=f"g{k}", f=f"firsts[{k}]",
             li=f"l{i}" if i > n else "_ZERO", lj=f"l{j}" if j and j > n else "_ZERO",
-            l=f"l{k}", p=p, q=q))
+            l=f"l{k}", p=p, q=q, pi=pi, pj=pj, drop=drop))
     return out
 
 
 def _values_source(cl: Codelist) -> tuple:
     """:func:`_values` without its failure handling, as ``values(dims)``."""
     n, names, every = cl.n, {}, range(1, len(cl.lines) + 1)
-    body = ["".join(f"d{k}, " for k in range(1, n + 1)) + "= dims",
+    body = ["".join(f"d{k}, " for k in range(1, n + 1)) + "= dims; firsts = {}",
             *(f"y{k} = d{k}.lo, d{k}.hi; g{k} = {{{k}: _ONE}}" for k in range(1, n + 1)),
-            *_lines(cl, "_values", names)]
-    firsts = ", ".join(f"{k}: f{k}" for k in every if cl.lines[k - 1].op in UNARY_RULES)
-    body.append(f"return [{', '.join(f'y{k}' for k in every)}], "
-                f"[{', '.join(f'g{k}' for k in every)}], {{{firsts}}}, None")
+            *_lines(cl, "_values", names),
+            f"return [{', '.join(f'y{k}' for k in every)}], "
+            f"[{', '.join(f'g{k}' for k in every)}], firsts, None"]
     return "values(dims)", body, names
 
 
-def _lam_source(cl: Codelist, name: str) -> tuple:
-    """The interpreted engine rule ``name`` as a pass ``lam(cl, ys, grads, firsts, memo)``."""
-    n, names, every = cl.n, {}, range(1, len(cl.lines) + 1)
-    body = [*_unpack(cl), *_lines(cl, name, names),
-            f"return [{', '.join(f'l{k}' if k > n else '_ZERO' for k in every)}]"]
-    return "lam(cl, ys, grads, firsts, memo)", body, names
-
-
-def _unpack(cl: Codelist) -> List[str]:
-    """A rule pass's first lines: the walk's values and gradients as locals ``y5``, ``g5``."""
-    every = range(1, len(cl.lines) + 1)
-    return ["".join(f"y{k}, " for k in every) + "= ys",
-            "".join(f"g{k}, " for k in every) + "= grads"]
-
-
-# The source of each rule's compiled pass, ``(cl) -> (signature, body, names)``,
-# by rule (see _walk): the engines' here, and the interval-Hessian rule's,
-# which hessbound.reference adds.  A compiled pass takes ``(cl, ys, grads,
-# firsts, memo)`` and gives the list of the rule's results on every line.
-_PASS_SOURCES = {rule: partial(_lam_source, name=rule.__name__)
-                 for rule in (_lam_original, _lam_improved)}
+def _rule_source(cl: Codelist, name: str) -> tuple:
+    """Rule ``name`` as a pass ``name(cl, ys, grads, firsts, memo, out)``,
+    which gives ``out``, the var lines' results, and every operation line's."""
+    n, names, every = cl.n, dict(_PASSES[name][2]), range(1, len(cl.lines) + 1)
+    body = ["".join(f"y{k}, " for k in every) + "= ys",
+            "".join(f"g{k}, " for k in every) + "= grads",
+            *_lines(cl, name, names),
+            f"return [*out, {''.join(f'l{k}, ' for k in every[n:])}]"]
+    return f"{name}(cl, ys, grads, firsts, memo, out)", body, names
 
 
 # -- public entry points: Intervals are built here -------------------------

@@ -230,6 +230,14 @@ def _box_count(count) -> int:
     return count
 
 
+def _rng(seed) -> random.Random:
+    """``random.Random(seed)``; :class:`InvalidArgument` for a seed it does not take."""
+    if seed is not None and not isinstance(seed, (int, float, str, bytes, bytearray)):
+        raise InvalidArgument(f"seed {shown(seed)} is not None, an int, a float, a str, "
+                              "bytes or a bytearray")
+    return random.Random(seed)
+
+
 def random_boxes(domain: Box, count: int, seed: int) -> List[Box]:
     """Deterministic sample of sub-boxes of ``domain``.
 
@@ -241,15 +249,12 @@ def random_boxes(domain: Box, count: int, seed: int) -> List[Box]:
     :class:`Box`, or anything ``Box`` builds one from.
     """
     count = _box_count(count)
-    if seed is not None and not isinstance(seed, (int, float, str, bytes, bytearray)):
-        raise InvalidArgument(f"seed {shown(seed)} is not None, an int, a float, a str, "
-                              "bytes or a bytearray")
+    rng = _rng(seed)
     if not isinstance(domain, Box):
         domain = Box(domain)
     for i, d in enumerate(domain, start=1):
         if not d.width < math.inf:
             raise InvalidArgument(f"domain component {i} {d} is wider than the largest float")
-    rng = random.Random(seed)
     boxes: List[Box] = []
     for _ in range(count):
         dims = []
@@ -362,10 +367,11 @@ def random_function(n: int, seed: int, *, require_mul: bool = False) -> CorpusEn
     step with an interval evaluation over the domain so that reciprocal,
     sqrt and ln arguments stay clear of their singularities and exp never
     overflows.  Raises :class:`MalformedCodelist` unless ``n`` is an
-    integer >= 1, as :func:`compile_expression` does.
+    integer >= 1, as :func:`compile_expression` does, and
+    :class:`InvalidArgument` for a ``seed`` that :func:`random_boxes` refuses.
     """
     _check_variable_count(n)
-    rng = random.Random(seed)
+    rng = _rng(seed)
     domain = Box(Interval(round(rng.uniform(0.2, 0.8), 3),
                           round(rng.uniform(1.0, 2.0), 3)) for _ in range(n))
 

@@ -17,11 +17,12 @@ compared against:
   pair is never lifted: on a larger block it is the one entry (p, p) added
   into the line's stack.  So the carrier kinds fix every branch of a line's
   rule but a scaling's sign test, and the rule is written once, as a
-  ``string.Template`` per line shape (:func:`_hessian_template`), which
-  both tiers of the walk fill: the interpreter runs one function per shape,
-  and a codelist walked on many boxes gets a compiled pass, as the engines
-  do.  No carrier is written into by a later line, and each is ``None``
-  after its last reader.  An overflow in any Hessian entry raises
+  ``string.Template`` per line shape (:func:`_hessian_template`).  It is
+  the ``_hessian`` entry of the walk's pass table (``bounds._PASSES``), so
+  both tiers fill it as they fill the engines' passes: the interpreter runs
+  one function per shape, and a codelist walked on many boxes gets a
+  compiled pass.  No carrier is written into by a later line, and each is
+  ``None`` after its last reader.  An overflow in any Hessian entry raises
   :class:`InvalidInterval` at the line where it happens, in a pair kernel
   or a numpy stack alike; an error of the line's own r'' (``pow
   overflow``, ``sqrt r'' overflow``) comes first;
@@ -48,15 +49,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, repeat
 from string import Template
 from typing import List, Tuple
 
 import numpy as np
 
-from .bounds import _INTERPRETED as _INTERPRETED_LINE
-from .bounds import _PASS_SOURCES, _ZERO, _generate, _unpack, _walk
+from .bounds import _PASSES, _ZERO, _shapes, _walk
 from .codelist import UNARY_RULES, Codelist
 from .errors import (
     DimensionTooLarge,
@@ -204,28 +203,12 @@ def _put(m: np.ndarray, p: int, t: Pair) -> None:
 # -- the interval-Hessian rule: one template per line shape ----------------
 #
 # A line's carrier kind is 0 (None), 1 (a pair) or 2 (a stack), by the size
-# of its block (see the module docstring).  The template of a shape (see
-# _hessian_template) takes the placeholders of bounds._template ($yi, $y,
-# $gi, $f, $line, $second, $n, ...) and these:
-#
-#   $hi, $hj, $h     the operands' carriers and the line's own;
-#   $block, $index   the line's block and its flat index (Codelist.block_index);
-#   $v               the variable of a one-variable block;
-#   $pi, $pj         the stack row of an operand's one-variable block.
-#
-# The interpreter fills them with indexing expressions (_INTERPRETED) and
-# runs one function per shape (_hessian_shape); the compiled tier fills them
-# with the codelist's locals and literals (_hessian_source).
+# of its block (see the module docstring).  A shape's template takes the
+# placeholders of hessbound.bounds' line shapes, $l, $li and $lj being the
+# carriers of the line and its operands.
 
-# the names the Hessian templates read besides the bounds module's
 _NAMES = {"np": np, "_scale": _scale, "_outer": _outer, "_cross": _cross, "_dense": _dense,
-          "_put": _put, "InvalidInterval": InvalidInterval}
-_INTERPRETED = {
-    **_INTERPRETED_LINE, "h": "h", "hi": "hs[line.i - 1]", "hj": "hs[line.j - 1]",
-    "block": "cl.blocks[k - 1]", "index": "cl.block_index[cl.blocks[k - 1]]",
-    "v": "cl.blocks[k - 1][0]", "pi": "cl.blocks[line.i - 1][0] - 1",
-    "pj": "cl.blocks[line.j - 1][0] - 1",
-}
+          "_put": _put}
 
 
 def _shape(cl: Codelist, k: int, line) -> tuple:
@@ -237,31 +220,32 @@ def _shape(cl: Codelist, k: int, line) -> tuple:
             size if size < 2 else 2, size == cl.n)
 
 
-def _hessian_template(op: str, ki: int, kj, kk: int, whole: bool) -> tuple:
+def _hessian_template(op: str, ki: int, kj, kk: int, whole: bool) -> Template:
     """The rule on a line of the shape ``(op, ki, kj, kk, whole)``: the
-    statement of its r'' (``None`` on a binary or an affine line), whose
-    errors come first, and a Template of its terms, which assign $h.
+    statement of its r'' (none on a binary or an affine line), whose errors
+    come first, then its terms, which assign $l and whose overflow is an
+    :class:`InvalidInterval`, then the drops of its operands' carriers.
 
     The line's block term (a product's cross term or a unary line's r''
     term) is formed first; then its operands' terms, scaled, and the block
     term are added in that order.
     """
     if not kk:  # y_k is affine in x, and so are its operands: no carrier to read
-        return None, Template("$h = None")
-    row, head, block = UNARY_RULES.get(op), None, None
+        return Template("$l = None")
+    row, head, block = UNARY_RULES.get(op), "", None
     if row is None:
         mul = op == "mul"
-        terms = [("$yj" if mul else None, "$hi", ki, "$pi"),
-                 ("$yi" if mul else None, "$hj", kj, "$pj")]
+        terms = [("$yj" if mul else None, "$li", ki, "$pi"),
+                 ("$yi" if mul else None, "$lj", kj, "$pj")]
         if ki == 1:  # a stack before a pair: a stack added to the zeros
             terms.reverse()  # that a pair starts would turn -0.0 into 0.0
         if mul:
             block = ("c = pair_mul($gi.get($v, _ZERO), $gj.get($v, _ZERO)); c = pair_add(c, c)"
                      if kk == 1 else "c = _cross(_dense($gi, $block), _dense($gj, $block))")
     else:  # scaled by r', unless r' = 1
-        terms = [(None if row.first is None else "$f", "$hi", ki, "$pi")]
+        terms = [(None if row.first is None else "$f", "$li", ki, "$pi")]
         if row.second is not None:
-            head = Template("r = $second($yi, $y, $line)")
+            head = "r = $second($yi, $y, $line); "
             block = ("d = $gi.get($v, _ZERO); c = pair_mul(r, pair_mul(d, d))" if kk == 1
                      else "d = _dense($gi, $block); c = _scale(r, _outer(d, d))")
     src, started = [], False
@@ -274,33 +258,18 @@ def _hessian_template(op: str, ki: int, kj, kk: int, whole: bool) -> tuple:
         if s is not None:  # a new pair or stack
             h = f"pair_mul({s}, {h})" if kind == 1 else f"_scale({s}, {h})"
         if kk == 1:  # every term is a pair
-            src.append(f"$h = pair_add($h, {h})" if started else f"$h = {h}")
+            src.append(f"$l = pair_add($l, {h})" if started else f"$l = {h}")
         elif kind == 1:  # an operand's entry (p, p), added into a new stack
-            new = "$h.copy()" if started else "np.zeros((2, $n, $n))"
-            src.append(f"$h = {new}; _put($h, {pivot}, {h})")
+            new = "$l.copy()" if started else "np.zeros((2, $n, $n))"
+            src.append(f"$l = {new}; _put($l, {pivot}, {h})")
         elif kind == 2:  # a whole stack
-            src.append(f"$h = $h + {h}" if started else f"$h = {h}")
-        elif started:  # through its index: $h is a new C-ordered stack, from a scaled operand
-            src.append(f"$h.reshape(-1)[$index] += {h}.reshape(-1)")
+            src.append(f"$l = $l + {h}" if started else f"$l = {h}")
+        elif started:  # through its index: $l is a new C-ordered stack, from a scaled operand
+            src.append(f"$l.reshape(-1)[$index] += {h}.reshape(-1)")
         else:  # assigned into zeros, not added, which keeps the sign of its zeros
-            src.append(f"$h = np.zeros((2, $n, $n)); $h.reshape(-1)[$index] = {h}.reshape(-1)")
+            src.append(f"$l = np.zeros((2, $n, $n)); $l.reshape(-1)[$index] = {h}.reshape(-1)")
         started = True
-    return head, Template("; ".join(src))
-
-
-@cache
-def _hessian_shape(key: tuple):
-    """The interpreter's function of a line shape, ``shape(cl, k, line, ys,
-    grads, firsts, hs)``, giving line k's carrier: compiled from its
-    template on first use and kept for the process.  It raises an overflow
-    of its terms as :class:`InvalidInterval`."""
-    head, terms = _hessian_template(*key)
-    body = [] if head is None else [head.substitute(_INTERPRETED)]
-    body += ["try:", "    " + terms.substitute(_INTERPRETED),
-             "except (InvalidInterval, FloatingPointError):",
-             "    raise InvalidInterval('non-finite gradient or Hessian enclosure') from None",
-             "return h"]
-    return _generate(("shape(cl, k, line, ys, grads, firsts, hs)", body, _NAMES))
+    return Template(head + "${try}" + "; ".join(src) + "${except}$drop")
 
 
 def _hessian(cl: Codelist, k: int, line, ys, grads, firsts, memo, hs):
@@ -309,7 +278,7 @@ def _hessian(cl: Codelist, k: int, line, ys, grads, firsts, memo, hs):
     its last reader."""
     if not cl.blocks[k - 1]:  # kind 0, and so are its operands: nothing to add or drop
         return None
-    h = _hessian_shape(_shape(cl, k, line))(cl, k, line, ys, grads, firsts, hs)
+    h = _shapes[("_hessian", *_shape(cl, k, line))](cl, k, line, ys, grads, firsts, memo, hs)
     i, j, last_read = line.i, line.j, cl.last_read
     if last_read[i] == k:
         hs[i - 1] = None
@@ -318,36 +287,7 @@ def _hessian(cl: Codelist, k: int, line, ys, grads, firsts, memo, hs):
     return h
 
 
-def _hessian_source(cl: Codelist) -> tuple:
-    """The rule as a compiled pass (see ``bounds._PASS_SOURCES``): each line's
-    templates filled with the codelist's locals (``h5`` for line 5's
-    carrier) and literals, with its Line, r'' and block index bound as
-    ``line5``, ``second5`` and ``index5``; each carrier is set to ``None``
-    after its last reader.  It runs the success path only."""
-    n, blocks, last_read = cl.n, cl.blocks, cl.last_read
-    names, body = dict(_NAMES), _unpack(cl)
-    for k, line in enumerate(cl.lines[n:], start=n + 1):
-        i, j, block = line.i, line.j, blocks[k - 1]
-        templates = [t for t in _hessian_template(*_shape(cl, k, line)) if t is not None]
-        text = " ".join(t.template for t in templates)
-        if "$line" in text:
-            names[f"line{k}"], names[f"second{k}"] = line, UNARY_RULES[line.op].second
-        if "$index" in text:
-            names[f"index{k}"] = cl.block_index[block]
-        pivots = [blocks[r - 1][0] - 1 if r and len(blocks[r - 1]) == 1 else None for r in (i, j)]
-        fill = dict(yi=f"y{i}", yj=f"y{j}", y=f"y{k}", gi=f"g{i}", gj=f"g{j}", hi=f"h{i}",
-                    hj=f"h{j}", h=f"h{k}", f=f"firsts[{k}]", line=f"line{k}",
-                    second=f"second{k}", index=f"index{k}", n=n, block=block,
-                    v=block[0] if block else None, pi=pivots[0], pj=pivots[1])
-        drops = [f"h{ref} = None" for ref in dict.fromkeys((i, j))
-                 if ref is not None and ref > n and blocks[ref - 1] and last_read[ref] == k]
-        body.append("; ".join([*(t.substitute(fill) for t in templates), *drops]))
-    every = range(1, len(cl.lines) + 1)
-    body.append(f"return [{', '.join(f'h{k}' if k > n else 'None' for k in every)}]")
-    return "hessian(cl, ys, grads, firsts, memo)", body, names
-
-
-_PASS_SOURCES[_hessian] = _hessian_source
+_PASSES["_hessian"] = _shape, _hessian_template, _NAMES
 
 
 def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
@@ -402,10 +342,14 @@ _POINT_RULES = {
 def point_hessians(cl: Codelist, xs: np.ndarray) -> np.ndarray:
     """Real Hessians at a batch of points.
 
-    ``xs`` has shape (P, n) and finite entries; the result has shape (P, n, n).
+    ``xs`` has shape (P, n) and finite real entries; the result has shape (P, n, n).
     A float overflow raises :class:`InvalidInterval` naming its codelist line.
     """
+    if not isinstance(cl, Codelist):
+        raise InvalidArgument(f"expected a Codelist, got {type(cl).__name__}")
     try:
+        if np.iscomplexobj(xs):  # a cast to float would drop the imaginary parts
+            raise TypeError("complex entries")
         xs = np.asarray(xs, dtype=float)
     except (TypeError, ValueError) as err:
         raise InvalidArgument(f"points are not real numbers: {err}") from None

@@ -19,6 +19,7 @@ from hessbound import (
     Box,
     DomainViolation,
     Interval,
+    InvalidArgument,
     InvalidInterval,
     compile_expression,
     eval_improved,
@@ -30,6 +31,7 @@ from hessbound import (
 )
 from hessbound.codelist import (ABSENT, EXACT, STAR, UNARY_RULES, WIDENED, Codelist, Line,
                                 _binary_rule, _shared_rule)
+from hessbound import reference
 from hessbound.harness import codelist_value, random_boxes, random_function
 from hessbound.reference import (
     SymIntervalMatrix,
@@ -151,6 +153,23 @@ def test_dimension_mismatch():
 def test_dimension_mismatch_is_a_length_mismatch(apply):
     with pytest.raises(LengthMismatch, match="variable count 2"):
         apply(compile_expression("x1*x2", 2))
+
+
+@pytest.mark.parametrize("apply", [
+    lambda cl: eval_original(cl, UNIT_SQUARE),
+    lambda cl: eval_improved(cl, UNIT_SQUARE),
+    lambda cl: trace_original(cl, UNIT_SQUARE),
+    lambda cl: trace_improved(cl, UNIT_SQUARE),
+    lambda cl: interval_hessian(cl, UNIT_SQUARE),
+    lambda cl: point_hessians(cl, np.zeros((1, 2))),
+], ids=["eval_original", "eval_improved", "trace_original", "trace_improved", "interval_hessian",
+        "point_hessians"])
+@pytest.mark.parametrize("cl", [None, "x1"], ids=["None", "str"])
+def test_a_codelist_that_is_not_a_codelist_is_an_invalid_argument(apply, cl):
+    # each leaked an AttributeError: no '__dict__' (the walk), no 'n' (point_hessians)
+    with pytest.raises(InvalidArgument) as info:
+        apply(cl)
+    assert str(info.value) == f"expected a Codelist, got {type(cl).__name__}"
 
 
 # -- randomized cross-method properties -----------------------------------
@@ -746,3 +765,83 @@ def test_every_shape_the_analysis_can_assign_compiles_in_both_tiers(monkeypatch)
     crosses = {cl.rules[-1].cross for cl, _ in cases if cl.rules[-1].combine == STAR}
     assert len(crosses) > 1
     assert len([key for key in shapes if key[0] == "_lam_improved" and key[-1] == STAR]) <= 4
+
+
+# the unary ops on an operand source, as the parser writes them
+_UNARY_SOURCES = {"powNat": "({})^3", "oneOver": "1/({})", "sqrt": "sqrt({})", "exp": "exp({})",
+                  "ln": "ln({})", "addC": "({}) + 1.5", "mulByC": "1.5*({})"}
+
+
+def _every_hessian_shape():
+    """{reference._shape: (source, n)}: every shape that the lines of an add,
+    a mul or a unary line on operands over n <= 3 variables (affine, with a
+    one-variable Hessian or with a larger one) reach, and the first source
+    that reaches it."""
+    out = {}
+    for n in (1, 2, 3):
+        xs = [f"x{i}" for i in range(1, n + 1)]
+        pairs = list(itertools.combinations(xs, 2))
+        operands = [*xs, *(f"{a}^2" for a in xs), *(f"{a}*{b}" for a, b in pairs),
+                    *(f"{a} + {b}" for a, b in pairs), "*".join(xs)]
+        sources = [f"({a}) {op} ({b})" for op in "+*" for a in operands for b in operands]
+        sources += [form.format(a) for a in operands for form in _UNARY_SOURCES.values()]
+        for source in sources:
+            cl = compile_expression(source, n)
+            for k, line in enumerate(cl.lines[n:], start=n + 1):
+                out.setdefault(reference._shape(cl, k, line), (source, n))
+    return out
+
+
+def test_every_hessian_shape_compiles_in_both_tiers(monkeypatch):
+    assert set(_UNARY_SOURCES) == set(UNARY_RULES)
+    shapes, reached = hessbound.bounds._shapes, _every_hessian_shape()
+    assert {shape[0] for shape in reached} == {"add", "mul", *UNARY_RULES}
+    assert {shape[3:] for shape in reached} == {(0, False), (1, False), (1, True), (2, False),
+                                                (2, True)}
+    cases = sorted(set(reached.values()))
+
+    def outcomes(after):  # fresh codelists: the passes compile on their first walk when after = 0
+        monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
+        codelists = [compile_expression(source, n) for source, n in cases]
+        got = [[_outcome(interval_hessian, cl, Box.from_bounds([bounds] * cl.n))
+                for bounds in ((0.5, 2.0), (-1.0, 1.0))] for cl in codelists]
+        assert all(("_hessian" in vars(cl)) == (after == 0) for cl in codelists)
+        return got
+
+    interpreted = outcomes(10**9)
+    assert not any(isinstance(inside[0], str) for inside, _ in interpreted)  # no error
+    assert any(isinstance(straddling[0], str) for _, straddling in interpreted)
+    assert outcomes(0) == interpreted
+    # one function per shape that carries a Hessian, whichever codelist or line it came from
+    assert {("_hessian", *shape) for shape in reached if shape[3]} <= shapes.keys()
+    before = dict(shapes)
+    assert outcomes(10**9) == interpreted
+    assert shapes.keys() == before.keys() and all(shapes[key] is before[key] for key in before)
+
+
+def test_a_codelist_without_operation_lines_has_a_zero_hessian_in_both_tiers(monkeypatch):
+    box = Box.from_bounds([(0.0, 1.0)])
+    for after in (10**9, 0):
+        monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
+        cl = compile_expression("x1", 1)
+        assert len(cl.lines) == 1
+        for engine in (eval_original, eval_improved):
+            res = engine(cl, box)
+            assert res.eigen == Interval(0.0, 0.0) and res.value == Interval(0.0, 1.0)
+        enc = interval_hessian(cl, box)
+        assert enc.lo.tolist() == [[0.0]] and enc.hi.tolist() == [[0.0]]
+        assert ("_hessian" in vars(cl)) == (after == 0)
+
+
+def test_a_rule_outside_the_pass_table_runs_interpreted_on_a_compiled_codelist(compiled):
+    cl = compile_expression("x1*x2 + exp(x1)*x3", 3)
+    box = Box.from_bounds([(0, 1), (1, 2), (-1, 1)])
+    want = eval_improved(cl, box)
+    passes = dict(vars(cl))
+    assert "_values" in passes and "_lam_improved" in passes
+    seen = []
+    ys, grads, out = hessbound.bounds._walk(cl, box, lambda cl, k, *args: seen.append(k))
+    assert seen == list(range(4, len(cl.lines) + 1))
+    assert out == [(0.0, 0.0)] * 3 + [None] * (len(cl.lines) - 3)
+    assert Interval(*ys[-1]) == want.value
+    assert vars(cl) == passes

@@ -622,6 +622,16 @@ def test_a_sampling_seed_random_does_not_take_is_an_invalid_argument():
     assert random_boxes(domain, 2, seed="1") == random_boxes(domain, 2, seed="1")
 
 
+def test_a_generator_seed_random_does_not_take_is_the_same_invalid_argument():
+    # random_function passed the seed to random.Random, which raised a bare TypeError
+    for seed in ([1], (1,), {1: 2}):
+        assert (_argument_error(lambda: random_function(2, seed))
+                == f"seed {seed!r} is not None, an int, a float, a str, bytes or a bytearray")
+    for seed in (None, 1, True, 1.5, "1", b"1", bytearray(b"1")):
+        assert random_function(2, seed).n == 2
+    assert random_function(2, "1") == random_function(2, "1")
+
+
 def test_a_domain_wider_than_the_largest_float_is_refused_before_any_draw():
     # every draw on [-1e308, 1e308] is inf, so the redraw loop never ended
     domain = Box([Interval(0, 1), Interval(-1e308, 1e308)])

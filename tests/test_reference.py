@@ -483,6 +483,17 @@ def test_point_hessians_reject_points_that_are_not_a_p_by_n_array():
         point_hessians(cl, [[1.0, 2.0, 3.0]])
 
 
+def test_point_hessians_reject_complex_points():
+    # the cast to float dropped the imaginary parts, with a ComplexWarning
+    cl = compile_expression("x1*x2", 2)
+    for points in (np.array([[1 + 1j, 2.0]]), [[1 + 1j, 2.0]], np.zeros((1, 2), complex)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgument) as info:
+                point_hessians(cl, points)
+        assert str(info.value) == "points are not real numbers: complex entries"
+
+
 def test_point_hessians_reject_points_that_are_not_finite():
     cl = compile_expression("x1*x2 + exp(x1)", 2)
     for bad in (math.inf, -math.inf, math.nan):
