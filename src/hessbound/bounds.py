@@ -115,23 +115,23 @@ class LineState:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """An engine's result on a box.
+    """A bound method's result on a box (``op_count`` None for a reference).
 
-    The engines keep the gradient as sparse endpoint pairs and build its
-    :class:`Box` on the first read of ``gradient``.
+    The gradient is kept as sparse endpoint pairs, and its :class:`Box` is
+    built on the first read of ``gradient``.
     """
 
     value: Interval
     gradient: Box
     eigen: Interval
     method: str
-    op_count: int
+    op_count: Optional[int]
 
     __hash__ = None
 
     def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: an engine's
-        # gradient before its first read, built from (sparse gradient, n)
+        # reached only for an attribute the instance lacks: the gradient
+        # before its first read, built from (sparse gradient, n)
         sparse = self.__dict__.get("_sparse") if name == "gradient" else None
         if sparse is None:
             raise AttributeError(f"'EvalResult' object has no attribute {name!r}")
@@ -553,7 +553,7 @@ def _rule_source(cl: Codelist, name: str) -> tuple:
 def _result(cl: Codelist, ys, grads, eigen: Interval, method: str) -> EvalResult:
     res = object.__new__(EvalResult)  # no __init__: the gradient Box waits for its first read
     res.__dict__.update(value=Interval(*ys[-1]), eigen=eigen, method=method,
-                        op_count=cl.op_counts[method], _sparse=(grads[-1], cl.n))
+                        op_count=cl.op_counts.get(method), _sparse=(grads[-1], cl.n))
     return res
 
 

@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: each ``eval --method`` is an entry of ``harness.METHODS``.
 
 Subcommands:
 
@@ -15,19 +15,18 @@ import json
 import sys
 from typing import List, Optional
 
-from .bounds import _full, _walk, eval_improved, eval_original
 from .errors import HessboundError
 from .harness import (
     DEFAULT_EPS,
+    METHODS,
     alpha_bb_eval,
     emit_report,
+    eval_improved,
     parse_box,
     read_corpus,
     run_compare,
 )
-from .interval import Interval
 from .expressions import compile_expression
-from .reference import gershgorin_bounds, hertz_rohn_bounds, interval_hessian
 
 __all__ = ["main"]
 
@@ -45,55 +44,40 @@ def _parse_point(text: str, n: int) -> List[float]:
     return vals
 
 
-def _load_source(args) -> str:
-    if args.inline is not None:
-        return args.inline
-    with open(args.expr, encoding="utf-8") as fh:
-        return fh.read().strip()
+def _load(args) -> tuple:
+    source = args.inline
+    if source is None:
+        with open(args.expr, encoding="utf-8") as fh:
+            source = fh.read().strip()
+    return compile_expression(source, args.vars), parse_box(args.box, args.vars)
 
 
-def _add_expr_args(sub, with_box: bool = True) -> None:
+def _add_expr_args(sub) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--expr", help="path to a file holding the expression")
     group.add_argument("--inline", help="expression text, e.g. 'x1^2 + x2*exp(x2)'")
     sub.add_argument("--vars", type=int, required=True, metavar="N",
                      help="number of variables x1..xN")
-    if with_box:
-        sub.add_argument("--box", required=True,
-                         help="variable ranges as 'l1,u1;l2,u2;...;lN,uN'")
-
-
-def _iv(iv: Interval) -> List[float]:
-    return [iv.lo, iv.hi]
+    sub.add_argument("--box", required=True, help="variable ranges as 'l1,u1;l2,u2;...;lN,uN'")
 
 
 def _cmd_eval(args) -> int:
-    cl = compile_expression(_load_source(args), args.vars)
-    box = parse_box(args.box, args.vars)
-    if args.method in ("original", "improved"):
-        res = (eval_original if args.method == "original" else eval_improved)(cl, box)
-        value, gradient, eigen, ops = res.value, res.gradient, res.eigen, res.op_count
-    else:
-        enc = interval_hessian(cl, box)
-        eigen = gershgorin_bounds(enc) if args.method == "gershgorin" else hertz_rohn_bounds(enc)
-        # value and gradient from the value pass that interval_hessian ran, with
-        # no engine's λ rule; no operation count is kept for this route
-        ys, grads, _ = _walk(cl, box, lambda *args: None)
-        value, gradient, ops = Interval(*ys[-1]), _full(grads[-1], cl.n), None
+    cl, box = _load(args)
+    res = METHODS[args.method](cl, box)
     if args.json:
         print(json.dumps({
             "method": args.method,
-            "value": _iv(value),
-            "gradient": [_iv(g) for g in gradient],
-            "eigen": _iv(eigen),
-            "opCount": ops,
+            "value": list(res.value),
+            "gradient": [list(g) for g in res.gradient],
+            "eigen": list(res.eigen),
+            "opCount": res.op_count,
         }))
     else:
         print(f"method:   {args.method}")
-        print(f"value:    {value}")
-        print("gradient: " + " ".join(str(g) for g in gradient))
-        print(f"eigen:    {eigen}")
-        print(f"opCount:  {'n/a' if ops is None else ops}")
+        print(f"value:    {res.value}")
+        print("gradient: " + " ".join(str(g) for g in res.gradient))
+        print(f"eigen:    {res.eigen}")
+        print(f"opCount:  {'n/a' if res.op_count is None else res.op_count}")
     return 0
 
 
@@ -113,8 +97,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_underestimate(args) -> int:
-    cl = compile_expression(_load_source(args), args.vars)
-    box = parse_box(args.box, args.vars)
+    cl, box = _load(args)
     x = _parse_point(args.at, args.vars)
     lam_lo = eval_improved(cl, box).eigen.lo
     value = alpha_bb_eval(cl, box, x, lam_lo)
@@ -127,8 +110,7 @@ def _cmd_underestimate(args) -> int:
 
 
 def _cmd_convexity(args) -> int:
-    cl = compile_expression(_load_source(args), args.vars)
-    box = parse_box(args.box, args.vars)
+    cl, box = _load(args)
     lam = eval_improved(cl, box).eigen
     convex = lam.lo >= 0.0
     print("convex" if convex else "not certified convex")
@@ -145,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = subs.add_parser("eval", help="eigenvalue bounds over a box")
     _add_expr_args(p_eval)
-    p_eval.add_argument("--method", default="improved",
-                        choices=["original", "improved", "gershgorin", "hertzrohn"])
+    p_eval.add_argument("--method", default="improved", choices=list(METHODS))
     p_eval.add_argument("--json", action="store_true", help="machine-readable output")
     p_eval.set_defaults(func=_cmd_eval)
 

@@ -1,8 +1,8 @@
-"""Benchmark harness: box sampling, method comparison and reporting.
+"""Benchmark harness: the bound methods, box sampling, comparison and reporting.
 
-Compares the codelist eigenvalue bounds against the interval-Hessian
-references on a corpus of functions.  Each (function, box) pair yields a
-quality class per bound side:
+:data:`METHODS` maps each method's name to ``(cl, box) -> EvalResult``.  On a
+corpus, each (function, box) pair yields a class per side of a codelist bound
+against the interval-Hessian references:
 
     1  worse than the Gershgorin bound
     2  as good as the Gershgorin bound
@@ -33,7 +33,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .bounds import eval_improved, eval_original
+from .bounds import EvalResult, _result, eval_improved, eval_original
 from .codelist import Codelist, _check_variable_count, _point_length
 from .errors import (
     HessboundError,
@@ -46,9 +46,10 @@ from .errors import (
 )
 from .expressions import compile_expression
 from .interval import Box, Interval
-from .reference import gershgorin_bounds, hertz_rohn_bounds, interval_hessian
+from .reference import _hessian_walk, gershgorin_bounds, hertz_rohn_bounds, interval_hessian
 
 __all__ = [
+    "METHODS",
     "DEFAULT_EPS",
     "dev",
     "classify",
@@ -134,7 +135,11 @@ def classify(tested: Interval, gersh: Interval, vertex: Interval,
 def codelist_value(cl: Codelist, x: Sequence[float]) -> float:
     """The codelist's value at a real point: ``cl.point_function(x)``, which
     raises only the package's errors."""
-    return cl.point_function(x)
+    try:
+        point = cl.point_function
+    except AttributeError:
+        raise InvalidArgument(f"expected a Codelist, got {type(cl).__name__}") from None
+    return point(x)
 
 
 # The box that alpha_bb_eval last prepared: (box components, ends), with
@@ -435,6 +440,21 @@ def random_function(n: int, seed: int, *, require_mul: bool = False) -> CorpusEn
 
 # -- comparison driver ----------------------------------------------------
 
+def _reference(cl: Codelist, box: Box, bound, method: str) -> EvalResult:
+    """``bound`` of the interval Hessian, with the value and gradient of its one walk."""
+    ys, grads, enc = _hessian_walk(cl, box)
+    return _result(cl, ys, grads, bound(enc), method)
+
+
+# each entry looks its functions up by this module's names when it runs, as tracers wrap them
+METHODS = {
+    "original": lambda cl, box: eval_original(cl, box),
+    "improved": lambda cl, box: eval_improved(cl, box),
+    "gershgorin": lambda cl, box: _reference(cl, box, gershgorin_bounds, "gershgorin"),
+    "hertzrohn": lambda cl, box: _reference(cl, box, hertz_rohn_bounds, "hertzrohn"),
+}
+
+
 @dataclass(frozen=True)
 class CompareRecord:
     function: str
@@ -477,7 +497,15 @@ def run_compare(entries: Sequence[CorpusEntry], boxes_per_function: int = 100,
         seed = operator.index(seed)  # numpy integers pass, floats and strings do not
     except TypeError:
         raise InvalidArgument(f"seed {seed!r} is not an integer") from None
-    evaluators = {"original": eval_original, "improved": eval_improved}
+    try:
+        entries = list(entries)
+    except TypeError:
+        raise InvalidArgument(f"entries of type {type(entries).__name__} are not an iterable "
+                              "of CorpusEntry") from None
+    for k, entry in enumerate(entries, start=1):
+        if not isinstance(entry, CorpusEntry):
+            raise InvalidArgument(f"corpus entry {k} is a {type(entry).__name__}, "
+                                  "not a CorpusEntry")
     result = CompareResult(eps=eps, seed=seed, boxes_per_function=boxes_per_function)
     for entry in entries:
         box_seed = (seed * 1000003 + zlib.crc32(entry.name.encode())) & 0x7FFFFFFF
@@ -489,11 +517,11 @@ def run_compare(entries: Sequence[CorpusEntry], boxes_per_function: int = 100,
             raise
         for idx, box in enumerate(boxes):
             try:
-                enc = interval_hessian(cl, box)
+                enc = interval_hessian(cl, box)  # one Hessian for both references
                 gersh = gershgorin_bounds(enc)
                 vertex = hertz_rohn_bounds(enc)
-                for method, evaluate in evaluators.items():
-                    tested = evaluate(cl, box).eigen
+                for method in ("original", "improved"):
+                    tested = METHODS[method](cl, box).eigen
                     low, up = classify(tested, gersh, vertex, eps)
                     result.records.append(CompareRecord(
                         entry.name, entry.n, idx, method, low, up))
@@ -531,6 +559,8 @@ def _aggregate(result: CompareResult) -> List[dict]:
 
 def emit_report(result: CompareResult, fmt: str = "csv") -> str:
     """Render the aggregated comparison as csv, json or an aligned table."""
+    if not isinstance(result, CompareResult):
+        raise InvalidArgument(f"result is a {type(result).__name__}, not a CompareResult")
     rows = _aggregate(result)
     if fmt == "csv":
         out = ["method,n,bound,cases,class1,class2,class3,class4,class5"]

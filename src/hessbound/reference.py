@@ -107,6 +107,9 @@ class SymIntervalMatrix:
 
     def __post_init__(self):
         try:
+            # a cast to float would drop the imaginary parts
+            if np.iscomplexobj(self.lo) or np.iscomplexobj(self.hi):
+                raise TypeError("complex entries")
             lo = np.asarray(self.lo, dtype=float)
             hi = np.asarray(self.hi, dtype=float)
         except (TypeError, ValueError, OverflowError) as err:
@@ -290,6 +293,20 @@ def _hessian(cl: Codelist, k: int, line, ys, grads, firsts, memo, hs):
 _PASSES["_hessian"] = _shape, _hessian_template, _NAMES
 
 
+def _hessian_walk(cl: Codelist, box: Box) -> tuple:
+    """The values and sparse gradients of every line and the enclosure, from one walk."""
+    with np.errstate(**_FLOAT_ERRORS):
+        ys, grads, hs = _walk(cl, box, _hessian, None)
+    m = hs[-1]
+    if type(m) is not np.ndarray:  # zero, or the pair of the last line's one-variable block (p,)
+        n = cl.n
+        pair, m = m, np.zeros((2, n, n))
+        if pair is not None:
+            p = cl.blocks[-1][0] - 1
+            m[:, p, p] = pair
+    return ys, grads, SymIntervalMatrix(*m)
+
+
 def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     """Elementwise enclosure of the Hessian of the codelist over the box.
 
@@ -299,15 +316,7 @@ def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
     :class:`InvalidInterval` at the line where an entry overflows, naming
     that line; an error of that line's r'' comes first.
     """
-    with np.errstate(**_FLOAT_ERRORS):
-        m = _walk(cl, box, _hessian, None)[2][-1]
-    if type(m) is not np.ndarray:  # zero, or the pair of the last line's one-variable block (p,)
-        n = cl.n
-        pair, m = m, np.zeros((2, n, n))
-        if pair is not None:
-            p = cl.blocks[-1][0] - 1
-            m[:, p, p] = pair
-    return SymIntervalMatrix(*m)
+    return _hessian_walk(cl, box)[2]
 
 
 # point_hessians' rules (value, r', r'', domain) of each unary op on arrays of

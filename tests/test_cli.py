@@ -6,7 +6,7 @@ import math
 import pytest
 
 from hessbound.cli import main
-from hessbound.harness import random_function, write_corpus
+from hessbound.harness import METHODS, random_function, write_corpus
 
 
 def run(capsys, *argv):
@@ -33,7 +33,7 @@ def test_eval_json_schema(capsys):
 
 # the engines' op counts, n^2 + 11n - 2 and 10n - 1 at n = 2; the
 # interval-Hessian routes keep no count
-METHODS = [
+METHODS_CASES = [
     ("original", 0.0, 4.0, 24),
     ("improved", 2.0, 2.0, 19),
     ("gershgorin", 2.0, 2.0, None),
@@ -41,8 +41,8 @@ METHODS = [
 ]
 
 
-@pytest.mark.parametrize("method,lo,hi,ops", METHODS,
-                         ids=[f"{m}-{lo}-{hi}" for m, lo, hi, _ in METHODS])
+@pytest.mark.parametrize("method,lo,hi,ops", METHODS_CASES,
+                         ids=[f"{m}-{lo}-{hi}" for m, lo, hi, _ in METHODS_CASES])
 def test_eval_all_methods(capsys, method, lo, hi, ops):
     args = ("eval", "--inline", "x1^2 + x2^2", "--vars", "2", "--box", "0,1;0,1",
             "--method", method)
@@ -56,6 +56,17 @@ def test_eval_all_methods(capsys, method, lo, hi, ops):
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert f"opCount:  {'n/a' if ops is None else ops}\n" in out
+
+
+def test_eval_offers_exactly_the_methods_of_the_table(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--help"])
+    assert info.value.code == 0
+    assert "--method {" + ",".join(METHODS) + "}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--inline", "x1", "--vars", "1", "--box", "0,1", "--method", "best"])
+    assert info.value.code == 2
+    assert "invalid choice: 'best'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["gershgorin", "hertzrohn"])

@@ -13,9 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import hessbound.bounds
+import hessbound.harness
+import hessbound.reference
 from hessbound import (
     Box,
     DomainViolation,
+    EvalResult,
     ExpressionSyntaxError,
     HessboundError,
     Interval,
@@ -30,6 +34,7 @@ from hessbound import (
 from hessbound.codelist import Codelist, Line
 from hessbound.errors import InconsistentInputs, MalformedCodelist
 from hessbound.harness import (
+    METHODS,
     CorpusEntry,
     alpha_bb_eval,
     classify,
@@ -43,6 +48,7 @@ from hessbound.harness import (
     run_compare,
     write_corpus,
 )
+from hessbound.reference import gershgorin_bounds, hertz_rohn_bounds, interval_hessian
 
 from helpers import grid_points
 
@@ -335,6 +341,15 @@ def test_codelist_value_names_an_int_too_large_for_a_float():
     text = r"^point component 1 is 1000000000000000\.\.\.000000000000000, too large for a float$"
     with pytest.raises(InvalidInterval, match=text):
         codelist_value(compile_expression("x1", 1), [10 ** 400])
+
+
+@pytest.mark.parametrize("cl", [None, "x1"], ids=["None", "str"])
+def test_point_evaluation_rejects_a_codelist_that_is_not_one(cl):
+    # each leaked an AttributeError: no 'point_function'
+    box, text = Box.from_bounds([(0.0, 1.0)]), f"expected a Codelist, got {type(cl).__name__}"
+    assert _argument_error(lambda: codelist_value(cl, [1.0])) == text
+    assert _argument_error(lambda: alpha_bb_eval(cl, box, [0.5], -1.0)) == text
+    assert _argument_error(lambda: alpha_bb_eval(cl, box, [0.5])) == text
 
 
 @pytest.mark.parametrize("x", [(1.0,), (1.0, 2.0, 3.0)])
@@ -734,6 +749,77 @@ def test_random_function_require_mul():
         assert any(l.op == "mul" for l in entry.compile().lines), entry.source
 
 
+# -- the table of bound methods -------------------------------------------
+
+def test_every_method_of_the_table_returns_an_eval_result_named_for_it():
+    cl = compile_expression("x1*x2 + exp(x1)", 2)
+    box = Box.from_bounds([(0.0, 1.0), (-1.0, 2.0)])
+    assert list(METHODS) == ["original", "improved", "gershgorin", "hertzrohn"]
+    results = {name: method(cl, box) for name, method in METHODS.items()}
+    for name, res in results.items():
+        assert isinstance(res, EvalResult) and res.method == name
+        assert res.op_count == cl.op_counts.get(name)  # None for a reference
+    enc = interval_hessian(cl, box)
+    assert results["gershgorin"].eigen == gershgorin_bounds(enc)
+    assert results["hertzrohn"].eigen == hertz_rohn_bounds(enc)
+    assert results["improved"] == eval_improved(cl, box)
+
+
+def _value_and_gradient(apply, cl, box):
+    """The value and gradient of ``apply(cl, box)`` as hex, or its error's type, text and line."""
+    try:
+        res = apply(cl, box)
+    except HessboundError as err:
+        return type(err).__name__, str(err), getattr(err, "line", None)
+    return [v.hex() for v in res.value], [[v.hex() for v in g] for g in res.gradient]
+
+
+@pytest.mark.parametrize("after", [10**9, 0], ids=["interpreted", "compiled"])
+def test_a_reference_has_the_value_and_gradient_of_the_improved_engine(monkeypatch, after):
+    # on the engine fixture's boxes and on [-1, 1]^n, where some leave the domain
+    monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
+    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    outcomes = []
+    for case in cases:
+        cl = compile_expression(case["source"], case["n"])
+        for bounds in ([(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]],
+                       [(-1.0, 1.0)] * case["n"]):
+            want = _value_and_gradient(eval_improved, cl, Box.from_bounds(bounds))
+            for name in ("gershgorin", "hertzrohn"):  # a Box of its own: a value pass of its own
+                assert _value_and_gradient(METHODS[name], cl, Box.from_bounds(bounds)) == want
+            outcomes.append(want)
+        assert ("_hessian" in vars(cl)) == (after == 0 and "_values" in vars(cl))
+    assert any(isinstance(got[0], str) for got in outcomes)  # errors too
+
+
+@pytest.mark.parametrize("name", ["gershgorin", "hertzrohn"])
+def test_a_reference_walks_the_codelist_once(monkeypatch, name):
+    walk, rules = hessbound.bounds._walk, []
+
+    def counted(cl, box, rule, *seed):
+        rules.append(rule.__name__)
+        return walk(cl, box, rule, *seed)
+
+    monkeypatch.setattr(hessbound.bounds, "_walk", counted)
+    monkeypatch.setattr(hessbound.reference, "_walk", counted)
+    METHODS[name](compile_expression("x1*x2 + exp(x1)", 2), Box.from_bounds([(0, 1), (0, 1)]))
+    assert rules == ["_hessian"]
+
+
+def test_run_compare_builds_one_interval_hessian_per_box(monkeypatch):
+    hessian, boxes = hessbound.harness.interval_hessian, []
+
+    def counted(cl, box):
+        boxes.append(box)
+        return hessian(cl, box)
+
+    monkeypatch.setattr(hessbound.harness, "interval_hessian", counted)
+    entries = [random_function(n, seed=60 + n) for n in (2, 3)]
+    result = run_compare(entries, boxes_per_function=4, seed=1)
+    assert len(boxes) == len({id(box) for box in boxes}) == 8
+    assert len(result.records) == 16
+
+
 # -- comparison driver and reports ----------------------------------------
 
 @pytest.fixture(scope="module")
@@ -870,6 +956,28 @@ def test_an_error_named_by_run_compare_pickles():
     copy = pickle.loads(pickle.dumps(info.value))
     assert str(copy) == "g: syntax error at position 3: expected a natural number"
     assert copy.position == 3
+
+
+def test_run_compare_rejects_entries_that_are_not_iterable():
+    # iterating None leaked a TypeError
+    assert (_argument_error(lambda: run_compare(None))
+            == "entries of type NoneType are not an iterable of CorpusEntry")
+
+
+def test_run_compare_rejects_an_entry_that_is_not_a_corpus_entry():
+    # reading the name of "x1" leaked an AttributeError
+    entry = CorpusEntry("f", 1, Box.from_bounds([(0.0, 1.0)]), "x1^2")
+    assert (_argument_error(lambda: run_compare(["x1"]))
+            == "corpus entry 1 is a str, not a CorpusEntry")
+    assert (_argument_error(lambda: run_compare([entry, None], 2))
+            == "corpus entry 2 is a NoneType, not a CorpusEntry")
+    assert run_compare(iter([entry]), 2) == run_compare([entry], 2)  # any iterable
+
+
+def test_emit_report_rejects_a_result_that_is_not_a_compare_result():
+    # reading the records of None leaked an AttributeError
+    assert (_argument_error(lambda: emit_report(None))
+            == "result is a NoneType, not a CompareResult")
 
 
 def test_run_compare_skips_domain_violations():

@@ -494,6 +494,18 @@ def test_point_hessians_reject_complex_points():
         assert str(info.value) == "points are not real numbers: complex entries"
 
 
+def test_an_interval_matrix_and_sym_eigen_range_reject_complex_entries():
+    # both cast to float and dropped the imaginary parts, with a ComplexWarning
+    for build in (lambda: SymIntervalMatrix(np.array([[1 + 1j]]), np.array([[2 + 0j]])),
+                  lambda: SymIntervalMatrix([[1.0]], [[2 + 0j]]),
+                  lambda: sym_eigen_range(np.array([[1 + 1j, 0], [0, 2]]))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgument) as info:
+                build()
+        assert str(info.value) == "interval matrix entries are not real numbers: complex entries"
+
+
 def test_point_hessians_reject_points_that_are_not_finite():
     cl = compile_expression("x1*x2 + exp(x1)", 2)
     for bad in (math.inf, -math.inf, math.nan):
