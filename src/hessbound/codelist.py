@@ -433,9 +433,8 @@ class Codelist:
         for line, block in zip(self.lines, self.blocks):
             if (1 < len(block) < n and block not in index and (
                     line.op == "mul" or line.op in UNARY_OPS and line.op not in AFFINE_OPS)):
-                rows = np.array(block) - 1
-                flat = (rows[:, None] * n + rows).ravel()
-                index[block] = np.concatenate((flat, flat + n * n))
+                index[block] = np.array([layer + (p - 1) * n + q - 1 for layer in (0, n * n)
+                                         for p in block for q in block])
         return MappingProxyType(index)
 
     @cached_property

@@ -279,10 +279,26 @@ def random_boxes(domain: Box, count: int, seed: int) -> List[Box]:
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """One corpus function.  Construction checks every field, else
+    :class:`InvalidArgument`: ``name`` and ``source`` are str, ``n`` is an
+    int of 1 or more and ``domain`` a :class:`Box` of n components."""
+
     name: str
     n: int
     domain: Box
     source: str
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise InvalidArgument(f"corpus entry name {shown(self.name)} is not a str")
+        if type(self.n) is not int or self.n < 1:
+            raise InvalidArgument(f"{self.name}: variable count {shown(self.n)} "
+                                  "is not an int of 1 or more")
+        if not isinstance(self.domain, Box) or len(self.domain) != self.n:
+            raise InvalidArgument(f"{self.name}: domain {shown(self.domain)} "
+                                  f"is not a Box of {self.n} components")
+        if not isinstance(self.source, str):
+            raise InvalidArgument(f"{self.name}: source {shown(self.source)} is not a str")
 
     def compile(self) -> Codelist:
         return compile_expression(self.source, self.n)
@@ -290,6 +306,8 @@ class CorpusEntry:
 
 def parse_box(text: str, n: int) -> Box:
     """Parse ``'l1,u1;l2,u2;...;ln,un'`` into an n-dimensional box."""
+    if not isinstance(text, str):
+        raise InvalidArgument(f"box text {shown(text)} is not a str")
     parts = [p for p in text.split(";") if p.strip()]
     if len(parts) != n:
         raise InvalidArgument(f"box has {len(parts)} components, expected {n}")
@@ -304,12 +322,38 @@ def parse_box(text: str, n: int) -> Box:
     return Box.from_bounds(bounds)
 
 
+def _directory(directory) -> str:
+    """``directory`` as a str path; :class:`InvalidArgument` unless it is a str or a path."""
+    try:
+        path = os.fspath(directory)
+    except TypeError:
+        path = None
+    if not isinstance(path, str):  # None lists the working directory, bytes list bytes names
+        raise InvalidArgument(f"corpus directory {shown(directory)} is not a str or a path")
+    return path
+
+
+def _entries(entries) -> List[CorpusEntry]:
+    """``entries`` as a list; :class:`InvalidArgument` unless it is an iterable of CorpusEntry."""
+    try:
+        entries = list(entries)
+    except TypeError:
+        raise InvalidArgument(f"entries of type {type(entries).__name__} are not an iterable "
+                              "of CorpusEntry") from None
+    for k, entry in enumerate(entries, start=1):
+        if not isinstance(entry, CorpusEntry):
+            raise InvalidArgument(f"corpus entry {k} is a {type(entry).__name__}, "
+                                  "not a CorpusEntry")
+    return entries
+
+
 def read_corpus(directory: str) -> List[CorpusEntry]:
-    """Load every *.txt function file from a corpus directory.
+    """Load every *.txt function file from a corpus directory, a str or a path.
 
     File layout: a ``vars: n`` line, a ``# domain: l,u;...;l,u`` line, then
     the expression on the remaining non-comment lines.
     """
+    directory = _directory(directory)
     entries: List[CorpusEntry] = []
     for fname in sorted(os.listdir(directory)):
         if not fname.endswith(".txt"):
@@ -353,6 +397,10 @@ def read_corpus(directory: str) -> List[CorpusEntry]:
 
 
 def write_corpus(directory: str, entries: Iterable[CorpusEntry]) -> None:
+    """Write each :class:`CorpusEntry` as ``<name>.txt`` in the layout
+    :func:`read_corpus` reads, making the directory if it is missing."""
+    directory = _directory(directory)
+    entries = _entries(entries)
     os.makedirs(directory, exist_ok=True)
     for e in entries:
         domain = ";".join(f"{d.lo:.17g},{d.hi:.17g}" for d in e.domain)
@@ -497,15 +545,7 @@ def run_compare(entries: Sequence[CorpusEntry], boxes_per_function: int = 100,
         seed = operator.index(seed)  # numpy integers pass, floats and strings do not
     except TypeError:
         raise InvalidArgument(f"seed {seed!r} is not an integer") from None
-    try:
-        entries = list(entries)
-    except TypeError:
-        raise InvalidArgument(f"entries of type {type(entries).__name__} are not an iterable "
-                              "of CorpusEntry") from None
-    for k, entry in enumerate(entries, start=1):
-        if not isinstance(entry, CorpusEntry):
-            raise InvalidArgument(f"corpus entry {k} is a {type(entry).__name__}, "
-                                  "not a CorpusEntry")
+    entries = _entries(entries)
     result = CompareResult(eps=eps, seed=seed, boxes_per_function=boxes_per_function)
     for entry in entries:
         box_seed = (seed * 1000003 + zlib.crc32(entry.name.encode())) & 0x7FFFFFFF

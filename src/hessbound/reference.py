@@ -29,7 +29,9 @@ compared against:
 * :func:`gershgorin_bounds` -- disc bounds from such an enclosure;
 * :func:`hertz_rohn_bounds` -- exact extremal eigenvalues of a symmetric
   interval matrix via signed vertex enumeration, each vertex picked from the
-  endpoint matrices and solved in stacked batches by LAPACK (``eigvalsh``);
+  endpoint stack and solved in stacked batches by LAPACK (``eigvalsh``);
+  the sign patterns of a vertex set that fits in one batch (n <= 12) are
+  built once per process;
 * :func:`sym_eigen_range` -- eigenvalue range of one symmetric matrix,
   checked as a :class:`SymIntervalMatrix` is;
 * :func:`point_hessians` -- exact real Hessians at a batch of points, used
@@ -41,6 +43,11 @@ compared against:
   :func:`interval_hessian` it raises :class:`InvalidInterval` at the line
   where a float overflows.
 
+An interval matrix (:class:`SymIntervalMatrix`) is one C-ordered float
+(2, n, n) endpoint stack, checked once when it is built: finite entries with
+lo <= hi, then symmetry.  :func:`interval_hessian` hands its walk's stack in
+without a copy, and both references read it in place.
+
 The Hessians and Gershgorin run under numpy's error setting ``_FLOAT_ERRORS``, not the
 caller's: overflows raise, and Gershgorin reports them as :class:`InvalidInterval`.
 """
@@ -48,7 +55,7 @@ caller's: overflows raise, and Gershgorin reports them as :class:`InvalidInterva
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from string import Template
 from typing import List, Tuple
@@ -90,20 +97,33 @@ _VERTEX_CHUNK = 2048
 _FLOAT_ERRORS = {"all": "raise", "under": "ignore"}
 
 
-def _symmetric(a: np.ndarray) -> bool:
-    # exact symmetry implies allclose symmetry and NaN fails both, so the
-    # exact test only skips allclose's cost on the common exact case; a
-    # difference past the float range is inf, which is not close
+def _check_ends(ends: np.ndarray) -> None:
+    """The entry checks of a C-ordered float (2, n, n) endpoint stack: finite
+    entries with lo <= hi, then symmetric layers.
+
+    Exact symmetry implies allclose symmetry, so each layer's ``allclose``
+    runs only when the exact test of the whole stack fails; a difference past
+    the float range is inf, which is not close.
+    """
     with np.errstate(all="ignore"):
-        return bool((a == a.T).all()) or np.allclose(a, a.T)
+        if not (np.isfinite(ends).all() and (ends[0] <= ends[1]).all()):
+            raise NotSymmetric("entries must be finite intervals with lo <= hi")
+        if not ((ends == ends.transpose(0, 2, 1)).all()
+                or all(np.allclose(a, a.T) for a in ends)):
+            raise NotSymmetric("endpoint matrices must be symmetric")
 
 
 @dataclass(frozen=True)
 class SymIntervalMatrix:
-    """Elementwise interval enclosure of a symmetric n x n matrix."""
+    """Elementwise interval enclosure of a symmetric n x n matrix.
+
+    Its endpoints are one C-ordered float (2, n, n) stack, ``ends``, checked
+    once; ``lo`` and ``hi`` are views of its two layers.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -118,12 +138,32 @@ class SymIntervalMatrix:
             raise NotSymmetric(f"bad shapes {lo.shape} / {hi.shape}")
         if lo.shape[0] == 0:
             raise NotSymmetric("an interval matrix needs at least one row")
-        if np.any(lo > hi) or not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise NotSymmetric("entries must be finite intervals with lo <= hi")
-        if not (_symmetric(lo) and _symmetric(hi)):
-            raise NotSymmetric("endpoint matrices must be symmetric")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        ends = np.empty((2, *lo.shape))  # C-ordered, whatever the layers' order
+        ends[0], ends[1] = lo, hi
+        _check_ends(ends)
+        self._set(ends)
+
+    def _set(self, ends: np.ndarray) -> None:
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "lo", ends[0])
+        object.__setattr__(self, "hi", ends[1])
+
+    @classmethod
+    def _of(cls, ends: np.ndarray) -> "SymIntervalMatrix":
+        """The matrix of a (2, n, n) stack, checked as the constructor checks
+        its layers; a C-ordered float stack is read in place, anything else
+        goes through the constructor, which copies it."""
+        if not (ends.dtype == np.float64 and ends.ndim == 3 and len(ends) == 2
+                and 0 < ends.shape[1] == ends.shape[2] and ends.flags.c_contiguous):
+            return cls(ends[0], ends[1])
+        _check_ends(ends)
+        mat = object.__new__(cls)
+        mat._set(ends)
+        return mat
+
+    def __reduce__(self):
+        # rebuilt from its layers, so that they are views of one stack again
+        return type(self), (self.lo, self.hi)
 
     @property
     def n(self) -> int:
@@ -304,7 +344,7 @@ def _hessian_walk(cl: Codelist, box: Box) -> tuple:
         if pair is not None:
             p = cl.blocks[-1][0] - 1
             m[:, p, p] = pair
-    return ys, grads, SymIntervalMatrix(*m)
+    return ys, grads, SymIntervalMatrix._of(m)
 
 
 def interval_hessian(cl: Codelist, box: Box) -> SymIntervalMatrix:
@@ -432,13 +472,36 @@ def gershgorin_bounds(mat: SymIntervalMatrix) -> Interval:
     _check_matrix(mat)
     try:
         with np.errstate(**_FLOAT_ERRORS):
-            mags = np.maximum(np.abs(mat.lo), np.abs(mat.hi))
-            off = mags.sum(axis=1) - np.diag(mags)
-            lo = float(np.min(np.diag(mat.lo) - off))
-            hi = float(np.max(np.diag(mat.hi) + off))
+            mags = np.abs(mat.ends)
+            mags = np.maximum(mags[0], mags[1], out=mags[0])
+            off = mags.sum(axis=1) - mags.diagonal()
+            lo = float((mat.lo.diagonal() - off).min())
+            hi = float((mat.hi.diagonal() + off).max())
     except FloatingPointError:
         raise InvalidInterval("non-finite Gershgorin disc") from None
     return Interval(lo, hi)
+
+
+# the sign patterns of vertex sets that fit in one chunk, keyed (n, start, stop):
+# n <= 12 at _VERTEX_CHUNK = 2048, 0.5 MB in all.  Entries are read-only, and
+# threads that race on one at worst build it twice.
+_SIGN_PATTERNS = {}
+
+
+def _sign_pattern(n: int, start: int, stop: int) -> np.ndarray:
+    """Where z_i z_j = 1 for the sign vectors ``start`` to ``stop`` of the
+    2^(n-1), as a (stop - start, n, n) boolean array.  All of them, when they
+    are one chunk, are built once and kept read-only."""
+    key = n, start, stop
+    same = _SIGN_PATTERNS.get(key)
+    if same is None:
+        # 1 where z_i = -1; bit n - 1 is 0
+        z = (np.arange(start, stop)[:, None] >> np.arange(n)) & 1
+        same = z[:, :, None] == z[:, None, :]
+        if stop - start == 1 << (n - 1):
+            same.flags.writeable = False
+            _SIGN_PATTERNS[key] = same
+    return same
 
 
 def hertz_rohn_bounds(mat: SymIntervalMatrix) -> Interval:
@@ -446,20 +509,19 @@ def hertz_rohn_bounds(mat: SymIntervalMatrix) -> Interval:
 
     Over the 2^(n-1) sign vectors z (last entry +1), the lower vertex takes lo_ij where
     z_i z_j = 1 and hi_ij elsewhere, the upper one the reverse; their extreme eigenvalues
-    are exact.  One batched ``eigvalsh`` call per _VERTEX_CHUNK vertices solves both sides;
-    it reads the lower triangle (``UPLO='L'``) of an enclosure that is only allclose-symmetric.
+    are exact.  Each vertex is picked from the matrix's endpoint stack, and one batched
+    ``eigvalsh`` call per _VERTEX_CHUNK vertices solves both sides; it reads the lower
+    triangle (``UPLO='L'``) of an enclosure that is only allclose-symmetric.
     """
     _check_matrix(mat)
     n = mat.n
     if n > VERTEX_DIMENSION_LIMIT:
         raise DimensionTooLarge(f"vertex enumeration limited to n <= {VERTEX_DIMENSION_LIMIT}, got {n}")
     count = 1 << (n - 1)
-    ends = np.stack((mat.lo, mat.hi))[:, None]  # (2, 1, n, n): lower side, upper side
+    ends = mat.ends[:, None]  # (2, 1, n, n): lower side, upper side
     lo, hi = math.inf, -math.inf
     for start in range(0, count, _VERTEX_CHUNK):
-        bits = np.arange(start, min(start + _VERTEX_CHUNK, count))
-        z = (bits[:, None] >> np.arange(n)) & 1  # 1 where z_i = -1; bit n - 1 is 0
-        same = z[:, :, None] == z[:, None, :]  # z_i z_j = 1
+        same = _sign_pattern(n, start, min(start + _VERTEX_CHUNK, count))
         w = np.linalg.eigvalsh(np.where(same, ends, ends[::-1]))
         lo = min(lo, float(w[0, :, 0].min()))
         hi = max(hi, float(w[1, :, -1].max()))

@@ -395,6 +395,22 @@ def test_index_sets_and_blocks_are_consistent():
         assert [tuple(sorted(g)) for g in grads] == list(cl.supports[:len(grads)])
 
 
+def test_the_block_index_is_each_blocks_flat_index_in_both_layers():
+    corpus = _engine_seed_codelists() + [
+        random_function(n, seed=300 + 10 * n + s, require_mul=True).compile()
+        for n in range(3, 7) for s in range(10)]
+    checked = 0
+    for cl in corpus:
+        n = cl.n
+        for block, index in cl.block_index.items():
+            rows = np.array(block) - 1
+            flat = (rows[:, None] * n + rows).ravel()
+            want = np.concatenate((flat, flat + n * n))
+            assert index.dtype == want.dtype and (index == want).all()
+            checked += 1
+    assert checked > 20
+
+
 def test_len_is_the_line_count():
     cl = compile_expression("x1*x2 + exp(x1)", 2)
     assert len(cl) == len(cl.lines) == 5

@@ -884,6 +884,52 @@ def test_parse_box_rejects_the_wrong_component_count():
     assert _argument_error(lambda: parse_box("0,1", 2)) == "box has 1 components, expected 2"
 
 
+def test_parse_box_text_that_is_not_a_str_is_an_invalid_argument():
+    # None leaked AttributeError: 'NoneType' object has no attribute 'split'
+    for text in (None, b"0,1", 5):
+        assert _argument_error(lambda: parse_box(text, 1)) == f"box text {text!r} is not a str"
+
+
+def test_a_corpus_directory_that_is_not_a_str_or_a_path_is_an_invalid_argument(tmp_path,
+                                                                                 monkeypatch):
+    # read_corpus(None) listed the working directory: [] there, or a bare
+    # TypeError from os.path.join when it held a .txt file
+    (tmp_path / "f.txt").write_text("vars: 1\n# domain: 0,1\nx1^2\n")
+    monkeypatch.chdir(tmp_path)
+    entry = random_function(1, seed=3)
+    for directory in (None, b".", 5):
+        text = f"corpus directory {directory!r} is not a str or a path"
+        assert _argument_error(lambda: read_corpus(directory)) == text
+        assert _argument_error(lambda: write_corpus(directory, [entry])) == text
+    assert read_corpus(tmp_path) == read_corpus(str(tmp_path)) != []  # a path is read
+
+
+def test_write_corpus_refuses_what_is_not_a_corpus_entry(tmp_path):
+    # write_corpus(d, [None]) leaked AttributeError on .domain
+    assert (_argument_error(lambda: write_corpus(str(tmp_path), [None]))
+            == "corpus entry 1 is a NoneType, not a CorpusEntry")
+    assert (_argument_error(lambda: write_corpus(str(tmp_path), 5))
+            == "entries of type int are not an iterable of CorpusEntry")
+    assert list(tmp_path.iterdir()) == []
+
+
+ONE = Box.from_bounds([(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("fields,text", [
+    ((None, 1, ONE, "x1^2"), "corpus entry name None is not a str"),
+    (("f", 0, ONE, "x1^2"), "f: variable count 0 is not an int of 1 or more"),
+    (("f", 1.0, ONE, "x1^2"), "f: variable count 1.0 is not an int of 1 or more"),
+    (("f", True, ONE, "x1^2"), "f: variable count True is not an int of 1 or more"),
+    (("f", 2, ONE, "x1*x2"), "f: domain Box([0, 1]) is not a Box of 2 components"),
+    (("f", 1, [Interval(0, 1)], "x1^2"), "f: domain [[0, 1]] is not a Box of 1 components"),
+    (("f", 1, ONE, None), "f: source None is not a str"),
+], ids=["name", "n zero", "n float", "n bool", "short domain", "domain list", "source"])
+def test_a_corpus_entry_checks_its_fields(fields, text):
+    # a two-variable entry on a one-component domain was skipped box by box as a LengthMismatch
+    assert _argument_error(lambda: CorpusEntry(*fields)) == text
+
+
 def test_run_compare_names_the_entry_whose_expression_fails_to_compile():
     good = CorpusEntry("good", 1, Box.from_bounds([(0.0, 1.0)]), "x1^2")
     with pytest.raises(UnknownVariable) as info:

@@ -1,5 +1,6 @@
 """Interval-Hessian enclosures and the matrix eigenvalue references."""
 
+import copy
 import json
 import math
 import pickle
@@ -94,6 +95,79 @@ def test_mid_rad():
     mid, rad = m.mid_rad()
     assert np.allclose(mid, [[1, 0], [0, 2]])
     assert np.allclose(rad, [[1, 1], [1, 0]])
+
+
+def test_the_layers_are_views_of_one_checked_stack():
+    lo = np.array([[0.0, -1.0], [-1.0, 2.0]])
+    m = SymIntervalMatrix(lo.T, lo + 1.0)  # a Fortran-ordered layer is copied into the stack
+    assert m.ends.shape == (2, 2, 2) and m.ends.flags.c_contiguous and m.ends.dtype == float
+    assert m.lo.base is m.ends and m.hi.base is m.ends
+    assert m.ends.tolist() == [lo.tolist(), (lo + 1.0).tolist()]
+    assert repr(m).startswith("SymIntervalMatrix(lo=array(") and "ends" not in repr(m)
+    # a copy or a pickle is rebuilt from its layers, views of one stack again
+    for again in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert again.lo.base is again.ends and again.ends.tolist() == m.ends.tolist()
+
+
+def _walk_stack(n=3):
+    """A C-ordered float (2, n, n) stack, as interval_hessian's walk leaves it."""
+    a = np.arange(n * n, dtype=float).reshape(n, n)
+    a = a + a.T
+    return np.stack((a - 1.0, a + 1.0))
+
+
+def _ulp_asymmetry(m):
+    m[0, 0, 1] = np.nextafter(m[0, 0, 1], math.inf)  # allclose accepts it
+
+
+def _gross_asymmetry(m):
+    m[1, 2, 0] += 5.0
+
+
+@pytest.mark.parametrize("change", [
+    lambda m: m[0].__setitem__((1, 1), math.nan),
+    lambda m: m[1].__setitem__((0, 2), math.inf),
+    lambda m: m[0].__setitem__((2, 2), 100.0),
+    _ulp_asymmetry,
+    _gross_asymmetry,
+    lambda m: None,
+], ids=["nan", "inf", "lo above hi", "one-ulp asymmetry", "gross asymmetry", "valid"])
+def test_a_walk_stack_is_checked_as_its_layers_are(change, strict):
+    ends = _walk_stack()
+    change(ends)
+    try:
+        want = SymIntervalMatrix(ends[0].copy(), ends[1].copy())
+    except HessboundError as err:
+        with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+            SymIntervalMatrix._of(ends)
+        return
+    m = SymIntervalMatrix._of(ends)
+    assert m.ends is ends and m.lo.base is ends  # read in place, not copied
+    assert m.ends.tolist() == want.ends.tolist()
+
+
+@pytest.mark.parametrize("ends", [
+    np.asfortranarray(_walk_stack()),
+    _walk_stack().astype(np.float32),
+    _walk_stack()[:, :2, :],
+    np.zeros((2, 0, 0)),
+], ids=["fortran", "float32", "not square", "empty"])
+def test_a_stack_that_is_not_a_c_ordered_float_stack_goes_through_the_constructor(ends):
+    try:
+        want = SymIntervalMatrix(ends[0], ends[1])
+    except HessboundError as err:
+        with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+            SymIntervalMatrix._of(ends)
+        return
+    m = SymIntervalMatrix._of(ends)
+    assert m.ends is not ends and m.ends.flags.c_contiguous and m.ends.dtype == float
+    assert m.ends.tolist() == want.ends.tolist()
+
+
+def test_interval_hessian_reads_the_walks_stack_in_place():
+    cl = compile_expression("x1*x2 + exp(x2*x3)", 3)
+    enc = interval_hessian(cl, Box.from_bounds([(0, 1), (1, 2), (-1, 1)]))
+    assert enc.ends.flags.c_contiguous and enc.lo.base is enc.ends and enc.hi.base is enc.ends
 
 
 # -- interval Hessians ----------------------------------------------------
@@ -655,6 +729,41 @@ def test_hertz_rohn_chunking_does_not_change_the_result(monkeypatch):
     whole = [hertz_rohn_bounds(m) for m in mats]
     monkeypatch.setattr(reference, "_VERTEX_CHUNK", 3)
     assert [hertz_rohn_bounds(m) for m in mats] == whole
+
+
+def test_cached_sign_patterns_give_the_bounds_of_fresh_ones(monkeypatch):
+    # n = 13 has 4096 vertices, two chunks, and is not cached
+    rng = np.random.default_rng(13)
+    mats = [_random_sym_interval(rng, n) for n in range(1, 14)]
+    monkeypatch.setattr(reference, "_SIGN_PATTERNS", {})
+    for n, m in enumerate(mats, start=1):
+        reference._SIGN_PATTERNS.clear()
+        fresh = hertz_rohn_bounds(m)
+        assert list(reference._SIGN_PATTERNS) == ([(n, 0, 1 << (n - 1))] if n <= 12 else [])
+        cached = hertz_rohn_bounds(m)
+        assert (cached.lo.hex(), cached.hi.hex()) == (fresh.lo.hex(), fresh.hi.hex())
+    reference._SIGN_PATTERNS.clear()
+    for m in mats:
+        hertz_rohn_bounds(m)
+    patterns = reference._SIGN_PATTERNS
+    assert sorted(patterns) == [(n, 0, 1 << (n - 1)) for n in range(1, 13)]
+    assert sum(p.nbytes for p in patterns.values()) < 1 << 20
+    assert not any(p.flags.writeable for p in patterns.values())
+
+
+# signed zeros of the bounds, as recorded before the endpoints became one stack
+@pytest.mark.parametrize("lo,hi,want", [
+    ([[-0.0]], [[0.0]], ("-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0", "0x0.0p+0")),
+    ([[-0.0]], [[-0.0]], ("-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0")),
+    ([[0.0, -0.0], [-0.0, -0.0]], [[0.0, -0.0], [-0.0, 0.0]],
+     ("-0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+    ([[-1.0, -0.0], [-0.0, -0.0]], [[-0.0, 0.0], [0.0, -0.0]],
+     ("-0x1.0000000000000p+0", "0x0.0p+0", "-0x1.0000000000000p+0", "-0x0.0p+0")),
+], ids=["diagonal", "negative zero", "mixed zeros", "zeros beside -1"])
+def test_the_bounds_keep_the_sign_of_zeros(lo, hi, want):
+    m = SymIntervalMatrix(np.array(lo), np.array(hi))
+    g, h = gershgorin_bounds(m), hertz_rohn_bounds(m)
+    assert (g.lo.hex(), g.hi.hex(), h.lo.hex(), h.hi.hex()) == want
 
 
 def test_hertz_rohn_bounds_random_members_and_sits_inside_gershgorin():
