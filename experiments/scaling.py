@@ -1,0 +1,146 @@
+"""Cost of preparing and bounding a codelist as n grows.
+
+    python experiments/scaling.py --seed 1 --sizes 16 64 256 --out scaling.json
+
+Run from the repository root; the package is imported from ``src/`` of the
+same checkout.  For each family (Rosenbrock and Trid, written as one sum in
+source order) and each n it records one row:
+
+* ``lines`` -- N(f), the codelist's length;
+* ``compile_s`` -- ``compile_expression`` wall time (parse, validate and
+  analyse), the median of ``--repeats`` runs;
+* ``analyze_s`` -- ``Codelist.analyze`` wall time on the built codelist
+  (validate and analyse), the median of ``--repeats`` runs;
+* ``kept_bytes`` -- memory the built codelist keeps: ``tracemalloc``'s
+  current size with the codelist alive, less the size before compiling;
+* ``peak_bytes`` -- ``tracemalloc``'s peak while compiling, less the size before;
+* ``methods`` -- for ``original`` and ``improved``: the paper's cost measure
+  ``op_count``, the median wall time ``wall_s`` of one evaluation on a
+  fresh :class:`Box` (so each runs its own value pass; the interpreted
+  tier, as fewer than ``bounds._COMPILE_AFTER`` walks are made) and the
+  eigenvalue bounds ``eigen``.
+
+The box is drawn from ``--seed``, the family and n: each component is
+[lo, lo + w] with lo uniform in [-1, 0.5] and w in [0.1, 1].  The JSON
+file also names the Python version and machine.  Wall times are of this
+process on whatever else the host runs; compare two commits by alternating
+runs on one host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from hessbound import Box, compile_expression, eval_improved, eval_original  # noqa: E402
+
+ENGINES = {"original": eval_original, "improved": eval_improved}
+
+
+def rosenbrock(n: int) -> str:
+    """sum_{i<n} 100 (x_{i+1} - x_i^2)^2 + (1 - x_i)^2."""
+    return " + ".join(f"100*(x{i + 1} - x{i}^2)^2 + (1 - x{i})^2" for i in range(1, n))
+
+
+def trid(n: int) -> str:
+    """sum_i (x_i - 1)^2 - sum_{i>1} x_i x_{i-1}."""
+    return (" + ".join(f"(x{i} - 1)^2" for i in range(1, n + 1)) + " - "
+            + " - ".join(f"x{i}*x{i - 1}" for i in range(2, n + 1)))
+
+
+FAMILIES = {"rosenbrock": rosenbrock, "trid": trid}
+
+
+def _median_time(call, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def _memory(source: str, n: int) -> tuple:
+    """(kept, peak) bytes of compiling ``source``, as ``tracemalloc`` counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cl = compile_expression(source, n)
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del cl
+    return kept - before, peak - before
+
+
+def measure(family: str, n: int, seed: int, repeats: int) -> dict:
+    """One row of the report (see the module docstring)."""
+    source = FAMILIES[family](n)
+    cl = compile_expression(source, n)
+    kept, peak = _memory(source, n)
+    rng = random.Random(f"scaling/{seed}/{family}/{n}")
+    bounds = []
+    for _ in range(n):
+        lo = rng.uniform(-1.0, 0.5)
+        bounds.append((lo, lo + rng.uniform(0.1, 1.0)))
+    methods = {}
+    for name, engine in ENGINES.items():
+        res = engine(cl, Box.from_bounds(bounds))
+        methods[name] = {
+            "op_count": res.op_count,
+            "wall_s": _median_time(lambda: engine(cl, Box.from_bounds(bounds)), repeats),
+            "eigen": [res.eigen.lo, res.eigen.hi],
+        }
+    return {
+        "family": family, "n": n, "lines": len(cl.lines),
+        "compile_s": _median_time(lambda: compile_expression(source, n), repeats),
+        "analyze_s": _median_time(cl.analyze, repeats),
+        "kept_bytes": kept, "peak_bytes": peak, "methods": methods,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--sizes", type=int, nargs="+", default=[16, 64, 256])
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--out", help="write the report here as JSON")
+    args = ap.parse_args(argv)
+    if min(args.sizes) < 2 or args.repeats < 1:
+        ap.error("every size must be at least 2 and --repeats at least 1")
+
+    rows = [measure(family, n, args.seed, args.repeats)
+            for family in FAMILIES for n in args.sizes]
+    print(f"{'family':<11} {'n':>4} {'lines':>6} {'compile ms':>10} {'analyze ms':>10} "
+          f"{'kept MB':>8} {'peak MB':>8} {'orig ms':>8} {'impr ms':>8} {'orig ops':>9} "
+          f"{'impr ops':>9}")
+    for r in rows:
+        m = r["methods"]
+        print(f"{r['family']:<11} {r['n']:>4} {r['lines']:>6} {r['compile_s'] * 1e3:>10.2f} "
+              f"{r['analyze_s'] * 1e3:>10.2f} {r['kept_bytes'] / 1e6:>8.3f} "
+              f"{r['peak_bytes'] / 1e6:>8.3f} {m['original']['wall_s'] * 1e3:>8.2f} "
+              f"{m['improved']['wall_s'] * 1e3:>8.2f} {m['original']['op_count']:>9} "
+              f"{m['improved']['op_count']:>9}")
+    if args.out:
+        report = {"seed": args.seed, "repeats": args.repeats,
+                  "python": platform.python_version(), "machine": platform.machine(),
+                  "cpus": os.cpu_count(), "rows": rows}
+        Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

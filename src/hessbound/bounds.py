@@ -140,9 +140,15 @@ class EvalResult:
 
 def lift_reduced(lam_dagger: Interval, linear_set, n: int) -> Interval:
     """Bounds for the full Hessian from bounds for its nontrivial block."""
-    if not linear_set:
+    return _lift(lam_dagger, n - len(linear_set), n)
+
+
+def _lift(lam_dagger: Interval, size: int, n: int) -> Interval:
+    """:func:`lift_reduced` from the size of the block: the block's bounds
+    if it is all n variables, 0 if it is empty, else them widened to 0."""
+    if size == n:
         return lam_dagger
-    if len(linear_set) == n:
+    if size == 0:
         return ZERO
     return zero_widen(lam_dagger)
 
@@ -566,7 +572,7 @@ def eval_original(cl: Codelist, box: Box) -> EvalResult:
 def eval_improved(cl: Codelist, box: Box) -> EvalResult:
     """Sparsity-aware eigenvalue bounds (never wider than the original)."""
     ys, grads, lams = _walk(cl, box, _lam_improved)
-    eigen = lift_reduced(Interval(*lams[-1]), cl.linear[len(cl.lines) - 1], cl.n)
+    eigen = _lift(Interval(*lams[-1]), len(cl.blocks[-1]), cl.n)
     return _result(cl, ys, grads, eigen, "improved")
 
 

@@ -6,17 +6,23 @@ lines.  A :class:`Codelist` is immutable and analysed when it is built:
 construction validates it and :meth:`Codelist.analyze` attaches to every
 line k
 
-* ``indep[k]`` -- variables the intermediate function y_k is independent of,
-* ``supports[k]`` -- the other variables, ascending: the support of y_k's
-  gradient, the keys of the engines' sparse gradient of line k,
-* ``linear[k]`` -- variables y_k depends on at most linearly,
-* ``blocks[k]`` -- the variables outside ``linear[k]``, ascending: the block
-  of y_k's Hessian that can be nonzero, on which the λ operators act,
+* ``supports[k]`` -- S_k, ascending: the variables y_k can depend on, the
+  support of its gradient and the keys of the engines' sparse gradient of
+  line k,
+* ``blocks[k]`` -- B_k ⊆ S_k, ascending: the variables y_k can depend on
+  nonlinearly, the block of its Hessian that can be nonzero, on which the λ
+  operators act,
 * ``rules[k]`` -- the :class:`Rule` by which the sparsity-aware engine
   combines the operands' eigenvalue bounds (``None`` on a var line).
 
 and to the codelist ``op_counts``, each engine's operation count.  All are
 fixed by the operation structure alone, not by the box it is evaluated over.
+The analysis works on these small sets, so its time and the memory a
+codelist keeps grow with the sizes of the supports, not with n per line.
+Their complements, ``indep[k]`` (I_k, the variables y_k is independent of)
+and ``linear[k]`` (L_k, those it depends on at most linearly), are derived
+on first read, for :meth:`Codelist.dump` and for inspection; no bound route
+reads them.
 
 :data:`UNARY_RULES` holds the interval rules of every unary operation
 y_k = r(y_i): its value, r', r'' and the factored curvature rule, on
@@ -281,25 +287,30 @@ class Rule:
 _shared_rule = cache(Rule)  # one object per (op, i, j, combine)
 
 
-def _binary_rule(op: str, ii: frozenset, li: frozenset, ij: frozenset, lj: frozenset,
-                 lk: frozenset, full: frozenset) -> Rule:
-    if li == full and lj == full:
+def _binary_rule(op: str, si: frozenset, bi: frozenset, sj: frozenset, bj: frozenset,
+                 bk: frozenset) -> Rule:
+    """The :class:`Rule` of an ``op`` line from its operands' supports
+    ``si``, ``sj`` and blocks ``bi``, ``bj`` and its own block ``bk``.
+
+    An empty block is an operand whose L holds every variable (ABSENT); two
+    disjoint blocks are L_i ∪ L_j = all; B_j ⊆ B_i is L_i ⊆ L_j; and the
+    line's block B_k growing past B_i ∪ B_j is L_k ⊊ L_i ∩ L_j.
+    """
+    if not bi and not bj:
         return _shared_rule(op, ABSENT, ABSENT, SUM)
-    if op == "mul" and len(ii) == len(ij) == len(full) - 1 and ii | ij == full:
+    if op == "mul" and len(si) == len(sj) == 1 and si != sj:
         # each operand depends on one variable, a different one: the 2x2 rule
-        (p,), (q,) = full - ii, full - ij
-        return Rule(op, ABSENT if li == full else EXACT,
-                    ABSENT if lj == full else EXACT, STAR, (p, q))
-    lc = li & lj
-    if li == full or lj == full:
-        kind = EXACT if lk == lc else WIDENED
-        return _shared_rule(op, ABSENT if li == full else kind,
-                            ABSENT if lj == full else kind, SUM)
-    if li | lj == full:
-        return _shared_rule(op, EXACT, EXACT, HULL if lk == lc else WIDENED_HULL)
-    nested = li <= lj or lj <= li
-    return _shared_rule(op, EXACT if li <= lj else WIDENED, EXACT if lj <= li else WIDENED,
-                        WIDENED_SUM if nested and lk < lc else SUM)
+        (p,), (q,) = si, sj
+        return Rule(op, EXACT if bi else ABSENT, EXACT if bj else ABSENT, STAR, (p, q))
+    bc = bi | bj
+    if not bi or not bj:
+        kind = EXACT if bk == bc else WIDENED
+        return _shared_rule(op, kind if bi else ABSENT, kind if bj else ABSENT, SUM)
+    if bi.isdisjoint(bj):
+        return _shared_rule(op, EXACT, EXACT, HULL if bk == bc else WIDENED_HULL)
+    inner_i, inner_j = bi <= bj, bj <= bi  # L_j ⊆ L_i, L_i ⊆ L_j
+    return _shared_rule(op, EXACT if inner_j else WIDENED, EXACT if inner_i else WIDENED,
+                        WIDENED_SUM if (inner_i or inner_j) and bk > bc else SUM)
 
 
 def _check_variable_count(n) -> None:
@@ -320,15 +331,15 @@ class Codelist:
 
     The derived fields are those of the module docstring, one entry per
     line.  ``supports[k - 1]`` lists, ascending, the variables line k's
-    gradient can depend on (all but ``indep[k - 1]``); the engines pass the
-    operands' supports to ``pair_lambda_t``.  Equal index sets share one tuple.
+    gradient can depend on; the engines pass the operands' supports to
+    ``pair_lambda_t``.  Equal index sets share one tuple.  The stored fields
+    are the supports and blocks; :attr:`indep` and :attr:`linear`, their
+    complements, are derived from them on first read.
     """
 
     n: int
     lines: Tuple[Line, ...]
-    indep: Tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
     supports: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    linear: Tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
     blocks: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     rules: Tuple[Optional[Rule], ...] = field(init=False, repr=False, compare=False)
     op_counts: Mapping[str, int] = field(init=False, repr=False, compare=False)
@@ -358,6 +369,8 @@ class Codelist:
             if k <= n:
                 if line.op != "var":
                     raise MalformedCodelist(k, "first n lines must be var lines")
+                if line.i is not None or line.j is not None:
+                    raise MalformedCodelist(k, "a var line takes no operands")
                 continue
             if line.op == "var":
                 raise MalformedCodelist(k, "var line after the variable prefix")
@@ -366,11 +379,17 @@ class Codelist:
                 raise MalformedCodelist(k, f"unknown operation {line.op!r}")
             if not (_is_ref(line.i, k) and (not binary or _is_ref(line.j, k))):
                 raise MalformedCodelist(k, "operand refs must be numbers of earlier lines")
+            if not binary and line.j is not None:
+                raise MalformedCodelist(k, f"{line.op} takes one operand, got j={shown(line.j)}")
             if line.op == "powNat" and not (type(line.m) is int and line.m >= 2):
                 raise MalformedCodelist(k, "powNat exponent must be an integer >= 2")
             if line.op in AFFINE_OPS and not (isinstance(line.c, (int, float))
+                                              and type(line.c) is not bool
                                               and math.isfinite(line.c)):
                 raise MalformedCodelist(k, f"{line.op} needs a finite constant")
+        if len(self.lines) < n:
+            raise MalformedCodelist(0, f"{len(self.lines)} lines, fewer than the {n} var "
+                                       "lines a codelist starts with")
 
     def __reduce__(self):
         # rebuilt from its inputs: the derived fields are analysed again, and
@@ -448,15 +467,38 @@ class Codelist:
         return MappingProxyType({ref: k for k, line in enumerate(self.lines, start=1)
                                  for ref in (line.i, line.j) if ref is not None})
 
+    @cached_property
+    def indep(self) -> Tuple[frozenset, ...]:
+        """I_k of each line: the variables y_k is independent of, all but
+        ``supports[k - 1]``.  Derived on the first read and kept, like
+        :attr:`last_read`; the engines and the reference routes never read it."""
+        return self._complements(self.supports)
+
+    @cached_property
+    def linear(self) -> Tuple[frozenset, ...]:
+        """L_k of each line: the variables y_k depends on at most linearly,
+        all but ``blocks[k - 1]``.  Derived on the first read, as :attr:`indep`."""
+        return self._complements(self.blocks)
+
+    def _complements(self, sets) -> Tuple[frozenset, ...]:
+        full = frozenset(range(1, self.n + 1))
+        rest = {s: full.difference(s) for s in set(sets)}  # equal sets share one complement
+        return tuple(rest[s] for s in sets)
+
     def analyze(self) -> "Codelist":
-        """Validate, then derive the index sets, supports, blocks, rules and
-        operation counts.  Construction calls it; a second call derives the
-        same values.
+        """Validate, then derive the supports, blocks, rules and operation
+        counts.  Construction calls it; a second call derives the same values.
+
+        A var line k has S = {k} and B = ∅.  An operation line takes its
+        operands' S_i and S_j: a unary line keeps S_k = S_i and has B_k = B_i
+        if it is affine, else S_i; an add line has S_k = S_i ∪ S_j and B_k =
+        B_i ∪ B_j; a mul line has B_k = S_k = S_i ∪ S_j.  The rule of each
+        line is read off these sets (:func:`_binary_rule`).
 
         ``op_counts`` maps ``"original"`` and ``"improved"`` to the paper's
         cost measure, the interval operations of each method's rules.  With
-        s_x = n - |I_x| (y_x's gradient support) and b = n - |L_k| (the size
-        of ``blocks[k]``), operation line k costs both methods
+        s_x = |S_x| (y_x's gradient support, n - |I_x|) and b = |B_k| (the
+        size of ``blocks[k]``, n - |L_k|), operation line k costs both methods
 
         * add: 1 (value) + s_i + s_j - s_k (gradient sums on the shared
           support) + 1 (λ); mul: 1 + s_i + s_j + (s_i + s_j - s_k);
@@ -477,56 +519,66 @@ class Codelist:
         """
         self.validate()
         n = self.n
-        full = frozenset(range(1, n + 1))
-        indep: list = []
-        linear: list = []
+        # (S_k, B_k) of each line as frozensets, until a line reads them; a
+        # later reader of the same line (a var line, or a shared operand)
+        # rebuilds them from the kept tuples, so a long chain of growing
+        # sets is never held at once
+        sets: list = []
         supports: list = []
         blocks: list = []
         rules: list = []
-        seen: dict = {}  # index set -> the ascending rest, so equal sets share one tuple
+        seen: dict = {}  # each distinct ascending tuple, so equal index sets share one
+
+        def new(s):  # a set no operand holds, and its tuple
+            t = tuple(sorted(s))
+            return s, seen.setdefault(t, t)
+
         both, original, improved = 0, 0, 1  # 1: the improved final lift
         for k, line in enumerate(self.lines, start=1):
-            op = line.op
+            op, i, j = line.op, line.i, line.j
             if op == "var":
-                ik, lk, rule = full - {k}, full, None
-            else:
-                ii, li = indep[line.i - 1], linear[line.i - 1]
-                if op in BINARY_OPS:
-                    ij, lj = indep[line.j - 1], linear[line.j - 1]
-                    ik = ii & ij
-                    lk = li & lj if op == "add" else ik
-                    rule = _binary_rule(op, ii, li, ij, lj, lk, full)
-                    shared = n - len(ii) - len(ij) + len(ik)  # |S_i ∩ S_j|
-                    if op == "add":
-                        both += shared + 2
-                    else:
-                        both += 1 + 2 * n - len(ii) - len(ij) + shared
-                        original += 2 * n + 5
-                        improved += 7 if rule.cross is not None else 2 * (n - len(lk)) + 4
+                sets.append(None)
+                supports.append(seen.setdefault((k,), (k,)))
+                blocks.append(())
+                rules.append(None)
+                continue
+            si, bi = sets[i - 1] or (frozenset(supports[i - 1]), frozenset(blocks[i - 1]))
+            sets[i - 1] = None
+            if op in BINARY_OPS:
+                sj, bj = sets[j - 1] or (frozenset(supports[j - 1]), frozenset(blocks[j - 1]))
+                sets[j - 1] = None
+                # S_i ∪ S_j: an operand's own set and tuple when it holds the other's
+                sk, tk = ((si, supports[i - 1]) if sj <= si else
+                          (sj, supports[j - 1]) if si <= sj else new(si | sj))
+                bk, tb = ((sk, tk) if op == "mul" else (bi, blocks[i - 1]) if bj <= bi else
+                          (bj, blocks[j - 1]) if bi <= bj else new(bi | bj))
+                rule = _binary_rule(op, si, bi, sj, bj, bk)
+                shared = len(si) + len(sj) - len(sk)  # |S_i ∩ S_j|
+                if op == "add":
+                    both += shared + 2
                 else:
-                    ik = ii
-                    lk = li if op in AFFINE_OPS else ii
-                    # L_k = L_i on an affine line, so its term is never widened
-                    kind = ABSENT if li == full else EXACT if lk == li else WIDENED
-                    rule = _shared_rule("unary", kind)
-                    unary = UNARY_RULES[op]
-                    both += unary.ops + (0 if unary.first is None else n - len(ii))
-                    original += n + unary.lam_ops
-                    if unary.second is None:
-                        improved += unary.lam_ops
-                    else:
-                        improved += max(n - len(lk), 1) + (
-                            unary.second_ops if kind == ABSENT else unary.lam_ops)
-            for rest in ik, lk:
-                if rest not in seen:
-                    seen[rest] = tuple(sorted(full - rest))
-            indep.append(ik)
-            linear.append(lk)
-            supports.append(seen[ik])
-            blocks.append(seen[lk])
+                    both += 1 + len(si) + len(sj) + shared
+                    original += 2 * n + 5
+                    improved += 7 if rule.cross is not None else 2 * len(bk) + 4
+            else:
+                sk, tk = si, supports[i - 1]
+                # B_k = B_i on an affine line, so its term is never widened;
+                # B_k = S_i ⊇ B_i on another one
+                bk, tb = (bi, blocks[i - 1]) if op in AFFINE_OPS else (si, tk)
+                kind = ABSENT if not bi else EXACT if len(bk) == len(bi) else WIDENED
+                rule = _shared_rule("unary", kind)
+                unary = UNARY_RULES[op]
+                both += unary.ops + (0 if unary.first is None else len(si))
+                original += n + unary.lam_ops
+                if unary.second is None:
+                    improved += unary.lam_ops
+                else:
+                    improved += max(len(bk), 1) + (
+                        unary.second_ops if kind == ABSENT else unary.lam_ops)
+            sets.append((sk, bk))
+            supports.append(tk)
+            blocks.append(tb)
             rules.append(rule)
-        object.__setattr__(self, "indep", tuple(indep))
-        object.__setattr__(self, "linear", tuple(linear))
         object.__setattr__(self, "supports", tuple(supports))
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "rules", tuple(rules))

@@ -163,8 +163,8 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
     the result an underestimator of the function.  ``box`` is a
     :class:`Box`, or a list or tuple of Intervals, as the engines take.
     Raises :class:`InvalidArgument` unless x is a sequence or a 1-D array
-    and lam_lo a real number (a numpy array of one or more dimensions is
-    not), and :class:`InvalidInterval` when a component of x is not a
+    and lam_lo a real number (a nan is not, nor is a numpy array of one or
+    more dimensions), and :class:`InvalidInterval` when a component of x is not a
     number or the shifted value is not finite.
 
     The endpoints of the box, with the containment slack of 1e-12 added,
@@ -209,6 +209,8 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
     if type(lam_lo) is not float and getattr(lam_lo, "ndim", 0):  # a numpy array of numbers
         raise InvalidArgument(f"lam_lo {shown(lam_lo)} is not a number")
     try:
+        if lam_lo != lam_lo:  # nan, tested first: a Decimal nan does not order
+            raise InvalidArgument(f"lam_lo {shown(lam_lo)} is not a number")
         if lam_lo >= 0.0:
             return val
         shift = -0.5 * lam_lo * s

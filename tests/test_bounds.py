@@ -726,19 +726,28 @@ def test_a_unary_row_replaced_after_both_engines_walked_its_op_is_called_on_the_
 
 def _every_assignable_shape():
     """(n, line, rule): every Rule ``_binary_rule`` gives over all index sets of
-    n <= 3 variables, on an add and a mul line, and each term kind on each unary op."""
+    n <= 3 variables as operand supports and blocks, on an add and a mul line,
+    and each term kind on each unary op."""
     out = set()
     for n in (1, 2, 3):
         full = frozenset(range(1, n + 1))
         sets = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(full, r)]
         for op in ("add", "mul"):
-            for ii, li, ij, lj in itertools.product(sets, repeat=4):
-                lk = li & lj if op == "add" else ii & ij
-                out.add((n, Line(op, 1, n), _binary_rule(op, ii, li, ij, lj, lk, full)))
+            for si, bi, sj, bj in itertools.product(sets, repeat=4):
+                bk = bi | bj if op == "add" else si | sj
+                out.add((n, Line(op, 1, n), _binary_rule(op, si, bi, sj, bj, bk)))
         for op in UNARY_RULES:
             for kind in (ABSENT, EXACT, WIDENED):
                 out.add((n, Line(op, 1, c=1.5, m=2), _shared_rule("unary", kind)))
     return sorted(out, key=repr)
+
+
+def test_the_rules_from_supports_and_blocks_are_those_of_the_complement_sets():
+    # the complements I = full - S and L = full - B over the same index sets
+    # gave 137 (n, line, rule) shapes and 43 distinct rules
+    shapes = _every_assignable_shape()
+    assert len(shapes) == 137
+    assert len({rule for _, _, rule in shapes}) == 43
 
 
 def test_every_shape_the_analysis_can_assign_compiles_in_both_tiers(monkeypatch):

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hessbound import (
     Box,
     Codelist,
     DomainViolation,
+    HessboundError,
     Interval,
     Line,
     MalformedCodelist,
@@ -38,7 +40,7 @@ from hessbound.codelist import (
     _POINT_EXPR,
 )
 from hessbound.expressions import _FUNCTIONS
-from hessbound.harness import codelist_value, random_function
+from hessbound.harness import METHODS, alpha_bb_eval, codelist_value, random_function
 from hessbound.reference import _POINT_RULES, interval_hessian
 
 
@@ -64,10 +66,41 @@ def test_validate_rejects_structural_errors():
     Line("exp", i=True),  # a bool is not a line number
     Line("powNat", i=1, m=2.5),  # a non-integer exponent
     Line("addC", i=1, c="2"),  # a constant that is not a number
-], ids=["float-ref", "bool-ref", "float-exponent", "str-constant"])
+    Line("addC", i=1, c=True),  # a bool is not a constant, as it is not an exponent
+    Line("mulByC", i=1, c=False),
+], ids=["float-ref", "bool-ref", "float-exponent", "str-constant", "bool-addC", "bool-mulByC"])
 def test_construction_rejects_operands_of_the_wrong_type(bad):
     with pytest.raises(MalformedCodelist):
         Codelist(n=1, lines=(Line("var"), bad))
+
+
+@pytest.mark.parametrize("op", sorted(UNARY_OPS))
+def test_construction_rejects_a_unary_line_with_a_second_operand(op):
+    # the second operand was ignored by every pass but counted as a read of line 1
+    with pytest.raises(MalformedCodelist) as info:
+        Codelist(n=1, lines=(Line("var"), Line(op, 1, 1, c=1.5, m=2)))
+    assert str(info.value) == f"line 2: {op} takes one operand, got j=1"
+
+
+@pytest.mark.parametrize("var", [Line("var", i=3), Line("var", j=1)], ids=["i", "j"])
+def test_construction_rejects_a_var_line_with_an_operand(var):
+    # its operand counted as a read of line 3, so the point function did not
+    # check that line's overflow at the end: here it generated "if : return v3"
+    lines = (var, Line("mulByC", 1, c=1e308), Line("mulByC", 2, c=1e308))
+    with pytest.raises(MalformedCodelist) as info:
+        Codelist(1, lines)
+    assert str(info.value) == "line 1: a var line takes no operands"
+
+
+@pytest.mark.parametrize("n,lines", [(1, ()), (2, (Line("var"),)), (3, [Line("var")] * 2)],
+                         ids=["none", "one of two", "two of three"])
+def test_construction_rejects_a_codelist_shorter_than_its_var_prefix(n, lines):
+    # such a codelist made eval_improved raise IndexError, its point function
+    # fail to compile, and the engines give x2's range as the value of x1
+    with pytest.raises(MalformedCodelist) as info:
+        Codelist(n, lines)
+    assert str(info.value) == (f"line 0: {len(lines)} lines, fewer than the {n} var lines "
+                               "a codelist starts with")
 
 
 @pytest.mark.parametrize("n,lines,message", [
@@ -393,6 +426,53 @@ def test_index_sets_and_blocks_are_consistent():
         # the supports are the keys of the engines' sparse gradients
         grads = bounds._values(cl, Box.from_bounds([(1.0, 1.5)] * cl.n))[1]
         assert [tuple(sorted(g)) for g in grads] == list(cl.supports[:len(grads)])
+
+
+def test_the_complement_sets_are_derived_from_supports_and_blocks_on_first_read():
+    for cl in _engine_seed_codelists():
+        assert "indep" not in vars(cl) and "linear" not in vars(cl)
+        full = frozenset(range(1, cl.n + 1))
+        assert cl.indep == tuple(full - set(support) for support in cl.supports)
+        assert cl.linear == tuple(full - set(block) for block in cl.blocks)
+        assert vars(cl)["indep"] is cl.indep and vars(cl)["linear"] is cl.linear
+        assert cl.dump().splitlines()[-1].startswith(f"{len(cl)}: ")
+
+
+@pytest.mark.parametrize("after", [10**9, 0], ids=["interpreted", "compiled"])
+def test_no_bound_route_builds_the_complement_sets(monkeypatch, after):
+    monkeypatch.setattr(bounds, "_COMPILE_AFTER", after)
+    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    for case in cases[:40]:
+        cl = compile_expression(case["source"], case["n"])
+        box = Box.from_bounds([(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]])
+        for method in METHODS.values():
+            try:
+                method(cl, box)
+            except HessboundError:
+                pass
+        try:
+            alpha_bb_eval(cl, box, [d.lo for d in box])
+        except HessboundError:
+            pass
+        assert "indep" not in vars(cl) and "linear" not in vars(cl), case["source"]
+        assert ("_values" in vars(cl)) == (after == 0)
+
+
+def test_a_rosenbrock_codelist_at_n_256_keeps_and_peaks_under_2_mb():
+    n = 256
+    source = " + ".join(f"100*(x{i + 1} - x{i}^2)^2 + (1 - x{i})^2" for i in range(1, n))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cl = compile_expression(source, n)
+        kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(cl) == 2805  # the complement sets alone took about 15 MB
+    assert kept < 2_000_000
+    # the analysis drops a line's sets once a line has read them: kept to the
+    # end, the sum's chain of growing supports peaked at about 4 MB
+    assert peak < 2_000_000
 
 
 def test_the_block_index_is_each_blocks_flat_index_in_both_layers():

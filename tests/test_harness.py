@@ -510,8 +510,10 @@ def test_alpha_bb_equals_a_loop_over_the_box_on_each_box_in_turn():
 
 
 @pytest.mark.parametrize("lam_lo", ["a", 1j, np.array([-1.0]), np.array([-1.0, 2.0]),
-                                    np.full((2, 2), -1.0)],
-                         ids=["a", "1j", "array of 1", "array of 2", "2x2 array"])
+                                    np.full((2, 2), -1.0), math.nan, np.float64(math.nan),
+                                    Decimal("NaN")],
+                         ids=["a", "1j", "array of 1", "array of 2", "2x2 array", "nan",
+                              "numpy nan", "Decimal nan"])
 def test_alpha_bb_rejects_a_lam_lo_that_is_not_a_number(lam_lo):
     cl = compile_expression("x1 * x2", 2)
     box = Box.from_bounds([(0.0, 1.0), (0.0, 1.0)])
