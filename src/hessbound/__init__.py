@@ -13,7 +13,6 @@ from .bounds import (
     LineState,
     eval_improved,
     eval_original,
-    lift_reduced,
     trace_improved,
     trace_original,
 )
@@ -56,7 +55,7 @@ __all__ = [
     "Line", "Codelist",
     "compile_expression",
     "EvalResult", "LineState", "eval_original", "eval_improved",
-    "trace_original", "trace_improved", "lift_reduced",
+    "trace_original", "trace_improved",
     "HessboundError", "InvalidInterval", "InvalidArgument", "DomainViolation", "EmptySlice",
     "LengthMismatch", "ExpressionSyntaxError", "UnknownVariable",
     "ConstantExpression", "MalformedCodelist",

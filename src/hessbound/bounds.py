@@ -11,13 +11,13 @@ Two engines are provided:
   bounds enter each line, and how, is the line's ``Codelist.rules`` entry,
   chosen once when the codelist is built.
 
-One walk over the codelist (:func:`_walk`) in two passes serves three
-rules: the eigenvalue rules of both engines and the interval-Hessian rule of
-:func:`hessbound.reference.interval_hessian`.  The value pass (:func:`_values`)
-propagates values, sparse gradients and each unary line's r'; the second
-pass applies the rule to each line.  Every interval the walk carries -- a
-line's value, r' and eigenvalue bound, and each gradient entry -- is a
-``(lo, hi)`` pair of floats, computed by the endpoint kernels of
+One walk over the codelist (:func:`_walk`) runs two passes: the value
+pass (:func:`_values`), which propagates values, sparse gradients and each
+unary line's r', then the rule pass it is given by name: the eigenvalue
+rule of either engine, or the interval-Hessian rule of
+:func:`hessbound.reference.interval_hessian`.  Every interval the walk
+carries -- a line's value, r' and eigenvalue bound, and each gradient
+entry -- is a ``(lo, hi)`` pair of floats, computed by the endpoint kernels of
 :mod:`hessbound.interval`, the λ kernels included: the interval
 arithmetic, bit for bit, with the same validity check and errors.  A sparse
 gradient maps a variable index to its entry, so the work scales with the
@@ -25,8 +25,7 @@ structurally nonzero entries.  Every unary line takes its value, r' and
 curvature rules from :data:`hessbound.codelist.UNARY_RULES`.  Intervals are
 built only at the edge, where a public function hands one out: an
 :class:`EvalResult`'s value and eigen bound (and its gradient :class:`Box`,
-on first read), the input of :func:`lift_reduced` and the
-:class:`LineState` triples of a trace.
+on first read) and the :class:`LineState` triples of a trace.
 ``op_count`` is the paper's cost measure, ``Codelist.op_counts``: it is
 fixed when the codelist is built and the same on every box.
 
@@ -48,13 +47,14 @@ its error and stops.  The second pass applies its rule to the lines before
 that one, so an earlier rule error still wins, and then raises the recorded
 error afresh; the errors and their order are those of a single walk.
 
-Each pass is written once, as a source template per line shape, in one
-table (:data:`_PASSES`): the value pass, both engines' λ passes (see
+Each pass is one entry of one table (:data:`_PASSES`), ``(key, template,
+names)``, and nothing else: the value pass, both engines' λ passes (see
 :func:`_template`) and the interval-Hessian rule, which
-:mod:`hessbound.reference` adds.  The interpreter runs one function per
-shape (:data:`_shapes`), compiled from its template on first use and kept
-for the process; it reads the line's operands from the walk's lists by
-index and its ``UNARY_RULES`` row when it runs.
+:mod:`hessbound.reference` adds.  The walk runs a pass by its name: the
+pass's key gives each line's shape, and the interpreter runs that shape's
+function (:data:`_shapes`), compiled from the shape's source template on
+first use and kept for the process; it reads the line's operands from the
+walk's lists by index and its ``UNARY_RULES`` row when it runs.
 
 A codelist walked on many boxes is compiled (see :func:`_generate`): after
 ``_COMPILE_AFTER`` interpreted value passes its value pass is generated as
@@ -93,7 +93,6 @@ from .interval import pair_lambda_t as lambda_t
 __all__ = [
     "EvalResult",
     "LineState",
-    "lift_reduced",
     "eval_original",
     "eval_improved",
     "trace_original",
@@ -138,14 +137,9 @@ class EvalResult:
         return self.__dict__.setdefault("gradient", _full(*sparse))
 
 
-def lift_reduced(lam_dagger: Interval, linear_set, n: int) -> Interval:
-    """Bounds for the full Hessian from bounds for its nontrivial block."""
-    return _lift(lam_dagger, n - len(linear_set), n)
-
-
 def _lift(lam_dagger: Interval, size: int, n: int) -> Interval:
-    """:func:`lift_reduced` from the size of the block: the block's bounds
-    if it is all n variables, 0 if it is empty, else them widened to 0."""
+    """The full Hessian's bounds from those of its block of ``size`` variables:
+    the block's if it is all n variables, 0 if it is empty, else them widened to 0."""
     if size == n:
         return lam_dagger
     if size == 0:
@@ -195,9 +189,10 @@ def _values(cl: Codelist, box: Box) -> tuple:
     ys: List[Pair] = [(d.lo, d.hi) for d in box.dims]
     grads: List[SparseGrad] = [{k: _ONE} for k in range(1, n + 1)]
     firsts: Dict[int, Optional[Pair]] = {}
+    shapes = _shapes["_values"]  # keyed by the pass's key, (line.op,)
     try:
         for k, line in enumerate(cl.lines[n:], start=n + 1):
-            yk, gk = _shapes["_values", line.op](k, line, ys, grads, firsts)
+            yk, gk = shapes[line.op,](k, line, ys, grads, firsts)
             ys.append(yk)
             grads.append(gk)
     except HessboundError as err:
@@ -223,20 +218,20 @@ def _value_pass(cl: Codelist, box: Box) -> tuple:
     return _values(cl, box)
 
 
-def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
-    """Lists of the values, sparse gradients and rule results of every line.
+def _walk(cl: Codelist, box: Box, name: str) -> tuple:
+    """Lists of the values, sparse gradients and results of pass ``name`` of every line.
 
     ``cl`` is a :class:`Codelist`, else :class:`InvalidArgument` is
     raised; ``box`` is a :class:`Box`, or anything ``Box`` builds one from.  The
     first two lists come from :func:`_value_pass`, or from the slot when the
-    previous pass was on this codelist and box.  ``rule(cl, k, line, ys,
-    grads, firsts, memo, out)`` gives operation line k's result from those,
-    the box's λ memo (see :func:`_lam_t`) and the results ``out`` of earlier
-    lines (``seed`` on a var line; a rule may drop one no later line reads).
-    A rule named in :data:`_PASSES` runs as the codelist's compiled pass
-    once its value pass is compiled.  The lines before a
-    failing one come first, so an earlier rule error wins; an error of
-    either pass is raised naming its line.
+    previous pass was on this codelist and box.  ``name`` is a rule pass of
+    :data:`_PASSES`: operation line k's result is that of its shape's
+    function (see :data:`_shapes`) on those lists, the box's λ memo (see
+    :func:`_lam_t`) and the results of earlier lines, (0, 0) on a var line
+    (a template may ``$drop`` one no later line reads).  Once the
+    codelist's value pass is compiled the rule runs as its compiled pass.
+    The lines before a failing one come first, so an earlier rule error
+    wins; an error of either pass is raised naming its line.
     """
     global _last
     if not isinstance(cl, Codelist):
@@ -250,19 +245,20 @@ def _walk(cl: Codelist, box: Box, rule, seed=_ZERO) -> tuple:
         ys, grads, firsts, failure = _value_pass(cl, box)
         memo = {}
         _last = cl, dims, ys, grads, firsts, failure, memo
-    n, name = cl.n, rule.__name__
-    out = [seed] * n
-    if failure is None and "_values" in cl.__dict__ and name in _PASSES:
+    n = cl.n
+    out = [_ZERO] * n
+    if failure is None and "_values" in cl.__dict__:
         compiled = cl.__dict__.get(name) or cl.__dict__.setdefault(
             name, _generate(_rule_source(cl, name)))
         try:
             return ys, grads, compiled(cl, ys, grads, firsts, memo, out)
         except (HessboundError, FloatingPointError):
             pass  # the rule loop below raises the error, naming its line
+    key, shapes = _PASSES[name][0], _shapes[name]
     stop = len(cl.lines) if failure is None else failure[0] - 1
     try:
         for k, line in enumerate(cl.lines[n:stop], start=n + 1):
-            out.append(rule(cl, k, line, ys, grads, firsts, memo, out))
+            out.append(shapes[key(cl, k, line)](cl, k, line, ys, grads, firsts, memo, out))
     except HessboundError as err:
         failure = k, err
     if failure is None:
@@ -306,19 +302,6 @@ def _lam_s(cl: Codelist, k: int, line, grads, memo, n: int) -> Pair:
     if ls is None:
         ls = memo[k] = lambda_s([gi[j] for j in block], len(block))
     return ls
-
-
-def _lam_original(cl: Codelist, k: int, line, ys, grads, firsts, memo, lams) -> Pair:
-    """Eigenvalue rule of the original method: λ acts on all n variables."""
-    return _shapes["_lam_original", line.op](cl, k, line, ys, grads, firsts, memo, lams)
-
-
-def _lam_improved(cl: Codelist, k: int, line, ys, grads, firsts, memo, lams) -> Pair:
-    """Eigenvalue rule of the sparsity-aware method: the line's
-    ``Codelist.rules`` entry, λ acting on its block only."""
-    rule = cl.rules[k - 1]
-    return _shapes["_lam_improved", line.op, rule.i, rule.j, rule.combine](
-        cl, k, line, ys, grads, firsts, memo, lams)
 
 
 # -- line shapes: the one formula of each rule ------------------------------
@@ -424,10 +407,10 @@ def _rule_key(cl: Codelist, k: int, line) -> tuple:
     return line.op, rule.i, rule.j, rule.combine
 
 
-# Every pass by name, ``(key, template, names)``: the value pass and each
-# rule of _walk, named as its function is.  ``key(cl, k, line)`` is the
-# shape of operation line k, ``template(*key)`` that shape's Template and
-# ``names`` the names its source reads besides this module's.
+# Every pass by name, ``(key, template, names)``, from which both tiers build
+# it: the value pass and each rule pass of _walk.  ``key(cl, k, line)`` is
+# the shape of operation line k, ``template(*key)`` that shape's Template
+# and ``names`` the names its source reads besides this module's.
 # hessbound.reference adds the interval-Hessian rule.
 _PASSES = {
     "_values": (lambda cl, k, line: (line.op,), partial(_template, "_values"), {}),
@@ -435,10 +418,21 @@ _PASSES = {
     "_lam_improved": (_rule_key, partial(_template, "_lam_improved"), {}),
 }
 
+
+def _drop(cl: Codelist, k: int, line, out: list) -> None:
+    """The interpreter's ``$drop``: the result in ``out`` of each operation
+    line that line k reads last set to None."""
+    i, j, n, last_read = line.i, line.j, cl.n, cl.last_read
+    if i > n and last_read[i] == k:
+        out[i - 1] = None
+    if j is not None and j > n and last_read[j] == k:
+        out[j - 1] = None
+
+
 # The interpreter's fill: each placeholder read from the walk's lists by
 # index.  The row is looked up when the line runs, so a UNARY_RULES row
-# replaced after its shape was compiled takes effect on the next walk.  The
-# interpreted rule drops its operands' results itself.
+# replaced after its shape was compiled takes effect on the next walk.
+# ``$drop`` is a call of _drop, after the line's ``$except``.
 _INTERPRETED = {
     "k": "k", "line": "line", "n": "cl.n", "size": "len(cl.blocks[k - 1])",
     "yi": "ys[line.i - 1]", "yj": "ys[line.j - 1]", "y": "ys[k - 1]",
@@ -447,7 +441,8 @@ _INTERPRETED = {
     "p": "cl.rules[k - 1].cross[0]", "q": "cl.rules[k - 1].cross[1]",
     "block": "cl.blocks[k - 1]", "index": "cl.block_index[cl.blocks[k - 1]]",
     "v": "cl.blocks[k - 1][0]", "pi": "cl.blocks[line.i - 1][0] - 1",
-    "pj": "cl.blocks[line.j - 1][0] - 1", "drop": "", "try": "\ntry: ",
+    "pj": "cl.blocks[line.j - 1][0] - 1", "drop": "\n_drop(cl, k, line, out)",
+    "try": "\ntry: ",
     "except": ("\nexcept (InvalidInterval, FloatingPointError): "
                "raise InvalidInterval('non-finite gradient or Hessian enclosure') from None"),
     **{attr: f"UNARY_RULES[line.op].{attr}" for attr in _ROW},
@@ -455,25 +450,35 @@ _INTERPRETED = {
 
 
 class _Shapes(dict):
-    """The interpreter's function of each line shape, keyed ``(name, *key)``
-    by its pass (see :data:`_PASSES`): compiled from its template on first
-    use and kept for the process.  A value shape is ``shape(k, line, ys,
-    grads, firsts)``, giving line k's value and gradient; a rule shape is
+    """The interpreter's function of each line shape of pass ``name``, keyed
+    by the pass's key (see :data:`_PASSES`): compiled from its template on
+    first use and kept for the process.  A value shape is ``shape(k, line,
+    ys, grads, firsts)``, giving line k's value and gradient; a rule shape is
     ``shape(cl, k, line, ys, grads, firsts, memo, out)``, giving its result."""
 
-    def __missing__(self, key):
-        name, *shape = key
-        _, template, names = _PASSES[name]
-        if name == "_values":
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, shape: tuple):
+        _, template, names = _PASSES[self.name]
+        if self.name == "_values":
             signature, body = "shape(k, line, ys, grads, firsts)", "return y, g"
             src = template(*shape).substitute(_INTERPRETED, y="y")
         else:
             signature, body = "shape(cl, k, line, ys, grads, firsts, memo, out)", "return l"
             src = template(*shape).substitute(_INTERPRETED)
-        return self.setdefault(key, _generate((signature, [*src.split("\n"), body], names)))
+        return self.setdefault(shape, _generate((signature, [*src.split("\n"), body], names)))
 
 
-_shapes = _Shapes()
+class _PassShapes(dict):
+    """Each pass's :class:`_Shapes` by its name, made on its first walk."""
+
+    def __missing__(self, name: str):
+        return self.setdefault(name, _Shapes(name))
+
+
+_shapes = _PassShapes()
 
 
 # -- the compiled tier (see the module docstring) ---------------------------
@@ -565,29 +570,29 @@ def _result(cl: Codelist, ys, grads, eigen: Interval, method: str) -> EvalResult
 
 def eval_original(cl: Codelist, box: Box) -> EvalResult:
     """Direct eigenvalue bounds, ignoring sparsity."""
-    ys, grads, lams = _walk(cl, box, _lam_original)
+    ys, grads, lams = _walk(cl, box, "_lam_original")
     return _result(cl, ys, grads, Interval(*lams[-1]), "original")
 
 
 def eval_improved(cl: Codelist, box: Box) -> EvalResult:
     """Sparsity-aware eigenvalue bounds (never wider than the original)."""
-    ys, grads, lams = _walk(cl, box, _lam_improved)
+    ys, grads, lams = _walk(cl, box, "_lam_improved")
     eigen = _lift(Interval(*lams[-1]), len(cl.blocks[-1]), cl.n)
     return _result(cl, ys, grads, eigen, "improved")
 
 
-def _trace(cl: Codelist, box: Box, lam_rule) -> List[LineState]:
-    ys, grads, lams = _walk(cl, box, lam_rule)
+def _trace(cl: Codelist, box: Box, name: str) -> List[LineState]:
+    ys, grads, lams = _walk(cl, box, name)
     return [LineState(Interval(*y), _full(g, cl.n), Interval(*lam))
             for y, g, lam in zip(ys, grads, lams)]
 
 
 def trace_original(cl: Codelist, box: Box) -> List[LineState]:
     """Per-line (value, gradient, eigen-bound) triples of the direct method."""
-    return _trace(cl, box, _lam_original)
+    return _trace(cl, box, "_lam_original")
 
 
 def trace_improved(cl: Codelist, box: Box) -> List[LineState]:
     """Per-line triples of the sparsity-aware method (lam holds the
     reduced-block bound, before the final lift)."""
-    return _trace(cl, box, _lam_improved)
+    return _trace(cl, box, "_lam_improved")

@@ -366,27 +366,33 @@ class Codelist:
         for k, line in enumerate(self.lines, start=1):
             if not isinstance(line, Line):
                 raise MalformedCodelist(k, f"not a Line: {line!r}")
+            op = line.op
             if k <= n:
-                if line.op != "var":
+                if op != "var":
                     raise MalformedCodelist(k, "first n lines must be var lines")
                 if line.i is not None or line.j is not None:
                     raise MalformedCodelist(k, "a var line takes no operands")
-                continue
-            if line.op == "var":
+            elif op == "var":
                 raise MalformedCodelist(k, "var line after the variable prefix")
-            binary = line.op in BINARY_OPS
-            if not binary and line.op not in UNARY_OPS:
-                raise MalformedCodelist(k, f"unknown operation {line.op!r}")
-            if not (_is_ref(line.i, k) and (not binary or _is_ref(line.j, k))):
-                raise MalformedCodelist(k, "operand refs must be numbers of earlier lines")
-            if not binary and line.j is not None:
-                raise MalformedCodelist(k, f"{line.op} takes one operand, got j={shown(line.j)}")
-            if line.op == "powNat" and not (type(line.m) is int and line.m >= 2):
-                raise MalformedCodelist(k, "powNat exponent must be an integer >= 2")
-            if line.op in AFFINE_OPS and not (isinstance(line.c, (int, float))
-                                              and type(line.c) is not bool
-                                              and math.isfinite(line.c)):
-                raise MalformedCodelist(k, f"{line.op} needs a finite constant")
+            else:
+                binary = op in BINARY_OPS
+                if not binary and op not in UNARY_OPS:
+                    raise MalformedCodelist(k, f"unknown operation {op!r}")
+                if not (_is_ref(line.i, k) and (not binary or _is_ref(line.j, k))):
+                    raise MalformedCodelist(k, "operand refs must be numbers of earlier lines")
+                if not binary and line.j is not None:
+                    raise MalformedCodelist(k, f"{op} takes one operand, got j={shown(line.j)}")
+                if op == "powNat" and not (type(line.m) is int and line.m >= 2):
+                    raise MalformedCodelist(k, "powNat exponent must be an integer >= 2")
+                if op in AFFINE_OPS and not (isinstance(line.c, (int, float))
+                                             and type(line.c) is not bool
+                                             and math.isfinite(line.c)):
+                    raise MalformedCodelist(k, f"{op} needs a finite constant")
+            # a field the op does not use would be ignored by every pass and by dump()
+            if line.c is not None and op not in AFFINE_OPS:
+                raise MalformedCodelist(k, f"{op} takes no constant, got c={shown(line.c)}")
+            if line.m is not None and op != "powNat":
+                raise MalformedCodelist(k, f"{op} takes no exponent, got m={shown(line.m)}")
         if len(self.lines) < n:
             raise MalformedCodelist(0, f"{len(self.lines)} lines, fewer than the {n} var "
                                        "lines a codelist starts with")

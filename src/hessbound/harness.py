@@ -31,6 +31,7 @@ import os
 import random
 import zlib
 from dataclasses import dataclass, field
+from decimal import InvalidOperation
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import EvalResult, _result, eval_improved, eval_original
@@ -214,7 +215,7 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
         if lam_lo >= 0.0:
             return val
         shift = -0.5 * lam_lo * s
-    except TypeError:
+    except (TypeError, InvalidOperation):  # a signalling Decimal nan raises even on !=
         raise InvalidArgument(f"lam_lo {shown(lam_lo)} is not a number") from None
     except OverflowError:  # an int below -(largest float): -0.5 * lam_lo is inf
         shift = math.inf * s

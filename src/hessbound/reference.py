@@ -17,12 +17,14 @@ compared against:
   pair is never lifted: on a larger block it is the one entry (p, p) added
   into the line's stack.  So the carrier kinds fix every branch of a line's
   rule but a scaling's sign test, and the rule is written once, as a
-  ``string.Template`` per line shape (:func:`_hessian_template`).  It is
-  the ``_hessian`` entry of the walk's pass table (``bounds._PASSES``), so
-  both tiers fill it as they fill the engines' passes: the interpreter runs
-  one function per shape, and a codelist walked on many boxes gets a
-  compiled pass.  No carrier is written into by a later line, and each is
-  ``None`` after its last reader.  An overflow in any Hessian entry raises
+  ``string.Template`` per line shape (:func:`_hessian_template`).  The
+  rule is the ``_hessian`` entry of the walk's pass table
+  (``bounds._PASSES``) and nothing more: the walk runs it by that name, and
+  both tiers fill its templates as they fill the engines' passes (the
+  interpreter runs one function per shape, and a codelist walked on many
+  boxes gets a compiled pass).  No carrier is written into by a later line,
+  and each is ``None`` after its last reader, set so by the template's
+  ``$drop``.  An overflow in any Hessian entry raises
   :class:`InvalidInterval` at the line where it happens, in a pair kernel
   or a numpy stack alike; an error of the line's own r'' (``pow
   overflow``, ``sqrt r'' overflow``) comes first;
@@ -62,7 +64,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .bounds import _PASSES, _ZERO, _shapes, _walk
+from .bounds import _PASSES, _ZERO, _walk
 from .codelist import UNARY_RULES, Codelist
 from .errors import (
     DimensionTooLarge,
@@ -315,35 +317,19 @@ def _hessian_template(op: str, ki: int, kj, kk: int, whole: bool) -> Template:
     return Template(head + "${try}" + "; ".join(src) + "${except}$drop")
 
 
-def _hessian(cl: Codelist, k: int, line, ys, grads, firsts, memo, hs):
-    """The interval-Hessian rule on :func:`hessbound.bounds._walk`: line k's
-    carrier from its shape's function, each operand's carrier dropped after
-    its last reader."""
-    if not cl.blocks[k - 1]:  # kind 0, and so are its operands: nothing to add or drop
-        return None
-    h = _shapes[("_hessian", *_shape(cl, k, line))](cl, k, line, ys, grads, firsts, memo, hs)
-    i, j, last_read = line.i, line.j, cl.last_read
-    if last_read[i] == k:
-        hs[i - 1] = None
-    if j is not None and last_read[j] == k:
-        hs[j - 1] = None
-    return h
-
-
 _PASSES["_hessian"] = _shape, _hessian_template, _NAMES
 
 
 def _hessian_walk(cl: Codelist, box: Box) -> tuple:
     """The values and sparse gradients of every line and the enclosure, from one walk."""
     with np.errstate(**_FLOAT_ERRORS):
-        ys, grads, hs = _walk(cl, box, _hessian, None)
-    m = hs[-1]
-    if type(m) is not np.ndarray:  # zero, or the pair of the last line's one-variable block (p,)
+        ys, grads, hs = _walk(cl, box, "_hessian")
+    m, block = hs[-1], cl.blocks[-1]
+    if len(block) < 2:  # zero, or the pair of the last line's one-variable block (p,)
         n = cl.n
         pair, m = m, np.zeros((2, n, n))
-        if pair is not None:
-            p = cl.blocks[-1][0] - 1
-            m[:, p, p] = pair
+        if block:
+            m[:, block[0] - 1, block[0] - 1] = pair
     return ys, grads, SymIntervalMatrix._of(m)
 
 

@@ -10,6 +10,7 @@ import sys
 import threading
 from collections import Counter
 from pathlib import Path
+from string import Template
 
 import numpy as np
 import pytest
@@ -25,12 +26,11 @@ from hessbound import (
     eval_improved,
     eval_original,
     LengthMismatch,
-    lift_reduced,
     trace_improved,
     trace_original,
 )
-from hessbound.codelist import (ABSENT, EXACT, STAR, UNARY_RULES, WIDENED, Codelist, Line,
-                                _binary_rule, _shared_rule)
+from hessbound.codelist import (ABSENT, AFFINE_OPS, EXACT, STAR, UNARY_RULES, WIDENED, Codelist,
+                                Line, _binary_rule, _shared_rule)
 from hessbound import reference
 from hessbound.harness import codelist_value, random_boxes, random_function
 from hessbound.reference import (
@@ -98,13 +98,17 @@ def test_value_and_gradient_golden():
     assert math.isclose(res.gradient[1].hi, 2 * math.e)
 
 
-# -- helper functions -----------------------------------------------------
-
-def test_lift_reduced():
-    lam = Interval(2, 5)
-    assert lift_reduced(lam, frozenset(), 3) == lam
-    assert lift_reduced(lam, frozenset({1, 2, 3}), 3) == Interval(0, 0)
-    assert lift_reduced(lam, frozenset({2}), 3) == Interval(0, 5)
+@pytest.mark.parametrize("source,block,lam,eigen", [
+    ("x1^2 + x2^2 + x3^2", (1, 2, 3), (2, 2), (2, 2)),  # the whole block: its bounds
+    ("2*x1 + x3 + 1", (), (0, 0), (0, 0)),  # an empty block: 0
+    ("(x2 + 1)^2", (2,), (2, 2), (0, 2)),  # a smaller block: its bounds widened to 0
+], ids=["whole", "empty", "widened"])
+def test_the_improved_bound_is_lifted_from_the_last_block(source, block, lam, eigen):
+    cl = compile_expression(source, 3)
+    box = Box.from_bounds([(0, 1)] * 3)
+    assert cl.blocks[-1] == block
+    assert trace_improved(cl, box)[-1].lam == Interval(*lam)
+    assert eval_improved(cl, box).eigen == Interval(*eigen)
 
 
 # -- error reporting ------------------------------------------------------
@@ -738,7 +742,9 @@ def _every_assignable_shape():
                 out.add((n, Line(op, 1, n), _binary_rule(op, si, bi, sj, bj, bk)))
         for op in UNARY_RULES:
             for kind in (ABSENT, EXACT, WIDENED):
-                out.add((n, Line(op, 1, c=1.5, m=2), _shared_rule("unary", kind)))
+                line = Line(op, 1, c=1.5 if op in AFFINE_OPS else None,
+                            m=2 if op == "powNat" else None)
+                out.add((n, line, _shared_rule("unary", kind)))
     return sorted(out, key=repr)
 
 
@@ -750,8 +756,13 @@ def test_the_rules_from_supports_and_blocks_are_those_of_the_complement_sets():
     assert len({rule for _, _, rule in shapes}) == 43
 
 
+def _shape_functions():
+    """The interpreter's function of every line shape so far, keyed ``(pass, *shape)``."""
+    return {(name, *shape): function for name, shapes in hessbound.bounds._shapes.items()
+            for shape, function in shapes.items()}
+
+
 def test_every_shape_the_analysis_can_assign_compiles_in_both_tiers(monkeypatch):
-    shapes = hessbound.bounds._shapes
     cases = []
     for n, line, rule in _every_assignable_shape():
         cl = Codelist(n, [Line("var")] * n + [line])
@@ -768,8 +779,9 @@ def test_every_shape_the_analysis_can_assign_compiles_in_both_tiers(monkeypatch)
     assert outcomes(0) == interpreted
     assert all(name in cl.__dict__ for cl, _ in cases for name in _PASSES)
     # one function per shape, whichever codelist or cross it came from
-    before = dict(shapes)
+    before = _shape_functions()
     assert outcomes(10**9) == interpreted
+    shapes = _shape_functions()
     assert shapes.keys() == before.keys() and all(shapes[key] is before[key] for key in before)
     crosses = {cl.rules[-1].cross for cl, _ in cases if cl.rules[-1].combine == STAR}
     assert len(crosses) > 1
@@ -803,7 +815,7 @@ def _every_hessian_shape():
 
 def test_every_hessian_shape_compiles_in_both_tiers(monkeypatch):
     assert set(_UNARY_SOURCES) == set(UNARY_RULES)
-    shapes, reached = hessbound.bounds._shapes, _every_hessian_shape()
+    reached = _every_hessian_shape()
     assert {shape[0] for shape in reached} == {"add", "mul", *UNARY_RULES}
     assert {shape[3:] for shape in reached} == {(0, False), (1, False), (1, True), (2, False),
                                                 (2, True)}
@@ -822,9 +834,10 @@ def test_every_hessian_shape_compiles_in_both_tiers(monkeypatch):
     assert any(isinstance(straddling[0], str) for _, straddling in interpreted)
     assert outcomes(0) == interpreted
     # one function per shape that carries a Hessian, whichever codelist or line it came from
-    assert {("_hessian", *shape) for shape in reached if shape[3]} <= shapes.keys()
-    before = dict(shapes)
+    before = _shape_functions()
+    assert {("_hessian", *shape) for shape in reached if shape[3]} <= before.keys()
     assert outcomes(10**9) == interpreted
+    shapes = _shape_functions()
     assert shapes.keys() == before.keys() and all(shapes[key] is before[key] for key in before)
 
 
@@ -842,15 +855,22 @@ def test_a_codelist_without_operation_lines_has_a_zero_hessian_in_both_tiers(mon
         assert ("_hessian" in vars(cl)) == (after == 0)
 
 
-def test_a_rule_outside_the_pass_table_runs_interpreted_on_a_compiled_codelist(compiled):
-    cl = compile_expression("x1*x2 + exp(x1)*x3", 3)
+def test_a_pass_registered_in_the_pass_table_alone_runs_in_both_tiers(monkeypatch):
+    # a toy pass: each line's number and its shape's block size; it drops the
+    # results of the operands whose last reader it is
+    monkeypatch.setitem(hessbound.bounds._PASSES, "_toy", (
+        lambda cl, k, line: (len(cl.blocks[k - 1]),),
+        lambda size: Template(f"$l = ($k, {size})$drop"), {}))
     box = Box.from_bounds([(0, 1), (1, 2), (-1, 1)])
-    want = eval_improved(cl, box)
-    passes = dict(vars(cl))
-    assert "_values" in passes and "_lam_improved" in passes
-    seen = []
-    ys, grads, out = hessbound.bounds._walk(cl, box, lambda cl, k, *args: seen.append(k))
-    assert seen == list(range(4, len(cl.lines) + 1))
-    assert out == [(0.0, 0.0)] * 3 + [None] * (len(cl.lines) - 3)
-    assert Interval(*ys[-1]) == want.value
-    assert vars(cl) == passes
+    walks = []
+    for after in (10**9, 0):
+        monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
+        cl = compile_expression("x1*x2 + exp(x1)*x3", 3)
+        want = eval_improved(cl, box)
+        walks.append(hessbound.bounds._walk(cl, box, "_toy"))
+        assert ("_toy" in vars(cl)) == (after == 0)
+        assert Interval(*walks[-1][0][-1]) == want.value
+    assert walks[0] == walks[1]
+    out = walks[0][2]
+    assert out[-1] == (len(cl.lines), 3) and out[3] is None  # line 4 is read by line 7 only
+    assert out[:3] == [(0.0, 0.0)] * 3

@@ -68,7 +68,12 @@ def test_validate_rejects_structural_errors():
     Line("addC", i=1, c="2"),  # a constant that is not a number
     Line("addC", i=1, c=True),  # a bool is not a constant, as it is not an exponent
     Line("mulByC", i=1, c=False),
-], ids=["float-ref", "bool-ref", "float-exponent", "str-constant", "bool-addC", "bool-mulByC"])
+    Line("exp", 1, m=7),  # fields the op does not use, which dump() would not show
+    Line("add", 1, 1, c=3.0, m=9),
+    Line("addC", 1, c=1.0, m=2),
+    Line("powNat", 1, c=2.0, m=2),
+], ids=["float-ref", "bool-ref", "float-exponent", "str-constant", "bool-addC", "bool-mulByC",
+        "exp-exponent", "add-constant", "addC-exponent", "powNat-constant"])
 def test_construction_rejects_operands_of_the_wrong_type(bad):
     with pytest.raises(MalformedCodelist):
         Codelist(n=1, lines=(Line("var"), bad))
@@ -82,14 +87,19 @@ def test_construction_rejects_a_unary_line_with_a_second_operand(op):
     assert str(info.value) == f"line 2: {op} takes one operand, got j=1"
 
 
-@pytest.mark.parametrize("var", [Line("var", i=3), Line("var", j=1)], ids=["i", "j"])
-def test_construction_rejects_a_var_line_with_an_operand(var):
+@pytest.mark.parametrize("var,message", [
+    (Line("var", i=3), "a var line takes no operands"),
+    (Line("var", j=1), "a var line takes no operands"),
+    (Line("var", c=3.0), "var takes no constant, got c=3.0"),  # which dump() would not show
+    (Line("var", m=2), "var takes no exponent, got m=2"),
+], ids=["i", "j", "c", "m"])
+def test_construction_rejects_a_var_line_with_an_operand(var, message):
     # its operand counted as a read of line 3, so the point function did not
     # check that line's overflow at the end: here it generated "if : return v3"
     lines = (var, Line("mulByC", 1, c=1e308), Line("mulByC", 2, c=1e308))
     with pytest.raises(MalformedCodelist) as info:
         Codelist(1, lines)
-    assert str(info.value) == "line 1: a var line takes no operands"
+    assert str(info.value) == f"line 1: {message}"
 
 
 @pytest.mark.parametrize("n,lines", [(1, ()), (2, (Line("var"),)), (3, [Line("var")] * 2)],
