@@ -52,9 +52,10 @@ names)``, and nothing else: the value pass, both engines' λ passes (see
 :func:`_template`) and the interval-Hessian rule, which
 :mod:`hessbound.reference` adds.  The walk runs a pass by its name: the
 pass's key gives each line's shape, and the interpreter runs that shape's
-function (:data:`_shapes`), compiled from the shape's source template on
-first use and kept for the process; it reads the line's operands from the
-walk's lists by index and its ``UNARY_RULES`` row when it runs.
+function (:class:`_Shapes`), compiled from the shape's source template on
+first use; it reads the line's operands from the walk's lists by index and
+its ``UNARY_RULES`` row when it runs.  What either tier builds of a pass is
+kept with the entry it was built from, and built anew once it is replaced.
 
 A codelist walked on many boxes is compiled (see :func:`_generate`): after
 ``_COMPILE_AFTER`` interpreted value passes its value pass is generated as
@@ -80,7 +81,7 @@ import copy
 from dataclasses import dataclass
 from functools import partial
 from string import Template
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .codelist import (ABSENT, STAR, SUM, UNARY_RULES, WIDENED, WIDENED_HULL, WIDENED_SUM,
                        Codelist)
@@ -178,7 +179,7 @@ _last = None
 def _values(cl: Codelist, box: Box) -> tuple:
     """The values and sparse gradients of every line, r' by line number, and the first failure.
 
-    Each line runs its shape's function (see :data:`_shapes`).  The pass
+    Each line runs its shape's function (see :class:`_Shapes`).  The pass
     does not raise on a line: it stops at the first one that fails and
     returns ``(k, error)`` as the failure (``None`` when every line
     succeeds), so that the second pass can raise it in the walk's order.
@@ -189,7 +190,7 @@ def _values(cl: Codelist, box: Box) -> tuple:
     ys: List[Pair] = [(d.lo, d.hi) for d in box.dims]
     grads: List[SparseGrad] = [{k: _ONE} for k in range(1, n + 1)]
     firsts: Dict[int, Optional[Pair]] = {}
-    shapes = _shapes["_values"]  # keyed by the pass's key, (line.op,)
+    shapes = _built(_shapes, "_values", lambda: _Shapes("_values"))  # keyed by (line.op,)
     try:
         for k, line in enumerate(cl.lines[n:], start=n + 1):
             yk, gk = shapes[line.op,](k, line, ys, grads, firsts)
@@ -204,15 +205,13 @@ def _value_pass(cl: Codelist, box: Box) -> tuple:
     """:func:`_values`' result, from the codelist's compiled value pass once
     it has had ``_COMPILE_AFTER`` interpreted ones (see :func:`_generate`)."""
     passes = cl.__dict__
-    values = passes.get("_values")
-    if values is None:
+    if "_values" not in passes:
         count = passes["_value_passes"] = passes.get("_value_passes", 0) + 1
         if count <= _COMPILE_AFTER:
             return _values(cl, box)
-        values = passes.setdefault("_values", _generate(_values_source(cl)))
     if len(box) == cl.n:  # else _values raises the LengthMismatch
         try:
-            return values(box.dims)
+            return _built(passes, "_values", lambda: _generate(_values_source(cl)))(box.dims)
         except HessboundError:
             pass  # _values records the failing line and its error
     return _values(cl, box)
@@ -226,7 +225,7 @@ def _walk(cl: Codelist, box: Box, name: str) -> tuple:
     first two lists come from :func:`_value_pass`, or from the slot when the
     previous pass was on this codelist and box.  ``name`` is a rule pass of
     :data:`_PASSES`: operation line k's result is that of its shape's
-    function (see :data:`_shapes`) on those lists, the box's λ memo (see
+    function (see :class:`_Shapes`) on those lists, the box's λ memo (see
     :func:`_lam_t`) and the results of earlier lines, (0, 0) on a var line
     (a template may ``$drop`` one no later line reads).  Once the
     codelist's value pass is compiled the rule runs as its compiled pass.
@@ -248,13 +247,12 @@ def _walk(cl: Codelist, box: Box, name: str) -> tuple:
     n = cl.n
     out = [_ZERO] * n
     if failure is None and "_values" in cl.__dict__:
-        compiled = cl.__dict__.get(name) or cl.__dict__.setdefault(
-            name, _generate(_rule_source(cl, name)))
+        compiled = _built(cl.__dict__, name, lambda: _generate(_rule_source(cl, name)))
         try:
             return ys, grads, compiled(cl, ys, grads, firsts, memo, out)
         except (HessboundError, FloatingPointError):
             pass  # the rule loop below raises the error, naming its line
-    key, shapes = _PASSES[name][0], _shapes[name]
+    key, shapes = _PASSES[name][0], _built(_shapes, name, lambda: _Shapes(name))
     stop = len(cl.lines) if failure is None else failure[0] - 1
     try:
         for k, line in enumerate(cl.lines[n:stop], start=n + 1):
@@ -318,9 +316,7 @@ def _lam_s(cl: Codelist, k: int, line, grads, memo, n: int) -> Pair:
 #   $li, $lj, $l       the operands' results of the pass and the line's own;
 #   $n, $size          the dimension of the original engine and of the line's block;
 #   $p, $q             the cross of a 2x2 rule;
-#   $block, $index     the line's block and its flat index (Codelist.block_index);
-#   $v                 the variable of a one-variable block;
-#   $pi, $pj           the stack row of an operand's one-variable block;
+#   $block, $bi, $bj   the blocks of the line and its operands (Codelist.blocks);
 #   $value, $first, $second, $lam   the functions of the line's UNARY_RULES row;
 #   ${try}, $except    around statements whose overflow the interpreter raises as
 #                      InvalidInterval('non-finite gradient or Hessian enclosure');
@@ -348,7 +344,7 @@ def _template(name: str, op: str, i: str = ABSENT, j: str = ABSENT,
             src = ("$y = pair_mul($yi, $yj); "
                    "$g = _grad_add(_grad_scale($gi, $yj), _grad_scale($gj, $yi))")
         elif row.first is None:  # r' = 1
-            src = "$y = $value($yi, $line); $f = None; $g = dict($gi)"
+            src = "$y = $value($yi, $line); $f = None; $g = $gi"
         else:
             src = "$y = $value($yi, $line); $f = $first($yi, $y, $line); $g = _grad_scale($gi, $f)"
     elif name == "_lam_original":
@@ -411,7 +407,9 @@ def _rule_key(cl: Codelist, k: int, line) -> tuple:
 # it: the value pass and each rule pass of _walk.  ``key(cl, k, line)`` is
 # the shape of operation line k, ``template(*key)`` that shape's Template
 # and ``names`` the names its source reads besides this module's.
-# hessbound.reference adds the interval-Hessian rule.
+# hessbound.reference adds the interval-Hessian rule.  An entry replaced
+# under its name runs from the next walk on, in both tiers (a value pass
+# already in the slot for the same box is reused).
 _PASSES = {
     "_values": (lambda cl, k, line: (line.op,), partial(_template, "_values"), {}),
     "_lam_original": (lambda cl, k, line: (line.op,), partial(_template, "_lam_original"), {}),
@@ -439,9 +437,8 @@ _INTERPRETED = {
     "gi": "grads[line.i - 1]", "gj": "grads[line.j - 1]", "g": "g", "f": "firsts[k]",
     "li": "out[line.i - 1]", "lj": "out[line.j - 1]", "l": "l",
     "p": "cl.rules[k - 1].cross[0]", "q": "cl.rules[k - 1].cross[1]",
-    "block": "cl.blocks[k - 1]", "index": "cl.block_index[cl.blocks[k - 1]]",
-    "v": "cl.blocks[k - 1][0]", "pi": "cl.blocks[line.i - 1][0] - 1",
-    "pj": "cl.blocks[line.j - 1][0] - 1", "drop": "\n_drop(cl, k, line, out)",
+    "block": "cl.blocks[k - 1]", "bi": "cl.blocks[line.i - 1]", "bj": "cl.blocks[line.j - 1]",
+    "drop": "\n_drop(cl, k, line, out)",
     "try": "\ntry: ",
     "except": ("\nexcept (InvalidInterval, FloatingPointError): "
                "raise InvalidInterval('non-finite gradient or Hessian enclosure') from None"),
@@ -452,9 +449,10 @@ _INTERPRETED = {
 class _Shapes(dict):
     """The interpreter's function of each line shape of pass ``name``, keyed
     by the pass's key (see :data:`_PASSES`): compiled from its template on
-    first use and kept for the process.  A value shape is ``shape(k, line,
-    ys, grads, firsts)``, giving line k's value and gradient; a rule shape is
-    ``shape(cl, k, line, ys, grads, firsts, memo, out)``, giving its result."""
+    first use and kept in ``_shapes`` (see :func:`_built`).  A value shape is
+    ``shape(k, line, ys, grads, firsts)``, giving line k's value and
+    gradient; a rule shape is ``shape(cl, k, line, ys, grads, firsts, memo,
+    out)``, giving its result."""
 
     def __init__(self, name: str):
         super().__init__()
@@ -471,14 +469,18 @@ class _Shapes(dict):
         return self.setdefault(shape, _generate((signature, [*src.split("\n"), body], names)))
 
 
-class _PassShapes(dict):
-    """Each pass's :class:`_Shapes` by its name, made on its first walk."""
-
-    def __missing__(self, name: str):
-        return self.setdefault(name, _Shapes(name))
+_shapes: Dict[str, tuple] = {}  # each pass's (entry, _Shapes), for the process
 
 
-_shapes = _PassShapes()
+def _built(store: dict, name: str, build: Callable[[], object]):
+    """What ``build()`` makes of pass ``name`` (its :class:`_Shapes`, or a
+    codelist's compiled pass): kept in ``store`` under the name with the
+    :data:`_PASSES` entry it was made from, and made anew once that entry is
+    replaced.  Threads that race on it at worst make it twice."""
+    entry, kept = _PASSES[name], store.get(name)
+    if kept is None or kept[0] is not entry:
+        kept = store[name] = entry, build()
+    return kept[1]
 
 
 # -- the compiled tier (see the module docstring) ---------------------------
@@ -503,37 +505,36 @@ def _generate(source: tuple):
                      *(f"        {line}" for line in body), f"    return {name}"])
     scope: dict = {}
     exec(compile(src, f"<codelist {name} pass>", "exec"), globals(), scope)
-    return scope["make"](**names)
+    return scope["make"](*names.values())  # by position: keywords bind in quadratic time
 
 
 def _lines(cl: Codelist, name: str, names: dict) -> List[str]:
     """Pass ``name`` on cl's operation lines, as source: each line's template
     filled with the codelist's locals (``y5``, ``g5``, ``l5``), ``firsts``
-    and literals.  The Line, block index and row functions that line k's
-    template reads are bound in ``names`` as ``line5``, ``index5``,
-    ``lam5`` and so on; its ``$drop`` sets each operand's local to None
-    after its last reader."""
+    and literals, the blocks as tuples.  The Line and row functions that
+    line k's template reads are bound in ``names`` as ``line5``, ``lam5``
+    and so on; its ``$drop`` sets each operand's local to None after its
+    last reader."""
     key, template, _ = _PASSES[name]
-    n, blocks, out, bound = cl.n, cl.blocks, [], ("line", "index", *_ROW)
+    n, blocks, out, bound = cl.n, cl.blocks, [], ("line", *_ROW)
     for k, line in enumerate(cl.lines[n:], start=n + 1):
-        i, j, block, rule = line.i, line.j, blocks[k - 1], cl.rules[k - 1]
+        i, j, rule = line.i, line.j, cl.rules[k - 1]
         shape = template(*key(cl, k, line))
         text = shape.template
+        row = UNARY_RULES.get(line.op)
         for attr in bound:
             if f"${attr}" in text:
-                names[f"{attr}{k}"] = (line if attr == "line" else cl.block_index[block]
-                                       if attr == "index" else getattr(UNARY_RULES[line.op], attr))
+                names[f"{attr}{k}"] = line if attr == "line" else getattr(row, attr)
         drop = "" if "$drop" not in text else "".join(
             f"; l{r} = None" for r in dict.fromkeys((i, j))
             if r is not None and r > n and cl.last_read[r] == k)
         p, q = rule.cross or (None, None)
-        pi, pj = (blocks[r - 1][0] - 1 if r and len(blocks[r - 1]) == 1 else None for r in (i, j))
         out.append(shape.substitute(
             {"try": "", "except": "", **{attr: f"{attr}{k}" for attr in bound}},
-            k=k, n=n, size=len(block), block=block, v=block[0] if block else None,
-            yi=f"y{i}", yj=f"y{j}", y=f"y{k}", gi=f"g{i}", gj=f"g{j}", g=f"g{k}", f=f"firsts[{k}]",
-            li=f"l{i}" if i > n else "_ZERO", lj=f"l{j}" if j and j > n else "_ZERO",
-            l=f"l{k}", p=p, q=q, pi=pi, pj=pj, drop=drop))
+            k=k, n=n, size=len(blocks[k - 1]), block=blocks[k - 1], bi=blocks[i - 1],
+            bj=j and blocks[j - 1], yi=f"y{i}", yj=f"y{j}", y=f"y{k}", gi=f"g{i}", gj=f"g{j}",
+            g=f"g{k}", f=f"firsts[{k}]", li=f"l{i}" if i > n else "_ZERO",
+            lj=f"l{j}" if j and j > n else "_ZERO", l=f"l{k}", p=p, q=q, drop=drop))
     return out
 
 

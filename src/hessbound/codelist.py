@@ -34,9 +34,8 @@ engines' line templates in :mod:`hessbound.bounds` apply.
 function of a real point, one source line per codelist line, compiled on
 first use and kept on the codelist (a pickled codelist is rebuilt from
 ``n`` and ``lines`` and compiles its own); it raises the package's errors
-itself.  :attr:`Codelist.block_index`, the flat index of each block in the
-interval Hessian's arrays, and :attr:`Codelist.last_read`, the last reader
-of each line, are kept the same way.
+itself.  :attr:`Codelist.last_read`, the last reader of each line, is kept
+the same way.
 """
 
 from __future__ import annotations
@@ -441,34 +440,12 @@ class Codelist:
         return names["point"]
 
     @cached_property
-    def block_index(self) -> Mapping[Tuple[int, ...], object]:
-        """Where the blocks that a Hessian term is added on lie in a stack.
-
-        Maps each block of two or more, but not all n, variables on which
-        a mul line adds its cross term or a unary line its r'' term to the
-        flat numpy index of the block's entries in both layers of a
-        C-ordered (2, n, n) stack.  Built on the first use, by
-        :func:`hessbound.reference.interval_hessian`, and kept on the
-        codelist; a pickled codelist is rebuilt without it.
-        """
-        import numpy as np  # numpy is loaded with the reference module, which alone reads this
-
-        n = self.n
-        index = {}
-        for line, block in zip(self.lines, self.blocks):
-            if (1 < len(block) < n and block not in index and (
-                    line.op == "mul" or line.op in UNARY_OPS and line.op not in AFFINE_OPS)):
-                index[block] = np.array([layer + (p - 1) * n + q - 1 for layer in (0, n * n)
-                                         for p in block for q in block])
-        return MappingProxyType(index)
-
-    @cached_property
     def last_read(self) -> Mapping[int, int]:
         """Maps each line that a later line reads to the last line reading it.
 
         :func:`hessbound.reference.interval_hessian` drops a line's Hessian
         after its last reader.  Built on the first use and kept on the
-        codelist, like :attr:`block_index`.
+        codelist; a pickled codelist is rebuilt without it.
         """
         return MappingProxyType({ref: k for k, line in enumerate(self.lines, start=1)
                                  for ref in (line.i, line.j) if ref is not None})

@@ -13,7 +13,7 @@ compared against:
   kernels; more, a (2, n, n) float array of the lower and upper endpoints.
   A line adds its operands' carriers, scaled, then a product's cross term or
   a unary line's r'' term on the line's block, through that block's flat
-  index (``Codelist.block_index``).  A stack is taken before a pair, and a
+  index (:func:`_index`).  A stack is taken before a pair, and a
   pair is never lifted: on a larger block it is the one entry (p, p) added
   into the line's stack.  So the carrier kinds fix every branch of a line's
   rule but a scaling's sign test, and the rule is written once, as a
@@ -245,6 +245,18 @@ def _put(m: np.ndarray, p: int, t: Pair) -> None:
     m[0, p, p], m[1, p, p] = pair_add((m[0, p, p], m[1, p, p]), t)
 
 
+def _index(cl: Codelist, block: tuple) -> np.ndarray:
+    """The flat index of the entries of ``block`` in both layers of a C-ordered
+    (2, n, n) stack, kept on the codelist from its first use (not pickled)."""
+    try:
+        return cl.__dict__["_index"][block]
+    except KeyError:
+        n = cl.n
+        index = cl.__dict__.setdefault("_index", {})[block] = np.array(
+            [layer + (p - 1) * n + q - 1 for layer in (0, n * n) for p in block for q in block])
+        return index
+
+
 # -- the interval-Hessian rule: one template per line shape ----------------
 #
 # A line's carrier kind is 0 (None), 1 (a pair) or 2 (a stack), by the size
@@ -253,7 +265,7 @@ def _put(m: np.ndarray, p: int, t: Pair) -> None:
 # carriers of the line and its operands.
 
 _NAMES = {"np": np, "_scale": _scale, "_outer": _outer, "_cross": _cross, "_dense": _dense,
-          "_put": _put}
+          "_put": _put, "_index": _index}
 
 
 def _shape(cl: Codelist, k: int, line) -> tuple:
@@ -280,18 +292,19 @@ def _hessian_template(op: str, ki: int, kj, kk: int, whole: bool) -> Template:
     row, head, block = UNARY_RULES.get(op), "", None
     if row is None:
         mul = op == "mul"
-        terms = [("$yj" if mul else None, "$li", ki, "$pi"),
-                 ("$yi" if mul else None, "$lj", kj, "$pj")]
+        terms = [("$yj" if mul else None, "$li", ki, "$bi[0] - 1"),
+                 ("$yi" if mul else None, "$lj", kj, "$bj[0] - 1")]
         if ki == 1:  # a stack before a pair: a stack added to the zeros
             terms.reverse()  # that a pair starts would turn -0.0 into 0.0
         if mul:
-            block = ("c = pair_mul($gi.get($v, _ZERO), $gj.get($v, _ZERO)); c = pair_add(c, c)"
+            block = ("c = pair_mul($gi.get($block[0], _ZERO), $gj.get($block[0], _ZERO)); "
+                     "c = pair_add(c, c)"
                      if kk == 1 else "c = _cross(_dense($gi, $block), _dense($gj, $block))")
     else:  # scaled by r', unless r' = 1
-        terms = [(None if row.first is None else "$f", "$li", ki, "$pi")]
+        terms = [(None if row.first is None else "$f", "$li", ki, "$bi[0] - 1")]
         if row.second is not None:
             head = "r = $second($yi, $y, $line); "
-            block = ("d = $gi.get($v, _ZERO); c = pair_mul(r, pair_mul(d, d))" if kk == 1
+            block = ("d = $gi.get($block[0], _ZERO); c = pair_mul(r, pair_mul(d, d))" if kk == 1
                      else "d = _dense($gi, $block); c = _scale(r, _outer(d, d))")
     src, started = [], False
     if block is not None:  # the block term, added last; kind 3: a stack on a smaller block
@@ -310,9 +323,10 @@ def _hessian_template(op: str, ki: int, kj, kk: int, whole: bool) -> Template:
         elif kind == 2:  # a whole stack
             src.append(f"$l = $l + {h}" if started else f"$l = {h}")
         elif started:  # through its index: $l is a new C-ordered stack, from a scaled operand
-            src.append(f"$l.reshape(-1)[$index] += {h}.reshape(-1)")
+            src.append(f"$l.reshape(-1)[_index(cl, $block)] += {h}.reshape(-1)")
         else:  # assigned into zeros, not added, which keeps the sign of its zeros
-            src.append(f"$l = np.zeros((2, $n, $n)); $l.reshape(-1)[$index] = {h}.reshape(-1)")
+            src.append(f"$l = np.zeros((2, $n, $n)); "
+                       f"$l.reshape(-1)[_index(cl, $block)] = {h}.reshape(-1)")
         started = True
     return Template(head + "${try}" + "; ".join(src) + "${except}$drop")
 

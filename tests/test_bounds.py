@@ -11,6 +11,7 @@ import threading
 from collections import Counter
 from pathlib import Path
 from string import Template
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -758,7 +759,7 @@ def test_the_rules_from_supports_and_blocks_are_those_of_the_complement_sets():
 
 def _shape_functions():
     """The interpreter's function of every line shape so far, keyed ``(pass, *shape)``."""
-    return {(name, *shape): function for name, shapes in hessbound.bounds._shapes.items()
+    return {(name, *shape): function for name, (_, shapes) in hessbound.bounds._shapes.items()
             for shape, function in shapes.items()}
 
 
@@ -874,3 +875,61 @@ def test_a_pass_registered_in_the_pass_table_alone_runs_in_both_tiers(monkeypatc
     out = walks[0][2]
     assert out[-1] == (len(cl.lines), 3) and out[3] is None  # line 4 is read by line 7 only
     assert out[:3] == [(0.0, 0.0)] * 3
+
+
+@pytest.mark.parametrize("after", [10**9, 0], ids=["interpreted", "compiled"])
+def test_a_pass_replaced_between_two_walks_runs_as_replaced_on_the_next_walk(monkeypatch, after):
+    monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
+    passes, walk = hessbound.bounds._PASSES, hessbound.bounds._walk
+    bounds = [(0.5, 1.0), (2.0, 3.0)]
+
+    def toy(result):  # a rule pass that gives every line ``result``
+        return lambda cl, k, line: (), lambda: Template(f"$l = {result}"), {}
+
+    monkeypatch.setitem(passes, "_toy", toy("_ONE"))
+    walked = compile_expression("x1*x2", 2)
+    want = eval_improved(walked, Box.from_bounds(bounds))
+    assert walk(walked, Box.from_bounds(bounds), "_toy")[2][-1] == (1.0, 1.0)
+    # a rule pass, and the value pass with each operation line's value doubled
+    monkeypatch.setitem(passes, "_toy", toy("_ZERO"))
+    key, template, names = passes["_values"]
+    doubled = "; $y = pair_mul($y, (2.0, 2.0))"
+    monkeypatch.setitem(passes, "_values", (
+        key, lambda *shape: Template(template(*shape).template + doubled), names))
+    for cl in (walked, compile_expression("x1*x2", 2)):  # a new box: the value pass runs again
+        assert walk(cl, Box.from_bounds(bounds), "_toy")[2][-1] == (0.0, 0.0)
+        res = eval_improved(cl, Box.from_bounds(bounds))
+        assert res.value == Interval(2 * want.value.lo, 2 * want.value.hi)
+        assert (res.gradient, res.eigen) == (want.gradient, want.eigen)
+        assert all((name in vars(cl)) == (after == 0) for name in ("_values", "_toy"))
+
+
+@pytest.mark.parametrize("after", [10**9, 0], ids=["interpreted", "compiled"])
+def test_no_pass_writes_a_gradient_after_its_own_line(monkeypatch, after):
+    # the value pass makes each operation line's gradient by _grad_add or
+    # _grad_scale, or takes its operand's (r' = 1); made read-only there, a
+    # later write to it raises TypeError, and the var lines' seeds are
+    # checked unchanged after every pass
+    monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
+    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    routes = (eval_original, eval_improved, interval_hessian)
+
+    def outcomes():
+        got = []
+        for case in cases:
+            cl = compile_expression(case["source"], case["n"])
+            for bounds in ([(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]],
+                           [(-1.0, 1.0)] * case["n"]):
+                box = Box.from_bounds(bounds)
+                got.append([_outcome(route, cl, box) for route in routes])
+                seeds = hessbound.bounds._last[3][:cl.n]  # the gradients the three walks shared
+                assert seeds == [{k: (1.0, 1.0)} for k in range(1, cl.n + 1)]
+        return got
+
+    want = outcomes()
+    for name in ("_grad_add", "_grad_scale"):
+        helper = getattr(hessbound.bounds, name)
+        monkeypatch.setattr(hessbound.bounds, name,
+                            lambda *args, helper=helper: MappingProxyType(helper(*args)))
+    assert outcomes() == want
+    assert any(isinstance(got[0][0], str) for got in want)  # errors too

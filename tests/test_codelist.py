@@ -24,7 +24,7 @@ from hessbound import (
     eval_improved,
     eval_original,
 )
-from hessbound import bounds
+from hessbound import bounds, reference
 from hessbound.codelist import (
     ABSENT,
     AFFINE_OPS,
@@ -492,11 +492,16 @@ def test_the_block_index_is_each_blocks_flat_index_in_both_layers():
     checked = 0
     for cl in corpus:
         n = cl.n
-        for block, index in cl.block_index.items():
+        # each block on which interval_hessian adds a term through the index
+        blocks = {block for line, block in zip(cl.lines, cl.blocks) if 1 < len(block) < n and (
+            line.op == "mul" or line.op in UNARY_RULES and line.op not in AFFINE_OPS)}
+        for block in blocks:
+            index = reference._index(cl, block)
             rows = np.array(block) - 1
             flat = (rows[:, None] * n + rows).ravel()
             want = np.concatenate((flat, flat + n * n))
             assert index.dtype == want.dtype and (index == want).all()
+            assert reference._index(cl, block) is index  # kept on the codelist
             checked += 1
     assert checked > 20
 

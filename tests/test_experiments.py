@@ -25,7 +25,10 @@ def test_scaling_writes_one_row_per_family_and_size(tmp_path):
         assert 0 < r["kept_bytes"] <= r["peak_bytes"]
         original, improved = r["methods"]["original"], r["methods"]["improved"]
         assert improved["op_count"] < original["op_count"]
-        assert original["wall_s"] > 0 and improved["wall_s"] > 0
+        assert set(r["methods"]) == {"original", "improved", "interval_hessian"}
+        assert all(m["wall_s"] > 0 and m["compiled_s"] > 0 for m in r["methods"].values())
+        assert set(r["passes"]) == {"_values", "_lam_original", "_lam_improved", "_hessian"}
+        assert all(p["generate_s"] > 0 and p["peak_bytes"] > 0 for p in r["passes"].values())
         # the sparsity-aware bounds lie inside the original ones
         assert original["eigen"][0] <= improved["eigen"][0] <= improved["eigen"][1]
         assert improved["eigen"][1] <= original["eigen"][1]

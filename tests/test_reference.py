@@ -392,12 +392,13 @@ def test_a_hessian_overflow_in_a_pair_raises_at_the_end_of_its_line(src, n, boun
 def test_a_codelist_pickles_after_a_hessian_call():
     cl = compile_expression("x1*x2 + x3^2 + exp(x2*x3)", 4)
     box = Box.from_bounds([(0, 1), (1, 2), (-1, 1), (2, 3)])
+    assert "_index" not in vars(cl)
     enc = interval_hessian(cl, box)
-    assert set(cl.block_index) == {(1, 2), (2, 3)}  # built by the call, kept on the codelist
+    assert set(vars(cl)["_index"]) == {(1, 2), (2, 3)}  # built by the call, kept on the codelist
     # x1*x2 (line 5) is read last by the first + (line 7), x4 by no line
     assert cl.last_read[5] == 7 and 4 not in cl.last_read and "last_read" in vars(cl)
     copy = pickle.loads(pickle.dumps(cl))
-    assert copy == cl and "block_index" not in vars(copy) and "last_read" not in vars(copy)
+    assert copy == cl and "_index" not in vars(copy) and "last_read" not in vars(copy)
     again = interval_hessian(copy, box)
     assert np.array_equal(again.lo, enc.lo) and np.array_equal(again.hi, enc.hi)
 
