@@ -23,7 +23,8 @@ source order) and each n it records one row:
   bounds ``eigen``;
 * ``passes`` -- for each pass of the walk (``_values``, ``_lam_original``,
   ``_lam_improved``, ``_hessian``): ``generate_s``, the median time to
-  generate and compile the codelist's pass (``bounds._generate``), and
+  generate and compile the codelist's pass (``bounds._generate``), with the
+  constants of an interpreted value pass on the box bound, and
   ``peak_bytes``, ``tracemalloc``'s peak while doing so, less the size before.
 
 The box is drawn from ``--seed``, the family and n: each component is
@@ -98,11 +99,14 @@ def _memory(call) -> tuple:
     return kept - before, peak - before
 
 
-def _generation(cl, name: str, repeats: int) -> dict:
-    """Time and peak memory of generating ``cl``'s pass ``name``."""
+def _generation(cl, box: Box, name: str, repeats: int) -> dict:
+    """Time and peak memory of generating ``cl``'s pass ``name``, with the
+    constants of an interpreted value pass on ``box`` bound."""
+    lists = hessbound.bounds._values(cl, box)[:3]
+
     def generate():
-        source = (hessbound.bounds._values_source(cl) if name == "_values"
-                  else hessbound.bounds._rule_source(cl, name))
+        source = (hessbound.bounds._values_source(cl, lists) if name == "_values"
+                  else hessbound.bounds._rule_source(cl, name, lists))
         return hessbound.bounds._generate(source)
 
     return {"generate_s": _median_time(generate, repeats), "peak_bytes": _memory(generate)[1]}
@@ -144,7 +148,8 @@ def measure(family: str, n: int, seed: int, repeats: int) -> dict:
         "compile_s": _median_time(lambda: compile_expression(source, n), repeats),
         "analyze_s": _median_time(cl.analyze, repeats),
         "kept_bytes": kept, "peak_bytes": peak, "methods": methods,
-        "passes": {name: _generation(cl, name, repeats) for name in PASSES},
+        "passes": {name: _generation(cl, Box.from_bounds(bounds), name, repeats)
+                   for name in PASSES},
     }
 
 

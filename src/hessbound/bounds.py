@@ -57,22 +57,27 @@ first use; it reads the line's operands from the walk's lists by index and
 its ``UNARY_RULES`` row when it runs.  What either tier builds of a pass is
 kept with the entry it was built from, and built anew once it is replaced.
 
-A codelist walked on many boxes is compiled (see :func:`_generate`): after
-``_COMPILE_AFTER`` interpreted value passes its value pass is generated as
-straight-line Python source, the same templates filled with the codelist's
-locals and literals, one statement per line (:func:`_lines`), and compiled;
-so is each rule pass of the table on its first use after that.  The
-compiled passes are kept in the codelist's ``__dict__`` under their names,
-which a pickled codelist does not carry, with the count of passes before
-them; they bind each line's ``UNARY_RULES`` row when they are generated.
-Being the interpreter's templates, they make its kernel and helper calls
-in its order, so the bits, the memo and the calls a wrapper of
-``bounds.lambda_t`` sees are the same, and both traces use them.  A
-compiled pass runs the success path only: when it raises a
-:class:`HessboundError` or (in the interval Hessian's numpy arrays) a
-``FloatingPointError``, the interpreter walks that box again and raises its
-error, naming the line (so a kernel before the failing line is called
-twice).
+A codelist walked on many boxes is compiled (see :func:`_generate`): the
+first interpreted value pass past ``_COMPILE_AFTER`` on which every line
+succeeds has its value pass generated as straight-line Python source, the
+same templates filled with the codelist's locals and literals, one statement
+per line (:func:`_lines`), and compiled; so is each rule pass of the table on
+its first use after that.  The compiled passes are kept in the codelist's
+``__dict__`` under their names, which a pickled codelist does not carry, with
+the count of passes before them; they bind each line's ``UNARY_RULES`` row
+when they are generated.  They also bind, once per codelist, what does not
+depend on the box (:data:`_CONSTANTS`): each var line's gradient and the
+gradient of each affine line (one with an empty block), taken from the
+interpreted pass that builds the value pass, and each Hessian block term's
+gradient factor whose operands are affine, from the walk that builds the
+Hessian pass.  Every other kernel and helper call stays per box and in the
+interpreter's order, so the bits, the memo and the calls a wrapper of
+``bounds.lambda_t`` sees are the same (the λ kernels are called on every
+box, also on affine operands), and both traces use them.  A compiled pass
+runs the success path only: when it raises a :class:`HessboundError` or (in
+the interval Hessian's numpy arrays) a ``FloatingPointError``, the
+interpreter walks that box again and raises its error, naming the line (so a
+kernel before the failing line is called twice).
 """
 
 from __future__ import annotations
@@ -203,18 +208,22 @@ def _values(cl: Codelist, box: Box) -> tuple:
 
 def _value_pass(cl: Codelist, box: Box) -> tuple:
     """:func:`_values`' result, from the codelist's compiled value pass once
-    it has had ``_COMPILE_AFTER`` interpreted ones (see :func:`_generate`)."""
+    it has one: the first interpreted pass past ``_COMPILE_AFTER`` on which
+    every line succeeds builds it (see :func:`_generate`)."""
     passes = cl.__dict__
-    if "_values" not in passes:
-        count = passes["_value_passes"] = passes.get("_value_passes", 0) + 1
-        if count <= _COMPILE_AFTER:
-            return _values(cl, box)
-    if len(box) == cl.n:  # else _values raises the LengthMismatch
-        try:
-            return _built(passes, "_values", lambda: _generate(_values_source(cl)))(box.dims)
-        except HessboundError:
-            pass  # _values records the failing line and its error
-    return _values(cl, box)
+    kept = passes.get("_values")
+    if kept is not None and kept[0] is _PASSES["_values"]:
+        if len(box) == cl.n:  # else _values raises the LengthMismatch
+            try:
+                return kept[1](box.dims)
+            except HessboundError:
+                pass  # _values records the failing line and its error
+        return _values(cl, box)
+    result = _values(cl, box)
+    count = passes["_value_passes"] = passes.get("_value_passes", 0) + 1
+    if count > _COMPILE_AFTER and result[3] is None:
+        _built(passes, "_values", lambda: _generate(_values_source(cl, result[:3])))
+    return result
 
 
 def _walk(cl: Codelist, box: Box, name: str) -> tuple:
@@ -247,7 +256,8 @@ def _walk(cl: Codelist, box: Box, name: str) -> tuple:
     n = cl.n
     out = [_ZERO] * n
     if failure is None and "_values" in cl.__dict__:
-        compiled = _built(cl.__dict__, name, lambda: _generate(_rule_source(cl, name)))
+        compiled = _built(cl.__dict__, name,
+                          lambda: _generate(_rule_source(cl, name, (ys, grads, firsts))))
         try:
             return ys, grads, compiled(cl, ys, grads, firsts, memo, out)
         except (HessboundError, FloatingPointError):
@@ -320,7 +330,9 @@ def _lam_s(cl: Codelist, k: int, line, grads, memo, n: int) -> Pair:
 #   $value, $first, $second, $lam   the functions of the line's UNARY_RULES row;
 #   ${try}, $except    around statements whose overflow the interpreter raises as
 #                      InvalidInterval('non-finite gradient or Hessian enclosure');
-#   $drop              sets each operand's result to None after its last reader.
+#   $drop              sets each operand's result to None after its last reader;
+#   $gsum, $gscaled    the gradient of an add and of a mulByC line, and any other
+#                      term of _CONSTANTS (below).
 #
 # A value template assigns $y, $g and $f, a rule template $l; both call the
 # kernels and helpers in the order the rule is written.  The code runs in
@@ -339,14 +351,15 @@ def _template(name: str, op: str, i: str = ABSENT, j: str = ABSENT,
     row = UNARY_RULES.get(op)
     if name == "_values":
         if op == "add":
-            src = "$y = pair_add($yi, $yj); $g = _grad_add($gi, $gj)"
+            src = "$y = pair_add($yi, $yj); $g = $gsum"
         elif op == "mul":
             src = ("$y = pair_mul($yi, $yj); "
                    "$g = _grad_add(_grad_scale($gi, $yj), _grad_scale($gj, $yi))")
         elif row.first is None:  # r' = 1
             src = "$y = $value($yi, $line); $f = None; $g = $gi"
-        else:
-            src = "$y = $value($yi, $line); $f = $first($yi, $y, $line); $g = _grad_scale($gi, $f)"
+        else:  # an affine line's r' is its constant
+            grad = "$gscaled" if row.second is None else "_grad_scale($gi, $f)"
+            src = f"$y = $value($yi, $line); $f = $first($yi, $y, $line); $g = {grad}"
     elif name == "_lam_original":
         if op == "add":
             src = "$l = pair_add($li, $lj)"
@@ -417,6 +430,17 @@ _PASSES = {
 }
 
 
+# The terms of a line that do not depend on the box, by placeholder: each is
+# an expression of the line's placeholders that a template uses only where it
+# reads no value of the box once the line's operands have empty blocks (are
+# affine): the gradient of an affine line, from its operands' gradients and
+# constant.  The interpreter fills a term with its expression on every line.
+# A compiled pass fills it so too, except on a line whose operands all have
+# empty blocks, where it reads the term's value, computed once when the pass
+# is built (see _lines).  hessbound.reference adds the interval Hessian's.
+_CONSTANTS = {"gsum": "_grad_add($gi, $gj)", "gscaled": "_grad_scale($gi, $f)"}
+
+
 def _drop(cl: Codelist, k: int, line, out: list) -> None:
     """The interpreter's ``$drop``: the result in ``out`` of each operation
     line that line k reads last set to None."""
@@ -430,7 +454,8 @@ def _drop(cl: Codelist, k: int, line, out: list) -> None:
 # The interpreter's fill: each placeholder read from the walk's lists by
 # index.  The row is looked up when the line runs, so a UNARY_RULES row
 # replaced after its shape was compiled takes effect on the next walk.
-# ``$drop`` is a call of _drop, after the line's ``$except``.
+# ``$drop`` is a call of _drop, after the line's ``$except``.  Each term of
+# _CONSTANTS is its expression, filled from this table.
 _INTERPRETED = {
     "k": "k", "line": "line", "n": "cl.n", "size": "len(cl.blocks[k - 1])",
     "yi": "ys[line.i - 1]", "yj": "ys[line.j - 1]", "y": "ys[k - 1]",
@@ -460,12 +485,14 @@ class _Shapes(dict):
 
     def __missing__(self, shape: tuple):
         _, template, names = _PASSES[self.name]
+        fill = {**_INTERPRETED, **{term: Template(src).substitute(_INTERPRETED)
+                                   for term, src in _CONSTANTS.items()}}
         if self.name == "_values":
             signature, body = "shape(k, line, ys, grads, firsts)", "return y, g"
-            src = template(*shape).substitute(_INTERPRETED, y="y")
+            src = template(*shape).substitute(fill, y="y")
         else:
             signature, body = "shape(cl, k, line, ys, grads, firsts, memo, out)", "return l"
-            src = template(*shape).substitute(_INTERPRETED)
+            src = template(*shape).substitute(fill)
         return self.setdefault(shape, _generate((signature, [*src.split("\n"), body], names)))
 
 
@@ -486,9 +513,11 @@ def _built(store: dict, name: str, build: Callable[[], object]):
 # -- the compiled tier (see the module docstring) ---------------------------
 
 # Interpreted value passes before a codelist's value pass is compiled; each
-# rule pass of _PASSES follows on its first use after that.  Generating and
-# compiling the value and engine passes took 2.0 ms (20 lines) to 11.3 ms (135 lines) per
-# codelist, the time of 15 to 33 interpreted walks of both engines on one box
+# rule pass of _PASSES follows on its first use after that.  Generation
+# follows the first successful interpreted pass past this count, whose lists
+# give the constants.  Generating and compiling the value and engine passes,
+# the constants bound, took 1.7 ms (20 lines) to 13.9 ms (135 lines) per
+# codelist, the time of 15 to 34 interpreted walks of both engines on one box
 # (the benchmark's engine_boxes and dense_gershgorin codelists, n = 4..48;
 # Python 3.11, 2 vCPUs), so compiling costs at most about a tenth of the
 # interpreted time spent before it.
@@ -508,15 +537,20 @@ def _generate(source: tuple):
     return scope["make"](*names.values())  # by position: keywords bind in quadratic time
 
 
-def _lines(cl: Codelist, name: str, names: dict) -> List[str]:
+def _lines(cl: Codelist, name: str, names: dict, lists: tuple) -> List[str]:
     """Pass ``name`` on cl's operation lines, as source: each line's template
     filled with the codelist's locals (``y5``, ``g5``, ``l5``), ``firsts``
     and literals, the blocks as tuples.  The Line and row functions that
     line k's template reads are bound in ``names`` as ``line5``, ``lam5``
     and so on; its ``$drop`` sets each operand's local to None after its
-    last reader."""
-    key, template, _ = _PASSES[name]
+    last reader.  A term of :data:`_CONSTANTS` on a line whose operands have
+    empty blocks is bound as ``gsum5`` and so on: its value on ``lists``,
+    the ``(ys, grads, firsts)`` of a walk on which every line succeeded, as
+    the interpreter computes it, read-only if it is an array."""
+    key, template, extra = _PASSES[name]
     n, blocks, out, bound = cl.n, cl.blocks, [], ("line", *_ROW)
+    ys, grads, firsts = lists
+    scope = {**globals(), **extra}
     for k, line in enumerate(cl.lines[n:], start=n + 1):
         i, j, rule = line.i, line.j, cl.rules[k - 1]
         shape = template(*key(cl, k, line))
@@ -529,33 +563,52 @@ def _lines(cl: Codelist, name: str, names: dict) -> List[str]:
             f"; l{r} = None" for r in dict.fromkeys((i, j))
             if r is not None and r > n and cl.last_read[r] == k)
         p, q = rule.cross or (None, None)
-        out.append(shape.substitute(
-            {"try": "", "except": "", **{attr: f"{attr}{k}" for attr in bound}},
-            k=k, n=n, size=len(blocks[k - 1]), block=blocks[k - 1], bi=blocks[i - 1],
-            bj=j and blocks[j - 1], yi=f"y{i}", yj=f"y{j}", y=f"y{k}", gi=f"g{i}", gj=f"g{j}",
-            g=f"g{k}", f=f"firsts[{k}]", li=f"l{i}" if i > n else "_ZERO",
-            lj=f"l{j}" if j and j > n else "_ZERO", l=f"l{k}", p=p, q=q, drop=drop))
+        fill = {"try": "", "except": "", **{attr: f"{attr}{k}" for attr in bound},
+                "k": k, "n": n, "size": len(blocks[k - 1]), "block": blocks[k - 1],
+                "bi": blocks[i - 1], "bj": j and blocks[j - 1], "yi": f"y{i}", "yj": f"y{j}",
+                "y": f"y{k}", "gi": f"g{i}", "gj": f"g{j}", "g": f"g{k}", "f": f"firsts[{k}]",
+                "li": f"l{i}" if i > n else "_ZERO", "lj": f"l{j}" if j and j > n else "_ZERO",
+                "l": f"l{k}", "p": p, "q": q, "drop": drop}
+        affine = not blocks[i - 1] and (j is None or not blocks[j - 1])
+        for term, src in _CONSTANTS.items():
+            if f"${term}" not in text:
+                continue
+            if not affine:
+                fill[term] = Template(src).substitute(fill)
+                continue
+            value = eval(Template(src).substitute(_INTERPRETED), scope,
+                         {"cl": cl, "k": k, "line": line, "ys": ys, "grads": grads,
+                          "firsts": firsts})
+            if hasattr(value, "setflags"):  # a numpy array
+                value.setflags(write=False)
+            names[f"{term}{k}"] = value
+            fill[term] = f"{term}{k}"
+        out.append(shape.substitute(fill))
     return out
 
 
-def _values_source(cl: Codelist) -> tuple:
-    """:func:`_values` without its failure handling, as ``values(dims)``."""
-    n, names, every = cl.n, {}, range(1, len(cl.lines) + 1)
+def _values_source(cl: Codelist, lists: tuple) -> tuple:
+    """:func:`_values` without its failure handling, as ``values(dims)``,
+    with the constants of ``lists``, a successful value pass (see
+    :func:`_lines`), bound: the var lines' gradients among them."""
+    n, every = cl.n, range(1, len(cl.lines) + 1)
+    names = {f"g{k}": lists[1][k - 1] for k in range(1, n + 1)}
     body = ["".join(f"d{k}, " for k in range(1, n + 1)) + "= dims; firsts = {}",
-            *(f"y{k} = d{k}.lo, d{k}.hi; g{k} = {{{k}: _ONE}}" for k in range(1, n + 1)),
-            *_lines(cl, "_values", names),
+            *(f"y{k} = d{k}.lo, d{k}.hi" for k in range(1, n + 1)),
+            *_lines(cl, "_values", names, lists),
             f"return [{', '.join(f'y{k}' for k in every)}], "
             f"[{', '.join(f'g{k}' for k in every)}], firsts, None"]
     return "values(dims)", body, names
 
 
-def _rule_source(cl: Codelist, name: str) -> tuple:
+def _rule_source(cl: Codelist, name: str, lists: tuple) -> tuple:
     """Rule ``name`` as a pass ``name(cl, ys, grads, firsts, memo, out)``,
-    which gives ``out``, the var lines' results, and every operation line's."""
+    which gives ``out``, the var lines' results, and every operation line's;
+    its constants are those of ``lists`` (see :func:`_lines`)."""
     n, names, every = cl.n, dict(_PASSES[name][2]), range(1, len(cl.lines) + 1)
     body = ["".join(f"y{k}, " for k in every) + "= ys",
             "".join(f"g{k}, " for k in every) + "= grads",
-            *_lines(cl, name, names),
+            *_lines(cl, name, names, lists),
             f"return [*out, {''.join(f'l{k}, ' for k in every[n:])}]"]
     return f"{name}(cl, ys, grads, firsts, memo, out)", body, names
 

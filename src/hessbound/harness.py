@@ -227,12 +227,20 @@ def alpha_bb_eval(cl: Codelist, box: Box, x: Sequence[float],
 
 # -- box sampling ---------------------------------------------------------
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int, or :class:`InvalidArgument` unless it is an integer
+    (numpy integers pass; floats, strings and bools do not)."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvalidArgument(f"{what} {value!r} is not an integer")
+
+
 def _box_count(count) -> int:
     """``count`` as an int, or :class:`InvalidArgument` unless it is an integer of 0 or more."""
-    try:
-        count = operator.index(count)  # numpy integers pass, floats and strings do not
-    except TypeError:
-        raise InvalidArgument(f"box count {count!r} is not an integer") from None
+    count = _integer(count, "box count")
     if count < 0:
         raise InvalidArgument(f"box count {count} is below 0")
     return count
@@ -544,10 +552,7 @@ def run_compare(entries: Sequence[CorpusEntry], boxes_per_function: int = 100,
     """
     boxes_per_function = _box_count(boxes_per_function)
     _check_eps(eps)
-    try:
-        seed = operator.index(seed)  # numpy integers pass, floats and strings do not
-    except TypeError:
-        raise InvalidArgument(f"seed {seed!r} is not an integer") from None
+    seed = _integer(seed, "seed")
     entries = _entries(entries)
     result = CompareResult(eps=eps, seed=seed, boxes_per_function=boxes_per_function)
     for entry in entries:

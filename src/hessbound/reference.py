@@ -22,9 +22,14 @@ compared against:
   (``bounds._PASSES``) and nothing more: the walk runs it by that name, and
   both tiers fill its templates as they fill the engines' passes (the
   interpreter runs one function per shape, and a codelist walked on many
-  boxes gets a compiled pass).  No carrier is written into by a later line,
-  and each is ``None`` after its last reader, set so by the template's
-  ``$drop``.  An overflow in any Hessian entry raises
+  boxes gets a compiled pass).  A block term's gradient factor on two or
+  more variables, ``$outer`` of a unary line and ``$cross`` of a product,
+  is a term of ``bounds._CONSTANTS``: where the line's operands are affine
+  (have empty blocks) it does not depend on the box, and the compiled pass
+  binds it once, from the walk that builds the pass, as a read-only array;
+  r'' and every scaling and sum stay per box.  No carrier is written into
+  by a later line, and each is ``None`` after its last reader, set so by
+  the template's ``$drop``.  An overflow in any Hessian entry raises
   :class:`InvalidInterval` at the line where it happens, in a pair kernel
   or a numpy stack alike; an error of the line's own r'' (``pow
   overflow``, ``sqrt r'' overflow``) comes first;
@@ -64,7 +69,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .bounds import _PASSES, _ZERO, _walk
+from .bounds import _CONSTANTS, _PASSES, _ZERO, _walk
 from .codelist import UNARY_RULES, Codelist
 from .errors import (
     DimensionTooLarge,
@@ -153,10 +158,12 @@ class SymIntervalMatrix:
     @classmethod
     def _of(cls, ends: np.ndarray) -> "SymIntervalMatrix":
         """The matrix of a (2, n, n) stack, checked as the constructor checks
-        its layers; a C-ordered float stack is read in place, anything else
-        goes through the constructor, which copies it."""
+        its layers; a writable C-ordered float stack is read in place,
+        anything else (a compiled pass's read-only constant, say) goes
+        through the constructor, which copies it."""
         if not (ends.dtype == np.float64 and ends.ndim == 3 and len(ends) == 2
-                and 0 < ends.shape[1] == ends.shape[2] and ends.flags.c_contiguous):
+                and 0 < ends.shape[1] == ends.shape[2] and ends.flags.c_contiguous
+                and ends.flags.writeable):
             return cls(ends[0], ends[1])
         _check_ends(ends)
         mat = object.__new__(cls)
@@ -298,14 +305,13 @@ def _hessian_template(op: str, ki: int, kj, kk: int, whole: bool) -> Template:
             terms.reverse()  # that a pair starts would turn -0.0 into 0.0
         if mul:
             block = ("c = pair_mul($gi.get($block[0], _ZERO), $gj.get($block[0], _ZERO)); "
-                     "c = pair_add(c, c)"
-                     if kk == 1 else "c = _cross(_dense($gi, $block), _dense($gj, $block))")
+                     "c = pair_add(c, c)" if kk == 1 else "c = $cross")
     else:  # scaled by r', unless r' = 1
         terms = [(None if row.first is None else "$f", "$li", ki, "$bi[0] - 1")]
         if row.second is not None:
             head = "r = $second($yi, $y, $line); "
             block = ("d = $gi.get($block[0], _ZERO); c = pair_mul(r, pair_mul(d, d))" if kk == 1
-                     else "d = _dense($gi, $block); c = _scale(r, _outer(d, d))")
+                     else "c = _scale(r, $outer)")
     src, started = [], False
     if block is not None:  # the block term, added last; kind 3: a stack on a smaller block
         src.append(block)
@@ -332,6 +338,10 @@ def _hessian_template(op: str, ki: int, kj, kk: int, whole: bool) -> Template:
 
 
 _PASSES["_hessian"] = _shape, _hessian_template, _NAMES
+# the gradient factor of a block term on two or more variables: with affine
+# operands, a constant of the compiled pass
+_CONSTANTS.update(outer="_outer(d := _dense($gi, $block), d)",
+                  cross="_cross(_dense($gi, $block), _dense($gj, $block))")
 
 
 def _hessian_walk(cl: Codelist, box: Box) -> tuple:

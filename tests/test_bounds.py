@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -933,3 +934,119 @@ def test_no_pass_writes_a_gradient_after_its_own_line(monkeypatch, after):
                             lambda *args, helper=helper: MappingProxyType(helper(*args)))
     assert outcomes() == want
     assert any(isinstance(got[0][0], str) for got in want)  # errors too
+
+
+# -- the compiled tier's constants: what does not depend on the box ---------
+
+_LINEAR_FORMS = "exp(0.1*(x1+x2+x3+x4))*ln(x3+x4+x5+x6) + (x1+x2)*(x5+x6) + sqrt(x2+x3)"
+
+
+def _engine_seed_cases():
+    """(source, n, bounds) of each engine_seed.json case on its recorded box."""
+    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    return [(case["source"], case["n"],
+             [(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]])
+            for case in cases]
+
+
+def test_both_tiers_agree_on_functions_of_linear_forms(monkeypatch):
+    rng = random.Random(39)
+    boxes = [[(a, a + rng.uniform(0.01, 1.0)) for a in (rng.uniform(0.1, 2.0) for _ in range(6))]
+             for _ in range(60)]
+    cases = [(_LINEAR_FORMS, 6, bounds) for bounds in boxes] + _engine_seed_cases()
+    tiers = []
+    for after in (10**9, 0):
+        monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
+        codelists = {}
+        for source, n, _ in cases:
+            codelists.setdefault(source, compile_expression(source, n))
+        # hex of the value, the gradient and both engines' bounds; the Hessian's endpoints
+        tiers.append([[_outcome(route, codelists[source], Box.from_bounds(bounds))
+                       for route in (eval_original, eval_improved, interval_hessian)]
+                      for source, _, bounds in cases])
+        assert ("_hessian" in vars(codelists[_LINEAR_FORMS])) == (after == 0)
+    assert tiers[0] == tiers[1]
+    assert not any(isinstance(got, tuple) and isinstance(got[0], str)
+                   for bits in tiers[0][:60] for got in bits)
+    # the gain: no gradient helper on an affine line, no outer product of affine operands
+    bound = 0
+    for source, n, bounds in [cases[0], *_engine_seed_cases()]:
+        cl = compile_expression(source, n)
+        ys, grads, firsts, failure = hessbound.bounds._values(cl, Box.from_bounds(bounds))
+        if failure is not None:
+            continue
+        lists = ys, grads, firsts
+        values = hessbound.bounds._lines(cl, "_values", {}, lists)
+        hessian = hessbound.bounds._lines(cl, "_hessian", {}, lists)
+        for k, value, term in zip(range(n + 1, len(cl.lines) + 1), values, hessian):
+            if not cl.blocks[k - 1]:
+                assert "_grad_add" not in value and "_grad_scale" not in value, value
+            if all(not cl.blocks[r - 1] for r in (cl.lines[k - 1].i, cl.lines[k - 1].j) if r):
+                assert "_outer" not in term and "_cross" not in term, term
+                bound += len(cl.blocks[k - 1]) > 1
+    assert bound > 10
+
+
+def _constants(compiled):
+    """The names a compiled pass binds, and their values."""
+    return dict(zip(compiled.__code__.co_freevars,
+                    (cell.cell_contents for cell in compiled.__closure__)))
+
+
+def test_a_compiled_pass_keeps_its_constants_unwritten(monkeypatch):
+    monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", 0)
+    gradients = arrays = 0
+    for source, n, bounds in [(_LINEAR_FORMS, 6, [(0.5, 1.5)] * 6), *_engine_seed_cases()]:
+        cl = compile_expression(source, n)
+        for box in (bounds, [(-1.0, 1.0)] * n, bounds):
+            for route in (eval_original, eval_improved, interval_hessian):
+                _outcome(route, cl, Box.from_bounds(box))
+        if "_hessian" not in vars(cl):  # no walk succeeded
+            continue
+        fresh = hessbound.bounds._values(cl, Box.from_bounds(bounds))[1]
+        for name, value in _constants(vars(cl)["_values"][1]).items():
+            line = re.fullmatch(r"(?:g|gsum|gscaled)(\d+)", name)  # a var line's or a term's
+            if line:
+                assert value == fresh[int(line[1]) - 1], (source, name)
+                gradients += 1
+        for name, value in _constants(vars(cl)["_hessian"][1]).items():
+            if name.startswith(("outer", "cross")):
+                with pytest.raises(ValueError):
+                    value[0, 0, 0] = 0.0
+                arrays += 1
+    assert gradients > 500 and arrays > 10
+
+
+def test_a_replaced_value_pass_binds_its_own_constants_on_the_next_walk(monkeypatch):
+    monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", 0)
+    passes, walk = hessbound.bounds._PASSES, hessbound.bounds._walk
+    bounds = [(0.5, 1.0), (1.0, 2.0), (0.25, 0.5), (1.0, 1.5), (0.5, 2.0), (1.0, 3.0)]
+    compiled = compile_expression(_LINEAR_FORMS, 6)
+    walk(compiled, Box.from_bounds(bounds), "_lam_improved")
+    assert "_values" in vars(compiled)
+    key, template, names = passes["_values"]
+    doubled = "; $g = _grad_scale($g, (2.0, 2.0))"  # every operation line's gradient doubled
+    monkeypatch.setitem(passes, "_values", (
+        key, lambda *shape: Template(template(*shape).template + doubled), names))
+    want = hessbound.bounds._values(compile_expression(_LINEAR_FORMS, 6), Box.from_bounds(bounds))
+    for cl in (compiled, compile_expression(_LINEAR_FORMS, 6)):
+        for _ in range(2):  # the interpreted pass that builds the compiled one, then that one
+            got = walk(cl, Box.from_bounds(bounds), "_lam_improved")
+            assert got[:2] == want[:2]
+        assert vars(cl)["_values"][0] is passes["_values"]
+        constants = _constants(vars(cl)["_values"][1])
+        assert constants["gsum8"] == {1: (2.0, 2.0), 2: (2.0, 2.0), 3: (1.0, 1.0)}
+
+
+@pytest.mark.parametrize("after", [10**9, 0], ids=["interpreted", "compiled"])
+def test_a_failure_on_every_box_is_raised_on_each_and_never_compiled(monkeypatch, after):
+    # line 5 adds two gradients of 1e308: inf, whatever the box
+    monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
+    cl = compile_expression("x2*(1e308*x1 + 1e308*x1)", 2)
+    for bounds in ([(0.0, 0.5), (1.0, 2.0)], [(0.1, 0.2), (-1.0, 1.0)], [(-0.5, 0.25), (0, 0)]):
+        for route in (eval_original, eval_improved, interval_hessian):
+            with pytest.raises(InvalidInterval) as info:
+                route(cl, Box.from_bounds(bounds))
+            assert str(info.value) == "non-finite endpoints [inf, inf] at codelist line 5"
+            assert info.value.line == 5
+    assert not any(name in vars(cl) for name in ("_values", *hessbound.bounds._PASSES))

@@ -590,7 +590,8 @@ def test_a_box_count_below_zero_is_an_invalid_argument():
     (2.5, "box count 2.5 is not an integer"),
     ("3", "box count '3' is not an integer"),
     (None, "box count None is not an integer"),
-], ids=["float", "str", "None"])
+    (True, "box count True is not an integer"),  # random_boxes drew one box
+], ids=["float", "str", "None", "bool"])
 def test_a_box_count_that_is_not_an_integer_is_an_invalid_argument(count, text):
     entries = [CorpusEntry("f", 1, Box.from_bounds([(0, 1)]), "x1^2")]
     assert _argument_error(lambda: random_boxes(entries[0].domain, count, seed=1)) == text
@@ -604,7 +605,7 @@ def test_a_numpy_integer_box_count_is_accepted():
     assert type(result.boxes_per_function) is int and len(result.records) == 4
 
 
-@pytest.mark.parametrize("seed", [1.5, "1", None], ids=["float", "str", "None"])
+@pytest.mark.parametrize("seed", [1.5, "1", None, True], ids=["float", "str", "None", "bool"])
 def test_a_compare_seed_that_is_not_an_integer_is_an_invalid_argument(seed):
     entries = [CorpusEntry("f", 1, Box.from_bounds([(0, 1)]), "x1^2")]
     for chosen in (entries, []):
