@@ -25,7 +25,8 @@ source order) and each n it records one row:
   ``_lam_improved``, ``_hessian``): ``generate_s``, the median time to
   generate and compile the codelist's pass (``bounds._generate``), with the
   constants of an interpreted value pass on the box bound, and
-  ``peak_bytes``, ``tracemalloc``'s peak while doing so, less the size before.
+  ``peak_bytes``, ``tracemalloc``'s peak while doing so, less the size
+  before (both null when that value pass fails on a line).
 
 The box is drawn from ``--seed``, the family and n: each component is
 [lo, lo + w] with lo uniform in [-1, 0.5] and w in [0.1, 1].  The JSON
@@ -101,8 +102,11 @@ def _memory(call) -> tuple:
 
 def _generation(cl, box: Box, name: str, repeats: int) -> dict:
     """Time and peak memory of generating ``cl``'s pass ``name``, with the
-    constants of an interpreted value pass on ``box`` bound."""
-    lists = hessbound.bounds._values(cl, box)[:3]
+    constants of an interpreted value pass on ``box`` bound; both None when
+    that pass fails on a line, as no pass is compiled from a failed one."""
+    *lists, failure = hessbound.bounds._values(cl, box)
+    if failure is not None:
+        return {"generate_s": None, "peak_bytes": None}
 
     def generate():
         source = (hessbound.bounds._values_source(cl, lists) if name == "_values"
@@ -180,8 +184,9 @@ def main(argv=None) -> int:
             print(f"{r['family']:<11} {r['n']:>4} {name:<17} {m['wall_s'] * 1e3:>10.2f} "
                   f"{m['compiled_s'] * 1e3:>11.2f}")
         for name, g in r["passes"].items():
-            print(f"{r['family']:<11} {r['n']:>4} {name:<17} {'':>10} {'':>11} "
-                  f"{g['generate_s'] * 1e3:>11.2f} {g['peak_bytes'] / 1e6:>8.2f}")
+            cost = ("value pass fails" if g["generate_s"] is None else
+                    f"{g['generate_s'] * 1e3:>11.2f} {g['peak_bytes'] / 1e6:>8.2f}")
+            print(f"{r['family']:<11} {r['n']:>4} {name:<17} {'':>10} {'':>11} {cost}")
     if args.out:
         report = {"seed": args.seed, "repeats": args.repeats,
                   "python": platform.python_version(), "machine": platform.machine(),

@@ -70,10 +70,12 @@ depend on the box (:data:`_CONSTANTS`): each var line's gradient and the
 gradient of each affine line (one with an empty block), taken from the
 interpreted pass that builds the value pass, and each Hessian block term's
 gradient factor whose operands are affine, from the walk that builds the
-Hessian pass.  Every other kernel and helper call stays per box and in the
-interpreter's order, so the bits, the memo and the calls a wrapper of
-``bounds.lambda_t`` sees are the same (the λ kernels are called on every
-box, also on affine operands), and both traces use them.  A compiled pass
+Hessian pass (a term that overflows there is left to the pass, which raises
+it on every box, so the interpreter names its line).  Every other kernel and
+helper call stays per box and in the interpreter's order, so the bits, the
+memo and the calls a wrapper of ``bounds.lambda_t`` sees are the same (the λ
+kernels are called on every box, also on affine operands), and both traces
+use them.  A compiled pass
 runs the success path only: when it raises a :class:`HessboundError` or (in
 the interval Hessian's numpy arrays) a ``FloatingPointError``, the
 interpreter walks that box again and raises its error, naming the line (so a
@@ -211,11 +213,11 @@ def _value_pass(cl: Codelist, box: Box) -> tuple:
     it has one: the first interpreted pass past ``_COMPILE_AFTER`` on which
     every line succeeds builds it (see :func:`_generate`)."""
     passes = cl.__dict__
-    kept = passes.get("_values")
-    if kept is not None and kept[0] is _PASSES["_values"]:
+    compiled = _kept(passes, "_values")
+    if compiled is not None:
         if len(box) == cl.n:  # else _values raises the LengthMismatch
             try:
-                return kept[1](box.dims)
+                return compiled(box.dims)
             except HessboundError:
                 pass  # _values records the failing line and its error
         return _values(cl, box)
@@ -499,15 +501,24 @@ class _Shapes(dict):
 _shapes: Dict[str, tuple] = {}  # each pass's (entry, _Shapes), for the process
 
 
+def _kept(store: dict, name: str):
+    """What ``store`` keeps of pass ``name`` (see :func:`_built`), or None
+    when it keeps nothing or what it keeps was made from a replaced entry."""
+    kept = store.get(name)
+    return kept[1] if kept is not None and kept[0] is _PASSES[name] else None
+
+
 def _built(store: dict, name: str, build: Callable[[], object]):
     """What ``build()`` makes of pass ``name`` (its :class:`_Shapes`, or a
     codelist's compiled pass): kept in ``store`` under the name with the
     :data:`_PASSES` entry it was made from, and made anew once that entry is
     replaced.  Threads that race on it at worst make it twice."""
-    entry, kept = _PASSES[name], store.get(name)
-    if kept is None or kept[0] is not entry:
-        kept = store[name] = entry, build()
-    return kept[1]
+    made = _kept(store, name)
+    if made is None:
+        entry = _PASSES[name]
+        made = build()
+        store[name] = entry, made
+    return made
 
 
 # -- the compiled tier (see the module docstring) ---------------------------
@@ -546,7 +557,10 @@ def _lines(cl: Codelist, name: str, names: dict, lists: tuple) -> List[str]:
     last reader.  A term of :data:`_CONSTANTS` on a line whose operands have
     empty blocks is bound as ``gsum5`` and so on: its value on ``lists``,
     the ``(ys, grads, firsts)`` of a walk on which every line succeeded, as
-    the interpreter computes it, read-only if it is an array."""
+    the interpreter computes it, read-only if it is an array.  A term whose
+    value raises (an overflow in a constant Hessian factor) is not bound:
+    the pass computes it on every box, so it raises there, and the walk's
+    interpreter raises the error naming the line."""
     key, template, extra = _PASSES[name]
     n, blocks, out, bound = cl.n, cl.blocks, [], ("line", *_ROW)
     ys, grads, firsts = lists
@@ -573,12 +587,15 @@ def _lines(cl: Codelist, name: str, names: dict, lists: tuple) -> List[str]:
         for term, src in _CONSTANTS.items():
             if f"${term}" not in text:
                 continue
+            fill[term] = Template(src).substitute(fill)
             if not affine:
-                fill[term] = Template(src).substitute(fill)
                 continue
-            value = eval(Template(src).substitute(_INTERPRETED), scope,
-                         {"cl": cl, "k": k, "line": line, "ys": ys, "grads": grads,
-                          "firsts": firsts})
+            try:
+                value = eval(Template(src).substitute(_INTERPRETED), scope,
+                             {"cl": cl, "k": k, "line": line, "ys": ys, "grads": grads,
+                              "firsts": firsts})
+            except (HessboundError, FloatingPointError):
+                continue  # the pass computes it, raises, and the interpreter names the line
             if hasattr(value, "setflags"):  # a numpy array
                 value.setflags(write=False)
             names[f"{term}{k}"] = value

@@ -34,7 +34,8 @@ from hessbound import (
 from hessbound.codelist import (ABSENT, AFFINE_OPS, EXACT, STAR, UNARY_RULES, WIDENED, Codelist,
                                 Line, _binary_rule, _shared_rule)
 from hessbound import reference
-from hessbound.harness import codelist_value, random_boxes, random_function
+from hessbound.harness import (CorpusEntry, codelist_value, random_boxes, random_function,
+                               run_compare)
 from hessbound.reference import (
     SymIntervalMatrix,
     gershgorin_bounds,
@@ -45,6 +46,15 @@ from hessbound.reference import (
 from helpers import fd_gradient, grid_points, sampled_eigs
 
 UNIT_SQUARE = Box.from_bounds([(0, 1), (0, 1)])
+
+
+def _engine_seed() -> list:
+    """The cases of data/engine_seed.json, each box's hex bounds also as
+    floats, under ``bounds``."""
+    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    for case in cases:
+        case["bounds"] = [(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]]
+    return cases
 
 
 # -- golden values --------------------------------------------------------
@@ -220,11 +230,11 @@ def test_bounds_contain_sampled_hessian_eigenvalues(idx):
 def test_every_product_rule_is_sound_on_the_engine_fixture():
     # random_function fires 3 of the 17 product rules; the recorded fixture
     # fires all of them (criteria 4 and 5 on every rule)
-    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    cases = _engine_seed()
     fired = set()
     for case in cases:
         cl = compile_expression(case["source"], case["n"])
-        box = Box(Interval(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"])
+        box = Box.from_bounds(case["bounds"])
         fired |= {(r.i, r.j, r.combine) for r in cl.rules if r is not None and r.op == "mul"}
         eigs = sampled_eigs(cl, box, per_dim=5 if case["n"] <= 4 else 3)
         slack = 1e-7 * (1 + np.abs(eigs).max())
@@ -329,14 +339,14 @@ def test_engines_match_recorded_results():
     # 100 are random_function entries; 92 come from a generator that reuses
     # variables and 8 are hand-written, so every product and sum rule of the
     # sparsity-aware engine runs.  Hex strings also compare the sign of zero.
-    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    cases = _engine_seed()
     assert len(cases) == 200
 
     def hexes(x):
         return [x.lo.hex(), x.hi.hex()]
 
     for case in cases:
-        box = Box(Interval(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"])
+        box = Box.from_bounds(case["bounds"])
         cl = compile_expression(case["source"], case["n"])
         for method, engine in (("original", eval_original), ("improved", eval_improved)):
             res = engine(cl, box)
@@ -470,12 +480,11 @@ def test_every_route_takes_intervals_in_any_sequence(route):
 
 def test_an_engine_after_another_on_the_same_box_equals_it_on_a_fresh_box():
     # interval_hessian is a rule on the same walk, so it takes part too
-    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    cases = _engine_seed()
     failures = 0
     for case in cases:
         cl = compile_expression(case["source"], case["n"])
-        inside = [(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]]
-        for bounds in (inside, [(-1.0, 1.0)] * case["n"]):  # the second leaves most domains
+        for bounds in (case["bounds"], [(-1.0, 1.0)] * case["n"]):  # the second leaves most domains
             for first in (eval_original, eval_improved, interval_hessian):
                 for then in (eval_original, eval_improved, trace_original, trace_improved,
                              interval_hessian):
@@ -639,28 +648,44 @@ def test_a_pickled_codelist_drops_its_compiled_hessian_pass(compiled):
     assert [_outcome(route, again, box) for route in routes] == want
 
 
-def test_interval_hessian_is_the_same_in_both_tiers_on_the_engine_fixture_and_on_the_unit_box(
+_LINEAR_FORMS = "exp(0.1*(x1+x2+x3+x4))*ln(x3+x4+x5+x6) + (x1+x2)*(x5+x6) + sqrt(x2+x3)"
+
+
+def _linear_forms_boxes(count: int) -> list:
+    """``count`` seeded boxes for _LINEAR_FORMS, inside its domain."""
+    rng = random.Random(39)
+    return [[(a, a + rng.uniform(0.01, 1.0)) for a in (rng.uniform(0.1, 2.0) for _ in range(6))]
+            for _ in range(count)]
+
+
+def test_every_route_is_the_same_in_both_tiers_on_the_engine_fixture_and_on_linear_forms(
         monkeypatch):
-    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
-    boxes = [(case, bounds) for case in cases
-             for bounds in ([(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]],
-                            [(-1.0, 1.0)] * case["n"])]
+    # each codelist is walked on all its boxes, so a compiled pass runs on
+    # boxes other than the one whose walk bound its constants; _LINEAR_FORMS
+    # is mostly affine lines, whose terms are those constants
+    inputs = [(case["source"], case["n"], bounds) for case in _engine_seed()
+              for bounds in (case["bounds"], [(-1.0, 1.0)] * case["n"])]
+    inputs += [(_LINEAR_FORMS, 6, bounds) for bounds in _linear_forms_boxes(60)]
+    routes = (eval_original, eval_improved, interval_hessian)
     tiers = []
     for after in (10**9, 0):
         monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
-        codelists = [compile_expression(case["source"], case["n"]) for case, _ in boxes]
-        tiers.append([_outcome(interval_hessian, cl, Box.from_bounds(bounds))
-                      for cl, (_, bounds) in zip(codelists, boxes)])
-        assert any("_hessian" in vars(cl) for cl in codelists) == (after == 0)
+        codelists = {}
+        # hex of the value, the gradient and both engines' bounds; the Hessian's endpoints
+        tiers.append([[_outcome(route, codelists.setdefault(source, compile_expression(source, n)),
+                                Box.from_bounds(bounds)) for route in routes]
+                      for source, n, bounds in inputs])
+        assert ("_hessian" in vars(codelists[_LINEAR_FORMS])) == (after == 0)
     assert tiers[0] == tiers[1]
-    assert any(isinstance(got[0], str) for got in tiers[0])  # errors too
+    assert any(isinstance(got[0], str) for bits in tiers[0] for got in bits)  # errors too
+    assert not any(isinstance(got[0], str) for bits in tiers[0][-60:] for got in bits)
 
 
 def test_one_codelist_gives_the_same_results_before_and_after_it_crosses_the_switch(monkeypatch):
-    case = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())[-1]
+    case = _engine_seed()[-1]
     cl = compile_expression(case["source"], case["n"])
-    boxes = [[(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]],
-             [(-1.0, 1.0)] * case["n"], [(0.5, 2.0)] * case["n"], [(-2.0, -0.5)] * case["n"]]
+    boxes = [case["bounds"], [(-1.0, 1.0)] * case["n"], [(0.5, 2.0)] * case["n"],
+             [(-2.0, -0.5)] * case["n"]]
 
     def outcomes():
         return [_outcome(route, cl, Box.from_bounds(bounds)) for bounds in boxes
@@ -676,7 +701,7 @@ def test_one_codelist_gives_the_same_results_before_and_after_it_crosses_the_swi
 
 
 def test_a_wrapped_lambda_kernel_counts_the_same_calls_in_both_tiers(monkeypatch):
-    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    cases = _engine_seed()
     calls = Counter()
 
     def counted(name, kernel):
@@ -694,7 +719,7 @@ def test_a_wrapped_lambda_kernel_counts_the_same_calls_in_both_tiers(monkeypatch
         calls.clear()
         for case in cases:
             cl = compile_expression(case["source"], case["n"])
-            box = Box(Interval(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"])
+            box = Box.from_bounds(case["bounds"])
             for route in (eval_original, eval_improved, trace_improved, trace_original):
                 route(cl, box)
             assert ("_lam_original" in cl.__dict__) == (after == 0)
@@ -912,15 +937,14 @@ def test_no_pass_writes_a_gradient_after_its_own_line(monkeypatch, after):
     # later write to it raises TypeError, and the var lines' seeds are
     # checked unchanged after every pass
     monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
-    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
+    cases = _engine_seed()
     routes = (eval_original, eval_improved, interval_hessian)
 
     def outcomes():
         got = []
         for case in cases:
             cl = compile_expression(case["source"], case["n"])
-            for bounds in ([(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]],
-                           [(-1.0, 1.0)] * case["n"]):
+            for bounds in (case["bounds"], [(-1.0, 1.0)] * case["n"]):
                 box = Box.from_bounds(bounds)
                 got.append([_outcome(route, cl, box) for route in routes])
                 seeds = hessbound.bounds._last[3][:cl.n]  # the gradients the three walks shared
@@ -938,46 +962,20 @@ def test_no_pass_writes_a_gradient_after_its_own_line(monkeypatch, after):
 
 # -- the compiled tier's constants: what does not depend on the box ---------
 
-_LINEAR_FORMS = "exp(0.1*(x1+x2+x3+x4))*ln(x3+x4+x5+x6) + (x1+x2)*(x5+x6) + sqrt(x2+x3)"
-
-
-def _engine_seed_cases():
-    """(source, n, bounds) of each engine_seed.json case on its recorded box."""
-    cases = json.loads((Path(__file__).parent / "data" / "engine_seed.json").read_text())
-    return [(case["source"], case["n"],
-             [(float.fromhex(lo), float.fromhex(hi)) for lo, hi in case["box"]])
-            for case in cases]
-
-
-def test_both_tiers_agree_on_functions_of_linear_forms(monkeypatch):
-    rng = random.Random(39)
-    boxes = [[(a, a + rng.uniform(0.01, 1.0)) for a in (rng.uniform(0.1, 2.0) for _ in range(6))]
-             for _ in range(60)]
-    cases = [(_LINEAR_FORMS, 6, bounds) for bounds in boxes] + _engine_seed_cases()
-    tiers = []
-    for after in (10**9, 0):
-        monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
-        codelists = {}
-        for source, n, _ in cases:
-            codelists.setdefault(source, compile_expression(source, n))
-        # hex of the value, the gradient and both engines' bounds; the Hessian's endpoints
-        tiers.append([[_outcome(route, codelists[source], Box.from_bounds(bounds))
-                       for route in (eval_original, eval_improved, interval_hessian)]
-                      for source, _, bounds in cases])
-        assert ("_hessian" in vars(codelists[_LINEAR_FORMS])) == (after == 0)
-    assert tiers[0] == tiers[1]
-    assert not any(isinstance(got, tuple) and isinstance(got[0], str)
-                   for bits in tiers[0][:60] for got in bits)
-    # the gain: no gradient helper on an affine line, no outer product of affine operands
+def test_a_compiled_pass_computes_no_term_of_affine_operands():
+    # the gain of binding them: no gradient helper on an affine line (an empty
+    # block), no gradient factor of affine operands in the Hessian
     bound = 0
-    for source, n, bounds in [cases[0], *_engine_seed_cases()]:
+    inputs = [(_LINEAR_FORMS, 6, _linear_forms_boxes(1)[0]),
+              *((case["source"], case["n"], case["bounds"]) for case in _engine_seed())]
+    for source, n, bounds in inputs:
         cl = compile_expression(source, n)
-        ys, grads, firsts, failure = hessbound.bounds._values(cl, Box.from_bounds(bounds))
+        *lists, failure = hessbound.bounds._values(cl, Box.from_bounds(bounds))
         if failure is not None:
             continue
-        lists = ys, grads, firsts
-        values = hessbound.bounds._lines(cl, "_values", {}, lists)
-        hessian = hessbound.bounds._lines(cl, "_hessian", {}, lists)
+        with np.errstate(all="raise"):  # as the walk builds them
+            values = hessbound.bounds._lines(cl, "_values", {}, lists)
+            hessian = hessbound.bounds._lines(cl, "_hessian", {}, lists)
         for k, value, term in zip(range(n + 1, len(cl.lines) + 1), values, hessian):
             if not cl.blocks[k - 1]:
                 assert "_grad_add" not in value and "_grad_scale" not in value, value
@@ -996,7 +994,9 @@ def _constants(compiled):
 def test_a_compiled_pass_keeps_its_constants_unwritten(monkeypatch):
     monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", 0)
     gradients = arrays = 0
-    for source, n, bounds in [(_LINEAR_FORMS, 6, [(0.5, 1.5)] * 6), *_engine_seed_cases()]:
+    inputs = [(_LINEAR_FORMS, 6, [(0.5, 1.5)] * 6),
+              *((case["source"], case["n"], case["bounds"]) for case in _engine_seed())]
+    for source, n, bounds in inputs:
         cl = compile_expression(source, n)
         for box in (bounds, [(-1.0, 1.0)] * n, bounds):
             for route in (eval_original, eval_improved, interval_hessian):
@@ -1050,3 +1050,24 @@ def test_a_failure_on_every_box_is_raised_on_each_and_never_compiled(monkeypatch
             assert str(info.value) == "non-finite endpoints [inf, inf] at codelist line 5"
             assert info.value.line == 5
     assert not any(name in vars(cl) for name in ("_values", *hessbound.bounds._PASSES))
+
+
+@pytest.mark.parametrize("after", [10**9, 0], ids=["interpreted", "compiled"])
+@pytest.mark.parametrize("source,line", [("(1e200*x1 + x2)*(x1 + 1e200*x2)", 7),
+                                         ("exp(1e200*x1 + 1e200*x2)", 6)],
+                         ids=["cross", "outer"])
+def test_an_overflow_in_a_constant_hessian_factor_is_raised_naming_its_line(
+        monkeypatch, after, source, line):
+    # near 0 the value pass succeeds, but the Hessian factor of the affine
+    # operands' gradients (1e200 * 1e200) overflows on every box
+    monkeypatch.setattr(hessbound.bounds, "_COMPILE_AFTER", after)
+    text = f"non-finite gradient or Hessian enclosure at codelist line {line}"
+    cl = compile_expression(source, 2)
+    for bounds in ([(0.0, 1e-300)] * 2, [(-1e-300, 1e-300), (0.0, 1e-301)], [(0.0, 1e-300)] * 2):
+        with pytest.raises(InvalidInterval) as info:
+            interval_hessian(cl, Box.from_bounds(bounds))
+        assert (str(info.value), info.value.line) == (text, line)
+    assert ("_hessian" in vars(cl)) == (after == 0)
+    entry = CorpusEntry("f", 2, Box.from_bounds([(0.0, 1e-300)] * 2), source)
+    result = run_compare([entry], boxes_per_function=3)
+    assert [skip.reason for skip in result.skips] == [f"InvalidInterval: {text}"] * 3
